@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals, plus a modular fast path.
 
 Everything here works on plain lists of Fractions or ints; matrices are
-lists of row lists.  The modular routines reduce mod a 31-bit prime so
-that numpy-free int arithmetic stays well inside machine range.
+lists of row lists.  The modular rank reduces mod a 31-bit prime so that
+the product of two residues stays inside numpy's int64 range.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 MOD_PRIMES = (2147483647, 2147483629, 2147483587)
 
@@ -75,21 +76,10 @@ def _to_int_rows(matrix: list[list[Fraction | int]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank preserving)."""
     out = []
     for row in matrix:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                d = x.denominator
-                g = _gcd(scale, d)
-                scale = scale // g * d
+        scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
         out.append([int(x * scale) if isinstance(x, Fraction) else x * scale
                     for x in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_mod_p(matrix: list[list[int]], p: int) -> int:
@@ -102,10 +92,7 @@ def rank_mod_p(matrix: list[list[int]], p: int) -> int:
     rows = len(matrix)
     if rows == 0:
         return 0
-    try:
-        import numpy as np
-    except ImportError:
-        return _rank_mod_p_slow(matrix, p)
+    import numpy as np  # deferred: check and spectrum runs never load numpy
     m = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
     cols = m.shape[1]
     r = 0
@@ -125,30 +112,6 @@ def rank_mod_p(matrix: list[list[int]], p: int) -> int:
             block = m[r + 1 + live, c:]
             block = (block - factors[live, None] * m[r, c:]) % p
             m[r + 1 + live, c:] = block
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _rank_mod_p_slow(matrix: list[list[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        mr = m[r]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if f:
-                mi = m[i]
-                for j in range(c, cols):
-                    mi[j] = (mi[j] - f * mr[j]) % p
         r += 1
         if r == rows:
             break
@@ -185,16 +148,11 @@ def rank_int_rows(matrix: list[list[int]]) -> int:
             f = m[i][c]
             if f:
                 mi = m[i]
-                g = _gcd(f, pv)
+                g = gcd(f, pv)
                 a, b = pv // g, f // g
                 for j in range(c, ncols):
                     mi[j] = mi[j] * a - mr[j] * b
-                g2 = 0
-                for v in mi:
-                    if v:
-                        g2 = _gcd(g2, abs(v))
-                        if g2 == 1:
-                            break
+                g2 = gcd(*mi)
                 if g2 > 1:
                     m[i] = [v // g2 for v in mi]
         r += 1

@@ -8,14 +8,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
                       from_compositions, make_seaweed, parse_composition,
                       parse_subset)
 from .meander import Side, components, is_frobenius, orbits, u_turn_report
-from .spectrum import (component_spectrum, full_spectrum, seaweed_dimension,
-                       simple_eigenvalues)
+from .spectrum import (Spectrum, component_spectrum, full_spectrum,
+                       seaweed_dimension, simple_eigenvalues, verify_symmetric,
+                       verify_unbroken)
 from .oracle import (DEFAULT_SEED, ad_spectrum, index, principal_element,
                      realize_type_a)
 from .enumerate import check_appendix_a, enumerate_frobenius
@@ -125,16 +127,17 @@ def _spectrum_payload(s: Seaweed) -> dict:
     x = simple_eigenvalues(s)
     tops, bottoms = components(s)
     comps = []
+    total = Counter()
     for c in tops + bottoms:
         cs = component_spectrum(c, x, s.root_system)
+        total.update(cs.values.as_counter())
         comps.append({
             "side": "top" if c.side is Side.TOP else "bottom",
             "roots": sorted(c.roots, reverse=True),
             "shape": str(c.shape),
             "eigenvalues": [{"k": k, "mult": m} for k, m in cs.values.mult],
         })
-    sp = full_spectrum(s)
-    payload = sp.to_json_dict()
+    payload = Spectrum.from_counter(total).to_json_dict()
     payload["seaweed"] = repr(s)
     payload["simple_eigenvalues"] = [
         {"i": i, "value": v} for i, v in sorted(x.as_dict().items())]
@@ -156,12 +159,12 @@ def cmd_spectrum(args) -> int:
         if len(parts) == 1:
             payload = _spectrum_payload(parts[0])
         else:
-            payload = {
-                "seaweed": repr(s),
-                "summands": [_spectrum_payload(p) for p in parts],
-            }
-            total = full_spectrum(s)
-            payload.update(total.to_json_dict())
+            summands = [_spectrum_payload(p) for p in parts]
+            total = Counter()
+            for summand in summands:
+                total.update(Spectrum.from_json_dict(summand).as_counter())
+            payload = {"seaweed": repr(s), "summands": summands}
+            payload.update(Spectrum.from_counter(total).to_json_dict())
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
         sp = full_spectrum(s)
@@ -182,8 +185,7 @@ def _print_spectrum_table(sp) -> None:
     widths = [max(len(a), len(b)) for a, b in zip(ks, ms)]
     print("eigenvalue    " + "  ".join(k.rjust(w) for k, w in zip(ks, widths)))
     print("multiplicity  " + "  ".join(m.rjust(w) for m, w in zip(ms, widths)))
-    print(f"unbroken {sp.to_json_dict()['unbroken']}   "
-          f"symmetric {sp.to_json_dict()['symmetric']}")
+    print(f"unbroken {verify_unbroken(sp)}   symmetric {verify_symmetric(sp)}")
 
 
 def cmd_enumerate(args) -> int:

@@ -8,8 +8,6 @@ bitmask for reproducible output.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .rootsys import LieType, build_root_system
@@ -81,24 +79,11 @@ def enumerate_frobenius(t: LieType) -> Catalog:
         raise ValueError(f"rank {n} exceeds the exhaustive-scan guard "
                          f"({ENUM_RANK_GUARD})")
     rs = build_root_system(t)
-    threads = int(os.environ.get("SEAWEED_THREADS", "1") or "1")
-
-    def scan(chunk):
-        found = []
-        for pi1, pi2 in chunk:
-            s = Seaweed(rs, pi1, pi2)
-            if is_frobenius(s):
-                found.append(canonical_form(s))
-        return found
-
-    if threads > 1:
-        pairs = list(_assignments(n))
-        size = max(1, len(pairs) // threads)
-        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [item for part in pool.map(scan, chunks) for item in part]
-    else:
-        results = scan(_assignments(n))
+    results = []
+    for pi1, pi2 in _assignments(n):
+        s = Seaweed(rs, pi1, pi2)
+        if is_frobenius(s):
+            results.append(canonical_form(s))
     dedup = {(subset_mask(s.pi1), subset_mask(s.pi2)): s for s in results}
     rho = _length_reversal(t)
     if rho is not None:
@@ -272,7 +257,7 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     pad_total = 0
     for c in tops + bottoms:
         pad_total += zero_padding(c.shape)
-        if not eigenvalue_bounds_ok(c, x, classical=classical):
+        if not eigenvalue_bounds_ok(c, x):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not component_sum_ok(c, x):
             fail(f"chain component {c.roots} does not sum to one")

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import DiagramShape, LieType, classify_component
+from .rootsys import (DiagramShape, LieType, classify_component,
+                      connected_components)
 from .seaweed import Composition, Seaweed, from_compositions
 
 
@@ -79,20 +80,9 @@ def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]
     cols = rs.columns()
 
     def side_components(subset: frozenset[int], side: Side) -> tuple[Component, ...]:
-        remaining = set(subset)
         comps = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                v = stack.pop()
-                for w in rs.neighbors(v):
-                    if w in subset and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            remaining -= comp
-            shape, order = classify_component(rs, frozenset(comp))
+        for comp in connected_components(rs, subset):
+            shape, order = classify_component(rs, comp)
             comps.append(Component(side, tuple(sorted(comp, reverse=True)),
                                    shape, order))
         comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))

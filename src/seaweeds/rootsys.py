@@ -199,18 +199,25 @@ def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
     return [b for b in rs.positive_roots if root_support(b) <= s]
 
 
-def _connected(rs: RootSystem, sigma: frozenset[int]) -> bool:
-    if not sigma:
-        return False
-    seen = set()
-    stack = [next(iter(sigma))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(w for w in rs.neighbors(v) if w in sigma and w not in seen)
-    return seen == sigma
+def connected_components(rs: RootSystem, subset) -> list[frozenset[int]]:
+    """The maximally connected pieces of the diagram induced on subset,
+    each grown by depth-first search from its smallest index."""
+    s = frozenset(subset)
+    remaining = set(s)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            v = stack.pop()
+            for w in rs.neighbors(v):
+                if w in s and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        remaining -= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, ...]]:
@@ -222,7 +229,7 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
     rightmost-drawn end first for chains).
     """
     s = frozenset(sigma)
-    if not _connected(rs, s):
+    if len(connected_components(rs, s)) != 1:
         raise ValueError(f"subset {sorted(s)} is not connected in the diagram")
     verts = sorted(s)
     k = len(verts)
@@ -240,17 +247,7 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
     forks = [v for v in verts if len(adj[v]) == 3]
     if forks:
         center = forks[0]
-        legs = []
-        for first in adj[center]:
-            leg = [first]
-            prev, cur = center, first
-            while True:
-                ext = [w for w in adj[cur] if w != prev]
-                if not ext:
-                    break
-                prev, cur = cur, ext[0]
-                leg.append(cur)
-            legs.append(leg)
+        legs = [_walk(adj, first, center) for first in adj[center]]
         legs.sort(key=lambda leg: (len(leg), leg[0]))
         lens = tuple(len(leg) for leg in legs)
         if lens[0] == 1 and lens[1] == 1:
@@ -272,8 +269,8 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
         v, w = doubles[0]
         short = w if rs.cartan[v - 1][w - 1] == -2 else v
         longv = v if short == w else w
-        short_side = _half_chain(adj, short, longv)
-        long_side = _half_chain(adj, longv, short)
+        short_side = _walk(adj, short, longv)
+        long_side = _walk(adj, longv, short)
         if len(short_side) >= 2 and len(long_side) >= 2:
             if k != 4:
                 raise AssertionError(f"unexpected doubled chain of size {k}")
@@ -283,32 +280,22 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
             return DiagramShape("C", 2), (longv, short)
         if len(short_side) == 1:
             # the short root is a chain end: B-series, distinguished root first
-            return DiagramShape("B", k), tuple(_walk_from(adj, short))
+            return DiagramShape("B", k), tuple(_walk(adj, short))
         # the long root is a chain end: C-series
-        return DiagramShape("C", k), tuple(_walk_from(adj, longv))
+        return DiagramShape("C", k), tuple(_walk(adj, longv))
 
     # plain chain; the rightmost-drawn end plays alpha'_1
     cols = rs.columns()
     start = max(ends, key=lambda v: cols[v])
-    return DiagramShape("A", k), tuple(_walk_from(adj, start))
+    return DiagramShape("A", k), tuple(_walk(adj, start))
 
 
-def _walk_from(adj: dict[int, list[int]], start: int) -> list[int]:
+def _walk(adj: dict[int, list[int]], start: int,
+          prev: int | None = None) -> list[int]:
+    """The vertices met walking from start without stepping back.  The first
+    step avoids prev, which picks the leg when start is not a chain end."""
     path = [start]
-    prev = None
     cur = start
-    while True:
-        ext = [w for w in adj[cur] if w != prev]
-        if not ext:
-            return path
-        prev, cur = cur, ext[0]
-        path.append(cur)
-
-
-def _half_chain(adj: dict[int, list[int]], a: int, blocked: int) -> list[int]:
-    """Vertices reached from a without stepping to `blocked` first."""
-    path = [a]
-    prev, cur = blocked, a
     while True:
         ext = [w for w in adj[cur] if w != prev]
         if not ext:

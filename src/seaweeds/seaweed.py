@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import LieType, RootSystem, build_root_system, classify_component
+from .rootsys import (LieType, RootSystem, build_root_system,
+                      classify_component, connected_components)
 
 
 @dataclass(frozen=True)
@@ -112,21 +113,7 @@ def decompose_direct_sum(s: Seaweed) -> list[Seaweed]:
     if s.has_full_union():
         return [s]
     rs = s.root_system
-    union = s.pi1 | s.pi2
-    fragments = []
-    remaining = set(union)
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in rs.neighbors(v):
-                if w in union and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        fragments.append(frozenset(comp))
+    fragments = connected_components(rs, s.pi1 | s.pi2)
     fragments.sort(key=max, reverse=True)
     out = []
     for frag in fragments:

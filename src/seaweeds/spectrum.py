@@ -258,8 +258,7 @@ def symmetric_root(rs: RootSystem, c: Component,
     return tuple(coeffs)
 
 
-def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector,
-                         classical: bool = True) -> bool:
+def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     """Side-normalized simple-eigenvalue ranges by component type.
 
     Chain and fork values are bounded by three in absolute value (both

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seaweeds
 from seaweeds.cli import main
 
 
@@ -196,3 +201,15 @@ def test_render_tikz_stdout(capsys):
                        "--top", "2", "--bottom", "1", "--format", "tikz")
     assert code == 0
     assert "tikzpicture" in out
+
+
+def test_cli_import_leaves_numpy_and_threads_unloaded():
+    # every cold check or spectrum process pays for what seaweeds.cli imports
+    probe = ("import sys, seaweeds.cli; print(sorted(m for m in "
+             "('numpy', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

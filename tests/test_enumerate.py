@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -102,14 +101,3 @@ def test_catalog_json_shape():
     assert payload["type"] == "G2" and payload["count"] == 2
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text) == payload
-
-
-def test_parallel_scan_matches_serial():
-    serial = enumerate_frobenius(LieType("E", 6))
-    os.environ["SEAWEED_THREADS"] = "4"
-    try:
-        parallel = enumerate_frobenius(LieType("E", 6))
-    finally:
-        os.environ.pop("SEAWEED_THREADS")
-    assert [(s.pi1, s.pi2) for s in serial.entries] == \
-        [(s.pi1, s.pi2) for s in parallel.entries]

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds._linalg import (MOD_PRIMES, _rank_mod_p_slow, _to_int_rows,
-                              rank_exact, rank_int_rows, rank_mod_p,
-                              solve_unique)
+from seaweeds._linalg import (MOD_PRIMES, _to_int_rows, rank_exact,
+                              rank_int_rows, rank_mod_p, solve_unique)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -28,8 +27,7 @@ def test_rank_paths_agree(seed):
     exact = rank_exact(m)
     assert exact <= inner
     assert rank_int_rows(m) == exact
-    assert rank_mod_p(m, MOD_PRIMES[0]) <= exact
-    assert _rank_mod_p_slow(m, MOD_PRIMES[0]) == rank_mod_p(m, MOD_PRIMES[0])
+    assert rank_mod_p(m, MOD_PRIMES[0]) == exact
 
 
 def test_rank_of_fraction_rows():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds.rootsys import (DiagramShape, LieType, build_root_system,
-                              classify_component, induced_shape,
-                              positive_root_count, root_support,
-                              sub_positive_roots)
+                              classify_component, connected_components,
+                              induced_shape, positive_root_count,
+                              root_support, sub_positive_roots)
 
 ALL_TYPES = [LieType("A", 3), LieType("A", 9), LieType("B", 2), LieType("B", 8),
              LieType("C", 2), LieType("C", 8), LieType("D", 3), LieType("D", 8),
@@ -115,6 +115,28 @@ def test_induced_shape_rejects_disconnected():
     rs = build_root_system(LieType("A", 5))
     with pytest.raises(ValueError):
         induced_shape(rs, {1, 3})
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_connected_components_partition_the_subset(data):
+    t = data.draw(st.sampled_from(ALL_TYPES))
+    rs = build_root_system(t)
+    subset = frozenset(data.draw(st.sets(st.integers(1, t.rank))))
+    pieces = connected_components(rs, subset)
+    assert sum(len(p) for p in pieces) == len(subset)
+    assert frozenset().union(*pieces) == subset
+    for piece in pieces:
+        reached = {min(piece)}
+        while True:
+            grown = reached | {w for v in reached for w in rs.neighbors(v)
+                               if w in piece}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == piece
+        outside = subset - piece
+        assert not any(w in outside for v in piece for w in rs.neighbors(v))
 
 
 def test_classify_order_for_chain_is_a_path():
