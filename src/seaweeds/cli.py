@@ -14,8 +14,8 @@ from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
                       from_compositions, make_seaweed, parse_composition,
                       parse_subset)
-from .meander import Side, components, is_frobenius, orbits, u_turn_report
-from .spectrum import (Spectrum, component_spectrum, full_spectrum,
+from .meander import Side, is_frobenius, orbits, u_turn_report
+from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, verify_symmetric,
                        verify_unbroken)
 from .oracle import (DEFAULT_SEED, ad_spectrum, index, principal_element,
@@ -125,19 +125,14 @@ def cmd_check(args) -> int:
 
 def _spectrum_payload(s: Seaweed) -> dict:
     x = simple_eigenvalues(s)
-    tops, bottoms = components(s)
-    comps = []
-    total = Counter()
-    for c in tops + bottoms:
-        cs = component_spectrum(c, x, s.root_system)
-        total.update(cs.values.as_counter())
-        comps.append({
-            "side": "top" if c.side is Side.TOP else "bottom",
-            "roots": sorted(c.roots, reverse=True),
-            "shape": str(c.shape),
-            "eigenvalues": [{"k": k, "mult": m} for k, m in cs.values.mult],
-        })
-    payload = Spectrum.from_counter(total).to_json_dict()
+    spectra, total = component_spectra(s, x)
+    comps = [{
+        "side": "top" if cs.component.side is Side.TOP else "bottom",
+        "roots": sorted(cs.component.roots, reverse=True),
+        "shape": str(cs.component.shape),
+        "eigenvalues": [{"k": k, "mult": m} for k, m in cs.values.mult],
+    } for cs in spectra]
+    payload = total.to_json_dict()
     payload["seaweed"] = repr(s)
     payload["simple_eigenvalues"] = [
         {"i": i, "value": v} for i, v in sorted(x.as_dict().items())]
@@ -167,13 +162,14 @@ def cmd_spectrum(args) -> int:
             payload.update(Spectrum.from_counter(total).to_json_dict())
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
-        sp = full_spectrum(s)
         if len(parts) == 1:
             x = simple_eigenvalues(s)
+            sp = component_spectra(s, x)[1]
             print(f"seaweed   {s!r}   dimension {seaweed_dimension(s)}")
             print("simple eigenvalues  " + " ".join(
                 f"a{i}={v}" for i, v in sorted(x.as_dict().items())))
         else:
+            sp = full_spectrum(s)
             print(f"seaweed   {s!r}   (direct sum of {len(parts)})")
         _print_spectrum_table(sp)
     return EXIT_OK

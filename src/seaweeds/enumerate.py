@@ -261,7 +261,7 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not component_sum_ok(c, x):
             fail(f"chain component {c.roots} does not sum to one")
-        cs = component_spectrum(c, x, rs).values
+        cs = component_spectrum(c, x).values
         if not verify_unbroken(cs):
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
         if not verify_symmetric(cs):

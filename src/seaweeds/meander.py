@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import (DiagramShape, LieType, classify_component,
+from .rootsys import (DiagramShape, LieType, _classify,
                       connected_components)
 from .seaweed import Composition, Seaweed, from_compositions
 
@@ -82,7 +82,7 @@ def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]
     def side_components(subset: frozenset[int], side: Side) -> tuple[Component, ...]:
         comps = []
         for comp in connected_components(rs, subset):
-            shape, order = classify_component(rs, comp)
+            shape, order = _classify(rs, comp)
             comps.append(Component(side, tuple(sorted(comp, reverse=True)),
                                    shape, order))
         comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))

@@ -3,14 +3,17 @@
 Indexing convention: for the classical types B, C and D the distinguished
 root is alpha_1 (short for B, long for C, a fork prong for D) and the chain
 reads alpha_n, ..., alpha_1 from left to right; the exceptional types carry
-the standard Bourbaki numbering.  Positive roots are stored as coefficient
-tuples over the simple roots and generated from the Cartan matrix alone, by
-closure over root strings.
+the standard Bourbaki numbering.  A RootSystem carries the Cartan matrix and
+the diagram adjacency; its positive roots, coefficient tuples over the simple
+roots, are built on first access.  For A-D they come in closed form from the
+epsilon description of the roots; closure over root strings, driven by the
+Cartan matrix alone, is used for E, F and G only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 VALID_RANKS = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (3, 512),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -55,60 +58,46 @@ class DiagramShape:
         return f"{self.kind}{self.rank}"
 
 
-def _cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
+def _links(t: LieType) -> list[tuple[int, int, int, int]]:
+    """The diagram edges (i, j, a_ij, a_ji) with their Cartan entries."""
     fam, r = t.family, t.rank
-    A = [[0] * r for _ in range(r)]
-    for i in range(r):
-        A[i][i] = 2
-
-    def link(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
-        A[i - 1][j - 1] = aij
-        A[j - 1][i - 1] = aji
-
     if fam in "ABC":
-        for i in range(1, r):
-            link(i, i + 1)
+        links = [(i, i + 1, -1, -1) for i in range(2, r)]
         if fam == "B":
-            link(1, 2, -1, -2)  # alpha_1 short
+            links.append((1, 2, -1, -2))  # alpha_1 short
         elif fam == "C":
-            link(1, 2, -2, -1)  # alpha_1 long
-    elif fam == "D":
-        for i in range(3, r):
-            link(i, i + 1)
-        link(1, 3)
-        link(2, 3)
-    elif fam == "E":
+            links.append((1, 2, -2, -1))  # alpha_1 long
+        elif r > 1:
+            links.append((1, 2, -1, -1))
+        return links
+    if fam == "D":
+        return [(i, i + 1, -1, -1) for i in range(3, r)] + [
+            (1, 3, -1, -1), (2, 3, -1, -1)]
+    if fam == "E":
         chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
-        for a, b in zip(chain, chain[1:]):
-            link(a, b)
-        link(2, 4)
-    elif fam == "F":
-        link(1, 2)
-        link(2, 3, -2, -1)  # alpha_2 long, alpha_3 short
-        link(3, 4)
-    elif fam == "G":
-        link(1, 2, -1, -3)  # alpha_1 short
-    return tuple(tuple(row) for row in A)
+        return [(a, b, -1, -1) for a, b in zip(chain, chain[1:])] + [
+            (2, 4, -1, -1)]
+    if fam == "F":
+        # alpha_2 long, alpha_3 short
+        return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
+    return [(1, 2, -1, -3)]  # G2, alpha_1 short
 
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Cartan data plus the complete positive-root list of one simple type."""
+    """Cartan data of one simple type; the positive roots are built on
+    first access and kept."""
 
     lie_type: LieType
     cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[PositiveRoot, ...]
+    adjacency: tuple[tuple[int, ...], ...]   # neighbours of alpha_i at i - 1
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[i - 1]
-
-    @property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacency_of(self)
+        return self.adjacency[i - 1]
 
     def edge_multiplicity(self, i: int, j: int) -> int:
         return self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
@@ -118,14 +107,15 @@ class RootSystem:
         the left-to-right layout alpha_n ... alpha_1 for classical types."""
         return _columns_of(self)
 
-
-@lru_cache(maxsize=None)
-def _adjacency_of(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    n = rs.rank
-    return tuple(
-        tuple(j for j in range(1, n + 1) if j != i and rs.cartan[i - 1][j - 1] != 0)
-        for i in range(1, n + 1)
-    )
+    @cached_property
+    def positive_roots(self) -> tuple[PositiveRoot, ...]:
+        """All positive roots, ordered by height, then lexicographically."""
+        t = self.lie_type
+        if t.family in "ABCD":
+            roots = _classical_roots(t.family, t.rank)
+        else:
+            roots = _closure_roots(self.cartan)
+        return tuple(sorted(roots, key=lambda b: (sum(b), b)))
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +139,30 @@ def _columns_of(rs: RootSystem) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
-    """Construct simple roots, Cartan matrix and all positive roots of t.
+    """The Cartan matrix and adjacency of t; positive roots come on demand,
+    in closed form for A-D and by root-string closure for E, F and G."""
+    n = t.rank
+    cartan = [[0] * n for _ in range(n)]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        cartan[i][i] = 2
+    for i, j, aij, aji in _links(t):
+        cartan[i - 1][j - 1] = aij
+        cartan[j - 1][i - 1] = aji
+        adjacency[i - 1].append(j)
+        adjacency[j - 1].append(i)
+    return RootSystem(t, tuple(map(tuple, cartan)),
+                      tuple(tuple(sorted(a)) for a in adjacency))
+
+
+def _closure_roots(cartan: tuple[tuple[int, ...], ...]) -> list[PositiveRoot]:
+    """Positive roots from the Cartan matrix by closure over root strings.
 
     Roots are generated level by level: a candidate beta + alpha_i at height
     h+1 is a root exactly when q - <beta, alpha_i^v> > 0, with q the number
-    of steps the alpha_i-string descends from beta.  Output is ordered by
-    height, then lexicographically.
+    of steps the alpha_i-string descends from beta.
     """
-    n = t.rank
-    cartan = _cartan(t)
+    n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     known: set[PositiveRoot] = set(simple)
     level = list(simple)
@@ -181,11 +186,65 @@ def build_root_system(t: LieType) -> RootSystem:
                     if cand not in known:
                         known.add(cand)
                         nxt.append(cand)
-        nxt.sort()
         all_roots.extend(nxt)
         level = nxt
-    all_roots.sort(key=lambda b: (sum(b), b))
-    return RootSystem(t, cartan, tuple(all_roots))
+    return all_roots
+
+
+@lru_cache(maxsize=None)
+def twice_epsilon(kind: str, k: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors 2*eps_1, ..., 2*eps_m of a classical system of rank k, as
+    coefficient tuples over its simple roots in this module's indexing.
+
+    In Bourbaki numbering (this indexing reversed) alpha_j = eps_j - eps_j+1
+    for j < k, and alpha_k is eps_k (B), 2 eps_k (C) or eps_k-1 + eps_k (D).
+    Type A has m = k + 1 coordinates, taken with eps_k+1 = 0; the others
+    have m = k.  epsilon_root_values lists the positive roots in these terms.
+    """
+    vectors = []
+    for j in range(1, k + 1):
+        v = [0] * k                      # Bourbaki coefficients of 2*eps_j
+        if kind in "AB":
+            v[j - 1:] = [2] * (k + 1 - j)
+        elif kind == "C":
+            v[j - 1:k - 1] = [2] * (k - j)
+            v[k - 1] = 1
+        elif j < k:                      # D
+            v[j - 1:k - 2] = [2] * (k - 1 - j)
+            v[k - 2] = v[k - 1] = 1
+        else:
+            v[k - 2], v[k - 1] = -1, 1
+        vectors.append(tuple(reversed(v)))
+    if kind == "A":
+        vectors.append((0,) * k)
+    return tuple(vectors)
+
+
+def epsilon_root_values(kind: str, f: Sequence[int]) -> Iterator[int]:
+    """The value of every positive root of a classical system on a linear
+    functional, given f_j, its value on 2*eps_j (see twice_epsilon).
+
+    The roots are (e_i - e_j) / 2 for i < j; in B, C and D also
+    (e_i + e_j) / 2 for i < j; in B also e_i / 2; in C also e_i.  The order
+    depends on kind and len(f) alone.
+    """
+    for i, fi in enumerate(f):
+        for fj in f[i + 1:]:
+            yield (fi - fj) // 2
+            if kind != "A":
+                yield (fi + fj) // 2
+    if kind == "B":
+        for fi in f:
+            yield fi // 2
+    elif kind == "C":
+        yield from f
+
+
+def _classical_roots(kind: str, k: int) -> list[PositiveRoot]:
+    """The positive roots of A-D in closed form: a root's coefficient on
+    alpha_p is its value on the p-th coordinate functional."""
+    columns = zip(*twice_epsilon(kind, k))
+    return list(zip(*(epsilon_root_values(kind, col) for col in columns)))
 
 
 def root_support(beta: PositiveRoot) -> frozenset[int]:
@@ -231,6 +290,12 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
     s = frozenset(sigma)
     if len(connected_components(rs, s)) != 1:
         raise ValueError(f"subset {sorted(s)} is not connected in the diagram")
+    return _classify(rs, s)
+
+
+def _classify(rs: RootSystem, s: frozenset[int]) -> tuple[DiagramShape, tuple[int, ...]]:
+    """classify_component for a subset already known to be connected, such
+    as a piece returned by connected_components."""
     verts = sorted(s)
     k = len(verts)
     if k == 1:

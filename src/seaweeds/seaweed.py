@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import (LieType, RootSystem, build_root_system,
-                      classify_component, connected_components)
+from .rootsys import (LieType, RootSystem, _classify, build_root_system,
+                      connected_components)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def decompose_direct_sum(s: Seaweed) -> list[Seaweed]:
     fragments.sort(key=max, reverse=True)
     out = []
     for frag in fragments:
-        shape, order = classify_component(rs, frag)
+        shape, order = _classify(rs, frag)
         rename = {amb: new for new, amb in enumerate(order, start=1)}
         sub = make_seaweed(
             LieType(shape.kind, shape.rank),

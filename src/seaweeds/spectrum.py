@@ -4,18 +4,25 @@ Every maximally connected component contributes a batch of linear
 constraints on the values the simple roots take on a principal element:
 chain components tie mirror-image pairs, components containing a
 distinguished root have their values pinned outright, and the values are
-negated on the bottom side.  The union of all batches determines the values
-uniquely for a Frobenius seaweed; the per-component eigenvalue multisets
+negated on the bottom side.  Every row has one or two terms with
+coefficient +-1 and each variable lies in at most one row per side, so the
+rows form a graph of paths and cycles; the system is solved by propagating
+values along it from the pinned vertices, and for a Frobenius seaweed it
+determines the values uniquely.  The per-component eigenvalue multisets
 (each root evaluated on the solution, padded with zeros) then partition the
-full spectrum.
+full spectrum.  A classical component's roots are evaluated from the
+epsilon coordinates of its values, never as root tuples; an exceptional
+component's roots are those of the standalone system of its shape.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
-from ._linalg import solve_unique
-from .rootsys import DiagramShape, PositiveRoot, RootSystem, sub_positive_roots
+from ._linalg import solve_by_propagation
+from .rootsys import (DiagramShape, LieType, PositiveRoot, RootSystem,
+                      build_root_system, epsilon_root_values,
+                      positive_root_count, twice_epsilon)
 from .meander import Component, components, is_frobenius
 from .seaweed import Seaweed, decompose_direct_sum
 
@@ -166,16 +173,10 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
 
 
 def _solve_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
-    n = s.rank
     tops, bottoms = components(s)
-    rows = []
-    rhs = []
-    for c in tops + bottoms:
-        for coeffs, val in component_constraints(c):
-            rows.append([coeffs.get(i, 0) for i in range(1, n + 1)])
-            rhs.append(val)
+    rows = [row for c in tops + bottoms for row in component_constraints(c)]
     try:
-        sol = solve_unique(rows, rhs, n)
+        sol = solve_by_propagation(rows, s.rank)
     except ValueError as exc:
         raise AssertionError(
             f"constraint system for {s} is {exc}; this indicates a "
@@ -185,16 +186,35 @@ def _solve_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
     return SimpleEigenvalueVector(tuple(int(x) for x in sol))
 
 
-def component_spectrum(c: Component, x: SimpleEigenvalueVector,
-                       rs: RootSystem) -> ComponentSpectrum:
-    """Eigenvalue multiset of one component: every supported root evaluated
-    on the solved values (negated on the bottom), plus the zero padding."""
-    sgn = c.side.sign
-    counts: Counter = Counter()
-    for beta in sub_positive_roots(rs, c.roots):
-        counts[sgn * x.evaluate(beta)] += 1
+def component_spectrum(c: Component,
+                       x: SimpleEigenvalueVector) -> ComponentSpectrum:
+    """Eigenvalue multiset of one component: every root of its shape
+    evaluated on the solved values (negated on the bottom), plus the zero
+    padding."""
+    vals = [c.side.sign * x.of(i) for i in c.order]
+    kind = c.shape.kind
+    if kind in "ABCD":
+        f = [sum(a * v for a, v in zip(e, vals))
+             for e in twice_epsilon(kind, len(vals))]
+        counts = Counter(epsilon_root_values(kind, f))
+    else:
+        shape = build_root_system(LieType(kind, c.shape.rank))
+        counts = Counter(sum(a * v for a, v in zip(beta, vals))
+                         for beta in shape.positive_roots)
     counts[0] += zero_padding(c.shape)
     return ComponentSpectrum(c, Spectrum.from_counter(counts))
+
+
+def component_spectra(s: Seaweed, x: SimpleEigenvalueVector
+                      ) -> tuple[list[ComponentSpectrum], Spectrum]:
+    """Every component's spectrum under the solved values, top side first,
+    and their union, the full spectrum of s."""
+    tops, bottoms = components(s)
+    spectra = [component_spectrum(c, x) for c in tops + bottoms]
+    total: Counter = Counter()
+    for cs in spectra:
+        total.update(cs.values.as_counter())
+    return spectra, Spectrum.from_counter(total)
 
 
 def full_spectrum(s: Seaweed) -> Spectrum:
@@ -204,12 +224,7 @@ def full_spectrum(s: Seaweed) -> Spectrum:
         for part in decompose_direct_sum(s):
             total.update(full_spectrum(part).as_counter())
         return Spectrum.from_counter(total)
-    x = simple_eigenvalues(s)
-    tops, bottoms = components(s)
-    total = Counter()
-    for c in tops + bottoms:
-        total.update(component_spectrum(c, x, s.root_system).values.as_counter())
-    return Spectrum.from_counter(total)
+    return component_spectra(s, simple_eigenvalues(s))[1]
 
 
 def verify_unbroken(sp: Spectrum) -> bool:
@@ -287,6 +302,8 @@ def component_sum_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
 
 
 def seaweed_dimension(s: Seaweed) -> int:
-    """Algebra dimension: both root counts plus the rank."""
-    return (len(sub_positive_roots(s.root_system, s.pi1))
-            + len(sub_positive_roots(s.root_system, s.pi2)) + s.rank)
+    """Algebra dimension: the positive roots of every component of both
+    sides plus the rank."""
+    tops, bottoms = components(s)
+    return s.rank + sum(positive_root_count(LieType(c.shape.kind, c.shape.rank))
+                        for c in tops + bottoms)

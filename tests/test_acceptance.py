@@ -72,7 +72,7 @@ def test_a3_per_component_multisets():
         tops, bottoms = components(s)
         pool = tops if side_name == "top" else bottoms
         comp = next(c for c in pool if c.roots == roots)
-        got = dict(component_spectrum(comp, x, s.root_system).values.mult)
+        got = dict(component_spectrum(comp, x).values.mult)
         if got != expected:
             bad.append((ref[:2], roots, got))
     # the 36 values of the full rank-6 exceptional bottom component, checked
@@ -101,7 +101,7 @@ def test_a4_exceptional_component_spectra():
             for c in tops + bottoms:
                 if (c.shape.kind, c.shape.rank) == (name[0], int(name[1])):
                     x = simple_eigenvalues(s)
-                    hit = dict(component_spectrum(c, x, s.root_system).values.mult)
+                    hit = dict(component_spectrum(c, x).values.mult)
                     break
             if hit:
                 break

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import seaweeds
+from seaweeds import spectrum
 from seaweeds.cli import main
+from seaweeds.rootsys import LieType, build_root_system
 
 
 def run(capsys, *argv):
@@ -79,6 +81,18 @@ def test_spectrum_table_format(capsys):
     assert code == 0
     assert "eigenvalue" in out and "multiplicity" in out
     assert "12" in out
+
+
+def test_spectrum_table_solves_once(capsys, monkeypatch):
+    solved = []
+    solve = spectrum._solve_eigenvalues
+    monkeypatch.setattr(spectrum, "_solve_eigenvalues",
+                        lambda s: solved.append(s) or solve(s))
+    code, _, _ = run(capsys, "spectrum", "--type", "B", "--rank", "8",
+                     "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2",
+                     "--format", "table")
+    assert code == 0
+    assert len(solved) == 1
 
 
 def test_spectrum_non_frobenius_exit(capsys):
@@ -213,3 +227,24 @@ def test_cli_import_leaves_numpy_and_threads_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+RANK_512_BOREL = ["--rank", "512", "--bottom", "-",
+                  "--top", ",".join(str(i) for i in range(512, 0, -1))]
+
+
+def test_check_at_rank_512_builds_no_roots(capsys):
+    code, out, _ = run(capsys, "check", "--type", "C", *RANK_512_BOREL)
+    assert code == 0
+    assert "frobenius yes" in out
+    assert "positive_roots" not in vars(build_root_system(LieType("C", 512)))
+
+
+def test_check_at_rank_512_in_a_fresh_process():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seaweeds.cli", "check", "--type", "C",
+         *RANK_512_BOREL], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("frobenius yes\n")

@@ -91,7 +91,7 @@ def test_census_detects_corrupted_values():
     bad = SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
     tops, bottoms = components(s)
     broken = [c for c in tops + bottoms
-              if not verify_symmetric(component_spectrum(c, bad, s.root_system).values)]
+              if not verify_symmetric(component_spectrum(c, bad).values)]
     assert broken
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds._linalg import (MOD_PRIMES, _to_int_rows, rank_exact,
-                              rank_int_rows, rank_mod_p, solve_unique)
+                              rank_int_rows, rank_mod_p, solve_by_propagation,
+                              solve_unique)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -97,3 +98,57 @@ def test_solve_unique_recovers_solution(data):
         assert rank_exact(rows) < n
         return
     assert sol == x
+
+
+def _outcome(solver, rows, nvars):
+    try:
+        return solver(rows, nvars)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _dense(rows, nvars):
+    return solve_unique([[coeffs.get(i, 0) for i in range(1, nvars + 1)]
+                         for coeffs, _ in rows],
+                        [rhs for _, rhs in rows], nvars)
+
+
+SIGNED_SYSTEMS = {
+    "path": ([({1: 1}, 1), ({1: 1, 2: 1}, 0), ({2: -1, 3: -1}, 2)], 3),
+    "pin contradicts path": ([({1: 1}, 1), ({1: 1, 2: 1}, 0), ({2: -1}, 2)], 2),
+    "even cycle contradicts": ([({1: 1, 2: 1}, 0), ({1: 1, 2: 1}, 1)], 2),
+    "free path": ([({1: 1, 2: 1}, 1), ({3: 1}, 0)], 3),
+    "free vertex": ([({1: 1}, 1)], 2),
+    "inconsistent beats free": ([({1: 1}, 1), ({1: -1}, 1), ({2: 1, 3: 1}, 0)], 3),
+    "odd cycle": ([({1: 1, 2: 1}, 1), ({2: 1, 3: 1}, 0), ({3: 1, 1: 1}, 0)], 3),
+    "odd cycle, integral": ([({1: 1, 2: 1}, 0), ({2: 1, 3: 1}, 0), ({1: 1, 3: 1}, 2)], 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SIGNED_SYSTEMS))
+def test_propagation_matches_solve_unique_on_signed_systems(name):
+    rows, nvars = SIGNED_SYSTEMS[name]
+    got = _outcome(solve_by_propagation, rows, nvars)
+    assert got == _outcome(_dense, rows, nvars)
+    expected = {"pin contradicts path": "inconsistent linear system",
+                "even cycle contradicts": "inconsistent linear system",
+                "inconsistent beats free": "inconsistent linear system",
+                "free path": "underdetermined linear system",
+                "free vertex": "underdetermined linear system",
+                "odd cycle": [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]}
+    if name in expected:
+        assert got == expected[name]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_propagation_matches_solve_unique_on_random_signed_rows(data):
+    nvars = data.draw(st.integers(1, 7))
+    variables = st.integers(1, nvars)
+    rows = []
+    for _ in range(data.draw(st.integers(0, nvars + 3))):
+        support = data.draw(st.sets(variables, min_size=1, max_size=2))
+        coeffs = {v: data.draw(st.sampled_from((1, -1))) for v in support}
+        rows.append((coeffs, data.draw(st.integers(-3, 3))))
+    assert (_outcome(solve_by_propagation, rows, nvars)
+            == _outcome(_dense, rows, nvars))

@@ -3,10 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds.rootsys import (DiagramShape, LieType, build_root_system,
-                              classify_component, connected_components,
-                              induced_shape, positive_root_count,
-                              root_support, sub_positive_roots)
+from seaweeds.rootsys import (DiagramShape, LieType, _closure_roots,
+                              build_root_system, classify_component,
+                              connected_components, induced_shape,
+                              positive_root_count, root_support,
+                              sub_positive_roots)
 
 ALL_TYPES = [LieType("A", 3), LieType("A", 9), LieType("B", 2), LieType("B", 8),
              LieType("C", 2), LieType("C", 8), LieType("D", 3), LieType("D", 8),
@@ -69,6 +70,15 @@ def test_support_connected():
         for beta in rs.positive_roots:
             supp = root_support(beta)
             assert induced_shape(rs, supp) is not None  # connected, classifiable
+
+
+@pytest.mark.parametrize("t", [LieType(fam, n)
+                               for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                               for n in range(lo, 13)], ids=str)
+def test_closed_form_roots_match_closure(t):
+    rs = build_root_system(t)
+    closure = sorted(_closure_roots(rs.cartan), key=lambda b: (sum(b), b))
+    assert rs.positive_roots == tuple(closure)
 
 
 def test_sub_positive_roots_full_and_empty():

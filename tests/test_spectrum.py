@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seaweeds.rootsys import LieType, sub_positive_roots
-from seaweeds.seaweed import make_seaweed
-from seaweeds.meander import components
-from seaweeds.spectrum import (Spectrum, component_spectrum, full_spectrum,
+from seaweeds import spectrum
+from seaweeds._linalg import solve_unique
+from seaweeds.enumerate import enumerate_frobenius
+from seaweeds.rootsys import LieType, build_root_system, sub_positive_roots
+from seaweeds.seaweed import Seaweed, make_seaweed
+from seaweeds.meander import (Move, components, is_frobenius, winding_bases,
+                              winding_move)
+from seaweeds.spectrum import (Spectrum, component_constraints,
+                               component_spectrum, full_spectrum,
                                seaweed_dimension, simple_eigenvalues,
                                symmetric_root, verify_symmetric,
                                verify_unbroken, zero_padding)
@@ -50,7 +57,7 @@ def test_component_spectra(key):
     tops, bottoms = components(s)
     pool = tops if side_name == "top" else bottoms
     comp = next(c for c in pool if c.roots == roots)
-    got = component_spectrum(comp, x, s.root_system).values
+    got = component_spectrum(comp, x).values
     assert dict(got.mult) == COMPONENT_SPECTRA[key]
 
 
@@ -170,3 +177,114 @@ def test_spectrum_json_round_trip():
     data = sp.to_json_dict()
     assert data["unbroken"] and data["symmetric"]
     assert Spectrum.from_json_dict(data) == sp
+
+
+# Reference evaluations over the ambient positive roots, as the spectrum
+# path computed them before it evaluated components in closed form.
+
+def _scanned_component_spectrum(c, x, rs):
+    counts = Counter(c.side.sign * x.evaluate(beta)
+                     for beta in sub_positive_roots(rs, c.roots))
+    counts[0] += zero_padding(c.shape)
+    return Spectrum.from_counter(counts)
+
+
+def _eliminated_values(s):
+    tops, bottoms = components(s)
+    rows = [row for c in tops + bottoms for row in component_constraints(c)]
+    sol = solve_unique([[coeffs.get(i, 0) for i in range(1, s.rank + 1)]
+                        for coeffs, _ in rows], [rhs for _, rhs in rows], s.rank)
+    assert all(v.denominator == 1 for v in sol)
+    return tuple(int(v) for v in sol)
+
+
+def _scanned_dimension(s):
+    rs = s.root_system
+    return (len(sub_positive_roots(rs, s.pi1))
+            + len(sub_positive_roots(rs, s.pi2)) + s.rank)
+
+
+def _assert_matches_references(s):
+    x = simple_eigenvalues(s)
+    assert x.values == _eliminated_values(s)
+    tops, bottoms = components(s)
+    for c in tops + bottoms:
+        assert (component_spectrum(c, x).values
+                == _scanned_component_spectrum(c, x, s.root_system)), c
+    assert seaweed_dimension(s) == _scanned_dimension(s)
+
+
+CATALOG_TYPES = [LieType(fam, n)
+                 for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for n in range(lo, 8)] + [
+    LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+
+
+@lru_cache(maxsize=None)
+def _catalog(t):
+    return enumerate_frobenius(t).entries
+
+
+@pytest.mark.parametrize("t", CATALOG_TYPES, ids=str)
+def test_catalog_entries_match_root_scan_and_elimination(t):
+    for s in _catalog(t):
+        _assert_matches_references(s)
+
+
+WINDING_BASES = [base for fam, qs in (("A", (1,)), ("B", range(2, 7)),
+                                      ("C", range(2, 7)), ("D", range(3, 9)))
+                 for q in qs for base in winding_bases(fam, q)]
+
+
+@st.composite
+def winding_seaweeds(draw, max_rank=24):
+    pair = draw(st.sampled_from(WINDING_BASES))
+    for move in draw(st.lists(st.sampled_from(list(Move)), max_size=16)):
+        try:
+            grown = winding_move(pair, move)
+        except ValueError:
+            continue
+        if grown.n <= max_rank:
+            pair = grown
+    return pair.seaweed()
+
+
+@given(winding_seaweeds())
+@settings(max_examples=150, deadline=None)
+def test_winding_seaweeds_match_root_scan_and_elimination(s):
+    assert is_frobenius(s)
+    _assert_matches_references(s)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dimension_matches_root_count_on_any_subsets(data):
+    fam, lo, hi = data.draw(st.sampled_from(
+        [("A", 1, 12), ("B", 2, 12), ("C", 2, 12), ("D", 3, 12),
+         ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]))
+    n = data.draw(st.integers(lo, hi))
+    subsets = st.frozensets(st.integers(1, n))
+    s = Seaweed(build_root_system(LieType(fam, n)), data.draw(subsets),
+                data.draw(subsets))
+    assert seaweed_dimension(s) == _scanned_dimension(s)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([({3: 1}, 1), ({3: 1, 2: 1}, 0), ({2: 1}, 0)], "inconsistent linear system"),
+    ([({3: 1, 1: 1}, 1), ({2: 1}, 0)], "underdetermined linear system"),
+    ([({1: 1, 2: 1}, 1), ({2: 1, 3: 1}, 0), ({3: 1, 1: 1}, 0)],
+     "non-integer simple eigenvalues"),
+], ids=["inconsistent", "underdetermined", "odd-cycle"])
+def test_broken_constraint_systems_raise(monkeypatch, rows, message):
+    s = make_seaweed(LieType("C", 3), {3, 2, 1}, set())
+    monkeypatch.setattr(spectrum, "component_constraints", lambda c: rows)
+    with pytest.raises(AssertionError, match=message):
+        simple_eigenvalues(s)
+
+
+def test_b512_borel_spectrum():
+    s = make_seaweed(LieType("B", 512), range(1, 513), ())
+    sp = full_spectrum(s)
+    assert verify_unbroken(sp) and verify_symmetric(sp)
+    assert sp.total() == seaweed_dimension(s) == 262_656
+    assert "positive_roots" not in vars(s.root_system)
