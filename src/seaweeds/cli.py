@@ -163,9 +163,10 @@ def cmd_spectrum(args) -> int:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
         if len(parts) == 1:
-            x = simple_eigenvalues(s)
-            sp = component_spectra(s, x)[1]
-            print(f"seaweed   {s!r}   dimension {seaweed_dimension(s)}")
+            part = parts[0]
+            x = simple_eigenvalues(part)
+            sp = component_spectra(part, x)[1]
+            print(f"seaweed   {part!r}   dimension {seaweed_dimension(part)}")
             print("simple eigenvalues  " + " ".join(
                 f"a{i}={v}" for i, v in sorted(x.as_dict().items())))
         else:

@@ -1,18 +1,20 @@
 """Exhaustive catalogs of Frobenius seaweeds, with verification sweeps.
 
 For a rank-n type there are 3^n subset pairs covering the whole diagram
-(each vertex is top-only, bottom-only, or shared).  The scan keeps the
-Frobenius ones, normalizes each pair under the swap (and, on the self-dual
-diagrams F4/G2/B2/C2, under the arrow-reversing relabeling), and sorts by
-bitmask for reproducible output.
+(each vertex is top-only, bottom-only, or shared).  The scan walks them as
+bitmask pairs against one side involution per subset, keeps the Frobenius
+ones, normalizes each pair under the swap (and, on the self-dual diagrams
+F4/G2/B2/C2, under the arrow-reversing relabeling), and sorts by bitmask
+for reproducible output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsys import LieType, build_root_system
-from .seaweed import Seaweed, canonical_form, subset_mask
-from .meander import components, is_frobenius, orbits, u_turn_report
+from .rootsys import LieType, RootSystem, build_root_system
+from .seaweed import Seaweed, canonical_form, mask_subset, subset_mask
+from .meander import (_meets_once, components, orbits, side_permutation,
+                      u_turn_report)
 from .spectrum import (component_spectrum, component_sum_ok, eigenvalue_bounds_ok,
                        full_spectrum, seaweed_dimension, simple_eigenvalues,
                        symmetric_root, verify_symmetric, verify_unbroken,
@@ -42,20 +44,30 @@ class Catalog:
         }
 
 
-def _assignments(n: int):
-    """Yield (pi1, pi2) pairs with full union: 3 states per vertex."""
-    for code in range(3 ** n):
-        pi1 = []
-        pi2 = []
-        c = code
-        for i in range(1, n + 1):
-            state = c % 3
-            c //= 3
-            if state != 1:
-                pi1.append(i)
-            if state != 0:
-                pi2.append(i)
-        yield frozenset(pi1), frozenset(pi2)
+def _mask_pairs(n: int):
+    """Yield every (m1, m2) pair of n-bit subset masks with m1 | m2 full,
+    3^n in all: for each m1, m2 is the complement of m1 joined with each
+    subset of m1 in turn."""
+    full = (1 << n) - 1
+    for m1 in range(full + 1):
+        rest = full ^ m1
+        sub = m1
+        while True:
+            yield m1, rest | sub
+            if not sub:
+                break
+            sub = (sub - 1) & m1
+
+
+def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
+    """The (m1, m2) masks of every Frobenius pair with full union, before
+    any normalization.  A side's involution depends on its subset alone, so
+    it is computed once per mask, not once per pair."""
+    n = rs.rank
+    full = (1 << n) - 1
+    perms = [side_permutation(rs, mask_subset(m)) for m in range(full + 1)]
+    return [(m1, m2) for m1, m2 in _mask_pairs(n)
+            if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
 
 
 def _length_reversal(t: LieType) -> dict[int, int] | None:
@@ -79,11 +91,8 @@ def enumerate_frobenius(t: LieType) -> Catalog:
         raise ValueError(f"rank {n} exceeds the exhaustive-scan guard "
                          f"({ENUM_RANK_GUARD})")
     rs = build_root_system(t)
-    results = []
-    for pi1, pi2 in _assignments(n):
-        s = Seaweed(rs, pi1, pi2)
-        if is_frobenius(s):
-            results.append(canonical_form(s))
+    results = [canonical_form(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
+               for m1, m2 in _frobenius_pairs(rs)]
     dedup = {(subset_mask(s.pi1), subset_mask(s.pi2)): s for s in results}
     rho = _length_reversal(t)
     if rho is not None:

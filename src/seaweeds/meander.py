@@ -13,9 +13,9 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import (DiagramShape, LieType, _classify,
+from .rootsys import (DiagramShape, LieType, RootSystem, _classify,
                       connected_components)
-from .seaweed import Composition, Seaweed, from_compositions
+from .seaweed import Composition, Seaweed, from_compositions, subset_mask
 
 
 class Side(enum.Enum):
@@ -73,22 +73,24 @@ class UTurnReport:
     rows: tuple[OrbitUTurns, ...]
 
 
+def _side_components(rs: RootSystem, subset, side: Side) -> tuple[Component, ...]:
+    """Maximally connected components of one side's subset, leftmost first."""
+    cols = rs.columns()
+    comps = []
+    for comp in connected_components(rs, subset):
+        shape, order = _classify(rs, comp)
+        comps.append(Component(side, tuple(sorted(comp, reverse=True)),
+                               shape, order))
+    comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))
+    return tuple(comps)
+
+
 @lru_cache(maxsize=65536)
 def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
     """Maximally connected components of each side, leftmost first."""
     rs = s.root_system
-    cols = rs.columns()
-
-    def side_components(subset: frozenset[int], side: Side) -> tuple[Component, ...]:
-        comps = []
-        for comp in connected_components(rs, subset):
-            shape, order = _classify(rs, comp)
-            comps.append(Component(side, tuple(sorted(comp, reverse=True)),
-                                   shape, order))
-        comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))
-        return tuple(comps)
-
-    return side_components(s.pi1, Side.TOP), side_components(s.pi2, Side.BOTTOM)
+    return (_side_components(rs, s.pi1, Side.TOP),
+            _side_components(rs, s.pi2, Side.BOTTOM))
 
 
 def _component_involution(c: Component) -> dict[int, int]:
@@ -110,17 +112,29 @@ def _component_involution(c: Component) -> dict[int, int]:
     return {v: v for v in c.roots}
 
 
+def _permutation(n: int, comps) -> tuple[int, ...]:
+    """The involution of one side from its components: perm[i] for i >= 1,
+    identity away from the components; perm[0] = 0 is unused."""
+    perm = list(range(n + 1))
+    for c in comps:
+        for a, b in _component_involution(c).items():
+            perm[a] = b
+    return tuple(perm)
+
+
+def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
+    """The side involution of a subset on either side, as Involution.perm;
+    it depends on the subset alone, so a catalog scan keeps one per subset."""
+    return _permutation(rs.rank, _side_components(rs, subset, Side.TOP))
+
+
 @lru_cache(maxsize=65536)
 def involution(s: Seaweed, side: Side) -> Involution:
     """The side involution: componentwise negated longest element, identity
     away from the side's subset."""
-    n = s.rank
-    perm = list(range(n + 1))
     tops, bottoms = components(s)
-    for c in tops if side is Side.TOP else bottoms:
-        for a, b in _component_involution(c).items():
-            perm[a] = b
-    return Involution(tuple(perm))
+    return Involution(_permutation(s.rank,
+                                   tops if side is Side.TOP else bottoms))
 
 
 @lru_cache(maxsize=65536)
@@ -145,6 +159,29 @@ def orbits(s: Seaweed) -> OrbitMeander:
     return OrbitMeander(s, tops, bottoms, i1, i2, tuple(cycles))
 
 
+def _meets_once(p1: tuple[int, ...], p2: tuple[int, ...], target: int) -> bool:
+    """Whether every cycle of v -> p2[p1[v]] holds exactly one vertex of
+    target, a subset_mask.  Each cycle is walked from a target vertex and
+    the walk stops at the first other one; a cycle holding none shows as a
+    vertex left unseen at the end."""
+    target <<= 1                    # bit v stands for vertex v from here on
+    seen = 0
+    rest = target
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        seen |= bit
+        start = bit.bit_length() - 1
+        v = p2[p1[start]]
+        while v != start:
+            bit = 1 << v
+            if target & bit:
+                return False
+            seen |= bit
+            v = p2[p1[v]]
+    return seen == (1 << len(p1)) - 2
+
+
 def is_frobenius(s: Seaweed) -> bool:
     """Whether every orbit meets the complement of pi1 & pi2 exactly once.
 
@@ -156,11 +193,9 @@ def is_frobenius(s: Seaweed) -> bool:
         raise ValueError(
             "pi1 | pi2 is not the full simple-root set; "
             "apply decompose_direct_sum and test each summand")
-    target = s.pi_union_complement
-    for cyc in orbits(s).orbits:
-        if sum(1 for v in cyc if v in target) != 1:
-            return False
-    return True
+    return _meets_once(involution(s, Side.TOP).perm,
+                       involution(s, Side.BOTTOM).perm,
+                       subset_mask(s.pi_union_complement))
 
 
 def _adjacent(s: Seaweed, a: int, b: int) -> bool:

@@ -135,6 +135,11 @@ def subset_mask(subset) -> int:
     return mask
 
 
+def mask_subset(mask: int) -> frozenset[int]:
+    """Inverse of subset_mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def canonical_form(s: Seaweed) -> Seaweed:
     """Normalize the unordered pair {pi1, pi2}: swap is the only identification.
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from seaweeds.rootsys import LieType, build_root_system
-from seaweeds.seaweed import Seaweed, canonical_form, make_seaweed, subset_mask
+from seaweeds.seaweed import (Seaweed, canonical_form, make_seaweed,
+                              mask_subset, subset_mask)
 from seaweeds.meander import (Move, components, generate_frobenius,
                               is_frobenius, winding_bases, winding_move)
 from seaweeds.spectrum import (component_spectrum, full_spectrum,
@@ -22,7 +23,7 @@ from seaweeds.spectrum import (component_spectrum, full_spectrum,
 from seaweeds.oracle import (ad_spectrum, functional_from_labels, index,
                              kirillov_rank, poset_algebra_sl4,
                              principal_element, realize_type_a)
-from seaweeds.enumerate import (CensusReport, _assignments, check_appendix_a,
+from seaweeds.enumerate import (CensusReport, _mask_pairs, check_appendix_a,
                                 enumerate_frobenius, verify_entry)
 
 from conftest import record_acceptance
@@ -140,8 +141,8 @@ def test_a6_matrix_oracle_equivalence():
     for n in range(1, 6):
         rs = build_root_system(LieType("A", n))
         seen = set()
-        for pi1, pi2 in _assignments(n):
-            s = canonical_form(Seaweed(rs, pi1, pi2))
+        for m1, m2 in _mask_pairs(n):
+            s = canonical_form(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
             key = (subset_mask(s.pi1), subset_mask(s.pi2))
             if key in seen:
                 continue

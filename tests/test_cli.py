@@ -114,6 +114,25 @@ def test_spectrum_requires_decompose_for_partial_union(capsys):
         {"0": 2, "1": 2}
 
 
+def test_spectrum_table_decompose_single_summand(capsys):
+    # the union misses alpha_3, which leaves one A2 summand: the table
+    # reports that summand, as the JSON format does
+    argv = ("spectrum", "--type", "A", "--rank", "3", "--top", "3,2",
+            "--bottom", "2", "--decompose")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.splitlines() == [
+        "seaweed   p^A2(2,1|1)   dimension 6",
+        "simple eigenvalues  a1=-1 a2=2",
+        "eigenvalue    -1  0  1  2",
+        "multiplicity   1  2  2  1",
+        "unbroken True   symmetric True",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seaweed"] == "p^A2(2,1|1)"
+
+
 def test_spectrum_composition_arguments(capsys):
     code, out, _ = run(capsys, "spectrum", "--type", "C", "--rank", "3",
                        "--top-comp", "1,1,1", "--bottom-comp", "",

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
-from seaweeds.rootsys import LieType
-from seaweeds.seaweed import make_seaweed
-from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, check_appendix_a,
+from seaweeds.rootsys import LieType, build_root_system, connected_components
+from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
+from seaweeds.meander import (Side, involution, is_frobenius, orbits,
+                              side_permutation)
+from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _frobenius_pairs,
+                                _mask_pairs, check_appendix_a,
                                 enumerate_frobenius, spectrum_census,
                                 verify_entry, CensusReport)
 
@@ -30,6 +34,83 @@ def test_g2_catalog_content():
 def test_classical_counts_frozen(fam, n):
     cat = enumerate_frobenius(LieType(fam, n))
     assert cat.count == CLASSICAL_FROBENIUS_COUNTS[(fam, n)]
+
+
+# Every A-D type of rank <= 7 and the exceptional types below E8.
+SCAN_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2), ("C", 2),
+                                             ("D", 3))
+              for n in range(lo, 8)] + [LieType("E", 6), LieType("E", 7),
+                                        LieType("F", 4), LieType("G", 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_pairs_are_the_full_union_pairs(n):
+    pairs = list(_mask_pairs(n))
+    states = itertools.product(((1, 0), (0, 1), (1, 1)), repeat=n)
+    expected = {(sum(a << i for i, (a, _) in enumerate(st)),
+                 sum(b << i for i, (_, b) in enumerate(st))) for st in states}
+    assert len(pairs) == 3 ** n
+    assert set(pairs) == expected
+
+
+@pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
+def test_scan_pairs_match_the_per_pair_test(t):
+    """The raw mask scan keeps exactly the pairs is_frobenius accepts, and
+    those are the pairs whose orbits each meet pi1 & pi2's complement once."""
+    rs = build_root_system(t)
+    expected = set()
+    for m1, m2 in _mask_pairs(t.rank):
+        s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
+        target = s.pi_union_complement
+        counted = all(sum(v in target for v in cyc) == 1
+                      for cyc in orbits(s).orbits)
+        assert is_frobenius(s) == counted, s
+        if counted:
+            expected.add((m1, m2))
+    scanned = _frobenius_pairs(rs)
+    assert len(scanned) == len(set(scanned))
+    assert set(scanned) == expected
+
+
+def _negated_longest_element(rs, piece) -> dict[int, int]:
+    """-w0 on the simple roots of a connected piece, from its Cartan matrix:
+    w grows by simple reflections while some w(alpha_i) is positive, which
+    ends at w0; -w0 then maps each simple root to a simple root."""
+    verts = sorted(piece)
+    cartan = [[rs.cartan[i - 1][j - 1] for j in verts] for i in verts]
+    k = len(verts)
+    images = [[int(i == j) for i in range(k)] for j in range(k)]  # w(alpha_j)
+    while True:
+        grow = [i for i in range(k) if any(c > 0 for c in images[i])]
+        if not grow:
+            break
+        i = grow[0]
+        # w s_i (alpha_j) = w(alpha_j) - <alpha_j, alpha_i^v> w(alpha_i)
+        images = [[a - cartan[j][i] * b for a, b in zip(images[j], images[i])]
+                  for j in range(k)]
+    out = {}
+    for j, image in enumerate(images):
+        (target,) = [i for i, c in enumerate(image) if c]
+        assert image[target] == -1
+        out[verts[j]] = verts[target]
+    return out
+
+
+@pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
+def test_side_permutations_match_involution_and_longest_element(t):
+    rs = build_root_system(t)
+    full = (1 << t.rank) - 1
+    for mask in range(full + 1):
+        sub = mask_subset(mask)
+        expected = list(range(t.rank + 1))
+        for piece in connected_components(rs, sub):
+            for a, b in _negated_longest_element(rs, piece).items():
+                expected[a] = b
+        entry = side_permutation(rs, sub)
+        assert entry == tuple(expected), sorted(sub)
+        s = Seaweed(rs, sub, mask_subset(full ^ mask))
+        assert involution(s, Side.TOP).perm == entry
+        assert involution(Seaweed(rs, s.pi2, s.pi1), Side.BOTTOM).perm == entry
 
 
 def test_rank_guard():
