@@ -7,7 +7,7 @@ the product of two residues stays inside numpy's int64 range.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 MOD_PRIMES = (2147483647, 2147483629, 2147483587)
 
@@ -132,16 +132,6 @@ def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
     return values[1:]
 
 
-def _to_int_rows(matrix: list[list[Fraction | int]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank preserving)."""
-    out = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-        out.append([int(x * scale) if isinstance(x, Fraction) else x * scale
-                    for x in row])
-    return out
-
-
 def rank_mod_p(matrix: list[list[int]], p: int) -> int:
     """Rank of an integer matrix reduced mod p (a lower bound on the
     rational rank, with equality away from a measure-zero set of primes).
@@ -219,5 +209,3 @@ def rank_int_rows(matrix: list[list[int]]) -> int:
         if r == nrows:
             break
     return r
-
-

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, canonical_form, mask_subset, subset_mask
-from .meander import (_meets_once, components, orbits, side_permutation,
-                      u_turn_report)
-from .spectrum import (component_spectrum, component_sum_ok, eigenvalue_bounds_ok,
+from .meander import _meets_once, orbits, side_permutation, u_turn_report
+from .spectrum import (component_spectra, component_sum_ok, eigenvalue_bounds_ok,
                        full_spectrum, seaweed_dimension, simple_eigenvalues,
                        symmetric_root, verify_symmetric, verify_unbroken,
                        zero_padding)
@@ -255,22 +254,21 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
         report.failures.append(f"{label}: {msg}")
 
     x = simple_eigenvalues(s)
-    sp = full_spectrum(s)
+    spectra, sp = component_spectra(s, x)
     if not verify_unbroken(sp):
         fail(f"spectrum {sp.mult} is broken")
     if not verify_symmetric(sp):
         fail(f"spectrum {sp.mult} is not symmetric about one half")
     if sp.total() != seaweed_dimension(s):
         fail(f"spectrum size {sp.total()} != dimension {seaweed_dimension(s)}")
-    tops, bottoms = components(s)
     pad_total = 0
-    for c in tops + bottoms:
+    for comp_spectrum in spectra:
+        c, cs = comp_spectrum.component, comp_spectrum.values
         pad_total += zero_padding(c.shape)
         if not eigenvalue_bounds_ok(c, x):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not component_sum_ok(c, x):
             fail(f"chain component {c.roots} does not sum to one")
-        cs = component_spectrum(c, x).values
         if not verify_unbroken(cs):
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
         if not verify_symmetric(cs):
@@ -299,15 +297,22 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
 
 
 def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
-    from .rootsys import sub_positive_roots
+    """Check the mirror pairing on every root of a chain component, each the
+    sum of a run of consecutive simple roots along c.order."""
     sgn = c.side.sign
-    for beta in sub_positive_roots(s.root_system, c.roots):
-        mirror = symmetric_root(s.root_system, c, beta)
-        if mirror is None:
-            if sgn * x.evaluate(beta) != 1:
-                fail(f"self-paired root {beta} does not evaluate to one")
-        elif sgn * (x.evaluate(beta) + x.evaluate(mirror)) != 1:
-            fail(f"mirror roots {beta}, {mirror} do not sum to one")
+    k = len(c.order)
+    for i in range(k):
+        for j in range(i, k):
+            coeffs = [0] * s.rank
+            for a in c.order[i:j + 1]:
+                coeffs[a - 1] = 1
+            beta = tuple(coeffs)
+            mirror = symmetric_root(s.root_system, c, beta)
+            if mirror is None:
+                if sgn * x.evaluate(beta) != 1:
+                    fail(f"self-paired root {beta} does not evaluate to one")
+            elif sgn * (x.evaluate(beta) + x.evaluate(mirror)) != 1:
+                fail(f"mirror roots {beta}, {mirror} do not sum to one")
 
 
 def spectrum_census(cat: Catalog) -> CensusReport:

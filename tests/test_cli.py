@@ -267,3 +267,14 @@ def test_check_at_rank_512_in_a_fresh_process():
          *RANK_512_BOREL], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("frobenius yes\n")
+
+
+def test_oracle_refuses_ranks_above_its_guard():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seaweeds.cli", "oracle", "--type", "A",
+         *RANK_512_BOREL], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "exceeds the matrix-oracle guard (16)" in done.stderr

@@ -7,8 +7,8 @@ import pytest
 
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
-from seaweeds.meander import (Side, involution, is_frobenius, orbits,
-                              side_permutation)
+from seaweeds.meander import (Side, components, involution, is_frobenius,
+                              orbits, side_permutation)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _frobenius_pairs,
                                 _mask_pairs, check_appendix_a,
                                 enumerate_frobenius, spectrum_census,
@@ -154,6 +154,23 @@ def test_census_passes_on_small_catalogs():
         rep = spectrum_census(cat)
         assert rep.checked == cat.count
         assert rep.ok(), rep.failures
+
+
+def test_census_builds_no_ambient_roots():
+    entries = (("A", (12, 11, 10, 8, 7, 6, 5, 4, 2, 1),
+                (12, 11, 10, 9, 7, 6, 5, 4, 3, 2, 1)),
+               ("C", (12, 10, 9, 8, 7, 6, 4, 3),
+                (12, 11, 10, 9, 8, 7, 6, 5, 3, 2, 1)))
+    for fam, pi1, pi2 in entries:
+        t = LieType(fam, 12)
+        # a fresh root system: the cached one may already hold its roots
+        rs = build_root_system.__wrapped__(t)
+        s = Seaweed(rs, frozenset(pi1), frozenset(pi2))
+        assert any(c.shape.kind == "A" and c.shape.rank > 1
+                   for side in components(s) for c in side)
+        report = spectrum_census(Catalog(t, (s,)))
+        assert report.checked == 1 and report.ok(), report.failures
+        assert "positive_roots" not in vars(rs)
 
 
 def test_census_rejects_non_frobenius_entry():

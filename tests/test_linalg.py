@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds._linalg import (MOD_PRIMES, _to_int_rows, rank_exact,
-                              rank_int_rows, rank_mod_p, solve_by_propagation,
-                              solve_unique)
+from seaweeds._linalg import (MOD_PRIMES, rank_exact, rank_int_rows,
+                              rank_mod_p, solve_by_propagation, solve_unique)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -34,14 +33,6 @@ def test_rank_paths_agree(seed):
 def test_rank_of_fraction_rows():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
     assert rank_exact(m) == 1  # the rows are proportional
-    ints = _to_int_rows(m)
-    assert ints == [[3, 2], [3, 2]]  # row scaling keeps the rank
-    assert rank_int_rows(ints) == 1
-
-
-def test_to_int_rows_scales_per_row():
-    m = [[Fraction(1, 6), Fraction(1, 4)], [Fraction(2), Fraction(3)]]
-    assert _to_int_rows(m) == [[2, 3], [2, 3]]
 
 
 def test_solve_unique_basic():

@@ -3,16 +3,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
-from seaweeds.rootsys import LieType
-from seaweeds.seaweed import make_seaweed
+from seaweeds.enumerate import _mask_pairs
+from seaweeds.rootsys import LieType, build_root_system
+from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
-from seaweeds.oracle import (Functional, ad_matrix, ad_spectrum,
-                             functional_from_labels, index, kirillov_rank,
-                             poset_algebra_sl4, principal_element,
-                             realize_type_a, sample_functionals)
+from seaweeds.oracle import (ORACLE_RANK_GUARD, Functional, MatrixSeaweed,
+                             ad_matrix, ad_spectrum, functional_from_labels,
+                             index, kirillov_rank, poset_algebra_sl4,
+                             principal_element, realize_type_a,
+                             sample_functionals)
 
 
 def test_sl2_borel():
@@ -40,6 +43,64 @@ def test_realization_dimensions():
     big = make_seaweed(LieType("A", 9), {9, 7, 6, 4, 3, 2, 1},
                        {9, 8, 7, 5, 4, 3, 2, 1})
     assert realize_type_a(big).dim == 44 == seaweed_dimension(big)
+
+
+def test_realization_guards_its_rank_and_builds_no_ambient_roots():
+    # fresh root systems: the cached ones may already hold their roots
+    for rank in (ORACLE_RANK_GUARD, ORACLE_RANK_GUARD + 1, 64):
+        rs = build_root_system.__wrapped__(LieType("A", rank))
+        s = Seaweed(rs, frozenset(range(1, rank + 1)),
+                    frozenset(range(2, rank + 1)))
+        if rank > ORACLE_RANK_GUARD:
+            with pytest.raises(ValueError, match="matrix-oracle guard"):
+                realize_type_a(s)
+        else:
+            assert realize_type_a(s).dim == seaweed_dimension(s)
+        assert "positive_roots" not in vars(rs)
+
+
+def _dense_bracket_agrees(m: MatrixSeaweed) -> None:
+    """Every closed-form bracket against the commutator XY - YX of the
+    dense basis matrices."""
+    basis = [np.array(m.element([int(k == p) for k in range(m.dim)]),
+                      dtype=np.int64) for p in range(m.dim)]
+    for p, q in itertools.combinations(range(m.dim), 2):
+        x, y = basis[p], basis[q]
+        coords = m.bracket_coords(p, q)
+        got = sum((v * basis[k] for k, v in coords.items()),
+                  np.zeros_like(x))
+        assert np.array_equal(got, x @ y - y @ x), (m.labels[p], m.labels[q])
+        assert m.bracket_coords(q, p) == {k: -v for k, v in coords.items()}
+
+
+def test_brackets_match_dense_commutators():
+    for n in range(1, 5):
+        rs = build_root_system(LieType("A", n))
+        for m1, m2 in _mask_pairs(n):
+            _dense_bracket_agrees(realize_type_a(
+                Seaweed(rs, mask_subset(m1), mask_subset(m2))))
+    _dense_bracket_agrees(poset_algebra_sl4())
+
+
+def test_bracket_outside_the_span_is_reported():
+    m = MatrixSeaweed(3, ((0, 1), (1, 2)))      # [E12, E23] = E13 is missing
+    with pytest.raises(AssertionError, match="bracket left the span"):
+        m.bracket_coords(3, 4)
+
+
+def test_coordinates_reject_matrices_outside_the_algebra():
+    pa = poset_algebra_sl4()
+    inside = [[0] * 4 for _ in range(4)]
+    inside[0][0], inside[3][3], inside[1][3] = 2, -2, 5
+    coords = pa.coordinates(inside)
+    assert coords == [2, 2, 2, 0, 0, 0, 5, 0]
+    assert pa.element(coords) == tuple(map(tuple, inside))
+    inside[2][2] = 1
+    with pytest.raises(ValueError, match="nonzero trace"):
+        pa.coordinates(inside)
+    inside[2][2], inside[3][0] = 0, 1
+    with pytest.raises(ValueError, match="outside the algebra"):
+        pa.coordinates(inside)
 
 
 def test_realization_rejects_other_types():
@@ -88,7 +149,7 @@ def test_principal_element_fixes_functional():
 def test_principal_element_rejects_degenerate_functional():
     s = make_seaweed(LieType("A", 2), {2, 1}, {2, 1})  # index 2, never Frobenius
     mat = realize_type_a(s)
-    f = Functional(tuple(Q(1) for _ in range(mat.dim)))
+    f = Functional((1,) * mat.dim)
     with pytest.raises(ValueError):
         principal_element(mat, f)
 
