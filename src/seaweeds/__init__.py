@@ -19,8 +19,8 @@ from .spectrum import (ComponentSpectrum, SimpleEigenvalueVector, Spectrum,
                        simple_eigenvalues, symmetric_root, verify_symmetric,
                        verify_unbroken, zero_padding)
 from .oracle import (Functional, IndexCertificate, MatrixSeaweed, ad_spectrum,
-                     index, kirillov_rank, poset_algebra_sl4,
-                     principal_element, realize_type_a)
+                     frobenius_functional, index, kirillov_rank,
+                     poset_algebra_sl4, principal_element, realize_type_a)
 from .enumerate import (APPENDIX_A_E6, Catalog, CatalogDiff, CensusReport,
                         check_appendix_a, enumerate_frobenius, spectrum_census)
 

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals, plus a modular fast path.
 
-Everything here works on plain lists of Fractions or ints; matrices are
-lists of row lists.  The modular rank reduces mod a 31-bit prime so that
-the product of two residues stays inside numpy's int64 range.
+Everything here takes plain lists of Fractions or ints; matrices are lists
+of row lists.  The modular paths work on numpy int64 arrays mod a 31-bit
+prime, so that the product of two residues stays inside the int64 range.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 MOD_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 def rank_exact(matrix: list[list[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction Gaussian elimination."""
+    """Rank over the rationals by fraction Gaussian elimination.
+
+    The package no longer calls this; it stays as the tests' reference for
+    `rank_int_rows` and `rank_mod_p`.
+    """
     m = [[Fraction(x) for x in row] for row in matrix]
     rows = len(m)
     if rows == 0:
@@ -139,33 +143,124 @@ def rank_mod_p(matrix: list[list[int]], p: int) -> int:
     Entries are reduced into [0, p) with p below 2^31, so the vectorized
     int64 path never overflows.
     """
-    rows = len(matrix)
-    if rows == 0:
+    if not matrix:
         return 0
     import numpy as np  # deferred: check and spectrum runs never load numpy
     m = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
-    cols = m.shape[1]
+    return _eliminate_mod_p(m, p, m.shape[1])
+
+
+def _eliminate_mod_p(m, p: int, ncols: int, reduced: bool = False) -> int:
+    """Row-reduce the int64 array m, entries in [0, p), in place over its
+    first ncols columns and return the rank.  Pivots are scaled to 1; with
+    `reduced` the entries above each pivot are cleared too."""
+    import numpy as np
+    rows = m.shape[0]
     r = 0
-    for c in range(cols):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+    for c in range(ncols):
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = m[r, c:] * inv % p
-        factors = m[r + 1:, c]
-        live = np.nonzero(factors)[0]
-        if live.size:
-            block = m[r + 1 + live, c:]
-            block = (block - factors[live, None] * m[r, c:]) % p
-            m[r + 1 + live, c:] = block
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        if reduced:
+            f = m[:, c].copy()
+            f[r] = 0
+            m[:, c:] = (m[:, c:] - f[:, None] * m[r, c:]) % p
+        else:
+            below = nz[1:] + r      # the swap moved a zero entry to r + nz[0]
+            if below.size:
+                m[below, c:] = (m[below, c:] - m[below, c, None] * m[r, c:]) % p
         r += 1
         if r == rows:
             break
     return r
+
+
+class ModularInverse:
+    """The inverse W mod p of a nonsingular integer matrix K, kept current
+    while small blocks are added to K.
+
+    Adding c B on the rows and columns `rows` keeps K nonsingular mod p
+    exactly when T = I + c B W[rows, rows] is nonsingular mod p (the
+    determinant lemma), and the new inverse is then
+    W - W[:, rows] T^-1 c B W[rows, :] (Woodbury's identity).  So a step
+    eliminates len(rows) columns where a fresh rank would eliminate all.
+    """
+
+    def __init__(self, matrix: list[list[int]], p: int):
+        """Raises ValueError when matrix is singular mod p."""
+        import numpy as np  # deferred, as in rank_mod_p
+        d = len(matrix)
+        aug = np.array([[x % p for x in row] + [0] * d for row in matrix],
+                       dtype=np.int64)
+        aug[:, d:] = np.eye(d, dtype=np.int64)
+        if _eliminate_mod_p(aug, p, d, reduced=True) < d:
+            raise ValueError("matrix is singular mod p")
+        self.p, self.w = p, aug[:, d:]
+
+    def try_add(self, rows, block, c: int) -> bool:
+        """Add c * block on rows x rows if K stays nonsingular mod p; report
+        whether it did.  Entries of block are small integers (|x| * len(rows)
+        below 2^32), rows an index array."""
+        import numpy as np
+        p, w, r = self.p, self.w, len(rows)
+        y = (block @ w[rows]) % p * (c % p) % p        # c B W[rows, :]
+        aug = np.concatenate((y[:, rows], y), axis=1)
+        aug[:, :r] += np.eye(r, dtype=np.int64)
+        aug %= p
+        if _eliminate_mod_p(aug, p, r, reduced=True) < r:
+            return False
+        # aug[:, r:] is now T^-1 y; split it in 16-bit halves so that no
+        # int64 dot product overflows
+        x = aug[:, r:]
+        wr = w[:, rows]
+        self.w = (w - ((wr @ (x >> 16)) % p * 65536 + wr @ (x & 0xFFFF))) % p
+        return True
+
+
+def _rational(x: int, p: int, bound: int) -> Fraction | None:
+    """The fraction a/b with |a|, b <= bound and a = b x mod p, if any:
+    half of the extended Euclidean algorithm on (p, x)."""
+    r0, r1, s0, s1 = p, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Solve a square integer system that must have a unique solution.
+
+    The system is solved mod p = MOD_PRIMES[0]; each coordinate is rebuilt
+    as the fraction with numerator and denominator up to sqrt(p/2) that it
+    represents, and the result is checked exactly over the integers after
+    clearing denominators.  A full modular rank proves the rational matrix
+    nonsingular, so a solution that passes the check is the unique one: the
+    certificate of Dixon's p-adic solver, without its lifting, which suits
+    solutions with small denominators.  When the modular rank falls short,
+    a coordinate has no such fraction or the check fails, `solve_unique`
+    decides, and raises its ValueErrors on a singular system.
+    """
+    d = len(matrix)
+    if d:
+        import numpy as np  # deferred, as in rank_mod_p
+        p = MOD_PRIMES[0]
+        aug = np.array([[x % p for x in row] + [b % p]
+                        for row, b in zip(matrix, rhs)], dtype=np.int64)
+        if _eliminate_mod_p(aug, p, d, reduced=True) == d:
+            bound = isqrt(p // 2)
+            sol = [_rational(int(x), p, bound) for x in aug[:, d]]
+            if None not in sol:
+                scale = lcm(*(x.denominator for x in sol))
+                ints = [int(x * scale) for x in sol]
+                if all(sum(a * x for a, x in zip(row, ints) if a) == b * scale
+                       for row, b in zip(matrix, rhs)):
+                    return sol
+    return solve_unique(matrix, rhs, d)
 
 
 def rank_int_rows(matrix: list[list[int]]) -> int:

@@ -18,8 +18,8 @@ from .meander import Side, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, verify_symmetric,
                        verify_unbroken)
-from .oracle import (DEFAULT_SEED, ad_spectrum, index, principal_element,
-                     realize_type_a)
+from .oracle import (DEFAULT_SEED, ad_spectrum, frobenius_functional, index,
+                     principal_element, realize_type_a)
 from .enumerate import check_appendix_a, enumerate_frobenius
 from .render import render_svg, render_tikz
 
@@ -224,8 +224,8 @@ def cmd_oracle(args) -> int:
     }
     agree = True
     if cert.index == 0 and frob:
-        fhat = principal_element(mat, cert.witness)
-        oracle_sp = ad_spectrum(mat, fhat)
+        f = frobenius_functional(mat, args.seed)
+        oracle_sp = ad_spectrum(mat, principal_element(mat, f))
         comb_sp = full_spectrum(s)
         payload["oracle_spectrum"] = [
             {"k": k, "mult": m} for k, m in oracle_sp.mult]

@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
-from ._linalg import MOD_PRIMES, rank_int_rows, rank_mod_p, solve_unique
+from ._linalg import (MOD_PRIMES, ModularInverse, rank_int_rows, rank_mod_p,
+                      solve_nonsingular)
 from .seaweed import Seaweed
 from .spectrum import Spectrum
 
@@ -28,6 +29,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 DEFAULT_SEED = 1729
 SAMPLE_COUNT = 20
 COEFF_BOUND = 100
+# Draws of frobenius_functional before it gives up.  On a Frobenius algebra
+# a draw fails with probability at most dim / (2p), so only a non-Frobenius
+# algebra uses them up.
+FUNCTIONAL_DRAWS = 4
 # The dense eliminations grow steeply with the rank: the index of full sl(17)
 # (A16) alone takes about 14 s.
 ORACLE_RANK_GUARD = 16
@@ -59,6 +64,18 @@ class MatrixSeaweed:
 
     def bracket_coords(self, p: int, q: int) -> dict[int, int]:
         return self._brackets[p][q]
+
+    @cached_property
+    def _slot_terms(self) -> list[list[tuple[int, int, int]]]:
+        """For each slot k, every (p, q, v) with p < q such that [b_p, b_q]
+        has coefficient v at slot k: the entries a functional's value on
+        slot k feeds in its Kirillov matrix."""
+        terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for p, row in enumerate(self._brackets):
+            for q in range(p + 1, self.dim):
+                for k, v in row[q].items():
+                    terms[k].append((p, q, v))
+        return terms
 
     def element(self, coords) -> Matrix:
         """Dense matrix for a coordinate vector over the basis."""
@@ -168,9 +185,6 @@ class Functional:
 
     coefficients: tuple[int, ...]
 
-    def of_coords(self, coords: dict[int, int]) -> int:
-        return sum(self.coefficients[k] * v for k, v in coords.items())
-
 
 def functional_from_labels(m: MatrixSeaweed, assignment: dict[str, int]) -> Functional:
     return Functional(tuple(assignment.get(lab, 0) for lab in m.labels))
@@ -188,13 +202,12 @@ def sample_functionals(m: MatrixSeaweed, count: int = SAMPLE_COUNT,
 
 def kirillov_matrix(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
     """The antisymmetric form f([b_p, b_q]) on the basis."""
-    d = m.dim
-    mat = [[0] * d for _ in range(d)]
-    for p in range(d):
-        for q in range(p + 1, d):
-            val = f.of_coords(m.bracket_coords(p, q))
-            mat[p][q] = val
-            mat[q][p] = -val
+    mat = [[0] * m.dim for _ in range(m.dim)]
+    for c, terms in zip(f.coefficients, m._slot_terms):
+        if c:
+            for p, q, v in terms:
+                mat[p][q] += c * v
+                mat[q][p] -= c * v
     return mat
 
 
@@ -235,12 +248,84 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     return IndexCertificate(d - best_rank, best, samples)
 
 
+def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Functional:
+    """A sparse regular functional, certified by a full modular rank.
+
+    A draw puts uniform residues mod p = MOD_PRIMES[0] on the unit slots and
+    0 on the Cartan slots.  The Pfaffian of the Kirillov matrix is a
+    polynomial of degree dim/2 in them, so a draw is singular mod p with
+    probability at most dim / (2p) (Schwartz-Zippel) unless every regular
+    functional is nonzero on the Cartan slots; after FUNCTIONAL_DRAWS
+    singular draws, ValueError is raised.  Passes over the unit slots then
+    replace each coefficient by 0, or else a residue by 1 or -1, keeping the
+    first value under which the Kirillov matrix stays of full rank mod p,
+    until a pass changes nothing (each step is an update of the modular
+    inverse, see ModularInverse).  So every surviving coefficient is
+    needed, and one outside {-1, 0, 1} survives only where none of the
+    three keeps the rank, which no Frobenius type-A seaweed up to rank 8
+    showed (seeds 1 and 2).  A final full rank mod p of the integer
+    Kirillov matrix proves the result regular.
+
+    All regular functionals of a Frobenius algebra give conjugate principal
+    elements, hence one spectrum; a sparse one keeps the principal
+    element's denominators small.  Uniform {-1, 0, 1} draws are regular
+    too rarely to start from: 6% of the time on p^A8(8,6,4,1|8,7,5,3,2,1).
+    """
+    p = MOD_PRIMES[0]
+    h, d = m.n - 1, m.dim
+    rng = random.Random(seed)
+    for _ in range(FUNCTIONAL_DRAWS):
+        coeffs = [0] * h + [rng.randrange(p) for _ in m.units]
+        try:
+            inverse = ModularInverse(kirillov_matrix(m, Functional(tuple(coeffs))), p)
+            break
+        except ValueError:
+            continue
+    else:
+        raise ValueError(f"no regular functional in {FUNCTIONAL_DRAWS} "
+                         "draws: the algebra is not Frobenius")
+    blocks = [_slot_block(terms) for terms in m._slot_terms[h:]]
+    changed = True
+    while changed:
+        changed = False
+        for k, (rows, block) in enumerate(blocks, h):
+            c = coeffs[k]
+            if c == 0:
+                continue
+            for v in (0,) if c in (1, -1) else (0, 1, -1):
+                if inverse.try_add(rows, block, v - c):
+                    coeffs[k], changed = v, True
+                    break
+    f = Functional(tuple(coeffs))
+    if rank_mod_p(kirillov_matrix(m, f), p) != d:
+        raise AssertionError("the functional search lost the full rank")
+    return f
+
+
+def _slot_block(terms: list[tuple[int, int, int]]):
+    """The rows and columns that slot terms touch, as an index array, and
+    the antisymmetric block the terms form on them."""
+    import numpy as np  # deferred: check and spectrum runs never load numpy
+    rows = sorted({a for a, _, _ in terms} | {b for _, b, _ in terms})
+    at = {x: i for i, x in enumerate(rows)}
+    block = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for a, b, v in terms:
+        block[at[a], at[b]] = v
+        block[at[b], at[a]] = -v
+    return np.array(rows, dtype=np.intp), block
+
+
 def principal_element(m: MatrixSeaweed, f: Functional) -> Matrix:
     """The unique element whose coadjoint action fixes the functional f:
-    row p of the system is f([b_q, b_p]) over q, the transposed form."""
+    row p of the system is f([b_q, b_p]) over q, the transposed form.
+
+    The system is solved mod a prime, rebuilt rationally and checked
+    exactly (`solve_nonsingular`); exact elimination runs only when that
+    certificate fails.  Raises ValueError when f is not regular.
+    """
     rows = list(zip(*kirillov_matrix(m, f)))
     try:
-        coords = solve_unique(rows, list(f.coefficients), m.dim)
+        coords = solve_nonsingular(rows, list(f.coefficients))
     except ValueError as exc:
         raise ValueError(f"functional is not Frobenius: {exc}") from exc
     return m.element(coords)
@@ -248,18 +333,20 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> Matrix:
 
 def ad_matrix(m: MatrixSeaweed, fhat: Matrix) -> list[list[Fraction]]:
     """Adjoint action of fhat on the algebra, in basis coordinates."""
-    coords = m.coordinates(fhat)
+    return _adjoint(m, m.coordinates(fhat))
+
+
+def _adjoint(m: MatrixSeaweed, coords) -> list:
+    """The matrix of the sum of coords[p] ad(b_p); integer coordinates give
+    an integer matrix."""
     d = m.dim
-    cols = []
-    for q in range(d):
-        col = [Fraction(0)] * d
-        for p in range(d):
-            cp = coords[p]
-            if cp:
+    mat = [[0] * d for _ in range(d)]
+    for p, cp in enumerate(coords):
+        if cp:
+            for q in range(d):
                 for k, v in m.bracket_coords(p, q).items():
-                    col[k] += cp * v
-        cols.append(col)
-    return [[cols[q][k] for q in range(d)] for k in range(d)]
+                    mat[k][q] += cp * v
+    return mat
 
 
 def ad_spectrum(m: MatrixSeaweed, fhat: Matrix) -> Spectrum:
@@ -268,25 +355,63 @@ def ad_spectrum(m: MatrixSeaweed, fhat: Matrix) -> Spectrum:
     Multiplicities are kernel co-ranks at every integer shift in
     [-(n+1), n+1]; they must sum to the algebra dimension, which certifies
     that the adjoint is diagonalizable with spectrum inside the window.
-    The adjoint is scaled once by the lcm of its denominators, so every
-    shifted matrix is an integer one.
+    The coordinates of fhat are scaled once by the lcm of their
+    denominators, so the adjoint and every shifted matrix are integer ones.
+    The adjoint is block diagonal on the pieces of the graph of its
+    off-diagonal entries, so each piece is scanned on its own; a piece of
+    one basis vector (every piece when fhat lies in the Cartan subalgebra)
+    holds its own eigenvalue.
     """
-    admat = ad_matrix(m, fhat)
-    d = m.dim
-    scale = lcm(*(x.denominator for row in admat for x in row))
-    scaled = [[int(x * scale) for x in row] for row in admat]
+    coords = m.coordinates(fhat)
+    scale = lcm(*(x.denominator for x in coords))
+    scaled = _adjoint(m, [int(x * scale) for x in coords])
+    window = range(-(m.n + 1), m.n + 2)
     counts: Counter = Counter()
-    for k in range(-(m.n + 1), m.n + 2):
-        shifted = [row[:] for row in scaled]
-        for i in range(d):
-            shifted[i][i] -= k * scale
-        if rank_mod_p(shifted, MOD_PRIMES[0]) < d:
-            # the modular probe lost rank or the kernel is real; settle it exactly
-            mult = d - rank_int_rows(shifted)
-            if mult:
-                counts[k] = mult
+    for block in _blocks(scaled):
+        if len(block) == 1:
+            k, rest = divmod(scaled[block[0]][block[0]], scale)
+            if not rest and k in window:
+                counts[k] += 1
+            continue
+        b = len(block)
+        sub = [[scaled[i][j] for j in block] for i in block]
+        for k in window:
+            shifted = [row[:] for row in sub]
+            for i in range(b):
+                shifted[i][i] -= k * scale
+            if rank_mod_p(shifted, MOD_PRIMES[0]) < b:
+                # the modular probe lost rank or the kernel is real; settle it exactly
+                mult = b - rank_int_rows(shifted)
+                if mult:
+                    counts[k] += mult
+    d = m.dim
     if sum(counts.values()) != d:
         raise ValueError(
             "non-integer spectrum: eigenspace dimensions sum to "
             f"{sum(counts.values())} over the integer window, expected {d}")
     return Spectrum.from_counter(counts)
+
+
+def _blocks(mat: list[list[int]]) -> list[list[int]]:
+    """The index sets of the connected pieces of the graph that joins i and
+    j whenever mat[i][j] or mat[j][i] is nonzero."""
+    d = len(mat)
+    adj: list[list[int]] = [[] for _ in range(d)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adj[i].append(j)
+                adj[j].append(i)
+    seen = [False] * d
+    blocks = []
+    for start in range(d):
+        if not seen[start]:
+            seen[start] = True
+            block = [start]
+            for v in block:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        block.append(w)
+            blocks.append(block)
+    return blocks

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds._linalg import (MOD_PRIMES, rank_exact, rank_int_rows,
-                              rank_mod_p, solve_by_propagation, solve_unique)
+import seaweeds._linalg as linalg
+from seaweeds._linalg import (MOD_PRIMES, ModularInverse, rank_exact,
+                              rank_int_rows, rank_mod_p, solve_by_propagation,
+                              solve_nonsingular, solve_unique)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -143,3 +145,86 @@ def test_propagation_matches_solve_unique_on_random_signed_rows(data):
         rows.append((coeffs, data.draw(st.integers(-3, 3))))
     assert (_outcome(solve_by_propagation, rows, nvars)
             == _outcome(_dense, rows, nvars))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_nonsingular_matches_solve_unique(data):
+    n = data.draw(st.integers(1, 7))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    bound = data.draw(st.sampled_from((1, 9, 10 ** 6)))
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if rank_exact(rows) == n:
+            break
+    rhs = [rng.randint(-bound, bound) for _ in range(n)]
+    assert solve_nonsingular(rows, rhs) == solve_unique(rows, rhs, n)
+
+
+def _count_exact_solves(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_unique(*args)
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    return calls
+
+
+def test_solve_nonsingular_reconstructs_small_denominators(monkeypatch):
+    calls = _count_exact_solves(monkeypatch)
+    assert solve_nonsingular([[7, 0], [1, 2]], [3, -1]) == [Fraction(3, 7),
+                                                          Fraction(-5, 7)]
+    assert calls == []
+
+
+def test_solve_nonsingular_falls_back_above_the_reconstruction_bound(monkeypatch):
+    # 1/100003 has a denominator above sqrt(p/2) = 32767, so no fraction
+    # within the bound represents it mod p and the exact solver decides
+    calls = _count_exact_solves(monkeypatch)
+    assert solve_nonsingular([[100003, 1], [0, 1]], [1, 0]) == [
+        Fraction(1, 100003), Fraction(0)]
+    assert len(calls) == 1
+
+
+def test_solve_nonsingular_rejects_singular_systems():
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_nonsingular([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(ValueError, match="underdetermined"):
+        solve_nonsingular([[1, 2], [2, 4]], [1, 2])
+
+
+def _mod_inverse_check(w, k, p):
+    d = len(k)
+    for i in range(d):
+        for j in range(d):
+            assert sum(int(w[i][t]) * k[t][j] for t in range(d)) % p == (i == j)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_modular_inverse_follows_block_updates(data):
+    import numpy as np
+    p = MOD_PRIMES[0]
+    d = data.draw(st.integers(2, 7))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    k = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    if rank_mod_p(k, p) < d:
+        with pytest.raises(ValueError, match="singular"):
+            ModularInverse(k, p)
+        return
+    inv = ModularInverse(k, p)
+    _mod_inverse_check(inv.w, k, p)
+    for _ in range(4):
+        rows = sorted(rng.sample(range(d), rng.randint(1, d)))
+        block = [[rng.randint(-2, 2) for _ in rows] for _ in rows]
+        c = rng.choice((-1, 1, rng.randrange(p)))
+        new = [row[:] for row in k]
+        for a, i in enumerate(rows):
+            for b, j in enumerate(rows):
+                new[i][j] += c * block[a][b]
+        kept = inv.try_add(np.array(rows), np.array(block, dtype=np.int64), c)
+        assert kept == (rank_mod_p(new, p) == d)
+        if kept:
+            k = new
+        _mod_inverse_check(inv.w, k, p)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 from fractions import Fraction as Q
 
 import numpy as np
@@ -11,11 +13,13 @@ from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
-from seaweeds.oracle import (ORACLE_RANK_GUARD, Functional, MatrixSeaweed,
-                             ad_matrix, ad_spectrum, functional_from_labels,
-                             index, kirillov_rank, poset_algebra_sl4,
-                             principal_element, realize_type_a,
-                             sample_functionals)
+from seaweeds._linalg import MOD_PRIMES, rank_int_rows, rank_mod_p
+from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
+                             MatrixSeaweed, ad_matrix, ad_spectrum,
+                             frobenius_functional, functional_from_labels,
+                             index, kirillov_matrix, kirillov_rank,
+                             poset_algebra_sl4, principal_element,
+                             realize_type_a, sample_functionals)
 
 
 def test_sl2_borel():
@@ -135,15 +139,15 @@ def test_principal_element_fixes_functional():
     mat = realize_type_a(s)
     cert = index(mat)
     assert cert.index == 0
-    f = cert.witness
-    fhat = principal_element(mat, f)
-    coords = mat.coordinates(fhat)
-    admat = ad_matrix(mat, fhat)
-    # F([fhat, b_q]) must equal F(b_q) on every basis vector
-    for q in range(mat.dim):
-        lhs = sum(f.coefficients[k] * admat[k][q] for k in range(mat.dim))
-        assert lhs == f.coefficients[q]
-    assert mat.element(coords) == fhat
+    for f in (cert.witness, frobenius_functional(mat)):
+        fhat = principal_element(mat, f)
+        coords = mat.coordinates(fhat)
+        admat = ad_matrix(mat, fhat)
+        # F([fhat, b_q]) must equal F(b_q) on every basis vector
+        for q in range(mat.dim):
+            lhs = sum(f.coefficients[k] * admat[k][q] for k in range(mat.dim))
+            assert lhs == f.coefficients[q]
+        assert mat.element(coords) == fhat
 
 
 def test_principal_element_rejects_degenerate_functional():
@@ -152,6 +156,20 @@ def test_principal_element_rejects_degenerate_functional():
     f = Functional((1,) * mat.dim)
     with pytest.raises(ValueError):
         principal_element(mat, f)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): 1},                       # nilpotent: ad is not diagonalizable
+    {(0, 0): Q(1, 4), (1, 1): Q(-1, 4)},   # eigenvalue 1/2 on e1,2
+    {(0, 0): 5, (1, 1): -5},           # eigenvalue 10, outside [-3, 3]
+])
+def test_ad_spectrum_refuses_what_is_not_an_integer_diagonal_spectrum(entries):
+    mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
+    fhat = [[Q(0)] * 2 for _ in range(2)]
+    for (r, c), x in entries.items():
+        fhat[r][c] = Q(x)
+    with pytest.raises(ValueError, match="non-integer spectrum"):
+        ad_spectrum(mat, tuple(map(tuple, fhat)))
 
 
 def test_jacobi_identity_small():
@@ -215,3 +233,93 @@ def test_index_seed_reproducible():
     a = index(mat, seed=5)
     b = index(mat, seed=5)
     assert a == b
+
+
+FROBENIUS_SEAWEEDS = [
+    (1, {1}, set()),
+    (3, {3, 1}, {3, 2}),
+    (4, {4, 3, 2}, {4, 2, 1}),
+    (7, set(range(1, 8)), set(range(2, 8))),
+    # uniform {-1, 0, 1} draws are regular here only 6% of the time
+    (8, {8, 6, 4, 1}, {8, 7, 5, 3, 2, 1}),
+]
+
+
+@pytest.mark.parametrize("rank, top, bottom", FROBENIUS_SEAWEEDS)
+def test_frobenius_functional_is_sparse_certified_and_minimal(rank, top, bottom):
+    mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
+    f = frobenius_functional(mat, seed=3)
+    coeffs = f.coefficients
+    assert set(coeffs) <= {-1, 0, 1}
+    assert not any(coeffs[:mat.n - 1])                  # the Cartan slots
+    assert rank_int_rows(kirillov_matrix(mat, f)) == mat.dim
+    assert frobenius_functional(mat, seed=3) == f
+    for k, c in enumerate(coeffs):
+        if c:
+            dropped = Functional(coeffs[:k] + (0,) + coeffs[k + 1:])
+            assert rank_mod_p(kirillov_matrix(mat, dropped), MOD_PRIMES[0]) < mat.dim
+
+
+def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
+    """The search of frobenius_functional with a fresh modular rank for
+    every decision in place of the updated inverse."""
+    p = MOD_PRIMES[0]
+    h, d = m.n - 1, m.dim
+
+    def regular(coeffs):
+        return rank_mod_p(kirillov_matrix(m, Functional(tuple(coeffs))), p) == d
+
+    rng = random.Random(seed)
+    for _ in range(FUNCTIONAL_DRAWS):
+        coeffs = [0] * h + [rng.randrange(p) for _ in m.units]
+        if regular(coeffs):
+            break
+    changed = True
+    while changed:
+        changed = False
+        for k in range(h, d):
+            c = coeffs[k]
+            for v in ((0,) if abs(c) == 1 else (0, 1, -1)) if c else ():
+                coeffs[k] = v
+                if regular(coeffs):
+                    changed = True
+                    break
+                coeffs[k] = c
+    return Functional(tuple(coeffs))
+
+
+def test_frobenius_functional_matches_the_search_by_fresh_ranks():
+    from seaweeds.enumerate import enumerate_frobenius
+    for n in range(1, 6):
+        for s in enumerate_frobenius(LieType("A", n)).entries:
+            mat = realize_type_a(s)
+            assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
+    mat = poset_algebra_sl4()
+    assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
+
+
+@pytest.mark.parametrize("top, bottom", [({1}, {1}), ({2, 1}, {2, 1})])
+def test_frobenius_functional_refuses_non_frobenius_algebras(top, bottom):
+    # full sl(2) (index 1) and full sl(3) (index 2)
+    rank = max(top)
+    mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not Frobenius"):
+        frobenius_functional(mat)
+    assert time.perf_counter() - start < 1
+
+
+def _staircase(rank: int) -> Seaweed:
+    """The Frobenius seaweed with top rank..1 and bottom rank..2."""
+    return make_seaweed(LieType("A", rank), set(range(1, rank + 1)),
+                        set(range(2, rank + 1)))
+
+
+@pytest.mark.parametrize("rank", [12, pytest.param(16, marks=pytest.mark.slow)])
+def test_oracle_spectrum_of_the_staircase_seaweed(rank):
+    start = time.perf_counter()
+    s = _staircase(rank)
+    mat = realize_type_a(s)
+    fhat = principal_element(mat, frobenius_functional(mat))
+    assert ad_spectrum(mat, fhat) == full_spectrum(s)
+    assert time.perf_counter() - start < 60
