@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-MOD_PRIMES = (2147483647, 2147483629, 2147483587)
+PRIME = 2**31 - 1
 
 
 def rank_exact(matrix: list[list[Fraction | int]]) -> int:
@@ -47,7 +47,10 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
                  nvars: int) -> list[Fraction]:
     """Solve an (over)determined linear system that must have a unique solution.
 
-    Raises ValueError if the system is inconsistent or underdetermined.
+    Raises ValueError if the system is inconsistent or underdetermined.  The
+    package calls this only as `solve_nonsingular`'s exact fallback; it is
+    also the tests' reference for `solve_nonsingular` and
+    `solve_by_propagation`.
     """
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     rows = len(m)
@@ -136,8 +139,8 @@ def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
     return values[1:]
 
 
-def rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix reduced mod p (a lower bound on the
+def rank_mod_p(matrix: list[list[int]]) -> int:
+    """Rank of an integer matrix reduced mod p = PRIME (a lower bound on the
     rational rank, with equality away from a measure-zero set of primes).
 
     Entries are reduced into [0, p) with p below 2^31, so the vectorized
@@ -146,15 +149,17 @@ def rank_mod_p(matrix: list[list[int]], p: int) -> int:
     if not matrix:
         return 0
     import numpy as np  # deferred: check and spectrum runs never load numpy
+    p = PRIME
     m = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
-    return _eliminate_mod_p(m, p, m.shape[1])
+    return _eliminate_mod_p(m, m.shape[1])
 
 
-def _eliminate_mod_p(m, p: int, ncols: int, reduced: bool = False) -> int:
+def _eliminate_mod_p(m, ncols: int, reduced: bool = False) -> int:
     """Row-reduce the int64 array m, entries in [0, p), in place over its
     first ncols columns and return the rank.  Pivots are scaled to 1; with
     `reduced` the entries above each pivot are cleared too."""
     import numpy as np
+    p = PRIME
     rows = m.shape[0]
     r = 0
     for c in range(ncols):
@@ -179,8 +184,8 @@ def _eliminate_mod_p(m, p: int, ncols: int, reduced: bool = False) -> int:
 
 
 class ModularInverse:
-    """The inverse W mod p of a nonsingular integer matrix K, kept current
-    while small blocks are added to K.
+    """The inverse W mod p = PRIME of a nonsingular integer matrix K, kept
+    current while small blocks are added to K.
 
     Adding c B on the rows and columns `rows` keeps K nonsingular mod p
     exactly when T = I + c B W[rows, rows] is nonsingular mod p (the
@@ -189,28 +194,29 @@ class ModularInverse:
     eliminates len(rows) columns where a fresh rank would eliminate all.
     """
 
-    def __init__(self, matrix: list[list[int]], p: int):
+    def __init__(self, matrix: list[list[int]]):
         """Raises ValueError when matrix is singular mod p."""
         import numpy as np  # deferred, as in rank_mod_p
+        p = PRIME
         d = len(matrix)
         aug = np.array([[x % p for x in row] + [0] * d for row in matrix],
                        dtype=np.int64)
         aug[:, d:] = np.eye(d, dtype=np.int64)
-        if _eliminate_mod_p(aug, p, d, reduced=True) < d:
+        if _eliminate_mod_p(aug, d, reduced=True) < d:
             raise ValueError("matrix is singular mod p")
-        self.p, self.w = p, aug[:, d:]
+        self.w = aug[:, d:]
 
     def try_add(self, rows, block, c: int) -> bool:
         """Add c * block on rows x rows if K stays nonsingular mod p; report
         whether it did.  Entries of block are small integers (|x| * len(rows)
         below 2^32), rows an index array."""
         import numpy as np
-        p, w, r = self.p, self.w, len(rows)
+        p, w, r = PRIME, self.w, len(rows)
         y = (block @ w[rows]) % p * (c % p) % p        # c B W[rows, :]
         aug = np.concatenate((y[:, rows], y), axis=1)
         aug[:, :r] += np.eye(r, dtype=np.int64)
         aug %= p
-        if _eliminate_mod_p(aug, p, r, reduced=True) < r:
+        if _eliminate_mod_p(aug, r, reduced=True) < r:
             return False
         # aug[:, r:] is now T^-1 y; split it in 16-bit halves so that no
         # int64 dot product overflows
@@ -235,7 +241,7 @@ def _rational(x: int, p: int, bound: int) -> Fraction | None:
 def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Solve a square integer system that must have a unique solution.
 
-    The system is solved mod p = MOD_PRIMES[0]; each coordinate is rebuilt
+    The system is solved mod p = PRIME; each coordinate is rebuilt
     as the fraction with numerator and denominator up to sqrt(p/2) that it
     represents, and the result is checked exactly over the integers after
     clearing denominators.  A full modular rank proves the rational matrix
@@ -248,10 +254,10 @@ def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]
     d = len(matrix)
     if d:
         import numpy as np  # deferred, as in rank_mod_p
-        p = MOD_PRIMES[0]
+        p = PRIME
         aug = np.array([[x % p for x in row] + [b % p]
                         for row, b in zip(matrix, rhs)], dtype=np.int64)
-        if _eliminate_mod_p(aug, p, d, reduced=True) == d:
+        if _eliminate_mod_p(aug, d, reduced=True) == d:
             bound = isqrt(p // 2)
             sol = [_rational(int(x), p, bound) for x in aug[:, d]]
             if None not in sol:

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or parse error, 3 seaweed not Frobenius,
+Exit codes: 0 success, 1 the oracle and the combinatorics disagree (an
+internal inconsistency), 2 usage or parse error, 3 seaweed not Frobenius,
 4 unsupported operation.
 """
 from __future__ import annotations

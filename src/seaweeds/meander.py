@@ -77,7 +77,7 @@ def _side_components(rs: RootSystem, subset, side: Side) -> tuple[Component, ...
     """Maximally connected components of one side's subset, leftmost first."""
     cols = rs.columns()
     comps = []
-    for comp in connected_components(rs, subset):
+    for comp in connected_components(subset, rs.neighbors):
         shape, order = _classify(rs, comp)
         comps.append(Component(side, tuple(sorted(comp, reverse=True)),
                                shape, order))

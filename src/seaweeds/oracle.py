@@ -16,15 +16,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 
-from ._linalg import (MOD_PRIMES, ModularInverse, rank_int_rows, rank_mod_p,
+from ._linalg import (PRIME, ModularInverse, rank_int_rows, rank_mod_p,
                       solve_nonsingular)
+from .rootsys import connected_components
 from .seaweed import Seaweed
 from .spectrum import Spectrum
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# A linear form on the algebra, one integer coefficient per basis slot.
+Functional = tuple[int, ...]
 
 DEFAULT_SEED = 1729
 SAMPLE_COUNT = 20
@@ -76,31 +77,6 @@ class MatrixSeaweed:
                 for k, v in row[q].items():
                     terms[k].append((p, q, v))
         return terms
-
-    def element(self, coords) -> Matrix:
-        """Dense matrix for a coordinate vector over the basis."""
-        n = self.n
-        dense = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n - 1):
-            dense[i][i] += coords[i]
-            dense[i + 1][i + 1] -= coords[i]
-        for (r, c), x in zip(self.units, coords[n - 1:]):
-            dense[r][c] += x
-        return tuple(tuple(row) for row in dense)
-
-    def coordinates(self, mat: Matrix) -> list[Fraction]:
-        """Express a matrix in the basis; fails if it is outside the span."""
-        n = self.n
-        diag = [mat[i][i] for i in range(n)]
-        if sum(diag) != 0:
-            raise ValueError("matrix has nonzero trace")
-        units = set(self.units)
-        if any(mat[r][c] for r in range(n) for c in range(n)
-               if r != c and (r, c) not in units):
-            raise ValueError("matrix lies outside the algebra")
-        # the coefficient of h_i is the diagonal summed down to row i
-        return (list(accumulate(diag[:-1]))
-                + [mat[r][c] for r, c in self.units])
 
 
 def _build_brackets(m: MatrixSeaweed) -> list[list[dict[int, int]]]:
@@ -179,15 +155,8 @@ def poset_algebra_sl4() -> MatrixSeaweed:
     return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
 
 
-@dataclass(frozen=True)
-class Functional:
-    """A linear form on the algebra, one integer coefficient per basis slot."""
-
-    coefficients: tuple[int, ...]
-
-
 def functional_from_labels(m: MatrixSeaweed, assignment: dict[str, int]) -> Functional:
-    return Functional(tuple(assignment.get(lab, 0) for lab in m.labels))
+    return tuple(assignment.get(lab, 0) for lab in m.labels)
 
 
 def sample_functionals(m: MatrixSeaweed, count: int = SAMPLE_COUNT,
@@ -195,15 +164,15 @@ def sample_functionals(m: MatrixSeaweed, count: int = SAMPLE_COUNT,
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        out.append(Functional(tuple(
-            rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(m.dim))))
+        out.append(tuple(
+            rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(m.dim)))
     return out
 
 
 def kirillov_matrix(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
     """The antisymmetric form f([b_p, b_q]) on the basis."""
     mat = [[0] * m.dim for _ in range(m.dim)]
-    for c, terms in zip(f.coefficients, m._slot_terms):
+    for c, terms in zip(f, m._slot_terms):
         if c:
             for p, q, v in terms:
                 mat[p][q] += c * v
@@ -238,7 +207,7 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     best_matrix = None
     for f in sample_functionals(m, samples, seed):
         kmat = kirillov_matrix(m, f)
-        r = rank_mod_p(kmat, MOD_PRIMES[0])
+        r = rank_mod_p(kmat)
         if r > best_rank:
             best_rank, best, best_matrix = r, f, kmat
             if r == d:
@@ -251,7 +220,7 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
 def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Functional:
     """A sparse regular functional, certified by a full modular rank.
 
-    A draw puts uniform residues mod p = MOD_PRIMES[0] on the unit slots and
+    A draw puts uniform residues mod p = PRIME on the unit slots and
     0 on the Cartan slots.  The Pfaffian of the Kirillov matrix is a
     polynomial of degree dim/2 in them, so a draw is singular mod p with
     probability at most dim / (2p) (Schwartz-Zippel) unless every regular
@@ -271,13 +240,12 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     element's denominators small.  Uniform {-1, 0, 1} draws are regular
     too rarely to start from: 6% of the time on p^A8(8,6,4,1|8,7,5,3,2,1).
     """
-    p = MOD_PRIMES[0]
     h, d = m.n - 1, m.dim
     rng = random.Random(seed)
     for _ in range(FUNCTIONAL_DRAWS):
-        coeffs = [0] * h + [rng.randrange(p) for _ in m.units]
+        coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
         try:
-            inverse = ModularInverse(kirillov_matrix(m, Functional(tuple(coeffs))), p)
+            inverse = ModularInverse(kirillov_matrix(m, coeffs))
             break
         except ValueError:
             continue
@@ -296,8 +264,8 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
                 if inverse.try_add(rows, block, v - c):
                     coeffs[k], changed = v, True
                     break
-    f = Functional(tuple(coeffs))
-    if rank_mod_p(kirillov_matrix(m, f), p) != d:
+    f = tuple(coeffs)
+    if rank_mod_p(kirillov_matrix(m, f)) != d:
         raise AssertionError("the functional search lost the full rank")
     return f
 
@@ -315,9 +283,10 @@ def _slot_block(terms: list[tuple[int, int, int]]):
     return np.array(rows, dtype=np.intp), block
 
 
-def principal_element(m: MatrixSeaweed, f: Functional) -> Matrix:
-    """The unique element whose coadjoint action fixes the functional f:
-    row p of the system is f([b_q, b_p]) over q, the transposed form.
+def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
+    """Basis coordinates of the unique element whose coadjoint action fixes
+    the functional f: row p of the system is f([b_q, b_p]) over q, the
+    transposed form.
 
     The system is solved mod a prime, rebuilt rationally and checked
     exactly (`solve_nonsingular`); exact elimination runs only when that
@@ -325,20 +294,15 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> Matrix:
     """
     rows = list(zip(*kirillov_matrix(m, f)))
     try:
-        coords = solve_nonsingular(rows, list(f.coefficients))
+        return solve_nonsingular(rows, list(f))
     except ValueError as exc:
         raise ValueError(f"functional is not Frobenius: {exc}") from exc
-    return m.element(coords)
 
 
-def ad_matrix(m: MatrixSeaweed, fhat: Matrix) -> list[list[Fraction]]:
-    """Adjoint action of fhat on the algebra, in basis coordinates."""
-    return _adjoint(m, m.coordinates(fhat))
-
-
-def _adjoint(m: MatrixSeaweed, coords) -> list:
-    """The matrix of the sum of coords[p] ad(b_p); integer coordinates give
-    an integer matrix."""
+def ad_matrix(m: MatrixSeaweed, coords) -> list:
+    """The matrix of the adjoint action of sum coords[p] b_p on the
+    algebra, in basis coordinates; integer coordinates give an integer
+    matrix."""
     d = m.dim
     mat = [[0] * d for _ in range(d)]
     for p, cp in enumerate(coords):
@@ -349,69 +313,50 @@ def _adjoint(m: MatrixSeaweed, coords) -> list:
     return mat
 
 
-def ad_spectrum(m: MatrixSeaweed, fhat: Matrix) -> Spectrum:
-    """Eigenvalue multiplicities of ad(fhat) over the scan window.
+def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
+    """Eigenvalue multiplicities of the adjoint action of the element with
+    basis coordinates coords, over the scan window.
 
     Multiplicities are kernel co-ranks at every integer shift in
     [-(n+1), n+1]; they must sum to the algebra dimension, which certifies
     that the adjoint is diagonalizable with spectrum inside the window.
-    The coordinates of fhat are scaled once by the lcm of their
-    denominators, so the adjoint and every shifted matrix are integer ones.
-    The adjoint is block diagonal on the pieces of the graph of its
-    off-diagonal entries, so each piece is scanned on its own; a piece of
-    one basis vector (every piece when fhat lies in the Cartan subalgebra)
-    holds its own eigenvalue.
+    The coordinates are scaled once by the lcm of their denominators, so
+    the adjoint and every shifted matrix are integer ones.  The adjoint is
+    block diagonal on the pieces of the graph of its off-diagonal entries,
+    so each piece is scanned on its own; a piece of one basis vector (every
+    piece when the element lies in the Cartan subalgebra) holds its own
+    eigenvalue.
     """
-    coords = m.coordinates(fhat)
     scale = lcm(*(x.denominator for x in coords))
-    scaled = _adjoint(m, [int(x * scale) for x in coords])
+    scaled = ad_matrix(m, [int(x * scale) for x in coords])
+    d = m.dim
+
+    def neighbors(i: int) -> list[int]:
+        return [j for j in range(d) if scaled[i][j] or scaled[j][i]]
+
     window = range(-(m.n + 1), m.n + 2)
     counts: Counter = Counter()
-    for block in _blocks(scaled):
-        if len(block) == 1:
-            k, rest = divmod(scaled[block[0]][block[0]], scale)
+    for piece in connected_components(range(d), neighbors):
+        if len(piece) == 1:
+            i, = piece
+            k, rest = divmod(scaled[i][i], scale)
             if not rest and k in window:
                 counts[k] += 1
             continue
+        block = sorted(piece)
         b = len(block)
         sub = [[scaled[i][j] for j in block] for i in block]
         for k in window:
             shifted = [row[:] for row in sub]
             for i in range(b):
                 shifted[i][i] -= k * scale
-            if rank_mod_p(shifted, MOD_PRIMES[0]) < b:
+            if rank_mod_p(shifted) < b:
                 # the modular probe lost rank or the kernel is real; settle it exactly
                 mult = b - rank_int_rows(shifted)
                 if mult:
                     counts[k] += mult
-    d = m.dim
     if sum(counts.values()) != d:
         raise ValueError(
             "non-integer spectrum: eigenspace dimensions sum to "
             f"{sum(counts.values())} over the integer window, expected {d}")
     return Spectrum.from_counter(counts)
-
-
-def _blocks(mat: list[list[int]]) -> list[list[int]]:
-    """The index sets of the connected pieces of the graph that joins i and
-    j whenever mat[i][j] or mat[j][i] is nonzero."""
-    d = len(mat)
-    adj: list[list[int]] = [[] for _ in range(d)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x and i != j:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = [False] * d
-    blocks = []
-    for start in range(d):
-        if not seen[start]:
-            seen[start] = True
-            block = [start]
-            for v in block:
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        block.append(w)
-            blocks.append(block)
-    return blocks

@@ -258,9 +258,10 @@ def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
     return [b for b in rs.positive_roots if root_support(b) <= s]
 
 
-def connected_components(rs: RootSystem, subset) -> list[frozenset[int]]:
-    """The maximally connected pieces of the diagram induced on subset,
-    each grown by depth-first search from its smallest index."""
+def connected_components(subset, neighbors) -> list[frozenset[int]]:
+    """The maximally connected pieces of the graph induced on subset, each
+    grown by depth-first search from its smallest index; neighbors(v)
+    lists the vertices joined to v.  For a diagram, pass rs.neighbors."""
     s = frozenset(subset)
     remaining = set(s)
     comps = []
@@ -270,7 +271,7 @@ def connected_components(rs: RootSystem, subset) -> list[frozenset[int]]:
         stack = [seed]
         while stack:
             v = stack.pop()
-            for w in rs.neighbors(v):
+            for w in neighbors(v):
                 if w in s and w not in comp:
                     comp.add(w)
                     stack.append(w)
@@ -288,7 +289,7 @@ def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, 
     rightmost-drawn end first for chains).
     """
     s = frozenset(sigma)
-    if len(connected_components(rs, s)) != 1:
+    if len(connected_components(s, rs.neighbors)) != 1:
         raise ValueError(f"subset {sorted(s)} is not connected in the diagram")
     return _classify(rs, s)
 

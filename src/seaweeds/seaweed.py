@@ -113,7 +113,7 @@ def decompose_direct_sum(s: Seaweed) -> list[Seaweed]:
     if s.has_full_union():
         return [s]
     rs = s.root_system
-    fragments = connected_components(rs, s.pi1 | s.pi2)
+    fragments = connected_components(s.pi1 | s.pi2, rs.neighbors)
     fragments.sort(key=max, reverse=True)
     out = []
     for frag in fragments:

@@ -103,7 +103,7 @@ def test_side_permutations_match_involution_and_longest_element(t):
     for mask in range(full + 1):
         sub = mask_subset(mask)
         expected = list(range(t.rank + 1))
-        for piece in connected_components(rs, sub):
+        for piece in connected_components(sub, rs.neighbors):
             for a, b in _negated_longest_element(rs, piece).items():
                 expected[a] = b
         entry = side_permutation(rs, sub)

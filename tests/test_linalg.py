@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seaweeds._linalg as linalg
-from seaweeds._linalg import (MOD_PRIMES, ModularInverse, rank_exact,
+from seaweeds._linalg import (PRIME, ModularInverse, rank_exact,
                               rank_int_rows, rank_mod_p, solve_by_propagation,
                               solve_nonsingular, solve_unique)
 
@@ -29,7 +29,7 @@ def test_rank_paths_agree(seed):
     exact = rank_exact(m)
     assert exact <= inner
     assert rank_int_rows(m) == exact
-    assert rank_mod_p(m, MOD_PRIMES[0]) == exact
+    assert rank_mod_p(m) == exact
 
 
 def test_rank_of_fraction_rows():
@@ -60,7 +60,7 @@ def test_solve_unique_rejects_underdetermined():
 def test_rank_empty():
     assert rank_exact([]) == 0
     assert rank_int_rows([]) == 0
-    assert rank_mod_p([], MOD_PRIMES[0]) == 0
+    assert rank_mod_p([]) == 0
 
 
 @given(st.data())
@@ -205,15 +205,15 @@ def _mod_inverse_check(w, k, p):
 @settings(max_examples=60, deadline=None)
 def test_modular_inverse_follows_block_updates(data):
     import numpy as np
-    p = MOD_PRIMES[0]
+    p = PRIME
     d = data.draw(st.integers(2, 7))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     k = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-    if rank_mod_p(k, p) < d:
+    if rank_mod_p(k) < d:
         with pytest.raises(ValueError, match="singular"):
-            ModularInverse(k, p)
+            ModularInverse(k)
         return
-    inv = ModularInverse(k, p)
+    inv = ModularInverse(k)
     _mod_inverse_check(inv.w, k, p)
     for _ in range(4):
         rows = sorted(rng.sample(range(d), rng.randint(1, d)))
@@ -224,7 +224,7 @@ def test_modular_inverse_follows_block_updates(data):
             for b, j in enumerate(rows):
                 new[i][j] += c * block[a][b]
         kept = inv.try_add(np.array(rows), np.array(block, dtype=np.int64), c)
-        assert kept == (rank_mod_p(new, p) == d)
+        assert kept == (rank_mod_p(new) == d)
         if kept:
             k = new
         _mod_inverse_check(inv.w, k, p)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
@@ -13,7 +14,7 @@ from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
-from seaweeds._linalg import MOD_PRIMES, rank_int_rows, rank_mod_p
+from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
 from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              MatrixSeaweed, ad_matrix, ad_spectrum,
                              frobenius_functional, functional_from_labels,
@@ -65,9 +66,11 @@ def test_realization_guards_its_rank_and_builds_no_ambient_roots():
 
 def _dense_bracket_agrees(m: MatrixSeaweed) -> None:
     """Every closed-form bracket against the commutator XY - YX of the
-    dense basis matrices."""
-    basis = [np.array(m.element([int(k == p) for k in range(m.dim)]),
-                      dtype=np.int64) for p in range(m.dim)]
+    dense basis matrices, built here: h_i = E_ii - E_i+1,i+1, then the
+    units E_rc."""
+    unit = np.eye(m.n, dtype=np.int64)
+    basis = [np.diag(unit[i] - unit[i + 1]) for i in range(m.n - 1)]
+    basis += [np.outer(unit[r], unit[c]) for r, c in m.units]
     for p, q in itertools.combinations(range(m.dim), 2):
         x, y = basis[p], basis[q]
         coords = m.bracket_coords(p, q)
@@ -92,21 +95,6 @@ def test_bracket_outside_the_span_is_reported():
         m.bracket_coords(3, 4)
 
 
-def test_coordinates_reject_matrices_outside_the_algebra():
-    pa = poset_algebra_sl4()
-    inside = [[0] * 4 for _ in range(4)]
-    inside[0][0], inside[3][3], inside[1][3] = 2, -2, 5
-    coords = pa.coordinates(inside)
-    assert coords == [2, 2, 2, 0, 0, 0, 5, 0]
-    assert pa.element(coords) == tuple(map(tuple, inside))
-    inside[2][2] = 1
-    with pytest.raises(ValueError, match="nonzero trace"):
-        pa.coordinates(inside)
-    inside[2][2], inside[3][0] = 0, 1
-    with pytest.raises(ValueError, match="outside the algebra"):
-        pa.coordinates(inside)
-
-
 def test_realization_rejects_other_types():
     s = make_seaweed(LieType("B", 2), {1}, {2})
     with pytest.raises(ValueError):
@@ -119,7 +107,9 @@ def test_poset_algebra_fixture():
     f = functional_from_labels(pa, {"e1,4": 1, "e2,4": 1, "e2,3": 1})
     assert kirillov_rank(pa, f) == 8
     fhat = principal_element(pa, f)
-    assert [fhat[i][i] for i in range(4)] == [Q(1, 2), Q(1, 2), Q(-1, 2), Q(-1, 2)]
+    # the diagonal (1/2, 1/2, -1/2, -1/2), summed down to each h_i, and no
+    # unit part
+    assert fhat == [Q(1, 2), 1, Q(1, 2), 0, 0, 0, 0, 0]
     assert dict(ad_spectrum(pa, fhat).mult) == {0: 4, 1: 4}
 
 
@@ -140,36 +130,31 @@ def test_principal_element_fixes_functional():
     cert = index(mat)
     assert cert.index == 0
     for f in (cert.witness, frobenius_functional(mat)):
-        fhat = principal_element(mat, f)
-        coords = mat.coordinates(fhat)
-        admat = ad_matrix(mat, fhat)
+        admat = ad_matrix(mat, principal_element(mat, f))
         # F([fhat, b_q]) must equal F(b_q) on every basis vector
         for q in range(mat.dim):
-            lhs = sum(f.coefficients[k] * admat[k][q] for k in range(mat.dim))
-            assert lhs == f.coefficients[q]
-        assert mat.element(coords) == fhat
+            lhs = sum(f[k] * admat[k][q] for k in range(mat.dim))
+            assert lhs == f[q]
 
 
 def test_principal_element_rejects_degenerate_functional():
     s = make_seaweed(LieType("A", 2), {2, 1}, {2, 1})  # index 2, never Frobenius
     mat = realize_type_a(s)
-    f = Functional((1,) * mat.dim)
+    f = (1,) * mat.dim
     with pytest.raises(ValueError):
         principal_element(mat, f)
 
 
 @pytest.mark.parametrize("entries", [
-    {(0, 1): 1},                       # nilpotent: ad is not diagonalizable
-    {(0, 0): Q(1, 4), (1, 1): Q(-1, 4)},   # eigenvalue 1/2 on e1,2
-    {(0, 0): 5, (1, 1): -5},           # eigenvalue 10, outside [-3, 3]
+    [0, 1],             # e1,2 is nilpotent: ad is not diagonalizable
+    [Q(1, 4), 0],       # h1 / 4: eigenvalue 1/2 on e1,2
+    [5, 0],             # 5 h1: eigenvalue 10, outside [-3, 3]
 ])
 def test_ad_spectrum_refuses_what_is_not_an_integer_diagonal_spectrum(entries):
+    # entries are basis coordinates: h1, then e1,2
     mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
-    fhat = [[Q(0)] * 2 for _ in range(2)]
-    for (r, c), x in entries.items():
-        fhat[r][c] = Q(x)
     with pytest.raises(ValueError, match="non-integer spectrum"):
-        ad_spectrum(mat, tuple(map(tuple, fhat)))
+        ad_spectrum(mat, entries)
 
 
 def test_jacobi_identity_small():
@@ -249,29 +234,27 @@ FROBENIUS_SEAWEEDS = [
 def test_frobenius_functional_is_sparse_certified_and_minimal(rank, top, bottom):
     mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
     f = frobenius_functional(mat, seed=3)
-    coeffs = f.coefficients
-    assert set(coeffs) <= {-1, 0, 1}
-    assert not any(coeffs[:mat.n - 1])                  # the Cartan slots
+    assert set(f) <= {-1, 0, 1}
+    assert not any(f[:mat.n - 1])                       # the Cartan slots
     assert rank_int_rows(kirillov_matrix(mat, f)) == mat.dim
     assert frobenius_functional(mat, seed=3) == f
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(f):
         if c:
-            dropped = Functional(coeffs[:k] + (0,) + coeffs[k + 1:])
-            assert rank_mod_p(kirillov_matrix(mat, dropped), MOD_PRIMES[0]) < mat.dim
+            dropped = f[:k] + (0,) + f[k + 1:]
+            assert rank_mod_p(kirillov_matrix(mat, dropped)) < mat.dim
 
 
 def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
     """The search of frobenius_functional with a fresh modular rank for
     every decision in place of the updated inverse."""
-    p = MOD_PRIMES[0]
     h, d = m.n - 1, m.dim
 
     def regular(coeffs):
-        return rank_mod_p(kirillov_matrix(m, Functional(tuple(coeffs))), p) == d
+        return rank_mod_p(kirillov_matrix(m, coeffs)) == d
 
     rng = random.Random(seed)
     for _ in range(FUNCTIONAL_DRAWS):
-        coeffs = [0] * h + [rng.randrange(p) for _ in m.units]
+        coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
         if regular(coeffs):
             break
     changed = True
@@ -285,7 +268,7 @@ def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
                     changed = True
                     break
                 coeffs[k] = c
-    return Functional(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def test_frobenius_functional_matches_the_search_by_fresh_ranks():
@@ -298,15 +281,29 @@ def test_frobenius_functional_matches_the_search_by_fresh_ranks():
     assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
 
 
-@pytest.mark.parametrize("top, bottom", [({1}, {1}), ({2, 1}, {2, 1})])
-def test_frobenius_functional_refuses_non_frobenius_algebras(top, bottom):
-    # full sl(2) (index 1) and full sl(3) (index 2)
-    rank = max(top)
-    mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="not Frobenius"):
-        frobenius_functional(mat)
-    assert time.perf_counter() - start < 1
+# Frobenius full-union pairs by rank: 56 of the 3 + 9 + 27 + 81 = 120
+FROBENIUS_FULL_UNION_PAIRS = {1: 2, 2: 6, 3: 14, 4: 34}
+
+
+@pytest.mark.parametrize("rank", sorted(FROBENIUS_FULL_UNION_PAIRS))
+def test_frobenius_functional_refuses_non_frobenius_algebras(rank):
+    # every full-union pair of the rank, with the meander as the reference
+    rs = build_root_system(LieType("A", rank))
+    verdicts = Counter()
+    for m1, m2 in _mask_pairs(rank):
+        s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
+        mat = realize_type_a(s)
+        frobenius = is_frobenius(s)
+        verdicts[frobenius] += 1
+        if frobenius:
+            frobenius_functional(mat)
+            continue
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not Frobenius"):
+            frobenius_functional(mat)
+        assert time.perf_counter() - start < 1
+    frob = FROBENIUS_FULL_UNION_PAIRS[rank]
+    assert verdicts == {True: frob, False: 3 ** rank - frob}
 
 
 def _staircase(rank: int) -> Seaweed:

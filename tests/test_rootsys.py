@@ -130,23 +130,34 @@ def test_induced_shape_rejects_disconnected():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_connected_components_partition_the_subset(data):
-    t = data.draw(st.sampled_from(ALL_TYPES))
-    rs = build_root_system(t)
-    subset = frozenset(data.draw(st.sets(st.integers(1, t.rank))))
-    pieces = connected_components(rs, subset)
+    if data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(ALL_TYPES))
+        rs = build_root_system(t)
+        subset = frozenset(data.draw(st.sets(st.integers(1, t.rank))))
+        neighbors = rs.neighbors
+    else:
+        # the off-diagonal pattern of a matrix, searched as ad_spectrum does
+        d = data.draw(st.integers(0, 12))
+        pattern = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                pattern[i][j] = pattern[j][i] = data.draw(st.integers(0, 1))
+        adj = [[j for j in range(d) if pattern[i][j]] for i in range(d)]
+        subset, neighbors = frozenset(range(d)), adj.__getitem__
+    pieces = connected_components(subset, neighbors)
     assert sum(len(p) for p in pieces) == len(subset)
     assert frozenset().union(*pieces) == subset
     for piece in pieces:
         reached = {min(piece)}
         while True:
-            grown = reached | {w for v in reached for w in rs.neighbors(v)
+            grown = reached | {w for v in reached for w in neighbors(v)
                                if w in piece}
             if grown == reached:
                 break
             reached = grown
         assert reached == piece
         outside = subset - piece
-        assert not any(w in outside for v in piece for w in rs.neighbors(v))
+        assert not any(w in outside for v in piece for w in neighbors(v))
 
 
 def test_classify_order_for_chain_is_a_path():
