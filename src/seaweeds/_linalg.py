@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, plus a modular fast path.
 
 Everything here takes plain lists of Fractions or ints; matrices are lists
-of row lists.  The modular paths work on numpy int64 arrays mod a 31-bit
-prime, so that the product of two residues stays inside the int64 range.
+of row lists (`ranks_mod_p` also takes a 3-D numpy array).  The modular
+paths work on numpy int64 arrays mod a 31-bit prime, so that the product of
+two residues stays inside the int64 range.
 """
 from __future__ import annotations
 
@@ -152,6 +153,50 @@ def rank_mod_p(matrix: list[list[int]]) -> int:
     p = PRIME
     m = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
     return _eliminate_mod_p(m, m.shape[1])
+
+
+def ranks_mod_p(stack) -> list[int]:
+    """The rank mod p = PRIME of each matrix in a stack of same-shape
+    integer matrices: a 3-D array, or nested lists whose entries may leave
+    the int64 range.
+
+    One elimination runs over the whole stack: its loop makes one pass per
+    column, not one per column of each matrix, and at small sizes the numpy
+    calls of those passes are the cost.  In each column every matrix takes
+    its own pivot: the first row nonzero there that no earlier column took.
+    The pivot row, scaled to 1, clears the column from the matrix's other
+    untaken rows, and the rank is the number of pivots.  A single matrix
+    is faster through `rank_mod_p`.
+    """
+    import numpy as np  # deferred, as in rank_mod_p
+    p = PRIME
+    a = np.asarray(stack)
+    if not a.size:
+        return [0] * len(a)
+    a = (a % p).astype(np.int64, copy=False)
+    count, rows, cols = a.shape
+    free = np.ones((count, rows), dtype=bool)      # rows no pivot took yet
+    for c in range(cols):
+        col = a[:, :, c]
+        nz = (col != 0) & free
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        i = np.flatnonzero(has)
+        piv = nz[i].argmax(axis=1)
+        free[i, piv] = False
+        f = np.where(free, col, 0)
+        hit = np.flatnonzero(f.any(axis=0))
+        if hit.size:
+            inv = np.array([pow(x, -1, p) for x in col[i, piv].tolist()],
+                           dtype=np.int64)
+            prow = np.zeros((count, 1, cols - c - 1), dtype=np.int64)
+            prow[i, 0] = a[i, piv, c + 1:] * inv[:, None] % p
+            rest = a[:, hit, c + 1:]
+            rest -= f[:, hit, None] * prow
+            rest %= p
+            a[:, hit, c + 1:] = rest
+    return (rows - free.sum(axis=1)).tolist()
 
 
 def _eliminate_mod_p(m, ncols: int, reduced: bool = False) -> int:

@@ -16,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 
 from ._linalg import (PRIME, ModularInverse, rank_int_rows, rank_mod_p,
-                      solve_nonsingular)
+                      ranks_mod_p, solve_nonsingular)
 from .rootsys import connected_components
 from .seaweed import Seaweed
 from .spectrum import Spectrum
@@ -34,8 +35,9 @@ COEFF_BOUND = 100
 # a draw fails with probability at most dim / (2p), so only a non-Frobenius
 # algebra uses them up.
 FUNCTIONAL_DRAWS = 4
-# The dense eliminations grow steeply with the rank: the index of full sl(17)
-# (A16) alone takes about 14 s.
+# The dense eliminations grow steeply with the rank: `seaweed oracle` on full
+# sl(17) (A16), which is not Frobenius, takes 27-30 s on a 2-core VM with
+# Python 3.11, nearly all of it in the exact confirmation of its index.
 ORACLE_RANK_GUARD = 16
 
 
@@ -161,12 +163,16 @@ def functional_from_labels(m: MatrixSeaweed, assignment: dict[str, int]) -> Func
 
 def sample_functionals(m: MatrixSeaweed, count: int = SAMPLE_COUNT,
                        seed: int = DEFAULT_SEED) -> list[Functional]:
+    return list(islice(_draws(m, seed), count))
+
+
+def _draws(m: MatrixSeaweed, seed: int):
+    """Functionals with coefficients in [-COEFF_BOUND, COEFF_BOUND], drawn
+    one at a time from the seeded stream."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(tuple(
-            rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(m.dim)))
-    return out
+    while True:
+        yield tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND)
+                    for _ in range(m.dim))
 
 
 def kirillov_matrix(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
@@ -178,6 +184,26 @@ def kirillov_matrix(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
                 mat[p][q] += c * v
                 mat[q][p] -= c * v
     return mat
+
+
+def _kirillov_stack(m: MatrixSeaweed, fs: list[Functional]):
+    """The Kirillov matrices of the functionals fs as one int64 array of
+    shape (len(fs), dim, dim), built without a Python list per matrix.
+    Exact for coefficients within COEFF_BOUND: an entry is a sum of fewer
+    than n terms c * v with |v| <= 2."""
+    import numpy as np  # deferred, as in _slot_block
+    d, count = m.dim, len(fs)
+    # every term of a slot, at (p, q) with v and at (q, p) with -v
+    slots, entries, values = np.array(
+        [(k, e, w) for k, terms in enumerate(m._slot_terms)
+         for p, q, v in terms
+         for e, w in ((p * d + q, v), (q * d + p, -v))],
+        dtype=np.int64).reshape(-1, 3).T
+    coeffs = np.array(fs, dtype=np.int64).reshape(count, d)
+    out = np.zeros((count, d, d), dtype=np.int64)
+    at = np.arange(count)[:, None] * (d * d) + entries
+    np.add.at(out.reshape(-1), at.ravel(), (coeffs[:, slots] * values).ravel())
+    return out
 
 
 def kirillov_rank(m: MatrixSeaweed, f: Functional) -> int:
@@ -194,26 +220,35 @@ class IndexCertificate:
 
 def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
           samples: int = SAMPLE_COUNT) -> IndexCertificate:
-    """Dimension minus the best sampled form rank.
+    """Dimension minus the best form rank of the first `samples`
+    functionals of sample_functionals.
 
     The generic rank is attained on a Zariski-open set, so the sampled value
-    is exact up to a vanishing failure probability; a full-rank modular
-    probe is already a proof, and the best non-full sample is confirmed by
-    exact elimination.
+    is exact up to a vanishing failure probability.  The Kirillov matrix is
+    alternating, so its rank over any field is even and at most
+    cap = dim - dim % 2, and its rank mod p is at most its rank over the
+    rationals.  The functionals are drawn one at a time: when the modular
+    rank of the first reaches the cap, it proves the maximum, it is the
+    witness and nothing else is drawn.  Otherwise the other samples are
+    ranked mod p together as one stack (`ranks_mod_p`), the witness is the
+    first sample of the largest modular rank, and exact elimination
+    confirms that rank unless it reaches the cap.  No witness is named
+    when every sample has rank 0.
     """
     d = m.dim
-    best_rank = 0
-    best: Functional | None = None
-    best_matrix = None
-    for f in sample_functionals(m, samples, seed):
-        kmat = kirillov_matrix(m, f)
-        r = rank_mod_p(kmat)
-        if r > best_rank:
-            best_rank, best, best_matrix = r, f, kmat
-            if r == d:
-                return IndexCertificate(0, f, samples)
-    if best_matrix is not None:
-        best_rank = rank_int_rows(best_matrix)
+    cap = d - d % 2
+    draws = islice(_draws(m, seed), samples)
+    fs = list(islice(draws, 1))
+    ranks = [rank_mod_p(kirillov_matrix(m, f)) for f in fs]
+    if ranks and ranks[0] < cap:
+        fs += draws
+        ranks += ranks_mod_p(_kirillov_stack(m, fs[1:]))
+    best_rank = max(ranks, default=0)
+    if not best_rank:
+        return IndexCertificate(d, None, samples)
+    best = fs[ranks.index(best_rank)]
+    if best_rank < cap:
+        best_rank = rank_int_rows(kirillov_matrix(m, best))
     return IndexCertificate(d - best_rank, best, samples)
 
 

@@ -141,7 +141,7 @@ def test_a6_matrix_oracle_equivalence():
                 mismatched.append((repr(s), "spectrum"))
             checked += 1
     pairs = 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         rs = build_root_system(LieType("A", n))
         seen = set()
         for m1, m2 in _mask_pairs(n):

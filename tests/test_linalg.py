@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, rank_exact,
-                              rank_int_rows, rank_mod_p, solve_by_propagation,
-                              solve_nonsingular, solve_unique)
+                              rank_int_rows, rank_mod_p, ranks_mod_p,
+                              solve_by_propagation, solve_nonsingular,
+                              solve_unique)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -61,6 +62,8 @@ def test_rank_empty():
     assert rank_exact([]) == 0
     assert rank_int_rows([]) == 0
     assert rank_mod_p([]) == 0
+    assert ranks_mod_p([]) == []
+    assert ranks_mod_p([[], []]) == [0, 0]
 
 
 @given(st.data())
@@ -71,6 +74,40 @@ def test_rank_int_rows_matches_fraction_elimination(data):
     m = [[data.draw(st.integers(-20, 20)) for _ in range(cols)]
          for _ in range(rows)]
     assert rank_int_rows(m) == rank_exact(m)
+
+
+# small entries, entries past int64 either way, and multiples of the prime
+_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
+                     st.sampled_from([PRIME, -2 * PRIME, 2**63, 2**64 + 1]))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_ranks_mod_p_matches_rank_mod_p_on_each_matrix(data):
+    count = data.draw(st.integers(1, 6))
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    stack = []
+    for _ in range(count):
+        kind = data.draw(st.sampled_from(("zero", "deficient", "any")))
+        if kind == "zero":
+            m = [[0] * cols for _ in range(rows)]
+        elif kind == "deficient":        # a product through a narrower space
+            inner = data.draw(st.integers(0, min(rows, cols) - 1))
+            a = [[data.draw(_ENTRIES) for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[data.draw(st.integers(-9, 9)) for _ in range(cols)]
+                 for _ in range(inner)]
+            m = [[sum(a[i][k] * b[k][j] for k in range(inner))
+                  for j in range(cols)] for i in range(rows)]
+        else:
+            m = [[data.draw(_ENTRIES) for _ in range(cols)]
+                 for _ in range(rows)]
+        stack.append(m)
+    want = [rank_mod_p(m) for m in stack]
+    assert ranks_mod_p(stack) == want
+    if all(abs(x) < 2**63 for m in stack for row in m for x in row):
+        import numpy as np
+        assert ranks_mod_p(np.array(stack, dtype=np.int64)) == want
 
 
 @given(st.data())

@@ -15,12 +15,14 @@ from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
 from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
+import seaweeds.oracle as oracle
 from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
-                             MatrixSeaweed, ad_matrix, ad_spectrum,
-                             frobenius_functional, functional_from_labels,
-                             index, kirillov_matrix, kirillov_rank,
-                             poset_algebra_sl4, principal_element,
-                             realize_type_a, sample_functionals)
+                             IndexCertificate, MatrixSeaweed, ad_matrix,
+                             ad_spectrum, frobenius_functional,
+                             functional_from_labels, index, kirillov_matrix,
+                             kirillov_rank, poset_algebra_sl4,
+                             principal_element, realize_type_a,
+                             sample_functionals)
 
 
 def test_sl2_borel():
@@ -218,6 +220,80 @@ def test_index_seed_reproducible():
     a = index(mat, seed=5)
     b = index(mat, seed=5)
     assert a == b
+
+
+def _index_by_sequential_ranks(m: MatrixSeaweed, seed: int,
+                               samples: int) -> IndexCertificate:
+    """The reference for index: a modular rank for every sample in draw
+    order, a stop only at full rank, and exact elimination of the first
+    best one."""
+    d = m.dim
+    best_rank, best, best_matrix = 0, None, None
+    for f in sample_functionals(m, samples, seed):
+        kmat = kirillov_matrix(m, f)
+        r = rank_mod_p(kmat)
+        if r > best_rank:
+            best_rank, best, best_matrix = r, f, kmat
+            if r == d:
+                return IndexCertificate(0, f, samples)
+    if best_matrix is not None:
+        best_rank = rank_int_rows(best_matrix)
+    return IndexCertificate(d - best_rank, best, samples)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_index_matches_the_sequential_loop(rank):
+    rs = build_root_system(LieType("A", rank))
+    for m1, m2 in _mask_pairs(rank):
+        mat = realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
+        for seed in (1729, 5):
+            for samples in (0, 1, 2, 20):
+                assert (index(mat, seed, samples)
+                        == _index_by_sequential_ranks(mat, seed, samples))
+
+
+def test_index_draws_on_past_a_degenerate_first_sample():
+    # on the Borel subalgebra of sl(2) a functional has full rank exactly
+    # when it is nonzero on e1,2; find a seed whose first draw is zero there
+    mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
+    seed = next(s for s in range(10**4)
+                if sample_functionals(mat, 1, s)[0][1] == 0)
+    for samples in (1, 2, 20):
+        assert (index(mat, seed, samples)
+                == _index_by_sequential_ranks(mat, seed, samples))
+    assert index(mat, seed, 1).index == 2
+    assert index(mat, seed, 2).index == 0
+
+
+def test_kirillov_stack_matches_kirillov_matrix():
+    mats = [poset_algebra_sl4()]
+    for n in range(1, 4):
+        rs = build_root_system(LieType("A", n))
+        mats += [realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
+                 for m1, m2 in _mask_pairs(n)]
+    for mat in mats:
+        fs = sample_functionals(mat, 3, seed=2)
+        assert (oracle._kirillov_stack(mat, fs).tolist()
+                == [kirillov_matrix(mat, f) for f in fs])
+
+
+@pytest.mark.parametrize("rank, top, bottom, ind, exact", [
+    (1, {1}, {1}, 1, 0),            # full sl(2): the first sample has rank 2
+    (4, {2, 1}, {4, 3, 2, 1}, 1, 0),
+    (2, {1, 2}, {1, 2}, 2, 1),      # full sl(3): rank 6 of 8 needs a proof
+])
+def test_index_confirms_exactly_only_below_the_cap(monkeypatch, rank, top,
+                                                   bottom, ind, exact):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rank_int_rows(matrix)
+
+    monkeypatch.setattr(oracle, "rank_int_rows", counted)
+    s = make_seaweed(LieType("A", rank), top, bottom)
+    assert index(realize_type_a(s)).index == ind
+    assert len(calls) == exact
 
 
 FROBENIUS_SEAWEEDS = [
