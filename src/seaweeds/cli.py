@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
@@ -143,6 +144,8 @@ def _spectrum_payload(s: Seaweed) -> dict:
 
 def cmd_spectrum(args) -> int:
     s = _seaweed(args)
+    if not s.pi1 | s.pi2:
+        raise UsageError("pi1 | pi2 is empty: there is no seaweed to split")
     parts = decompose_direct_sum(s) if args.decompose else [s]
     if not args.decompose and not s.has_full_union():
         raise UsageError("pi1 | pi2 does not cover the diagram; rerun with "
@@ -248,7 +251,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args
+    fills a new namespace on each call, so nothing carries over."""
     parser = argparse.ArgumentParser(
         prog="seaweed",
         description="Frobenius seaweeds: meanders, spectra, catalogs")

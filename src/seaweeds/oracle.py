@@ -62,44 +62,27 @@ class MatrixSeaweed:
                 + tuple(f"e{r + 1},{c + 1}" for r, c in self.units))
 
     @cached_property
-    def _brackets(self) -> list[list[dict[int, int]]]:
+    def _slot_terms(self) -> list[list[tuple[int, int, int]]]:
         return _build_brackets(self)
 
-    def bracket_coords(self, p: int, q: int) -> dict[int, int]:
-        return self._brackets[p][q]
 
-    @cached_property
-    def _slot_terms(self) -> list[list[tuple[int, int, int]]]:
-        """For each slot k, every (p, q, v) with p < q such that [b_p, b_q]
-        has coefficient v at slot k: the entries a functional's value on
-        slot k feeds in its Kirillov matrix."""
-        terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
-        for p, row in enumerate(self._brackets):
-            for q in range(p + 1, self.dim):
-                for k, v in row[q].items():
-                    terms[k].append((p, q, v))
-        return terms
-
-
-def _build_brackets(m: MatrixSeaweed) -> list[list[dict[int, int]]]:
-    """Bracket coordinates of every basis pair, from the sl(n) rules
-    [E_ab, E_cd] = d_bc E_ad - d_da E_cb and [h_i, E_rc] = (<i,r> - <i,c>) E_rc,
-    where <i,a> is the coefficient of E_aa in h_i; E_aa - E_bb telescopes
-    into h_a + ... + h_(b-1)."""
-    n, d = m.n, m.dim
+def _build_brackets(m: MatrixSeaweed) -> list[list[tuple[int, int, int]]]:
+    """The structure constants, by slot: for each slot k, every (p, q, v)
+    with p < q such that [b_p, b_q] has coefficient v at slot k.  They come
+    from the sl(n) rules [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
+    [h_i, E_rc] = (<i,r> - <i,c>) E_rc, where <i,a> is the coefficient of
+    E_aa in h_i; E_aa - E_bb telescopes into h_a + ... + h_(b-1)."""
+    n = m.n
     slot = {unit: k for k, unit in enumerate(m.units, n - 1)}
-    table: list[list[dict[int, int]]] = [[{} for _ in range(d)] for _ in range(d)]
+    terms: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
 
-    def put(p: int, q: int, coords: dict[int, int]) -> None:
-        table[p][q] = coords
-        table[q][p] = {k: -v for k, v in coords.items()}
-
-    def unit(r: int, c: int, p: int, q: int) -> int:
+    def unit_terms(r: int, c: int, p: int,
+                   q: int) -> list[tuple[int, int, int]]:
         if (r, c) not in slot:
             raise AssertionError(
                 "bracket left the span: slot "
                 f"({r},{c}) from [{m.labels[p]},{m.labels[q]}]")
-        return slot[(r, c)]
+        return terms[slot[(r, c)]]
 
     def weight(i: int, a: int) -> int:
         return (i == a) - (i + 1 == a)
@@ -108,18 +91,19 @@ def _build_brackets(m: MatrixSeaweed) -> list[list[dict[int, int]]]:
         for i in range(n - 1):
             w = weight(i, r) - weight(i, c)
             if w:
-                put(i, q, {q: w})
+                terms[q].append((i, q, w))
     units = list(slot.items())
     for x, ((a, b), p) in enumerate(units):
         for (c, e), q in units[x + 1:]:
             if b == c and e == a:
                 sign = 1 if a < b else -1
-                put(p, q, {i: sign for i in range(min(a, b), max(a, b))})
+                for i in range(min(a, b), max(a, b)):
+                    terms[i].append((p, q, sign))
             elif b == c:
-                put(p, q, {unit(a, e, p, q): 1})
+                unit_terms(a, e, p, q).append((p, q, 1))
             elif e == a:
-                put(p, q, {unit(c, b, p, q): -1})
-    return table
+                unit_terms(c, b, p, q).append((p, q, -1))
+    return terms
 
 
 def realize_type_a(s: Seaweed) -> MatrixSeaweed:
@@ -204,11 +188,6 @@ def _kirillov_stack(m: MatrixSeaweed, fs: list[Functional]):
     at = np.arange(count)[:, None] * (d * d) + entries
     np.add.at(out.reshape(-1), at.ravel(), (coeffs[:, slots] * values).ravel())
     return out
-
-
-def kirillov_rank(m: MatrixSeaweed, f: Functional) -> int:
-    """Exact rank of the antisymmetric form of f."""
-    return rank_int_rows(kirillov_matrix(m, f))
 
 
 @dataclass(frozen=True)
@@ -337,14 +316,14 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
 def ad_matrix(m: MatrixSeaweed, coords) -> list:
     """The matrix of the adjoint action of sum coords[p] b_p on the
     algebra, in basis coordinates; integer coordinates give an integer
-    matrix."""
-    d = m.dim
-    mat = [[0] * d for _ in range(d)]
-    for p, cp in enumerate(coords):
-        if cp:
-            for q in range(d):
-                for k, v in m.bracket_coords(p, q).items():
-                    mat[k][q] += cp * v
+    matrix.  A term v = [b_p, b_q]_k feeds coords[p] * v into column q
+    and, as [b_q, b_p]_k = -v, -coords[q] * v into column p."""
+    mat = [[0] * m.dim for _ in range(m.dim)]
+    for k, terms in enumerate(m._slot_terms):
+        row = mat[k]
+        for p, q, v in terms:
+            row[q] += coords[p] * v
+            row[p] -= coords[q] * v
     return mat
 
 

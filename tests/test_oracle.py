@@ -20,9 +20,8 @@ from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              IndexCertificate, MatrixSeaweed, ad_matrix,
                              ad_spectrum, frobenius_functional,
                              functional_from_labels, index, kirillov_matrix,
-                             kirillov_rank, poset_algebra_sl4,
-                             principal_element, realize_type_a,
-                             sample_functionals)
+                             poset_algebra_sl4, principal_element,
+                             realize_type_a, sample_functionals)
 
 
 def test_sl2_borel():
@@ -40,7 +39,7 @@ def test_sl2_full_has_index_one():
     mat = realize_type_a(s)
     assert mat.dim == 3
     f = functional_from_labels(mat, {"e1,2": 1})
-    assert kirillov_rank(mat, f) == 2
+    assert rank_int_rows(kirillov_matrix(mat, f)) == 2
     assert index(mat).index == 1
 
 
@@ -66,35 +65,85 @@ def test_realization_guards_its_rank_and_builds_no_ambient_roots():
         assert "positive_roots" not in vars(rs)
 
 
-def _dense_bracket_agrees(m: MatrixSeaweed) -> None:
-    """Every closed-form bracket against the commutator XY - YX of the
-    dense basis matrices, built here: h_i = E_ii - E_i+1,i+1, then the
+def _bracket_table(m: MatrixSeaweed) -> dict[tuple[int, int], dict[int, int]]:
+    """The slot terms of m expanded into the bracket coordinates of every
+    ordered basis pair (p, q), an empty dict where [b_p, b_q] = 0."""
+    table = {(p, q): {} for p in range(m.dim) for q in range(m.dim)}
+    for k, terms in enumerate(m._slot_terms):
+        for p, q, v in terms:
+            assert p < q and k not in table[p, q], (k, p, q)
+            table[p, q][k] = v
+            table[q, p][k] = -v
+    return table
+
+
+def _dense_basis(m: MatrixSeaweed) -> list[np.ndarray]:
+    """The basis matrices, built here: h_i = E_ii - E_i+1,i+1, then the
     units E_rc."""
     unit = np.eye(m.n, dtype=np.int64)
     basis = [np.diag(unit[i] - unit[i + 1]) for i in range(m.n - 1)]
-    basis += [np.outer(unit[r], unit[c]) for r, c in m.units]
-    for p, q in itertools.combinations(range(m.dim), 2):
+    return basis + [np.outer(unit[r], unit[c]) for r, c in m.units]
+
+
+def _dense_bracket_agrees(m: MatrixSeaweed) -> None:
+    """Every closed-form bracket, in both orders, against the commutator
+    XY - YX of the dense basis matrices."""
+    basis = _dense_basis(m)
+    table = _bracket_table(m)
+    for p, q in itertools.permutations(range(m.dim), 2):
         x, y = basis[p], basis[q]
-        coords = m.bracket_coords(p, q)
-        got = sum((v * basis[k] for k, v in coords.items()),
+        got = sum((v * basis[k] for k, v in table[p, q].items()),
                   np.zeros_like(x))
         assert np.array_equal(got, x @ y - y @ x), (m.labels[p], m.labels[q])
-        assert m.bracket_coords(q, p) == {k: -v for k, v in coords.items()}
+
+
+def _full_union_algebras(max_rank: int) -> list[MatrixSeaweed]:
+    """Every type-A full-union pair up to max_rank, then poset_algebra_sl4."""
+    mats = []
+    for n in range(1, max_rank + 1):
+        rs = build_root_system(LieType("A", n))
+        mats += [realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
+                 for m1, m2 in _mask_pairs(n)]
+    return mats + [poset_algebra_sl4()]
 
 
 def test_brackets_match_dense_commutators():
-    for n in range(1, 5):
-        rs = build_root_system(LieType("A", n))
-        for m1, m2 in _mask_pairs(n):
-            _dense_bracket_agrees(realize_type_a(
-                Seaweed(rs, mask_subset(m1), mask_subset(m2))))
-    _dense_bracket_agrees(poset_algebra_sl4())
+    for mat in _full_union_algebras(4):
+        _dense_bracket_agrees(mat)
+
+
+def _coordinates(m: MatrixSeaweed, c: np.ndarray) -> list:
+    """Basis coordinates of the matrix c, asserted to lie in the span: h_i
+    takes the diagonal of c summed down to entry i, E_rc the entry (r, c)."""
+    rest = c.copy()
+    np.fill_diagonal(rest, 0)
+    units = []
+    for r, col in m.units:
+        units.append(rest[r, col])
+        rest[r, col] = 0
+    assert not rest.any() and not np.trace(c)
+    return list(np.cumsum(np.diag(c))[:-1]) + units
+
+
+def test_ad_matrix_matches_dense_commutators():
+    # column q of ad X holds the coordinates of [X, b_q]
+    rng = random.Random(11)
+    for mat in _full_union_algebras(4):
+        basis = np.array(_dense_basis(mat), dtype=object)
+        for coords in ([rng.randint(-9, 9) for _ in range(mat.dim)],
+                       [Q(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(mat.dim)]):
+            x = np.tensordot(np.array(coords, dtype=object), basis, axes=1)
+            ad = ad_matrix(mat, coords)
+            for q, b in enumerate(basis):
+                assert ([row[q] for row in ad]
+                        == _coordinates(mat, x @ b - b @ x)), (mat, q)
 
 
 def test_bracket_outside_the_span_is_reported():
     m = MatrixSeaweed(3, ((0, 1), (1, 2)))      # [E12, E23] = E13 is missing
     with pytest.raises(AssertionError, match="bracket left the span"):
-        m.bracket_coords(3, 4)
+        _bracket_table(m)
 
 
 def test_realization_rejects_other_types():
@@ -107,7 +156,7 @@ def test_poset_algebra_fixture():
     pa = poset_algebra_sl4()
     assert pa.dim == 8
     f = functional_from_labels(pa, {"e1,4": 1, "e2,4": 1, "e2,3": 1})
-    assert kirillov_rank(pa, f) == 8
+    assert rank_int_rows(kirillov_matrix(pa, f)) == 8
     fhat = principal_element(pa, f)
     # the diagonal (1/2, 1/2, -1/2, -1/2), summed down to each h_i, and no
     # unit part
@@ -159,39 +208,33 @@ def test_ad_spectrum_refuses_what_is_not_an_integer_diagonal_spectrum(entries):
         ad_spectrum(mat, entries)
 
 
+def _jacobi_sum(table, p: int, q: int, r: int) -> dict[int, int]:
+    """[b_p, [b_q, b_r]] + [b_q, [b_r, b_p]] + [b_r, [b_p, b_q]]."""
+    total: dict[int, int] = {}
+    for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+        for k, v in table[b, c].items():
+            for k2, v2 in table[a, k].items():
+                total[k2] = total.get(k2, 0) + v * v2
+    return total
+
+
 def test_jacobi_identity_small():
     for pi1, pi2 in (({3, 1}, {3, 2}), ({3, 2, 1}, {2}), ({2}, {3, 1})):
         s = make_seaweed(LieType("A", 3), pi1, pi2)
         mat = realize_type_a(s)
-        d = mat.dim
-
-        def ad_pair(p, q):
-            return mat.bracket_coords(p, q)
-
-        for p, q, r in itertools.combinations(range(d), 3):
-            total: dict[int, int] = {}
-            for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
-                inner = ad_pair(b, c)
-                for k, v in inner.items():
-                    for k2, v2 in ad_pair(a, k).items():
-                        total[k2] = total.get(k2, 0) + v * v2
-            assert all(v == 0 for v in total.values()), (p, q, r)
+        table = _bracket_table(mat)
+        for p, q, r in itertools.combinations(range(mat.dim), 3):
+            assert not any(_jacobi_sum(table, p, q, r).values()), (p, q, r)
 
 
 def test_jacobi_identity_random_triples_larger():
-    import random
     s = make_seaweed(LieType("A", 6), {6, 5, 4, 2, 1}, {6, 4, 3, 2})
     mat = realize_type_a(s)
+    table = _bracket_table(mat)
     rng = random.Random(3)
-    d = mat.dim
     for _ in range(120):
-        p, q, r = rng.sample(range(d), 3)
-        total: dict[int, int] = {}
-        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
-            for k, v in mat.bracket_coords(b, c).items():
-                for k2, v2 in mat.bracket_coords(a, k).items():
-                    total[k2] = total.get(k2, 0) + v * v2
-        assert all(v == 0 for v in total.values())
+        p, q, r = rng.sample(range(mat.dim), 3)
+        assert not any(_jacobi_sum(table, p, q, r).values())
 
 
 def test_spectrum_functional_independent():
@@ -204,7 +247,7 @@ def test_spectrum_functional_independent():
     spectra = set()
     found = 0
     for f in sample_functionals(mat, 40, seed=7):
-        if kirillov_rank(mat, f) == mat.dim:
+        if rank_int_rows(kirillov_matrix(mat, f)) == mat.dim:
             spectra.add(ad_spectrum(mat, principal_element(mat, f)).mult)
             found += 1
             if found == 3:
@@ -266,12 +309,7 @@ def test_index_draws_on_past_a_degenerate_first_sample():
 
 
 def test_kirillov_stack_matches_kirillov_matrix():
-    mats = [poset_algebra_sl4()]
-    for n in range(1, 4):
-        rs = build_root_system(LieType("A", n))
-        mats += [realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
-                 for m1, m2 in _mask_pairs(n)]
-    for mat in mats:
+    for mat in _full_union_algebras(3):
         fs = sample_functionals(mat, 3, seed=2)
         assert (oracle._kirillov_stack(mat, fs).tolist()
                 == [kirillov_matrix(mat, f) for f in fs])
