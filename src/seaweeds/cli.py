@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import cache
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
@@ -251,10 +250,7 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parse_args
-    fills a new namespace on each call, so nothing carries over."""
     parser = argparse.ArgumentParser(
         prog="seaweed",
         description="Frobenius seaweeds: meanders, spectra, catalogs")

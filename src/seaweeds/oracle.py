@@ -63,47 +63,44 @@ class MatrixSeaweed:
 
     @cached_property
     def _slot_terms(self) -> list[list[tuple[int, int, int]]]:
-        return _build_brackets(self)
+        """The structure constants, by slot: for each slot k, every
+        (p, q, v) with p < q such that [b_p, b_q] has coefficient v at slot
+        k.  They come from the sl(n) rules
+        [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
+        [h_i, E_rc] = (<i,r> - <i,c>) E_rc, where <i,a> is the coefficient
+        of E_aa in h_i; E_aa - E_bb telescopes into h_a + ... + h_(b-1)."""
+        n = self.n
+        slot = {unit: k for k, unit in enumerate(self.units, n - 1)}
+        terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
 
+        def unit_terms(r: int, c: int, p: int,
+                       q: int) -> list[tuple[int, int, int]]:
+            if (r, c) not in slot:
+                raise AssertionError(
+                    "bracket left the span: slot "
+                    f"({r},{c}) from [{self.labels[p]},{self.labels[q]}]")
+            return terms[slot[(r, c)]]
 
-def _build_brackets(m: MatrixSeaweed) -> list[list[tuple[int, int, int]]]:
-    """The structure constants, by slot: for each slot k, every (p, q, v)
-    with p < q such that [b_p, b_q] has coefficient v at slot k.  They come
-    from the sl(n) rules [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
-    [h_i, E_rc] = (<i,r> - <i,c>) E_rc, where <i,a> is the coefficient of
-    E_aa in h_i; E_aa - E_bb telescopes into h_a + ... + h_(b-1)."""
-    n = m.n
-    slot = {unit: k for k, unit in enumerate(m.units, n - 1)}
-    terms: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
+        def weight(i: int, a: int) -> int:
+            return (i == a) - (i + 1 == a)
 
-    def unit_terms(r: int, c: int, p: int,
-                   q: int) -> list[tuple[int, int, int]]:
-        if (r, c) not in slot:
-            raise AssertionError(
-                "bracket left the span: slot "
-                f"({r},{c}) from [{m.labels[p]},{m.labels[q]}]")
-        return terms[slot[(r, c)]]
-
-    def weight(i: int, a: int) -> int:
-        return (i == a) - (i + 1 == a)
-
-    for (r, c), q in slot.items():
-        for i in range(n - 1):
-            w = weight(i, r) - weight(i, c)
-            if w:
-                terms[q].append((i, q, w))
-    units = list(slot.items())
-    for x, ((a, b), p) in enumerate(units):
-        for (c, e), q in units[x + 1:]:
-            if b == c and e == a:
-                sign = 1 if a < b else -1
-                for i in range(min(a, b), max(a, b)):
-                    terms[i].append((p, q, sign))
-            elif b == c:
-                unit_terms(a, e, p, q).append((p, q, 1))
-            elif e == a:
-                unit_terms(c, b, p, q).append((p, q, -1))
-    return terms
+        for (r, c), q in slot.items():
+            for i in range(n - 1):
+                w = weight(i, r) - weight(i, c)
+                if w:
+                    terms[q].append((i, q, w))
+        units = list(slot.items())
+        for x, ((a, b), p) in enumerate(units):
+            for (c, e), q in units[x + 1:]:
+                if b == c and e == a:
+                    sign = 1 if a < b else -1
+                    for i in range(min(a, b), max(a, b)):
+                        terms[i].append((p, q, sign))
+                elif b == c:
+                    unit_terms(a, e, p, q).append((p, q, 1))
+                elif e == a:
+                    unit_terms(c, b, p, q).append((p, q, -1))
+        return terms
 
 
 def realize_type_a(s: Seaweed) -> MatrixSeaweed:

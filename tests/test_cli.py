@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import seaweeds
-from seaweeds import cli, spectrum
+from seaweeds import spectrum
 from seaweeds.cli import main
 from seaweeds.rootsys import LieType, build_root_system
 
@@ -197,20 +197,6 @@ def test_enumerate_and_appendix(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["count"] == 74
     assert payload["appendix_a"]["match"] is True
-
-
-def test_parser_is_built_once_and_keeps_nothing_between_calls(capsys,
-                                                             tmp_path):
-    cli.build_parser.cache_clear()
-    out_file = tmp_path / "g2.json"
-    code, out, _ = run(capsys, "enumerate", "--type", "G2",
-                       "--out", str(out_file))
-    assert code == 0 and out == ""
-    code, out, _ = run(capsys, "enumerate", "--type", "G2")
-    assert code == 0
-    assert out == out_file.read_text()      # the second call's --out is unset
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_enumerate_appendix_flag_is_e6_only(capsys):
