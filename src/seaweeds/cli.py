@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 the oracle and the combinatorics disagree (an
-internal inconsistency), 2 usage or parse error, 3 seaweed not Frobenius,
-4 unsupported operation.
+internal inconsistency), 2 usage or parse error (an unwritable --out
+included), 3 seaweed not Frobenius, 4 unsupported operation.
 """
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from collections import Counter
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
-                      from_compositions, make_seaweed, parse_composition,
-                      parse_subset)
+                      make_seaweed, parse_composition, parse_subset)
 from .meander import Side, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, verify_symmetric,
@@ -29,9 +28,7 @@ EXIT_USAGE = 2
 EXIT_NOT_FROBENIUS = 3
 EXIT_UNSUPPORTED = 4
 
-EXCEPTIONAL = {"E6": LieType("E", 6), "E7": LieType("E", 7),
-               "E8": LieType("E", 8), "F4": LieType("F", 4),
-               "G2": LieType("G", 2)}
+EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
 
 
 class UsageError(Exception):
@@ -41,13 +38,14 @@ class UsageError(Exception):
 def _lie_type(args) -> LieType:
     name = args.type.upper()
     if name in EXCEPTIONAL:
-        if args.rank is not None and LieType.parse(name).rank != args.rank:
+        t = LieType.parse(name)
+        if args.rank is not None and t.rank != args.rank:
             raise UsageError(f"--rank contradicts {name}")
-        return EXCEPTIONAL[name]
+        return t
     if name in ("A", "B", "C", "D"):
         if args.rank is None:
             raise UsageError("--rank is required for classical types")
-        if getattr(args, "bourbaki", False):
+        if args.bourbaki:
             raise UsageError(
                 "--bourbaki is not accepted for classical types; indices use "
                 "the convention with alpha_1 as the distinguished root")
@@ -55,41 +53,35 @@ def _lie_type(args) -> LieType:
     raise UsageError(f"unknown --type {args.type!r}")
 
 
+def _side(name: str, subset: str | None, comp: str | None,
+          n: int) -> frozenset[int]:
+    """One side from exactly one of --NAME (a subset) and --NAME-comp (a
+    composition, whose marks are the roots the side leaves out)."""
+    if (subset is None) == (comp is None):
+        raise UsageError(f"give exactly one of --{name} / --{name}-comp")
+    if comp is None:
+        return parse_subset(subset, n)
+    return (frozenset(range(1, n + 1))
+            - composition_marks(parse_composition(comp, n)))
+
+
 def _seaweed(args) -> Seaweed:
     t = _lie_type(args)
     n = t.rank
-    top_given = args.top is not None
-    topc_given = getattr(args, "top_comp", None) is not None
-    bot_given = args.bottom is not None
-    botc_given = getattr(args, "bottom_comp", None) is not None
-    if top_given == topc_given:
-        raise UsageError("give exactly one of --top / --top-comp")
-    if bot_given == botc_given:
-        raise UsageError("give exactly one of --bottom / --bottom-comp")
-    if topc_given or botc_given:
-        a = parse_composition(args.top_comp, n) if topc_given else None
-        b = parse_composition(args.bottom_comp, n) if botc_given else None
-        if a is not None and b is not None:
-            return from_compositions(t, a, b)
-        # mixed form: convert the composition side to a subset
-        full = frozenset(range(1, n + 1))
-        pi1 = (full - composition_marks(a)) if a is not None \
-            else parse_subset(args.top, n)
-        pi2 = (full - composition_marks(b)) if b is not None \
-            else parse_subset(args.bottom, n)
-        return make_seaweed(t, pi1, pi2)
-    return make_seaweed(t, parse_subset(args.top, n), parse_subset(args.bottom, n))
+    return make_seaweed(t, _side("top", args.top, args.top_comp, n),
+                        _side("bottom", args.bottom, args.bottom_comp, n))
 
 
 def _emit(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    """Print the output, into the --out file when one is given."""
+    if not args.out:
         print(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -109,24 +101,25 @@ def cmd_check(args) -> int:
             "u_turns": [{"orbit": list(r.orbit), "right": r.right,
                          "left": r.left} for r in report.rows],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        print(f"seaweed   {s!r}")
-        print("orbits    " + "  ".join(
-            "{" + ",".join(f"a{v}" for v in o) + "}" for o in m.orbits))
-        print("shared-complement  {" + ",".join(
-            f"a{v}" for v in sorted(s.pi_union_complement, reverse=True)) + "}")
-        for r in report.rows:
-            if r.right or r.left:
-                print(f"u-turns   orbit {{{','.join(map(str, r.orbit))}}}: "
-                      f"{r.right} right, {r.left} left")
-        print(f"frobenius {'yes' if frob else 'no'}")
+        lines = [
+            f"seaweed   {s!r}",
+            "orbits    " + "  ".join(
+                "{" + ",".join(f"a{v}" for v in o) + "}" for o in m.orbits),
+            "shared-complement  {" + ",".join(
+                f"a{v}" for v in sorted(s.pi_union_complement, reverse=True))
+            + "}"]
+        lines += [f"u-turns   orbit {{{','.join(map(str, r.orbit))}}}: "
+                  f"{r.right} right, {r.left} left"
+                  for r in report.rows if r.right or r.left]
+        lines.append(f"frobenius {'yes' if frob else 'no'}")
+        text = "\n".join(lines)
+    _emit(text, args)
     return EXIT_OK if frob else EXIT_NOT_FROBENIUS
 
 
-def _spectrum_payload(s: Seaweed) -> dict:
-    x = simple_eigenvalues(s)
-    spectra, total = component_spectra(s, x)
+def _spectrum_payload(s: Seaweed, x, spectra, total: Spectrum) -> dict:
     comps = [{
         "side": "top" if cs.component.side is Side.TOP else "bottom",
         "roots": sorted(cs.component.roots, reverse=True),
@@ -145,47 +138,48 @@ def cmd_spectrum(args) -> int:
     s = _seaweed(args)
     if not s.pi1 | s.pi2:
         raise UsageError("pi1 | pi2 is empty: there is no seaweed to split")
-    parts = decompose_direct_sum(s) if args.decompose else [s]
     if not args.decompose and not s.has_full_union():
         raise UsageError("pi1 | pi2 does not cover the diagram; rerun with "
                          "--decompose to split the direct sum")
+    parts = decompose_direct_sum(s)
     for part in parts:
         if not is_frobenius(part):
             print(f"{part!r} is not Frobenius", file=sys.stderr)
             return EXIT_NOT_FROBENIUS
+    # one solve per summand: (seaweed, values, component spectra, spectrum)
+    solved = []
+    for part in parts:
+        x = simple_eigenvalues(part)
+        solved.append((part, x, *component_spectra(part, x)))
+    total = Spectrum.from_counter(
+        sum((sp.as_counter() for *_, sp in solved), Counter()))
     if args.format == "json":
-        if len(parts) == 1:
-            payload = _spectrum_payload(parts[0])
+        summands = [_spectrum_payload(*entry) for entry in solved]
+        if len(summands) == 1:
+            payload = summands[0]
         else:
-            summands = [_spectrum_payload(p) for p in parts]
-            total = Counter()
-            for summand in summands:
-                total.update(Spectrum.from_json_dict(summand).as_counter())
             payload = {"seaweed": repr(s), "summands": summands}
-            payload.update(Spectrum.from_counter(total).to_json_dict())
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args)
+            payload.update(total.to_json_dict())
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        if len(parts) == 1:
-            part = parts[0]
-            x = simple_eigenvalues(part)
-            sp = component_spectra(part, x)[1]
-            print(f"seaweed   {part!r}   dimension {seaweed_dimension(part)}")
-            print("simple eigenvalues  " + " ".join(
-                f"a{i}={v}" for i, v in sorted(x.as_dict().items())))
+        if len(solved) == 1:
+            part, x = solved[0][:2]
+            lines = [f"seaweed   {part!r}   dimension {seaweed_dimension(part)}",
+                     "simple eigenvalues  " + " ".join(
+                         f"a{i}={v}" for i, v in sorted(x.as_dict().items()))]
         else:
-            sp = full_spectrum(s)
-            print(f"seaweed   {s!r}   (direct sum of {len(parts)})")
-        _print_spectrum_table(sp)
+            lines = [f"seaweed   {s!r}   (direct sum of {len(parts)})"]
+        ks = [str(k) for k, _ in total.mult]
+        ms = [str(m) for _, m in total.mult]
+        widths = [max(len(a), len(b)) for a, b in zip(ks, ms)]
+        lines += [
+            "eigenvalue    " + "  ".join(k.rjust(w) for k, w in zip(ks, widths)),
+            "multiplicity  " + "  ".join(m.rjust(w) for m, w in zip(ms, widths)),
+            f"unbroken {verify_unbroken(total)}   "
+            f"symmetric {verify_symmetric(total)}"]
+        text = "\n".join(lines)
+    _emit(text, args)
     return EXIT_OK
-
-
-def _print_spectrum_table(sp) -> None:
-    ks = [str(k) for k, _ in sp.mult]
-    ms = [str(m) for _, m in sp.mult]
-    widths = [max(len(a), len(b)) for a, b in zip(ks, ms)]
-    print("eigenvalue    " + "  ".join(k.rjust(w) for k, w in zip(ks, widths)))
-    print("multiplicity  " + "  ".join(m.rjust(w) for m, w in zip(ms, widths)))
-    print(f"unbroken {verify_unbroken(sp)}   symmetric {verify_symmetric(sp)}")
 
 
 def cmd_enumerate(args) -> int:
@@ -251,61 +245,42 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # options shared by several subcommands, declared once as parents
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--type", required=True,
+                        help="A, B, C, D (with --rank) or E6, E7, E8, F4, G2")
+    common.add_argument("--rank", type=int)
+    common.add_argument("--bourbaki", action="store_true",
+                        help="confirm Bourbaki indexing (exceptional types only)")
+    common.add_argument("--out", help="write the output to this file, not stdout")
+    sides = argparse.ArgumentParser(add_help=False)
+    sides.add_argument("--top",
+                       help="comma list of simple-root indices, e.g. 9,7,6")
+    sides.add_argument("--top-comp", help="composition form, e.g. 1,1,5,1")
+    sides.add_argument("--bottom")
+    sides.add_argument("--bottom-comp")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "table"), default="table")
+
     parser = argparse.ArgumentParser(
         prog="seaweed",
         description="Frobenius seaweeds: meanders, spectra, catalogs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_type(p):
-        p.add_argument("--type", required=True,
-                       help="A, B, C, D (with --rank) or E6, E7, E8, F4, G2")
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--bourbaki", action="store_true",
-                       help="confirm Bourbaki indexing (exceptional types only)")
+    def command(name, func, help_, *parents):
+        p = sub.add_parser(name, help=help_, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    def add_sides(p):
-        p.add_argument("--top", default=None,
-                       help="comma list of simple-root indices, e.g. 9,7,6")
-        p.add_argument("--top-comp", dest="top_comp", default=None,
-                       help="composition form, e.g. 1,1,5,1")
-        p.add_argument("--bottom", default=None)
-        p.add_argument("--bottom-comp", dest="bottom_comp", default=None)
-
-    p = sub.add_parser("check", help="orbits and the Frobenius test")
-    add_type(p)
-    add_sides(p)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("spectrum", help="simple eigenvalues and the spectrum")
-    add_type(p)
-    add_sides(p)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--decompose", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("enumerate", help="catalog all Frobenius seaweeds")
-    add_type(p)
-    p.add_argument("--check-appendix-a", dest="check_appendix_a",
-                   action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("oracle", help="exact matrix cross-check (type A)")
-    add_type(p)
-    add_sides(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("render", help="draw the orbit meander")
-    add_type(p)
-    add_sides(p)
-    p.add_argument("--format", choices=("svg", "tikz"), default="svg")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_render)
+    command("check", cmd_check, "orbits and the Frobenius test", sides, table)
+    command("spectrum", cmd_spectrum, "simple eigenvalues and the spectrum",
+            sides, table).add_argument("--decompose", action="store_true")
+    command("enumerate", cmd_enumerate, "catalog all Frobenius seaweeds"
+            ).add_argument("--check-appendix-a", action="store_true")
+    command("oracle", cmd_oracle, "exact matrix cross-check (type A)", sides
+            ).add_argument("--seed", type=int, default=DEFAULT_SEED)
+    command("render", cmd_render, "draw the orbit meander", sides
+            ).add_argument("--format", choices=("svg", "tikz"), default="svg")
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rootsys import LieType, RootSystem, build_root_system
-from .seaweed import Seaweed, canonical_form, mask_subset, subset_mask
+from .seaweed import Seaweed, mask_subset
 from .meander import _meets_once, orbits, side_permutation, u_turn_report
 from .spectrum import (component_spectra, component_sum_ok, eigenvalue_bounds_ok,
                        full_spectrum, seaweed_dimension, simple_eigenvalues,
@@ -69,45 +69,32 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
             if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
 
 
-def _length_reversal(t: LieType) -> dict[int, int] | None:
-    """The relabeling that reverses arrow directions, where the undirected
-    diagram admits one: F4, G2, and the rank-2 B/C system.  Subset pairs
-    related by it present the same subalgebra up to the identifications the
-    reference catalogs use, so catalogs quotient by it (E-types are
-    untouched; their diagram automorphisms are kept as distinct entries)."""
-    if t.family == "F":
-        return {1: 4, 2: 3, 3: 2, 4: 1}
-    if t.family == "G" or (t.family in "BC" and t.rank == 2):
-        return {1: 2, 2: 1}
-    return None
-
-
 def enumerate_frobenius(t: LieType) -> Catalog:
     """All Frobenius seaweeds of one type, deduplicated under the swap
-    (plus the arrow-reversing relabeling for the self-dual diagrams)."""
+    (plus the arrow-reversing relabeling for the self-dual diagrams).
+
+    Each pair is keyed by the least (m1, m2) of its orbit.  On F4, G2 and
+    the rank-2 B/C system the undirected diagram has the relabeling
+    i -> n+1-i, which reverses the arrow; pairs related by it present the
+    same subalgebra up to the identifications the reference catalogs use,
+    so the orbit includes the n-bit reversals of both masks.  The E-types'
+    diagram automorphisms are kept as distinct entries.
+    """
     n = t.rank
     if n > ENUM_RANK_GUARD:
         raise ValueError(f"rank {n} exceeds the exhaustive-scan guard "
                          f"({ENUM_RANK_GUARD})")
     rs = build_root_system(t)
-    results = [canonical_form(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
-               for m1, m2 in _frobenius_pairs(rs)]
-    dedup = {(subset_mask(s.pi1), subset_mask(s.pi2)): s for s in results}
-    rho = _length_reversal(t)
-    if rho is not None:
-        merged = {}
-        for (m1, m2), s in sorted(dedup.items()):
-            ra = frozenset(rho[i] for i in s.pi1)
-            rb = frozenset(rho[i] for i in s.pi2)
-            key = min((m1, m2), (subset_mask(ra), subset_mask(rb)),
-                      (subset_mask(rb), subset_mask(ra)))
-            if key not in merged:
-                merged[key] = canonical_form(Seaweed(rs, *(
-                    (s.pi1, s.pi2) if key == (m1, m2) else (ra, rb))))
-        dedup = {(subset_mask(s.pi1), subset_mask(s.pi2)): s
-                 for s in merged.values()}
-    entries = tuple(dedup[key] for key in sorted(dedup))
-    return Catalog(t, entries)
+    reverse = t.family in "FG" or (t.family in "BC" and n == 2)
+    keys = set()
+    for m1, m2 in _frobenius_pairs(rs):
+        key = min((m1, m2), (m2, m1))
+        if reverse:
+            r1, r2 = (int(f"{m:0{n}b}"[::-1], 2) for m in (m1, m2))
+            key = min(key, (r1, r2), (r2, r1))
+        keys.add(key)
+    return Catalog(t, tuple(Seaweed(rs, mask_subset(m1), mask_subset(m2))
+                            for m1, m2 in sorted(keys)))
 
 
 # The 74 Frobenius seaweeds of E6, as unordered subset pairs.

@@ -53,8 +53,6 @@ class Involution:
 @dataclass(frozen=True)
 class OrbitMeander:
     seaweed: Seaweed
-    top_components: tuple[Component, ...]
-    bottom_components: tuple[Component, ...]
     i1: Involution
     i2: Involution
     orbits: tuple[tuple[int, ...], ...]
@@ -65,7 +63,6 @@ class OrbitUTurns:
     orbit: tuple[int, ...]
     right: int
     left: int
-    anchored: bool                  # traversal started at a fixed point in pi1 & pi2
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,7 @@ def orbits(s: Seaweed) -> OrbitMeander:
             cyc.append(v)
             v = i2(i1(v))
         cycles.append(tuple(cyc))
-    tops, bottoms = components(s)
-    return OrbitMeander(s, tops, bottoms, i1, i2, tuple(cycles))
+    return OrbitMeander(s, i1, i2, tuple(cycles))
 
 
 def _meets_once(p1: tuple[int, ...], p2: tuple[int, ...], target: int) -> bool:
@@ -218,12 +214,11 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
     rows = []
     for cyc in m.orbits:
         if len(cyc) == 1:
-            rows.append(OrbitUTurns(cyc, 0, 0, False))
+            rows.append(OrbitUTurns(cyc, 0, 0))
             continue
         path_ends = [v for v in cyc if m.i1.fixed(v) or m.i2.fixed(v)]
         anchors = [v for v in path_ends if v in inter]
-        anchored = bool(anchors)
-        if anchored:
+        if anchors:
             start = min(anchors)
         elif path_ends:
             start = min(path_ends)
@@ -246,7 +241,7 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
             side = Side.BOTTOM if side is Side.TOP else Side.TOP
             if v == start and side is first:
                 break
-        rows.append(OrbitUTurns(cyc, right, left, anchored))
+        rows.append(OrbitUTurns(cyc, right, left))
     return UTurnReport(tuple(rows))
 
 

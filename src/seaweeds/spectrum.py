@@ -70,10 +70,6 @@ class Spectrum:
             "dimension": self.total(),
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "Spectrum":
-        return Spectrum(tuple((e["k"], e["mult"]) for e in data["eigenvalues"]))
-
 
 @dataclass(frozen=True)
 class ComponentSpectrum:

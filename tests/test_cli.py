@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,42 @@ def test_spectrum_table_decompose_single_summand(capsys):
     assert json.loads(out)["seaweed"] == "p^A2(2,1|1)"
 
 
+@pytest.mark.parametrize("typ,rank,top,bottom", [
+    ("A", "9", "9,8,4,3,1", "9,7,4,2,1"),
+    ("B", "6", "6,5,2,1", "5,3,2"),
+])
+def test_spectrum_decompose_multi_summand(capsys, monkeypatch, typ, rank,
+                                          top, bottom):
+    # two summands, each solved once per request; the total is their sum
+    solved = []
+    solve = spectrum._solve_eigenvalues
+    monkeypatch.setattr(spectrum, "_solve_eigenvalues",
+                        lambda s: solved.append(s) or solve(s))
+    argv = ("spectrum", "--type", typ, "--rank", rank, "--top", top,
+            "--bottom", bottom, "--decompose")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert len(solved) == 2
+    payload = json.loads(out)
+    summands = payload["summands"]
+    assert len(summands) == 2
+    total = Counter()
+    for summand in summands:
+        total.update({e["k"]: e["mult"] for e in summand["eigenvalues"]})
+    assert {e["k"]: e["mult"] for e in payload["eigenvalues"]} == total
+    assert payload["dimension"] == sum(p["dimension"] for p in summands)
+    assert payload["unbroken"] and payload["symmetric"]
+
+    code, out, err = run(capsys, *argv, "--format", "table")
+    assert code == 0, err
+    assert len(solved) == 4
+    head, ks, ms, verdict = out.splitlines()
+    assert head.endswith(f"(direct sum of {len(summands)})")
+    assert dict(zip(map(int, ks.split()[1:]), map(int, ms.split()[1:]))) \
+        == total
+    assert verdict == "unbroken True   symmetric True"
+
+
 def test_spectrum_composition_arguments(capsys):
     code, out, _ = run(capsys, "spectrum", "--type", "C", "--rank", "3",
                        "--top-comp", "1,1,1", "--bottom-comp", "",
@@ -203,6 +240,34 @@ def test_enumerate_appendix_flag_is_e6_only(capsys):
     code, _, err = run(capsys, "enumerate", "--type", "G2",
                        "--check-appendix-a")
     assert code == 2
+
+
+CHECK_A9 = ("check", "--type", "A", "--rank", "9", "--top", "9,7,6,4,3,2,1",
+            "--bottom", "9,8,7,5,4,3,2,1")
+SPECTRUM_B8 = ("spectrum", "--type", "B", "--rank", "8",
+               "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", [CHECK_A9, SPECTRUM_B8],
+                         ids=["check", "spectrum"])
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv, fmt):
+    code, expected, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    out_file = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    assert out_file.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, fmt):
+    code, out, err = run(capsys, *SPECTRUM_B8, "--format", fmt,
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err
 
 
 def test_json_round_trip_byte_identical(capsys):
