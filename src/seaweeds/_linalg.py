@@ -158,7 +158,7 @@ def rank_mod_p(matrix: list[list[int]]) -> int:
 def ranks_mod_p(stack) -> list[int]:
     """The rank mod p = PRIME of each matrix in a stack of same-shape
     integer matrices: a 3-D array, or nested lists whose entries may leave
-    the int64 range.
+    the int64 range (each is reduced mod p before the array is built).
 
     One elimination runs over the whole stack: its loop makes one pass per
     column, not one per column of each matrix, and at small sizes the numpy
@@ -170,10 +170,13 @@ def ranks_mod_p(stack) -> list[int]:
     """
     import numpy as np  # deferred, as in rank_mod_p
     p = PRIME
-    a = np.asarray(stack)
+    if isinstance(stack, np.ndarray):
+        a = (stack % p).astype(np.int64, copy=False)
+    else:   # np.asarray would turn entries of 2^63 or more into floats
+        a = np.array([[[x % p for x in row] for row in m] for m in stack],
+                     dtype=np.int64)
     if not a.size:
         return [0] * len(a)
-    a = (a % p).astype(np.int64, copy=False)
     count, rows, cols = a.shape
     free = np.ones((count, rows), dtype=bool)      # rows no pivot took yet
     for c in range(cols):

@@ -14,7 +14,7 @@ from collections import Counter
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
                       make_seaweed, parse_composition, parse_subset)
-from .meander import Side, is_frobenius, orbits, u_turn_report
+from .meander import Side, components, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, verify_symmetric,
                        verify_unbroken)
@@ -150,7 +150,7 @@ def cmd_spectrum(args) -> int:
     solved = []
     for part in parts:
         x = simple_eigenvalues(part)
-        solved.append((part, x, *component_spectra(part, x)))
+        solved.append((part, x, *component_spectra(components(part), x)))
     total = Spectrum.from_counter(
         sum((sp.as_counter() for *_, sp in solved), Counter()))
     if args.format == "json":

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rootsys import LieType, RootSystem, build_root_system
-from .seaweed import Seaweed, mask_subset
-from .meander import _meets_once, orbits, side_permutation, u_turn_report
-from .spectrum import (component_spectra, component_sum_ok, eigenvalue_bounds_ok,
-                       full_spectrum, seaweed_dimension, simple_eigenvalues,
-                       symmetric_root, verify_symmetric, verify_unbroken,
-                       zero_padding)
+from .seaweed import Seaweed, mask_subset, subset_mask
+from .meander import (_meets_once, components, orbits, side_permutation,
+                      swapped_components, u_turn_report)
+from .spectrum import (_solve_eigenvalues, component_spectra,
+                       component_sum_ok, eigenvalue_bounds_ok,
+                       seaweed_dimension, simple_eigenvalues,
+                       verify_symmetric, verify_unbroken, zero_padding)
 
 ENUM_RANK_GUARD = 16
 
@@ -241,7 +242,7 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
         report.failures.append(f"{label}: {msg}")
 
     x = simple_eigenvalues(s)
-    spectra, sp = component_spectra(s, x)
+    spectra, sp = component_spectra(components(s), x)
     if not verify_unbroken(sp):
         fail(f"spectrum {sp.mult} is broken")
     if not verify_symmetric(sp):
@@ -271,35 +272,72 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
                 fail(f"unlisted full-E6 value pattern {config}")
     if pad_total != s.rank:
         fail(f"zero padding totals {pad_total}, expected the rank {s.rank}")
-    for row in u_turn_report(orbits(s)).rows:
+    meander = orbits(s)
+    for row in u_turn_report(meander).rows:
         if classical and (row.right > 1 or row.left > 1):
             fail(f"orbit {row.orbit} has {row.right} right / {row.left} left "
                  "U-turns")
         if row.right + row.left > 2:
             fail(f"orbit {row.orbit} has more than two U-turns")
+    # The swapped seaweed's involutions and components are s's with the
+    # sides exchanged; its Frobenius test, solve and spectra still run.
     flipped = Seaweed(rs, s.pi2, s.pi1)
-    if full_spectrum(flipped).mult != sp.mult:
+    if not _meets_once(meander.i2.perm, meander.i1.perm,
+                       subset_mask(s.pi_union_complement)):
+        raise ValueError(f"{flipped} is not Frobenius; its spectrum is "
+                         "undefined")
+    swapped = swapped_components(s)
+    x_swapped = _solve_eigenvalues(flipped, swapped)
+    if component_spectra(swapped, x_swapped)[1].mult != sp.mult:
         fail("spectrum changed under the side swap")
     report.checked += 1
 
 
 def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
-    """Check the mirror pairing on every root of a chain component, each the
-    sum of a run of consecutive simple roots along c.order."""
+    """Check the mirror pairing on every root of a chain component.
+
+    Each root is the run of positions i..j along c.order and evaluates to
+    P[j] - P[i-1] on the prefix sums P of the side-normalized values; its
+    mirror is the run `_mirror_run` names.  Root tuples are built only for
+    a failure message.
+    """
+    path = c.order
+    k = len(path)
     sgn = c.side.sign
-    k = len(c.order)
-    for i in range(k):
-        for j in range(i, k):
-            coeffs = [0] * s.rank
-            for a in c.order[i:j + 1]:
-                coeffs[a - 1] = 1
-            beta = tuple(coeffs)
-            mirror = symmetric_root(s.root_system, c, beta)
+    prefix = [0]
+    for a in path:
+        prefix.append(prefix[-1] + sgn * x.of(a))
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            value = prefix[j] - prefix[i - 1]
+            mirror = _mirror_run(k, i, j)
             if mirror is None:
-                if sgn * x.evaluate(beta) != 1:
-                    fail(f"self-paired root {beta} does not evaluate to one")
-            elif sgn * (x.evaluate(beta) + x.evaluate(mirror)) != 1:
-                fail(f"mirror roots {beta}, {mirror} do not sum to one")
+                if value != 1:
+                    fail(f"self-paired root {_run_root(s.rank, path, i, j)} "
+                         "does not evaluate to one")
+            elif value + prefix[mirror[1]] - prefix[mirror[0] - 1] != 1:
+                fail(f"mirror roots {_run_root(s.rank, path, i, j)}, "
+                     f"{_run_root(s.rank, path, *mirror)} do not sum to one")
+
+
+def _mirror_run(k: int, i: int, j: int) -> tuple[int, int] | None:
+    """The positions lo..hi of the mirror partner of the run i..j on a chain
+    of k simple roots, by the rule of `symmetric_root`; None on the
+    self-paired diagonal i + j = k + 1."""
+    if i + j == k + 1:
+        return None
+    if i + j >= k + 2:
+        return k + 1 - j, i - 1
+    return j + 1, k + 1 - i
+
+
+def _run_root(rank: int, path: tuple[int, ...], lo: int, hi: int
+              ) -> tuple[int, ...]:
+    """The root summing the simple roots at positions lo..hi of path."""
+    coeffs = [0] * rank
+    for a in path[lo - 1:hi]:
+        coeffs[a - 1] = 1
+    return tuple(coeffs)
 
 
 def spectrum_census(cat: Catalog) -> CensusReport:

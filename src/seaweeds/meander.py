@@ -90,6 +90,18 @@ def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]
             _side_components(rs, s.pi2, Side.BOTTOM))
 
 
+def swapped_components(s: Seaweed
+                       ) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
+    """The components of Seaweed(rs, s.pi2, s.pi1), derived from s's: a
+    side's components depend on its subset alone, so the two sides trade
+    places and each component takes the other side (and its sign)."""
+    tops, bottoms = components(s)
+    return (tuple(Component(Side.TOP, c.roots, c.shape, c.order)
+                  for c in bottoms),
+            tuple(Component(Side.BOTTOM, c.roots, c.shape, c.order)
+                  for c in tops))
+
+
 def _component_involution(c: Component) -> dict[int, int]:
     kind, k = c.shape.kind, c.shape.rank
     if kind == "A":

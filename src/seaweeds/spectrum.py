@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from ._linalg import solve_by_propagation
 from .rootsys import (DiagramShape, LieType, PositiveRoot, RootSystem,
@@ -165,11 +166,14 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
     """Solve the constraint system; the seaweed must be Frobenius."""
     if not is_frobenius(s):
         raise ValueError(f"{s} is not Frobenius; its spectrum is undefined")
-    return _solve_eigenvalues(s)
+    return _solve_eigenvalues(s, components(s))
 
 
-def _solve_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
-    tops, bottoms = components(s)
+def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
+                                                 tuple[Component, ...]]
+                       ) -> SimpleEigenvalueVector:
+    """Solve the constraints of s's (tops, bottoms) component pair."""
+    tops, bottoms = sides
     rows = [row for c in tops + bottoms for row in component_constraints(c)]
     try:
         sol = solve_by_propagation(rows, s.rank)
@@ -187,29 +191,33 @@ def component_spectrum(c: Component,
     """Eigenvalue multiset of one component: every root of its shape
     evaluated on the solved values (negated on the bottom), plus the zero
     padding."""
-    vals = [c.side.sign * x.of(i) for i in c.order]
+    sgn = c.side.sign
+    vals = [sgn * x.of(i) for i in c.order]
     kind = c.shape.kind
     if kind in "ABCD":
-        f = [sum(a * v for a, v in zip(e, vals))
-             for e in twice_epsilon(kind, len(vals))]
+        f = [sum(map(mul, e, vals)) for e in twice_epsilon(kind, len(vals))]
         counts = Counter(epsilon_root_values(kind, f))
     else:
         shape = build_root_system(LieType(kind, c.shape.rank))
-        counts = Counter(sum(a * v for a, v in zip(beta, vals))
+        counts = Counter(sum(map(mul, beta, vals))
                          for beta in shape.positive_roots)
     counts[0] += zero_padding(c.shape)
     return ComponentSpectrum(c, Spectrum.from_counter(counts))
 
 
-def component_spectra(s: Seaweed, x: SimpleEigenvalueVector
+def component_spectra(sides: tuple[tuple[Component, ...],
+                                   tuple[Component, ...]],
+                      x: SimpleEigenvalueVector
                       ) -> tuple[list[ComponentSpectrum], Spectrum]:
     """Every component's spectrum under the solved values, top side first,
-    and their union, the full spectrum of s."""
-    tops, bottoms = components(s)
+    and their union: the full spectrum of the seaweed whose (tops, bottoms)
+    component pair `sides` is."""
+    tops, bottoms = sides
     spectra = [component_spectrum(c, x) for c in tops + bottoms]
     total: Counter = Counter()
     for cs in spectra:
-        total.update(cs.values.as_counter())
+        for k, m in cs.values.mult:
+            total[k] += m
     return spectra, Spectrum.from_counter(total)
 
 
@@ -220,7 +228,7 @@ def full_spectrum(s: Seaweed) -> Spectrum:
         for part in decompose_direct_sum(s):
             total.update(full_spectrum(part).as_counter())
         return Spectrum.from_counter(total)
-    return component_spectra(s, simple_eigenvalues(s))[1]
+    return component_spectra(components(s), simple_eigenvalues(s))[1]
 
 
 def verify_unbroken(sp: Spectrum) -> bool:
@@ -233,7 +241,7 @@ def verify_unbroken(sp: Spectrum) -> bool:
 
 def verify_symmetric(sp: Spectrum) -> bool:
     """Multiplicities are symmetric about one half: r(k) == r(1-k)."""
-    c = sp.as_counter()
+    c = dict(sp.mult)
     return all(m == c.get(1 - k, 0) for k, m in c.items())
 
 

@@ -88,7 +88,7 @@ def test_spectrum_table_solves_once(capsys, monkeypatch):
     solved = []
     solve = spectrum._solve_eigenvalues
     monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s: solved.append(s) or solve(s))
+                        lambda s, sides: solved.append(s) or solve(s, sides))
     code, _, _ = run(capsys, "spectrum", "--type", "B", "--rank", "8",
                      "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2",
                      "--format", "table")
@@ -156,7 +156,7 @@ def test_spectrum_decompose_multi_summand(capsys, monkeypatch, typ, rank,
     solved = []
     solve = spectrum._solve_eigenvalues
     monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s: solved.append(s) or solve(s))
+                        lambda s, sides: solved.append(s) or solve(s, sides))
     argv = ("spectrum", "--type", typ, "--rank", rank, "--top", top,
             "--bottom", bottom, "--decompose")
     code, out, err = run(capsys, *argv, "--format", "json")

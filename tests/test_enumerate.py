@@ -5,14 +5,17 @@ import json
 
 import pytest
 
+import seaweeds.enumerate as enumerate_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import (Side, components, involution, is_frobenius,
-                              orbits, side_permutation)
+                              orbits, side_permutation, swapped_components)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _frobenius_pairs,
-                                _mask_pairs, check_appendix_a,
-                                enumerate_frobenius, spectrum_census,
-                                verify_entry, CensusReport)
+                                _mask_pairs, _mirror_run, _run_root,
+                                check_appendix_a, enumerate_frobenius,
+                                spectrum_census, verify_entry, CensusReport)
+from seaweeds.spectrum import (SimpleEigenvalueVector, simple_eigenvalues,
+                               symmetric_root)
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 
@@ -41,6 +44,13 @@ SCAN_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2), ("C", 2),
                                              ("D", 3))
               for n in range(lo, 8)] + [LieType("E", 6), LieType("E", 7),
                                         LieType("F", 4), LieType("G", 2)]
+
+
+# Every catalog of rank <= 8: A-D and the exceptional types.
+RANK_8_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2), ("C", 2),
+                                               ("D", 3))
+                for n in range(lo, 9)] + [LieType.parse(name)
+                                          for name in FROBENIUS_COUNTS]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -178,6 +188,97 @@ def test_census_rejects_non_frobenius_entry():
     bad = make_seaweed(LieType("A", 2), {2, 1}, {2, 1})
     with pytest.raises(ValueError):
         verify_entry(bad, report)
+
+
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_census_mirror_runs_match_symmetric_root(t):
+    """The census's run (i, j) is the root on positions i..j of c.order, and
+    its mirror run (lo, hi) is the root symmetric_root pairs it with."""
+    for s in enumerate_frobenius(t).entries:
+        for c in itertools.chain(*components(s)):
+            if c.shape.kind != "A":
+                continue
+            k = len(c.order)
+            for i in range(1, k + 1):
+                for j in range(i, k + 1):
+                    run = c.order[i - 1:j]
+                    beta = tuple(int(a in run) for a in range(1, s.rank + 1))
+                    assert _run_root(s.rank, c.order, i, j) == beta
+                    mirror = _mirror_run(k, i, j)
+                    got = (None if mirror is None
+                           else _run_root(s.rank, c.order, *mirror))
+                    assert got == symmetric_root(s.root_system, c, beta), \
+                        (s, c, i, j)
+
+
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_swapped_components_are_those_of_the_swapped_seaweed(t):
+    for s in enumerate_frobenius(t).entries:
+        flipped = Seaweed(s.root_system, s.pi2, s.pi1)
+        assert swapped_components(s) == components(flipped), s
+
+
+def test_census_reports_a_corrupted_chain_value(monkeypatch):
+    """A wrong value on a chain shows in the mirror check, in the messages
+    the tuple-building check wrote."""
+    s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
+    x = simple_eigenvalues(s)
+    bad = SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
+    monkeypatch.setattr(enumerate_module, "simple_eigenvalues",
+                        lambda _: bad)
+    report = CensusReport()
+    verify_entry(s, report)
+    mirror_messages = [f for f in report.failures
+                       if "mirror roots" in f or "self-paired" in f]
+    label = "p^A4(4,3,2,1|4,3,1): "
+    assert mirror_messages == [label + m for m in (
+        "mirror roots (1, 0, 0, 0), (0, 1, 1, 1) do not sum to one",
+        "mirror roots (1, 1, 0, 0), (0, 0, 1, 1) do not sum to one",
+        "mirror roots (1, 1, 1, 0), (0, 0, 0, 1) do not sum to one",
+        "self-paired root (1, 1, 1, 1) does not evaluate to one",
+        "mirror roots (0, 1, 1, 1), (1, 0, 0, 0) do not sum to one",
+        "mirror roots (0, 0, 1, 1), (1, 1, 0, 0) do not sum to one",
+        "mirror roots (0, 0, 0, 1), (1, 1, 1, 0) do not sum to one",
+        "self-paired root (1, 0, 0, 0) does not evaluate to one")]
+
+
+def test_census_reports_a_perturbed_side_swap_solve(monkeypatch):
+    s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
+    solve = enumerate_module._solve_eigenvalues
+
+    def perturbed(seaweed, sides):
+        x = solve(seaweed, sides)
+        return SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
+
+    report = CensusReport()
+    verify_entry(s, report)
+    assert report.ok(), report.failures
+    monkeypatch.setattr(enumerate_module, "_solve_eigenvalues", perturbed)
+    verify_entry(s, report)
+    assert report.failures == [
+        "p^A4(4,3,2,1|4,3,1): spectrum changed under the side swap"]
+
+
+def test_census_runs_the_side_swap_frobenius_test(monkeypatch):
+    s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
+    monkeypatch.setattr(enumerate_module, "_meets_once", lambda *_: False)
+    with pytest.raises(ValueError, match=r"p\^A4\(4,3,1\|4,3,2,1\) is not "
+                                         "Frobenius"):
+        verify_entry(s, CensusReport())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fam,n", [(fam, n) for fam in "ABCD"
+                                   for n in range(9, 13)], ids=str)
+def test_census_sweep_ranks_9_to_12(fam, n):
+    """The paper's theorem, unbroken and symmetric spectra, with every other
+    census check, on every Frobenius seaweed of the A-D catalogs of ranks
+    9-12: 33,174 seaweeds in all."""
+    cat = enumerate_frobenius(LieType(fam, n))
+    assert cat.count == CLASSICAL_FROBENIUS_COUNTS[(fam, n)]
+    report = spectrum_census(cat)
+    assert report.checked == cat.count
+    assert report.ok(), report.failures[:10]
 
 
 def test_census_detects_corrupted_values():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, rank_exact,
@@ -81,28 +81,39 @@ _ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
                      st.sampled_from([PRIME, -2 * PRIME, 2**63, 2**64 + 1]))
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_ranks_mod_p_matches_rank_mod_p_on_each_matrix(data):
-    count = data.draw(st.integers(1, 6))
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+@st.composite
+def _stacks(draw):
+    """A list of same-shape integer matrices, some zero, some rank-deficient."""
+    count = draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     stack = []
     for _ in range(count):
-        kind = data.draw(st.sampled_from(("zero", "deficient", "any")))
+        kind = draw(st.sampled_from(("zero", "deficient", "any")))
         if kind == "zero":
             m = [[0] * cols for _ in range(rows)]
         elif kind == "deficient":        # a product through a narrower space
-            inner = data.draw(st.integers(0, min(rows, cols) - 1))
-            a = [[data.draw(_ENTRIES) for _ in range(inner)]
-                 for _ in range(rows)]
-            b = [[data.draw(st.integers(-9, 9)) for _ in range(cols)]
+            inner = draw(st.integers(0, min(rows, cols) - 1))
+            a = [[draw(_ENTRIES) for _ in range(inner)] for _ in range(rows)]
+            b = [[draw(st.integers(-9, 9)) for _ in range(cols)]
                  for _ in range(inner)]
             m = [[sum(a[i][k] * b[k][j] for k in range(inner))
                   for j in range(cols)] for i in range(rows)]
         else:
-            m = [[data.draw(_ENTRIES) for _ in range(cols)]
-                 for _ in range(rows)]
+            m = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
         stack.append(m)
+    return stack
+
+
+# Rank 2: the second row is 2^63 times the third plus the first.  Entries
+# past int64 must be reduced mod p exactly, not rounded through float64.
+_PAST_INT64 = [[[0, 0, 0, 1, 1], [0, 0, 2**63, 1, 2**63 + 1],
+                [0, 0, 1, 0, 1]] + [[0] * 5 for _ in range(3)]]
+
+
+@given(_stacks())
+@example(_PAST_INT64)
+@settings(max_examples=80, deadline=None)
+def test_ranks_mod_p_matches_rank_mod_p_on_each_matrix(stack):
     want = [rank_mod_p(m) for m in stack]
     assert ranks_mod_p(stack) == want
     if all(abs(x) < 2**63 for m in stack for row in m for x in row):
