@@ -210,8 +210,8 @@ def component_spectra(sides: tuple[tuple[Component, ...],
                       x: SimpleEigenvalueVector
                       ) -> tuple[list[ComponentSpectrum], Spectrum]:
     """Every component's spectrum under the solved values, top side first,
-    and their union: the full spectrum of the seaweed whose (tops, bottoms)
-    component pair `sides` is."""
+    and their union: the full spectrum of the seaweed with these (tops,
+    bottoms) components."""
     tops, bottoms = sides
     spectra = [component_spectrum(c, x) for c in tops + bottoms]
     total: Counter = Counter()
