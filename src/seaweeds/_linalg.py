@@ -13,45 +13,12 @@ from math import gcd, isqrt, lcm
 PRIME = 2**31 - 1
 
 
-def rank_exact(matrix: list[list[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction Gaussian elimination.
-
-    The package no longer calls this; it stays as the tests' reference for
-    `rank_int_rows` and `rank_mod_p`.
-    """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if f:
-                g = f / pv
-                mi, mr = m[i], m[r]
-                for j in range(c, cols):
-                    mi[j] -= mr[j] * g
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
                  nvars: int) -> list[Fraction]:
     """Solve an (over)determined linear system that must have a unique solution.
 
     Raises ValueError if the system is inconsistent or underdetermined.  The
-    package calls this only as `solve_nonsingular`'s exact fallback; it is
-    also the tests' reference for `solve_nonsingular` and
-    `solve_by_propagation`.
+    package calls this only as `solve_nonsingular`'s exact fallback.
     """
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     rows = len(m)

@@ -280,15 +280,16 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
         if row.right + row.left > 2:
             fail(f"orbit {row.orbit} has more than two U-turns")
     # The swapped seaweed's involutions and components are s's with the
-    # sides exchanged; its Frobenius test, solve and spectra still run.
+    # sides exchanged; its Frobenius test and solve still run.  Its values
+    # must be s's negated: every component then has the same side-normalized
+    # values, hence the same spectrum, so the full spectrum is unchanged.
     flipped = Seaweed(rs, s.pi2, s.pi1)
     if not _meets_once(meander.i2.perm, meander.i1.perm,
                        subset_mask(s.pi_union_complement)):
         raise ValueError(f"{flipped} is not Frobenius; its spectrum is "
                          "undefined")
-    swapped = swapped_components(s)
-    x_swapped = _solve_eigenvalues(flipped, swapped)
-    if component_spectra(swapped, x_swapped)[1].mult != sp.mult:
+    x_swapped = _solve_eigenvalues(flipped, swapped_components(s))
+    if x_swapped.values != tuple(-v for v in x.values):
         fail("spectrum changed under the side swap")
     report.checked += 1
 
@@ -322,8 +323,9 @@ def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
 
 def _mirror_run(k: int, i: int, j: int) -> tuple[int, int] | None:
     """The positions lo..hi of the mirror partner of the run i..j on a chain
-    of k simple roots, by the rule of `symmetric_root`; None on the
-    self-paired diagonal i + j = k + 1."""
+    of k simple roots: the one run adjacent to i..j whose combined span
+    covers a full half-chain.  None on the self-paired diagonal
+    i + j = k + 1."""
     if i + j == k + 1:
         return None
     if i + j >= k + 2:

@@ -133,20 +133,6 @@ def _runs(sigma) -> list[tuple[int, int]]:
                   key=lambda run: (run[1] - run[0], -run[0]))
 
 
-def poset_algebra_sl4() -> MatrixSeaweed:
-    """The 8-dimensional incidence algebra of the poset 1,2 < 3 < 4 in sl(4)."""
-    return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
-
-
-def functional_from_labels(m: MatrixSeaweed, assignment: dict[str, int]) -> Functional:
-    return tuple(assignment.get(lab, 0) for lab in m.labels)
-
-
-def sample_functionals(m: MatrixSeaweed, count: int = SAMPLE_COUNT,
-                       seed: int = DEFAULT_SEED) -> list[Functional]:
-    return list(islice(_draws(m, seed), count))
-
-
 def _draws(m: MatrixSeaweed, seed: int):
     """Functionals with coefficients in [-COEFF_BOUND, COEFF_BOUND], drawn
     one at a time from the seeded stream."""
@@ -197,7 +183,7 @@ class IndexCertificate:
 def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
           samples: int = SAMPLE_COUNT) -> IndexCertificate:
     """Dimension minus the best form rank of the first `samples`
-    functionals of sample_functionals.
+    functionals of the seeded stream `_draws`.
 
     The generic rank is attained on a Zariski-open set, so the sampled value
     is exact up to a vanishing failure probability.  The Kirillov matrix is

@@ -247,17 +247,6 @@ def _classical_roots(kind: str, k: int) -> list[PositiveRoot]:
     return list(zip(*(epsilon_root_values(kind, col) for col in columns)))
 
 
-def root_support(beta: PositiveRoot) -> frozenset[int]:
-    """Indices of the simple roots appearing in beta."""
-    return frozenset(i + 1 for i, c in enumerate(beta) if c)
-
-
-def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
-    """All positive roots supported inside the simple-root subset sigma."""
-    s = frozenset(sigma)
-    return [b for b in rs.positive_roots if root_support(b) <= s]
-
-
 def connected_components(subset, neighbors) -> list[frozenset[int]]:
     """The maximally connected pieces of the graph induced on subset, each
     grown by depth-first search from its smallest index; neighbors(v)
@@ -280,23 +269,15 @@ def connected_components(subset, neighbors) -> list[frozenset[int]]:
     return comps
 
 
-def classify_component(rs: RootSystem, sigma) -> tuple[DiagramShape, tuple[int, ...]]:
-    """Shape of a connected subset plus its internal vertex order.
+def _classify(rs: RootSystem, s: frozenset[int]) -> tuple[DiagramShape, tuple[int, ...]]:
+    """Shape of a connected subset, such as a piece returned by
+    connected_components, plus its internal vertex order.
 
     The returned order lists ambient indices playing the roles alpha'_1,
     alpha'_2, ..., alpha'_k of a standalone system of the detected shape
     (distinguished root first for B/C/D, Bourbaki order for E/F/G, and the
     rightmost-drawn end first for chains).
     """
-    s = frozenset(sigma)
-    if len(connected_components(s, rs.neighbors)) != 1:
-        raise ValueError(f"subset {sorted(s)} is not connected in the diagram")
-    return _classify(rs, s)
-
-
-def _classify(rs: RootSystem, s: frozenset[int]) -> tuple[DiagramShape, tuple[int, ...]]:
-    """classify_component for a subset already known to be connected, such
-    as a piece returned by connected_components."""
     verts = sorted(s)
     k = len(verts)
     if k == 1:
@@ -368,11 +349,6 @@ def _walk(adj: dict[int, list[int]], start: int,
             return path
         prev, cur = cur, ext[0]
         path.append(cur)
-
-
-def induced_shape(rs: RootSystem, sigma) -> DiagramShape:
-    """Classify the induced Dynkin subdiagram of a connected subset."""
-    return classify_component(rs, sigma)[0]
 
 
 def positive_root_count(t: LieType) -> int:

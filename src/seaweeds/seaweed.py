@@ -80,19 +80,6 @@ def composition_marks(c: Composition) -> frozenset[int]:
     return frozenset(marks)
 
 
-def marks_to_composition(marks, n: int) -> Composition:
-    """Inverse of composition_marks."""
-    sums = sorted(n + 1 - i for i in marks)
-    if any(s < 1 or s > n for s in sums):
-        raise ValueError("marks out of range")
-    parts = []
-    prev = 0
-    for s in sums:
-        parts.append(s - prev)
-        prev = s
-    return Composition(tuple(parts), n)
-
-
 def from_compositions(t: LieType, a: Composition, b: Composition) -> Seaweed:
     """Seaweed whose sides are the complements of the two mark sets."""
     if a.ambient_rank != t.rank or b.ambient_rank != t.rank:
@@ -138,18 +125,6 @@ def subset_mask(subset) -> int:
 def mask_subset(mask: int) -> frozenset[int]:
     """Inverse of subset_mask."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def canonical_form(s: Seaweed) -> Seaweed:
-    """Normalize the unordered pair {pi1, pi2}: swap is the only identification.
-
-    The representative is whichever of (pi1, pi2), (pi2, pi1) is smaller in
-    the bitmask order; diagram automorphisms are deliberately not quotiented.
-    """
-    m1, m2 = subset_mask(s.pi1), subset_mask(s.pi2)
-    if (m2, m1) < (m1, m2):
-        return Seaweed(s.root_system, s.pi2, s.pi1)
-    return s
 
 
 def parse_subset(text: str, n: int) -> frozenset[int]:

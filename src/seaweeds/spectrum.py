@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from ._linalg import solve_by_propagation
-from .rootsys import (DiagramShape, LieType, PositiveRoot, RootSystem,
-                      build_root_system, epsilon_root_values,
-                      positive_root_count, twice_epsilon)
+from .rootsys import (DiagramShape, LieType, build_root_system,
+                      epsilon_root_values, positive_root_count,
+                      twice_epsilon)
 from .meander import Component, components, is_frobenius
 from .seaweed import Seaweed, decompose_direct_sum
 
@@ -39,9 +39,6 @@ class SimpleEigenvalueVector:
 
     def as_dict(self) -> dict[int, int]:
         return {i + 1: v for i, v in enumerate(self.values)}
-
-    def evaluate(self, beta: PositiveRoot) -> int:
-        return sum(c * x for c, x in zip(beta, self.values))
 
 
 @dataclass(frozen=True)
@@ -243,38 +240,6 @@ def verify_symmetric(sp: Spectrum) -> bool:
     """Multiplicities are symmetric about one half: r(k) == r(1-k)."""
     c = dict(sp.mult)
     return all(m == c.get(1 - k, 0) for k, m in c.items())
-
-
-def symmetric_root(rs: RootSystem, c: Component,
-                   beta: PositiveRoot) -> PositiveRoot | None:
-    """The mirror partner of a root inside a chain component.
-
-    On a chain alpha'_k ... alpha'_1, the root summing positions i..j pairs
-    with the unique consecutive sum whose combined span covers a full
-    half-chain; the self-paired diagonal (i + j = k + 1) has no partner.
-    """
-    if c.shape.kind != "A":
-        raise ValueError("symmetric roots are defined for chain components only")
-    path = c.order          # alpha'_1 first
-    k = len(path)
-    pos = {amb: idx + 1 for idx, amb in enumerate(path)}
-    support = [i + 1 for i, coeff in enumerate(beta) if coeff]
-    if any(a not in pos for a in support):
-        raise ValueError("root is not supported in the component")
-    internal = sorted(pos[a] for a in support)
-    i, j = internal[0], internal[-1]
-    if internal != list(range(i, j + 1)):
-        raise AssertionError("chain component carried a non-consecutive root")
-    if i + j == k + 1:
-        return None
-    if i + j >= k + 2:
-        lo, hi = k + 1 - j, i - 1
-    else:
-        lo, hi = j + 1, k + 1 - i
-    coeffs = [0] * rs.rank
-    for p in range(lo, hi + 1):
-        coeffs[path[p - 1] - 1] = 1
-    return tuple(coeffs)
 
 
 def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:

@@ -1,0 +1,103 @@
+"""Reference implementations the tests compare the package against.
+
+The package does not run any of these: each is the slow, direct version
+of something the package computes another way (fraction elimination for
+the integer and modular ranks, root tuples for the census's prefix sums,
+a subset filter over all positive roots for the closed-form component
+spectra), or a fixture the oracle tests share.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from seaweeds.meander import Component
+from seaweeds.oracle import MatrixSeaweed
+from seaweeds.rootsys import PositiveRoot, RootSystem
+from seaweeds.seaweed import Seaweed, subset_mask
+
+
+def rank_exact(matrix: list[list[Fraction | int]]) -> int:
+    """Rank over the rationals by fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows = len(m)
+    if rows == 0:
+        return 0
+    cols = len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            if f:
+                g = f / pv
+                mi, mr = m[i], m[r]
+                for j in range(c, cols):
+                    mi[j] -= mr[j] * g
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def root_support(beta: PositiveRoot) -> frozenset[int]:
+    """Indices of the simple roots appearing in beta."""
+    return frozenset(i + 1 for i, c in enumerate(beta) if c)
+
+
+def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
+    """All positive roots supported inside the simple-root subset sigma."""
+    s = frozenset(sigma)
+    return [b for b in rs.positive_roots if root_support(b) <= s]
+
+
+def symmetric_root(rs: RootSystem, c: Component,
+                   beta: PositiveRoot) -> PositiveRoot | None:
+    """The mirror partner of a root inside a chain component.
+
+    On a chain alpha'_k ... alpha'_1, the root summing positions i..j pairs
+    with the unique consecutive sum whose combined span covers a full
+    half-chain; the self-paired diagonal (i + j = k + 1) has no partner.
+    """
+    if c.shape.kind != "A":
+        raise ValueError("symmetric roots are defined for chain components only")
+    path = c.order          # alpha'_1 first
+    k = len(path)
+    pos = {amb: idx + 1 for idx, amb in enumerate(path)}
+    support = [i + 1 for i, coeff in enumerate(beta) if coeff]
+    if any(a not in pos for a in support):
+        raise ValueError("root is not supported in the component")
+    internal = sorted(pos[a] for a in support)
+    i, j = internal[0], internal[-1]
+    if internal != list(range(i, j + 1)):
+        raise AssertionError("chain component carried a non-consecutive root")
+    if i + j == k + 1:
+        return None
+    if i + j >= k + 2:
+        lo, hi = k + 1 - j, i - 1
+    else:
+        lo, hi = j + 1, k + 1 - i
+    coeffs = [0] * rs.rank
+    for p in range(lo, hi + 1):
+        coeffs[path[p - 1] - 1] = 1
+    return tuple(coeffs)
+
+
+def canonical_form(s: Seaweed) -> Seaweed:
+    """Normalize the unordered pair {pi1, pi2}: swap is the only identification.
+
+    The representative is whichever of (pi1, pi2), (pi2, pi1) is smaller in
+    the bitmask order; diagram automorphisms are deliberately not quotiented.
+    """
+    m1, m2 = subset_mask(s.pi1), subset_mask(s.pi2)
+    if (m2, m1) < (m1, m2):
+        return Seaweed(s.root_system, s.pi2, s.pi1)
+    return s
+
+
+def poset_algebra_sl4() -> MatrixSeaweed:
+    """The 8-dimensional incidence algebra of the poset 1,2 < 3 < 4 in sl(4)."""
+    return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))

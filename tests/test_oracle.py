@@ -18,10 +18,15 @@ from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
 import seaweeds.oracle as oracle
 from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              IndexCertificate, MatrixSeaweed, ad_matrix,
-                             ad_spectrum, frobenius_functional,
-                             functional_from_labels, index, kirillov_matrix,
-                             poset_algebra_sl4, principal_element,
-                             realize_type_a, sample_functionals)
+                             ad_spectrum, frobenius_functional, index,
+                             kirillov_matrix, principal_element,
+                             realize_type_a)
+
+from reference_impl import poset_algebra_sl4
+
+
+def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
+    return tuple(coeffs.get(label, 0) for label in m.labels)
 
 
 def test_sl2_borel():
@@ -38,7 +43,7 @@ def test_sl2_full_has_index_one():
     s = make_seaweed(LieType("A", 1), {1}, {1})
     mat = realize_type_a(s)
     assert mat.dim == 3
-    f = functional_from_labels(mat, {"e1,2": 1})
+    f = _by_label(mat, {"e1,2": 1})
     assert rank_int_rows(kirillov_matrix(mat, f)) == 2
     assert index(mat).index == 1
 
@@ -155,7 +160,7 @@ def test_realization_rejects_other_types():
 def test_poset_algebra_fixture():
     pa = poset_algebra_sl4()
     assert pa.dim == 8
-    f = functional_from_labels(pa, {"e1,4": 1, "e2,4": 1, "e2,3": 1})
+    f = _by_label(pa, {"e1,4": 1, "e2,4": 1, "e2,3": 1})
     assert rank_int_rows(kirillov_matrix(pa, f)) == 8
     fhat = principal_element(pa, f)
     # the diagonal (1/2, 1/2, -1/2, -1/2), summed down to each h_i, and no
@@ -208,6 +213,28 @@ def test_ad_spectrum_refuses_what_is_not_an_integer_diagonal_spectrum(entries):
         ad_spectrum(mat, entries)
 
 
+def test_ad_spectrum_settles_or_refuses_a_wrong_modular_probe(monkeypatch):
+    """The modular rank is only a probe: a reported kernel is settled by
+    exact elimination, and a kernel it misses fails the dimension count
+    instead of shrinking the spectrum."""
+    s = make_seaweed(LieType("A", 5), {4, 3, 2, 1}, {5, 3, 1})
+    mat = realize_type_a(s)
+    coords = principal_element(mat, frobenius_functional(mat))
+    adjoint = ad_matrix(mat, coords)
+    # the adjoint has pieces of two or more basis vectors to probe
+    assert any(adjoint[i][j] for i in range(mat.dim) for j in range(mat.dim)
+               if i != j)
+    expected = ad_spectrum(mat, coords)
+    assert expected == full_spectrum(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "rank_mod_p", lambda matrix: len(matrix) - 1)
+        assert ad_spectrum(mat, coords) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "rank_mod_p", len)
+        with pytest.raises(ValueError, match="non-integer spectrum"):
+            ad_spectrum(mat, coords)
+
+
 def _jacobi_sum(table, p: int, q: int, r: int) -> dict[int, int]:
     """[b_p, [b_q, b_r]] + [b_q, [b_r, b_p]] + [b_r, [b_p, b_q]]."""
     total: dict[int, int] = {}
@@ -246,7 +273,7 @@ def test_spectrum_functional_independent():
     mat = realize_type_a(s)
     spectra = set()
     found = 0
-    for f in sample_functionals(mat, 40, seed=7):
+    for f in itertools.islice(oracle._draws(mat, 7), 40):
         if rank_int_rows(kirillov_matrix(mat, f)) == mat.dim:
             spectra.add(ad_spectrum(mat, principal_element(mat, f)).mult)
             found += 1
@@ -272,7 +299,7 @@ def _index_by_sequential_ranks(m: MatrixSeaweed, seed: int,
     best one."""
     d = m.dim
     best_rank, best, best_matrix = 0, None, None
-    for f in sample_functionals(m, samples, seed):
+    for f in itertools.islice(oracle._draws(m, seed), samples):
         kmat = kirillov_matrix(m, f)
         r = rank_mod_p(kmat)
         if r > best_rank:
@@ -300,7 +327,7 @@ def test_index_draws_on_past_a_degenerate_first_sample():
     # when it is nonzero on e1,2; find a seed whose first draw is zero there
     mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
     seed = next(s for s in range(10**4)
-                if sample_functionals(mat, 1, s)[0][1] == 0)
+                if next(oracle._draws(mat, s))[1] == 0)
     for samples in (1, 2, 20):
         assert (index(mat, seed, samples)
                 == _index_by_sequential_ranks(mat, seed, samples))
@@ -310,7 +337,7 @@ def test_index_draws_on_past_a_degenerate_first_sample():
 
 def test_kirillov_stack_matches_kirillov_matrix():
     for mat in _full_union_algebras(3):
-        fs = sample_functionals(mat, 3, seed=2)
+        fs = list(itertools.islice(oracle._draws(mat, 2), 3))
         assert (oracle._kirillov_stack(mat, fs).tolist()
                 == [kirillov_matrix(mat, f) for f in fs])
 

