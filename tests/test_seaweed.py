@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seaweeds.rootsys import LieType
 from seaweeds.seaweed import (Composition, composition_marks,
@@ -62,6 +63,38 @@ def test_composition_marks_biject_onto_subsets():
         assert [len(m) for m in marks] == [len(c) for c in compositions]
         assert len(set(marks)) == len(marks) == 2 ** n
         assert frozenset().union(*marks) == frozenset(range(1, n + 1))
+
+
+def _composition_of_marks(marks, n: int) -> Composition:
+    """Test-local inverse of composition_marks: mark i ends the part whose
+    running sum is n + 1 - i."""
+    sums = sorted(n + 1 - i for i in marks)
+    return Composition(tuple(b - a for a, b in zip([0] + sums, sums)), n)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_marks_round_trip(data):
+    n = data.draw(st.integers(1, 12))
+    parts = []
+    budget = n
+    while budget > 0:
+        p = data.draw(st.integers(1, budget))
+        parts.append(p)
+        budget -= p
+        if data.draw(st.booleans()):
+            break
+    c = Composition(tuple(parts), n)
+    assert _composition_of_marks(composition_marks(c), n) == c
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_marks_inverse_round_trip(data):
+    n = data.draw(st.integers(1, 12))
+    subset = frozenset(data.draw(st.sets(st.integers(1, n))))
+    c = _composition_of_marks(subset, n)
+    assert composition_marks(c) == subset
 
 
 def test_pi_union_complement():
