@@ -7,7 +7,6 @@ two residues stays inside the int64 range.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 PRIME = 2**31 - 1
@@ -20,6 +19,7 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
     Raises ValueError if the system is inconsistent or underdetermined.  The
     package calls this only as `solve_nonsingular`'s exact fallback.
     """
+    from fractions import Fraction  # deferred: check and spectrum never use it
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     rows = len(m)
     r = 0
@@ -90,8 +90,11 @@ def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
                     piece.append(u)
                 elif slope == 0:
                     inconsistent |= rest != 0
+                elif t is None and rest % slope == 0:
+                    t = rest // slope
                 elif t is None:
-                    t = rest // slope if rest % slope == 0 else Fraction(rest, slope)
+                    from fractions import Fraction  # an odd cycle halves t
+                    t = Fraction(rest, slope)
                 else:
                     inconsistent |= slope * t != rest
         if t is None:
@@ -250,6 +253,7 @@ def _rational(x: int, p: int, bound: int) -> Fraction | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
+    from fractions import Fraction
     return Fraction(r1, s1)
 
 

@@ -18,10 +18,6 @@ from .meander import Side, components, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, verify_symmetric,
                        verify_unbroken)
-from .oracle import (DEFAULT_SEED, ad_spectrum, frobenius_functional, index,
-                     principal_element, realize_type_a)
-from .enumerate import check_appendix_a, enumerate_frobenius
-from .render import render_svg, render_tikz
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,6 +179,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumerate import check_appendix_a, enumerate_frobenius
     t = _lie_type(args)
     cat = enumerate_frobenius(t)
     payload = cat.to_json_dict()
@@ -202,6 +199,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (DEFAULT_SEED, ad_spectrum, frobenius_functional,
+                         index, principal_element, realize_type_a)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     t = _lie_type(args)
     if t.family != "A":
         print("matrix oracle supports type A only", file=sys.stderr)
@@ -211,7 +211,7 @@ def cmd_oracle(args) -> int:
         raise UsageError("pi1 | pi2 must cover the diagram for the oracle")
     mat = realize_type_a(s)
     frob = is_frobenius(s)
-    cert = index(mat, seed=args.seed)
+    cert = index(mat, seed=seed)
     payload = {
         "seaweed": repr(s),
         "dimension": mat.dim,
@@ -221,7 +221,7 @@ def cmd_oracle(args) -> int:
     }
     agree = True
     if cert.index == 0 and frob:
-        f = frobenius_functional(mat, args.seed)
+        f = frobenius_functional(mat, seed)
         oracle_sp = ad_spectrum(mat, principal_element(mat, f))
         comb_sp = full_spectrum(s)
         payload["oracle_spectrum"] = [
@@ -237,6 +237,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_svg, render_tikz
     s = _seaweed(args)
     m = orbits(s)
     text = render_tikz(m) if args.format == "tikz" else render_svg(m)
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("enumerate", cmd_enumerate, "catalog all Frobenius seaweeds"
             ).add_argument("--check-appendix-a", action="store_true")
     command("oracle", cmd_oracle, "exact matrix cross-check (type A)", sides
-            ).add_argument("--seed", type=int, default=DEFAULT_SEED)
+            ).add_argument("--seed", type=int)  # None: oracle.DEFAULT_SEED
     command("render", cmd_render, "draw the orbit meander", sides
             ).add_argument("--format", choices=("svg", "tikz"), default="svg")
     return parser

@@ -9,7 +9,7 @@ for reproducible output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
@@ -23,8 +23,7 @@ from .spectrum import (_solve_eigenvalues, component_spectra,
 ENUM_RANK_GUARD = 16
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     lie_type: LieType
     entries: tuple[Seaweed, ...]
 
@@ -193,8 +192,7 @@ E6_COMPONENT_CONFIGURATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogDiff:
+class CatalogDiff(NamedTuple):
     missing: tuple[tuple[frozenset[int], frozenset[int]], ...]
     extra: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
@@ -216,10 +214,13 @@ def check_appendix_a(cat: Catalog) -> CatalogDiff:
     return CatalogDiff(missing, extra)
 
 
-@dataclass
 class CensusReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    """How many seaweeds a census checked, and what failed."""
+
+    def __init__(self, checked: int = 0,
+                 failures: list[str] | None = None) -> None:
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     def ok(self) -> bool:
         return not self.failures

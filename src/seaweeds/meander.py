@@ -10,8 +10,8 @@ the composed involutions meets the complement of pi1 & pi2 once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsys import (DiagramShape, LieType, RootSystem, _classify,
                       connected_components)
@@ -27,8 +27,7 @@ class Side(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A maximally connected component of one side of the split diagram."""
 
     side: Side
@@ -37,8 +36,7 @@ class Component:
     order: tuple[int, ...]          # ambient indices in internal role order
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     """A permutation of the simple-root indices squaring to the identity."""
 
     perm: tuple[int, ...]           # perm[i] for i >= 1; perm[0] unused
@@ -50,23 +48,20 @@ class Involution:
         return self.perm[i] == i
 
 
-@dataclass(frozen=True)
-class OrbitMeander:
+class OrbitMeander(NamedTuple):
     seaweed: Seaweed
     i1: Involution
     i2: Involution
     orbits: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class OrbitUTurns:
+class OrbitUTurns(NamedTuple):
     orbit: tuple[int, ...]
     right: int
     left: int
 
 
-@dataclass(frozen=True)
-class UTurnReport:
+class UTurnReport(NamedTuple):
     rows: tuple[OrbitUTurns, ...]
 
 
@@ -264,8 +259,7 @@ class Move(enum.Enum):
     FLIP_UP = "flip-up"
 
 
-@dataclass(frozen=True)
-class CompositionPair:
+class CompositionPair(NamedTuple):
     """A meander presented by two compositions over a common rank."""
 
     family: str

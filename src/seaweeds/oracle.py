@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
+from typing import NamedTuple
 
 from ._linalg import (PRIME, ModularInverse, rank_int_rows, rank_mod_p,
                       ranks_mod_p, solve_nonsingular)
-from .rootsys import connected_components
+from .rootsys import _frozen, connected_components
 from .seaweed import Seaweed
 from .spectrum import Spectrum
 
@@ -41,16 +41,18 @@ FUNCTIONAL_DRAWS = 4
 ORACLE_RANK_GUARD = 16
 
 
-@dataclass(frozen=True)
 class MatrixSeaweed:
     """A Lie algebra of trace-zero n x n matrices with a distinguished basis.
 
     Slots 0..n-2 hold h_i = E_ii - E_i+1,i+1; the slots after them hold the
     off-diagonal units E_rc listed in `units` as 0-based (row, col) pairs.
+    Fields are read-only; equality is identity.
     """
 
-    n: int
-    units: tuple[tuple[int, int], ...]
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n: int, units: tuple[tuple[int, int], ...]) -> None:
+        vars(self).update(n=n, units=units)
 
     @property
     def dim(self) -> int:
@@ -173,8 +175,7 @@ def _kirillov_stack(m: MatrixSeaweed, fs: list[Functional]):
     return out
 
 
-@dataclass(frozen=True)
-class IndexCertificate:
+class IndexCertificate(NamedTuple):
     index: int
     witness: Functional | None      # functional attaining the maximal rank
     samples: int

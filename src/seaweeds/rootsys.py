@@ -11,9 +11,9 @@ Cartan matrix alone, is used for E, F and G only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 VALID_RANKS = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (3, 512),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -21,19 +21,18 @@ VALID_RANKS = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (3, 512),
 PositiveRoot = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """A simple Lie type: family letter plus rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in VALID_RANKS:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = VALID_RANKS[self.family]
-        if not lo <= self.rank <= hi:
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+    def __new__(cls, family: str, rank: int) -> LieType:
+        if family not in VALID_RANKS:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = VALID_RANKS[family]
+        if not lo <= rank <= hi:
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -47,8 +46,7 @@ class LieType:
         return LieType(text[0], int(text[1:]))
 
 
-@dataclass(frozen=True)
-class DiagramShape:
+class DiagramShape(NamedTuple):
     """The type of a connected induced subdiagram."""
 
     kind: str
@@ -83,14 +81,21 @@ def _links(t: LieType) -> list[tuple[int, int, int, int]]:
     return [(1, 2, -1, -3)]  # G2, alpha_1 short
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen(self, name: str, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class RootSystem:
     """Cartan data of one simple type; the positive roots are built on
-    first access and kept."""
+    first access and kept.  Fields are read-only; equality is identity."""
 
-    lie_type: LieType
-    cartan: tuple[tuple[int, ...], ...]
-    adjacency: tuple[tuple[int, ...], ...]   # neighbours of alpha_i at i - 1
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
+                 adjacency: tuple[tuple[int, ...], ...]) -> None:
+        # adjacency lists the neighbours of alpha_i at i - 1
+        vars(self).update(lie_type=lie_type, cartan=cartan,
+                          adjacency=adjacency)
 
     @property
     def rank(self) -> int:

@@ -8,24 +8,23 @@ moves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import (LieType, RootSystem, _classify, build_root_system,
                       connected_components)
 
 
-@dataclass(frozen=True)
-class Seaweed:
+class Seaweed(namedtuple("Seaweed", "root_system pi1 pi2")):
     """A root system together with the two defining simple-root subsets."""
 
-    root_system: RootSystem
-    pi1: frozenset[int]
-    pi2: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        allr = frozenset(range(1, self.root_system.rank + 1))
-        if not (self.pi1 <= allr and self.pi2 <= allr):
+    def __new__(cls, root_system: RootSystem, pi1: frozenset[int],
+                pi2: frozenset[int]) -> Seaweed:
+        allr = frozenset(range(1, root_system.rank + 1))
+        if not (pi1 <= allr and pi2 <= allr):
             raise ValueError("subsets must consist of simple-root indices")
+        return super().__new__(cls, root_system, pi1, pi2)
 
     @property
     def rank(self) -> int:
@@ -54,19 +53,18 @@ def make_seaweed(t: LieType, pi1, pi2) -> Seaweed:
     return Seaweed(build_root_system(t), frozenset(pi1), frozenset(pi2))
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(namedtuple("Composition", "parts ambient_rank")):
     """A sequence of positive integers with bounded sum, marking flag blocks."""
 
-    parts: tuple[int, ...]
-    ambient_rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...], ambient_rank: int) -> Composition:
+        if any(p <= 0 for p in parts):
             raise ValueError("composition parts must be positive")
-        if sum(self.parts) > self.ambient_rank:
+        if sum(parts) > ambient_rank:
             raise ValueError(
-                f"parts sum {sum(self.parts)} exceeds rank {self.ambient_rank}")
+                f"parts sum {sum(parts)} exceeds rank {ambient_rank}")
+        return super().__new__(cls, parts, ambient_rank)
 
 
 def composition_marks(c: Composition) -> frozenset[int]:

@@ -17,8 +17,8 @@ component's roots are those of the standalone system of its shape.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from ._linalg import solve_by_propagation
 from .rootsys import (DiagramShape, LieType, build_root_system,
@@ -28,8 +28,7 @@ from .meander import Component, components, is_frobenius
 from .seaweed import Seaweed, decompose_direct_sum
 
 
-@dataclass(frozen=True)
-class SimpleEigenvalueVector:
+class SimpleEigenvalueVector(NamedTuple):
     """The integer value assigned to each simple root, indexed from 1."""
 
     values: tuple[int, ...]
@@ -41,8 +40,7 @@ class SimpleEigenvalueVector:
         return {i + 1: v for i, v in enumerate(self.values)}
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """An integer -> multiplicity multiset."""
 
     mult: tuple[tuple[int, int], ...]   # sorted (eigenvalue, multiplicity) pairs
@@ -69,8 +67,7 @@ class Spectrum:
         }
 
 
-@dataclass(frozen=True)
-class ComponentSpectrum:
+class ComponentSpectrum(NamedTuple):
     component: Component
     values: Spectrum
 

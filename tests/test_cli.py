@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import seaweeds
-from seaweeds import spectrum
+from seaweeds import oracle, spectrum
 from seaweeds.cli import main
 from seaweeds.rootsys import LieType, build_root_system
 
@@ -290,6 +290,24 @@ def test_oracle_type_a(capsys):
         {"-1": 1, "0": 3, "1": 3, "2": 1}
 
 
+def test_oracle_seed_defaults_to_the_oracle_constant(capsys, monkeypatch):
+    argv = ["oracle", "--type", "A", "--rank", "3", "--top", "3,1",
+            "--bottom", "3,2"]
+    seeds = []
+    real = oracle.index
+
+    def spy(m, seed, **kwargs):
+        seeds.append(seed)
+        return real(m, seed, **kwargs)
+
+    # cmd_oracle imports from seaweeds.oracle when it runs, so it finds the spy
+    monkeypatch.setattr(oracle, "index", spy)
+    default = run(capsys, *argv)
+    assert run(capsys, *argv, "--seed", "1729") == default
+    assert default[0] == 0
+    assert seeds == [oracle.DEFAULT_SEED, 1729] == [1729, 1729]
+
+
 def test_oracle_rejects_non_type_a(capsys):
     code, _, err = run(capsys, "oracle", "--type", "E6",
                        "--top", "5,4,3,1", "--bottom", "6,5,4,3,2,1")
@@ -313,10 +331,18 @@ def test_render_tikz_stdout(capsys):
     assert "tikzpicture" in out
 
 
+# Modules a cold check or spectrum process never runs: the oracle, the
+# catalogs, the drawings, rational arithmetic and the dataclass machinery.
+NOT_FOR_CHECK = ("numpy", "concurrent.futures", "dataclasses", "inspect",
+                 "fractions", "seaweeds.oracle", "seaweeds.enumerate",
+                 "seaweeds.render")
+
+
 def test_cli_import_leaves_numpy_and_threads_unloaded():
     # every cold check or spectrum process pays for what seaweeds.cli imports
-    probe = ("import sys, seaweeds.cli; print(sorted(m for m in "
-             "('numpy', 'concurrent.futures') if m in sys.modules))")
+    probe = ("import sys; before = set(sys.modules); import seaweeds.cli; "
+             "print(sorted((set(sys.modules) - before) & "
+             f"set({NOT_FOR_CHECK})))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -344,6 +370,8 @@ def test_check_at_rank_512_in_a_fresh_process():
          *RANK_512_BOREL], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("frobenius yes\n")
+    # runpy warns when the package root has already imported seaweeds.cli
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_oracle_refuses_ranks_above_its_guard():
