@@ -1,50 +1,20 @@
-"""Exact linear algebra over the rationals, plus a modular fast path.
+"""Linear algebra over the integers and rationals, exact or mod a prime.
 
-Everything here takes plain lists of Fractions or ints; matrices are lists
-of row lists (`ranks_mod_p` also takes a 3-D numpy array).  The modular
-paths work on numpy int64 arrays mod a 31-bit prime, so that the product of
-two residues stays inside the int64 range.
+Matrices are lists of integer rows; one kernel serves each arithmetic.
+`solve_by_propagation` solves the spectrum's constraint rows, whose terms
+are +1 or -1, as a graph.  The fraction-free `_forward_eliminate` gives
+exact ranks (`rank_int_rows`) and `solve_nonsingular`'s exact fallback.
+Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`) serves `rank_mod_p`,
+`ModularInverse` and `solve_nonsingular`; `ranks_mod_p` ranks a stack of
+matrices in one pass.  Rows reach numpy int64 arrays through `_residues`,
+which reduces entries mod p in Python, so entries past int64 stay exact;
+the product of two residues fits in int64.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
 PRIME = 2**31 - 1
-
-
-def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
-                 nvars: int) -> list[Fraction]:
-    """Solve an (over)determined linear system that must have a unique solution.
-
-    Raises ValueError if the system is inconsistent or underdetermined.  The
-    package calls this only as `solve_nonsingular`'s exact fallback.
-    """
-    from fractions import Fraction  # deferred: check and spectrum never use it
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    rows = len(m)
-    r = 0
-    piv_cols = []
-    for c in range(nvars):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    if any(m[i][nvars] for i in range(r, rows)):
-        raise ValueError("inconsistent linear system")
-    if r < nvars:
-        raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * nvars
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][nvars]
-    return sol
 
 
 def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
@@ -58,7 +28,7 @@ def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
     value as sign * t + offset in one unknown t; a pin, or an edge closing a
     cycle, either fixes t or is checked against it.  Values are ints, or
     Fractions where an odd cycle halves t.  Raises the ValueErrors of
-    solve_unique: inconsistency is reported before underdetermination.
+    solve_nonsingular: inconsistency is reported before underdetermination.
     """
     touching: list[list[tuple[list[tuple[int, int]], int]]] = [
         [] for _ in range(nvars + 1)]
@@ -110,18 +80,20 @@ def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
     return values[1:]
 
 
-def rank_mod_p(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix reduced mod p = PRIME (a lower bound on the
-    rational rank, with equality away from a measure-zero set of primes).
-
-    Entries are reduced into [0, p) with p below 2^31, so the vectorized
-    int64 path never overflows.
-    """
-    if not matrix:
-        return 0
+def _residues(rows):
+    """The integer rows reduced mod p = PRIME as an int64 array; np.array
+    alone would round entries of 2^63 or more through float64."""
     import numpy as np  # deferred: check and spectrum runs never load numpy
     p = PRIME
-    m = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
+    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+
+
+def rank_mod_p(matrix: list[list[int]]) -> int:
+    """Rank of an integer matrix reduced mod p = PRIME (a lower bound on the
+    rational rank, with equality away from a measure-zero set of primes)."""
+    if not matrix:
+        return 0
+    m = _residues(matrix)
     return _eliminate_mod_p(m, m.shape[1])
 
 
@@ -138,13 +110,12 @@ def ranks_mod_p(stack) -> list[int]:
     untaken rows, and the rank is the number of pivots.  A single matrix
     is faster through `rank_mod_p`.
     """
-    import numpy as np  # deferred, as in rank_mod_p
+    import numpy as np  # deferred, as in _residues
     p = PRIME
     if isinstance(stack, np.ndarray):
         a = (stack % p).astype(np.int64, copy=False)
-    else:   # np.asarray would turn entries of 2^63 or more into floats
-        a = np.array([[[x % p for x in row] for row in m] for m in stack],
-                     dtype=np.int64)
+    else:
+        a = np.array([_residues(m) for m in stack], dtype=np.int64)
     if not a.size:
         return [0] * len(a)
     count, rows, cols = a.shape
@@ -172,29 +143,23 @@ def ranks_mod_p(stack) -> list[int]:
     return (rows - free.sum(axis=1)).tolist()
 
 
-def _eliminate_mod_p(m, ncols: int, reduced: bool = False) -> int:
-    """Row-reduce the int64 array m, entries in [0, p), in place over its
-    first ncols columns and return the rank.  Pivots are scaled to 1; with
-    `reduced` the entries above each pivot are cleared too."""
-    import numpy as np
+def _eliminate_mod_p(m, ncols: int) -> int:
+    """Gauss-Jordan reduce the int64 array m, entries in [0, p), in place
+    over its first ncols columns and return the rank: each pivot is scaled
+    to 1 and cleared from every other row."""
     p = PRIME
     rows = m.shape[0]
     r = 0
     for c in range(ncols):
-        nz = np.flatnonzero(m[r:, c])
+        nz = m[r:, c].nonzero()[0]
         if not nz.size:
             continue
         if nz[0]:
             m[[r, r + nz[0]]] = m[[r + nz[0], r]]
         m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        if reduced:
-            f = m[:, c].copy()
-            f[r] = 0
-            m[:, c:] = (m[:, c:] - f[:, None] * m[r, c:]) % p
-        else:
-            below = nz[1:] + r      # the swap moved a zero entry to r + nz[0]
-            if below.size:
-                m[below, c:] = (m[below, c:] - m[below, c, None] * m[r, c:]) % p
+        f = m[:, c].copy()
+        f[r] = 0
+        m[:, c:] = (m[:, c:] - f[:, None] * m[r, c:]) % p
         r += 1
         if r == rows:
             break
@@ -214,13 +179,10 @@ class ModularInverse:
 
     def __init__(self, matrix: list[list[int]]):
         """Raises ValueError when matrix is singular mod p."""
-        import numpy as np  # deferred, as in rank_mod_p
-        p = PRIME
+        import numpy as np  # deferred, as in _residues
         d = len(matrix)
-        aug = np.array([[x % p for x in row] + [0] * d for row in matrix],
-                       dtype=np.int64)
-        aug[:, d:] = np.eye(d, dtype=np.int64)
-        if _eliminate_mod_p(aug, d, reduced=True) < d:
+        aug = np.hstack((_residues(matrix), np.eye(d, dtype=np.int64)))
+        if _eliminate_mod_p(aug, d) < d:
             raise ValueError("matrix is singular mod p")
         self.w = aug[:, d:]
 
@@ -234,7 +196,7 @@ class ModularInverse:
         aug = np.concatenate((y[:, rows], y), axis=1)
         aug[:, :r] += np.eye(r, dtype=np.int64)
         aug %= p
-        if _eliminate_mod_p(aug, r, reduced=True) < r:
+        if _eliminate_mod_p(aug, r) < r:
             return False
         # aug[:, r:] is now T^-1 y; split it in 16-bit halves so that no
         # int64 dot product overflows
@@ -267,41 +229,65 @@ def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]
     nonsingular, so a solution that passes the check is the unique one: the
     certificate of Dixon's p-adic solver, without its lifting, which suits
     solutions with small denominators.  When the modular rank falls short,
-    a coordinate has no such fraction or the check fails, `solve_unique`
-    decides, and raises its ValueErrors on a singular system.
+    a coordinate has no such fraction or the check fails, fraction-free
+    integer elimination decides (`_solve_exact`), and raises its
+    ValueErrors on a singular system.
     """
     d = len(matrix)
     if d:
-        import numpy as np  # deferred, as in rank_mod_p
-        p = PRIME
-        aug = np.array([[x % p for x in row] + [b % p]
-                        for row, b in zip(matrix, rhs)], dtype=np.int64)
-        if _eliminate_mod_p(aug, d, reduced=True) == d:
-            bound = isqrt(p // 2)
-            sol = [_rational(int(x), p, bound) for x in aug[:, d]]
+        aug = _residues([*row, b] for row, b in zip(matrix, rhs))
+        if _eliminate_mod_p(aug, d) == d:
+            bound = isqrt(PRIME // 2)
+            sol = [_rational(int(x), PRIME, bound) for x in aug[:, d]]
             if None not in sol:
                 scale = lcm(*(x.denominator for x in sol))
                 ints = [int(x * scale) for x in sol]
                 if all(sum(a * x for a, x in zip(row, ints) if a) == b * scale
                        for row, b in zip(matrix, rhs)):
                     return sol
-    return solve_unique(matrix, rhs, d)
+    return _solve_exact(matrix, rhs)
+
+
+def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Solve a square integer system exactly: fraction-free elimination of
+    the rows [row | b], then back-substitution in Fractions.  Raises
+    ValueError if the system is inconsistent or underdetermined, in that
+    order of precedence."""
+    d = len(matrix)
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
+    pivots = _forward_eliminate(m, d)
+    if any(row[d] for row in m[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    if len(pivots) < d:
+        raise ValueError("underdetermined linear system")
+    from fractions import Fraction
+    sol = [Fraction(0)] * d
+    for i in reversed(range(d)):        # d pivots in d columns: row i on i
+        rest = sum(m[i][j] * sol[j] for j in range(i + 1, d) if m[i][j])
+        sol[i] = Fraction(m[i][d] - rest, m[i][i])
+    return sol
 
 
 def rank_int_rows(matrix: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination.
-
-    Row updates are cross-multiplied through the gcd and each updated row
-    is stripped of its content, which keeps entry growth tame without
-    leaving integer arithmetic.
-    """
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    if nrows == 0:
+    """Exact rank of an integer matrix by fraction-free elimination."""
+    if not matrix:
         return 0
-    ncols = len(m[0])
-    r = 0
+    return len(_forward_eliminate([row[:] for row in matrix], len(matrix[0])))
+
+
+def _forward_eliminate(m: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination of the integer rows m in place,
+    pivoting on their first ncols columns; returns the pivot columns (row i
+    pivots on pivots[i], and the rows below are zero there).  Row updates
+    are cross-multiplied through the gcd and each updated row is stripped
+    of its content, which keeps entry growth tame without leaving integers.
+    """
+    nrows = len(m)
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv, best = None, None
         for i in range(r, nrows):
             v = m[i][c]
@@ -320,12 +306,10 @@ def rank_int_rows(matrix: list[list[int]]) -> int:
                 mi = m[i]
                 g = gcd(f, pv)
                 a, b = pv // g, f // g
-                for j in range(c, ncols):
+                for j in range(c, len(mr)):
                     mi[j] = mi[j] * a - mr[j] * b
                 g2 = gcd(*mi)
                 if g2 > 1:
                     m[i] = [v // g2 for v in mi]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(c)
+    return pivots

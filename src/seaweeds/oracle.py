@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
@@ -287,8 +286,9 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
     transposed form.
 
     The system is solved mod a prime, rebuilt rationally and checked
-    exactly (`solve_nonsingular`); exact elimination runs only when that
-    certificate fails.  Raises ValueError when f is not regular.
+    exactly (`solve_nonsingular`); fraction-free integer elimination runs
+    only when that certificate fails.  Raises ValueError when f is not
+    regular.
     """
     rows = list(zip(*kirillov_matrix(m, f)))
     try:

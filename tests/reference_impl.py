@@ -2,7 +2,8 @@
 
 The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
-the integer and modular ranks, root tuples for the census's prefix sums,
+the integer and modular ranks and for the exact solve, root tuples for the
+census's prefix sums,
 a subset filter over all positive roots for the closed-form component
 spectra), or a fixture the oracle tests share.
 """
@@ -41,6 +42,40 @@ def rank_exact(matrix: list[list[Fraction | int]]) -> int:
         if r == rows:
             break
     return r
+
+
+def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
+                 nvars: int) -> list[Fraction]:
+    """Solve an (over)determined linear system that must have a unique solution.
+
+    Raises ValueError if the system is inconsistent or underdetermined.  The
+    reference for `solve_nonsingular` and its fraction-free exact fallback.
+    """
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    rows = len(m)
+    r = 0
+    piv_cols = []
+    for c in range(nvars):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(m[i][nvars] for i in range(r, rows)):
+        raise ValueError("inconsistent linear system")
+    if r < nvars:
+        raise ValueError("underdetermined linear system")
+    sol = [Fraction(0)] * nvars
+    for i, c in enumerate(piv_cols):
+        sol[c] = m[i][nvars]
+    return sol
 
 
 def root_support(beta: PositiveRoot) -> frozenset[int]:

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, rank_int_rows,
                               rank_mod_p, ranks_mod_p, solve_by_propagation,
-                              solve_nonsingular, solve_unique)
+                              solve_nonsingular)
 
-from reference_impl import rank_exact
+from reference_impl import rank_exact, solve_unique
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -201,7 +201,7 @@ def test_propagation_matches_solve_unique_on_random_signed_rows(data):
 def test_solve_nonsingular_matches_solve_unique(data):
     n = data.draw(st.integers(1, 7))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    bound = data.draw(st.sampled_from((1, 9, 10 ** 6)))
+    bound = data.draw(st.sampled_from((1, 9, 10 ** 6, 2 ** 64)))
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if rank_exact(rows) == n:
@@ -212,11 +212,12 @@ def test_solve_nonsingular_matches_solve_unique(data):
 
 def _count_exact_solves(monkeypatch) -> list:
     calls = []
+    exact = linalg._solve_exact
 
     def counted(*args):
         calls.append(args)
-        return solve_unique(*args)
-    monkeypatch.setattr(linalg, "solve_unique", counted)
+        return exact(*args)
+    monkeypatch.setattr(linalg, "_solve_exact", counted)
     return calls
 
 
@@ -234,6 +235,29 @@ def test_solve_nonsingular_falls_back_above_the_reconstruction_bound(monkeypatch
     assert solve_nonsingular([[100003, 1], [0, 1]], [1, 0]) == [
         Fraction(1, 100003), Fraction(0)]
     assert len(calls) == 1
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_solve_matches_solve_unique_at_every_rank(data):
+    # A = C B through an inner space of dimension k, so every rank 0..n
+    # occurs; the rhs is either A x (consistent) or drawn freely
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, n))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64))
+    b = [[data.draw(entries) for _ in range(n)] for _ in range(k)]
+    c = [[data.draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)]
+    rows = [[sum(c[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+            for i in range(n)]
+    if data.draw(st.booleans()):
+        x = [data.draw(st.integers(-9, 9)) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [data.draw(entries) for _ in range(n)]
+    got = _outcome(lambda rows, _: linalg._solve_exact(rows, rhs), rows, n)
+    assert got == _outcome(lambda rows, n: solve_unique(rows, rhs, n), rows, n)
+    if isinstance(got, list):
+        assert all(type(v) is Fraction for v in got)
 
 
 def test_solve_nonsingular_rejects_singular_systems():

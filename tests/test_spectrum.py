@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds import spectrum
-from seaweeds._linalg import solve_unique
 from seaweeds.enumerate import enumerate_frobenius
 from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed
@@ -21,7 +20,7 @@ from seaweeds.spectrum import (Spectrum, component_constraints,
 
 from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
-from reference_impl import sub_positive_roots, symmetric_root
+from reference_impl import solve_unique, sub_positive_roots, symmetric_root
 
 REFS = {"A9": A9, "B8": B8, "C8": C8, "D14": D14, "D11": D11, "E6": E6X}
 
