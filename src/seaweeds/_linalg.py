@@ -1,9 +1,10 @@
 """Linear algebra over the integers and rationals, exact or mod a prime.
 
-Matrices are lists of integer rows; one kernel serves each arithmetic.
-`solve_by_propagation` solves the spectrum's constraint rows, whose terms
-are +1 or -1, as a graph.  The fraction-free `_forward_eliminate` gives
-exact ranks (`rank_int_rows`) and `solve_nonsingular`'s exact fallback.
+Only the type-A oracle uses this module; the spectrum path solves its
+constraint rows by walking the meander.  Matrices are lists of integer
+rows; one kernel serves each arithmetic.  The fraction-free
+`_forward_eliminate` gives exact ranks (`rank_int_rows`) and
+`solve_nonsingular`'s exact fallback.
 Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`) serves `rank_mod_p`,
 `ModularInverse` and `solve_nonsingular`; `ranks_mod_p` ranks a stack of
 matrices in one pass.  Rows reach numpy int64 arrays through `_residues`,
@@ -15,69 +16,6 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 
 PRIME = 2**31 - 1
-
-
-def solve_by_propagation(rows: list[tuple[dict[int, int], int]],
-                         nvars: int) -> list[int | Fraction]:
-    """Solve a sparse system that must have a unique solution, where every
-    row has one or two terms, each with coefficient +1 or -1.
-
-    Rows are (coefficients by variable, rhs) with variables 1..nvars.  The
-    two-term rows are the edges of a graph and the one-term rows pin their
-    variable.  Each connected piece is walked from one vertex, writing every
-    value as sign * t + offset in one unknown t; a pin, or an edge closing a
-    cycle, either fixes t or is checked against it.  Values are ints, or
-    Fractions where an odd cycle halves t.  Raises the ValueErrors of
-    solve_nonsingular: inconsistency is reported before underdetermination.
-    """
-    touching: list[list[tuple[list[tuple[int, int]], int]]] = [
-        [] for _ in range(nvars + 1)]
-    for coeffs, rhs in rows:
-        terms = list(coeffs.items())
-        for v, _ in terms:
-            touching[v].append((terms, rhs))
-    form: list[tuple[int, int] | None] = [None] * (nvars + 1)
-    values: list[int | Fraction] = [0] * (nvars + 1)
-    inconsistent = underdetermined = False
-    for root in range(1, nvars + 1):
-        if form[root] is not None:
-            continue
-        form[root] = (1, 0)
-        piece = [root]
-        t: int | Fraction | None = None
-        for v in piece:
-            for terms, rhs in touching[v]:
-                slope, rest, free = 0, rhs, None
-                for u, a in terms:
-                    if form[u] is None:
-                        free = (u, a)
-                    else:
-                        slope += a * form[u][0]
-                        rest -= a * form[u][1]
-                if free is not None:
-                    u, a = free              # a * x_u = rest - slope * t
-                    form[u] = (-a * slope, a * rest)
-                    piece.append(u)
-                elif slope == 0:
-                    inconsistent |= rest != 0
-                elif t is None and rest % slope == 0:
-                    t = rest // slope
-                elif t is None:
-                    from fractions import Fraction  # an odd cycle halves t
-                    t = Fraction(rest, slope)
-                else:
-                    inconsistent |= slope * t != rest
-        if t is None:
-            underdetermined = True
-            continue
-        for v in piece:
-            sign, offset = form[v]
-            values[v] = sign * t + offset
-    if inconsistent:
-        raise ValueError("inconsistent linear system")
-    if underdetermined:
-        raise ValueError("underdetermined linear system")
-    return values[1:]
 
 
 def _residues(rows):

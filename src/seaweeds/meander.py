@@ -4,8 +4,10 @@ The meander of a seaweed stacks two copies of the Dynkin diagram, one per
 side.  Each side carries an involution acting as the negated longest Weyl
 element on every maximally connected component (the chain reversal on
 A-chains, a prong swap on odd D-components, the diagram flip on E6, the
-identity elsewhere).  The seaweed is Frobenius exactly when every cycle of
-the composed involutions meets the complement of pi1 & pi2 once.
+identity elsewhere).  One rule per component shape, `_orbit_rows`, gives
+both that involution and the spectrum's constraint row of each of its
+orbits.  The seaweed is Frobenius exactly when every cycle of the composed
+involutions meets the complement of pi1 & pi2 once.
 """
 from __future__ import annotations
 
@@ -97,23 +99,46 @@ def swapped_components(s: Seaweed
                   for c in tops))
 
 
-def _component_involution(c: Component) -> dict[int, int]:
-    kind, k = c.shape.kind, c.shape.rank
+# Values of the exceptional shapes whose involution fixes every index.
+_PINNED = {("E", 7): (-1, 1, 1, -1, 1, -1, 1),
+           ("E", 8): (-1, 1, 1, -1, 1, -1, 1, -1),
+           ("F", 4): (-1, 1, 0, 0),
+           ("G", 2): (1, -1)}
+
+
+@lru_cache(maxsize=None)
+def _orbit_rows(shape: DiagramShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rule of one component shape, as (partner, value) by position j
+    in the component's order (internal index j + 1).
+
+    partner[j] is the position the component's involution, the negated
+    longest element, sends j to.  value[j] is the side-normalized value of
+    the constraint row of j's orbit on a principal element: x_j = value
+    where j is fixed, x_j + x_partner = value on a swapped pair.  A chain's
+    middle vertex or middle pair sums to one and its other pairs to zero.
+    Each orbit is one row and adds one zero to the spectrum.
+    """
+    kind, k = shape
+    partner = tuple(range(k))
+    alternating = tuple((-1) ** (i + k) for i in range(1, k + 1))
     if kind == "A":
-        path = c.order
-        return {v: path[len(path) - 1 - i] for i, v in enumerate(path)}
-    if kind == "D" and k % 2 == 1:
-        p1, p2 = c.order[0], c.order[1]
-        out = {v: v for v in c.roots}
-        out[p1], out[p2] = p2, p1
-        return out
-    if kind == "E" and k == 6:
-        o = c.order
-        out = {v: v for v in c.roots}
-        out[o[0]], out[o[5]] = o[5], o[0]
-        out[o[2]], out[o[4]] = o[4], o[2]
-        return out
-    return {v: v for v in c.roots}
+        partner = partner[::-1]
+        values = tuple(int(abs(2 * j + 1 - k) <= 1) for j in range(k))
+    elif kind == "B":
+        values = (k % 2,) + alternating[1:]
+    elif kind == "C":
+        values = (1,) + (0,) * (k - 1)
+    elif kind == "D" and k % 2 == 0:
+        values = (1, 1) + alternating[2:]
+    elif kind == "D":
+        partner = (1, 0) + partner[2:]
+        values = (0, 0) + alternating[2:]
+    elif shape == ("E", 6):
+        partner = (5, 1, 4, 3, 2, 0)
+        values = (0, -1, 0, 1, 0, 0)
+    else:
+        values = _PINNED[shape]
+    return partner, values
 
 
 def _permutation(n: int, comps) -> tuple[int, ...]:
@@ -121,8 +146,9 @@ def _permutation(n: int, comps) -> tuple[int, ...]:
     identity away from the components; perm[0] = 0 is unused."""
     perm = list(range(n + 1))
     for c in comps:
-        for a, b in _component_involution(c).items():
-            perm[a] = b
+        order = c.order
+        for a, j in zip(order, _orbit_rows(c.shape)[0]):
+            perm[a] = order[j]
     return tuple(perm)
 
 

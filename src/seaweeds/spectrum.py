@@ -1,18 +1,18 @@
 """Spectra of Frobenius seaweeds from the simple-eigenvalue constraint system.
 
-Every maximally connected component contributes a batch of linear
-constraints on the values the simple roots take on a principal element:
-chain components tie mirror-image pairs, components containing a
-distinguished root have their values pinned outright, and the values are
-negated on the bottom side.  Every row has one or two terms with
-coefficient +-1 and each variable lies in at most one row per side, so the
-rows form a graph of paths and cycles; the system is solved by propagating
-values along it from the pinned vertices, and for a Frobenius seaweed it
-determines the values uniquely.  The per-component eigenvalue multisets
-(each root evaluated on the solution, padded with zeros) then partition the
-full spectrum.  A classical component's roots are evaluated from the
-epsilon coordinates of its values, never as root tuples; an exceptional
-component's roots are those of the standalone system of its shape.
+Every maximally connected component constrains the values the simple roots
+take on a principal element with one row per orbit of its involution
+(`meander._orbit_rows` holds the rule of each shape): a fixed root's value
+is pinned, a swapped pair's values have a set sum, and the values are
+negated on the bottom side.  Each variable lies in at most one row per
+side, so the rows form paths alternating between the sides with the pins
+at their ends; the values are found by walking each path from a pin, and
+for a Frobenius seaweed every value is reached exactly once.  The
+per-component eigenvalue multisets (each root evaluated on the solution,
+plus one zero per orbit) then partition the full spectrum.  A classical
+component's roots are evaluated from the epsilon coordinates of its
+values, never as root tuples; an exceptional component's roots are those
+of the standalone system of its shape.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ from collections import Counter
 from operator import mul
 from typing import NamedTuple
 
-from ._linalg import solve_by_propagation
 from .rootsys import (DiagramShape, LieType, build_root_system,
                       epsilon_root_values, positive_root_count,
                       twice_epsilon)
-from .meander import Component, components, is_frobenius
+from .meander import Component, _orbit_rows, components, is_frobenius
 from .seaweed import Seaweed, decompose_direct_sum
 
 
@@ -73,87 +72,9 @@ class ComponentSpectrum(NamedTuple):
 
 
 def zero_padding(shape: DiagramShape) -> int:
-    """Zero multiplicity a component adds on top of its root values."""
-    kind, k = shape.kind, shape.rank
-    if kind == "A":
-        return (k + 1) // 2
-    if kind in ("B", "C"):
-        return k
-    if kind == "D":
-        return k if k % 2 == 0 else k - 1
-    if kind == "E":
-        return {6: 4, 7: 7, 8: 8}[k]
-    if kind == "F":
-        return 4
-    return 2  # G2
-
-
-def _pinned(shape: DiagramShape) -> dict[int, int] | None:
-    """Internal index -> value, for shapes whose values are fully forced."""
-    kind, k = shape.kind, shape.rank
-    if kind == "B":
-        if k == 2:
-            return {1: 0, 2: 1}
-        if k % 2 == 1:
-            return {i: (-1) ** (i - 1) for i in range(1, k + 1)}
-        return {1: 0, **{i: (-1) ** i for i in range(2, k + 1)}}
-    if kind == "C":
-        return {1: 1, **{i: 0 for i in range(2, k + 1)}}
-    if kind == "E" and k == 7:
-        return {1: -1, 4: -1, 6: -1, 2: 1, 3: 1, 5: 1, 7: 1}
-    if kind == "E" and k == 8:
-        return {1: -1, 4: -1, 6: -1, 8: -1, 2: 1, 3: 1, 5: 1, 7: 1}
-    if kind == "F":
-        return {1: -1, 2: 1, 3: 0, 4: 0}
-    if kind == "G":
-        return {1: 1, 2: -1}
-    return None
-
-
-def component_constraints(c: Component) -> list[tuple[dict[int, int], int]]:
-    """Linear constraints a component imposes, as (coefficients, rhs) rows.
-
-    Coefficients address ambient simple-root indices; the side sign is
-    already folded in.
-    """
-    s = c.side.sign
-    kind, k = c.shape.kind, c.shape.rank
-    order = c.order
-    rows: list[tuple[dict[int, int], int]] = []
-    pinned = _pinned(c.shape)
-    if pinned is not None:
-        for i, val in pinned.items():
-            rows.append(({order[i - 1]: s}, val))
-        return rows
-    if kind == "A":
-        path = order
-        for i in range((k + 1) // 2):
-            a, b = path[i], path[k - 1 - i]
-            if a == b:
-                rows.append(({a: s}, 1))
-            elif k % 2 == 0 and i == k // 2 - 1:
-                rows.append(({a: s, b: s}, 1))
-            else:
-                rows.append(({a: s, b: s}, 0))
-        return rows
-    if kind == "D":
-        if k % 2 == 0:
-            rows.append(({order[0]: s}, 1))
-            rows.append(({order[1]: s}, 1))
-            for i in range(3, k + 1):
-                rows.append(({order[i - 1]: s}, (-1) ** i))
-        else:
-            rows.append(({order[0]: s, order[1]: s}, 0))
-            for i in range(3, k + 1):
-                rows.append(({order[i - 1]: s}, (-1) ** (i - 1)))
-        return rows
-    if kind == "E" and k == 6:
-        rows.append(({order[1]: s}, -1))
-        rows.append(({order[3]: s}, 1))
-        rows.append(({order[0]: s, order[5]: s}, 0))
-        rows.append(({order[2]: s, order[4]: s}, 0))
-        return rows
-    raise AssertionError(f"no constraint rule for shape {c.shape}")
+    """Zero multiplicity a component adds on top of its root values: one
+    per orbit of its involution."""
+    return sum(j <= p for j, p in enumerate(_orbit_rows(shape)[0]))
 
 
 def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
@@ -166,18 +87,52 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
 def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
                                                  tuple[Component, ...]]
                        ) -> SimpleEigenvalueVector:
-    """Solve the constraints of s's (tops, bottoms) component pair."""
-    tops, bottoms = sides
-    rows = [row for c in tops + bottoms for row in component_constraints(c)]
-    try:
-        sol = solve_by_propagation(rows, s.rank)
-    except ValueError as exc:
+    """Solve the constraints of s's (tops, bottoms) component pair by
+    walking the meander.
+
+    On each side, mate[v] is v's partner in its orbit row, with the row's
+    value, side sign folded in, in total[v]: mate[v] == v pins x_v, and
+    mate[v] == 0 means v has no row on that side.  A vertex has at most one
+    row per side, so the pair rows form paths alternating between the
+    sides, with the pins at their ends.  Each walk starts at a pin and sets
+    x_w = total - x_v at each step; a second pin, or a value already set,
+    is checked against the value reached.  A piece no pin reaches, such as
+    an even cycle off the Frobenius case, is left without values.
+    """
+    n = s.rank
+    mates, totals = [], []
+    for comps in sides:
+        mate, total = [0] * (n + 1), [0] * (n + 1)
+        for c in comps:
+            partner, value = _orbit_rows(c.shape)
+            sgn, order = c.side.sign, c.order
+            for a, j, v in zip(order, partner, value):
+                mate[a] = order[j]
+                total[a] = sgn * v
+        mates.append(mate)
+        totals.append(total)
+    x: list[int | None] = [None] * (n + 1)
+    inconsistent = False
+    for side in (0, 1):
+        for start in range(1, n + 1):
+            if mates[side][start] != start or x[start] is not None:
+                continue
+            x[start] = totals[side][start]
+            v, t = start, 1 - side
+            while w := mates[t][v]:
+                value = totals[t][v] - (0 if w == v else x[v])
+                if x[w] is not None:
+                    inconsistent |= x[w] != value
+                    break
+                x[w] = value
+                v, t = w, 1 - t
+    problem = ("inconsistent" if inconsistent
+               else "underdetermined" if None in x[1:] else None)
+    if problem:
         raise AssertionError(
-            f"constraint system for {s} is {exc}; this indicates a "
-            "component-classification bug") from exc
-    if any(x.denominator != 1 for x in sol):
-        raise AssertionError(f"non-integer simple eigenvalues for {s}: {sol}")
-    return SimpleEigenvalueVector(tuple(int(x) for x in sol))
+            f"constraint system for {s} is {problem} linear system; this "
+            "indicates a component-classification bug")
+    return SimpleEigenvalueVector(tuple(x[1:]))
 
 
 def component_spectrum(c: Component,

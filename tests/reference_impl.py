@@ -5,7 +5,9 @@ of something the package computes another way (fraction elimination for
 the integer and modular ranks and for the exact solve, root tuples for the
 census's prefix sums,
 a subset filter over all positive roots for the closed-form component
-spectra), or a fixture the oracle tests share.
+spectra, per-shape involutions and constraint rows for the one rule
+`meander._orbit_rows` states for both), or a fixture the oracle tests
+share.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from seaweeds.meander import Component
 from seaweeds.oracle import MatrixSeaweed
-from seaweeds.rootsys import PositiveRoot, RootSystem
+from seaweeds.rootsys import DiagramShape, PositiveRoot, RootSystem
 from seaweeds.seaweed import Seaweed, subset_mask
 
 
@@ -119,6 +121,94 @@ def symmetric_root(rs: RootSystem, c: Component,
     for p in range(lo, hi + 1):
         coeffs[path[p - 1] - 1] = 1
     return tuple(coeffs)
+
+
+def component_involution(c: Component) -> dict[int, int]:
+    """The negated longest element on one component, by ambient index."""
+    kind, k = c.shape.kind, c.shape.rank
+    if kind == "A":
+        path = c.order
+        return {v: path[len(path) - 1 - i] for i, v in enumerate(path)}
+    if kind == "D" and k % 2 == 1:
+        p1, p2 = c.order[0], c.order[1]
+        out = {v: v for v in c.roots}
+        out[p1], out[p2] = p2, p1
+        return out
+    if kind == "E" and k == 6:
+        o = c.order
+        out = {v: v for v in c.roots}
+        out[o[0]], out[o[5]] = o[5], o[0]
+        out[o[2]], out[o[4]] = o[4], o[2]
+        return out
+    return {v: v for v in c.roots}
+
+
+def _pinned(shape: DiagramShape) -> dict[int, int] | None:
+    """Internal index -> value, for shapes whose values are fully forced."""
+    kind, k = shape.kind, shape.rank
+    if kind == "B":
+        if k == 2:
+            return {1: 0, 2: 1}
+        if k % 2 == 1:
+            return {i: (-1) ** (i - 1) for i in range(1, k + 1)}
+        return {1: 0, **{i: (-1) ** i for i in range(2, k + 1)}}
+    if kind == "C":
+        return {1: 1, **{i: 0 for i in range(2, k + 1)}}
+    if kind == "E" and k == 7:
+        return {1: -1, 4: -1, 6: -1, 2: 1, 3: 1, 5: 1, 7: 1}
+    if kind == "E" and k == 8:
+        return {1: -1, 4: -1, 6: -1, 8: -1, 2: 1, 3: 1, 5: 1, 7: 1}
+    if kind == "F":
+        return {1: -1, 2: 1, 3: 0, 4: 0}
+    if kind == "G":
+        return {1: 1, 2: -1}
+    return None
+
+
+def component_constraints(c: Component) -> list[tuple[dict[int, int], int]]:
+    """Linear constraints a component imposes, as (coefficients, rhs) rows.
+
+    Coefficients address ambient simple-root indices; the side sign is
+    already folded in.
+    """
+    s = c.side.sign
+    kind, k = c.shape.kind, c.shape.rank
+    order = c.order
+    rows: list[tuple[dict[int, int], int]] = []
+    pinned = _pinned(c.shape)
+    if pinned is not None:
+        for i, val in pinned.items():
+            rows.append(({order[i - 1]: s}, val))
+        return rows
+    if kind == "A":
+        path = order
+        for i in range((k + 1) // 2):
+            a, b = path[i], path[k - 1 - i]
+            if a == b:
+                rows.append(({a: s}, 1))
+            elif k % 2 == 0 and i == k // 2 - 1:
+                rows.append(({a: s, b: s}, 1))
+            else:
+                rows.append(({a: s, b: s}, 0))
+        return rows
+    if kind == "D":
+        if k % 2 == 0:
+            rows.append(({order[0]: s}, 1))
+            rows.append(({order[1]: s}, 1))
+            for i in range(3, k + 1):
+                rows.append(({order[i - 1]: s}, (-1) ** i))
+        else:
+            rows.append(({order[0]: s, order[1]: s}, 0))
+            for i in range(3, k + 1):
+                rows.append(({order[i - 1]: s}, (-1) ** (i - 1)))
+        return rows
+    if kind == "E" and k == 6:
+        rows.append(({order[1]: s}, -1))
+        rows.append(({order[3]: s}, 1))
+        rows.append(({order[0]: s, order[5]: s}, 0))
+        rows.append(({order[2]: s, order[4]: s}, 0))
+        return rows
+    raise AssertionError(f"no constraint rule for shape {c.shape}")
 
 
 def canonical_form(s: Seaweed) -> Seaweed:

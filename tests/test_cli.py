@@ -331,16 +331,24 @@ def test_render_tikz_stdout(capsys):
     assert "tikzpicture" in out
 
 
-# Modules a cold check or spectrum process never runs: the oracle, the
-# catalogs, the drawings, rational arithmetic and the dataclass machinery.
+# Modules a cold check or spectrum process never runs: the oracle, its
+# linear algebra, the catalogs, the drawings, rational arithmetic and the
+# dataclass machinery.
 NOT_FOR_CHECK = ("numpy", "concurrent.futures", "dataclasses", "inspect",
-                 "fractions", "seaweeds.oracle", "seaweeds.enumerate",
-                 "seaweeds.render")
+                 "fractions", "seaweeds.oracle", "seaweeds._linalg",
+                 "seaweeds.enumerate", "seaweeds.render")
 
 
 def test_cli_import_leaves_numpy_and_threads_unloaded():
-    # every cold check or spectrum process pays for what seaweeds.cli imports
-    probe = ("import sys; before = set(sys.modules); import seaweeds.cli; "
+    # every cold check or spectrum process pays for what seaweeds.cli
+    # imports and for what one request of each then loads
+    probe = ("import sys; before = set(sys.modules); "
+             "from seaweeds.cli import main; "
+             "main(['check', '--type', 'B', '--rank', '8', "
+             "'--top', '8,7,6,3,2,1', '--bottom', '8,7,5,4,3,2']); "
+             "main(['spectrum', '--type', 'B', '--rank', '8', "
+             "'--top', '8,7,6,3,2,1', '--bottom', '8,7,5,4,3,2', "
+             "'--format', 'json']); "
              "print(sorted((set(sys.modules) - before) & "
              f"set({NOT_FOR_CHECK})))")
     env = dict(os.environ,
@@ -348,7 +356,9 @@ def test_cli_import_leaves_numpy_and_threads_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert "frobenius yes" in done.stdout
+    assert '"unbroken": true' in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 RANK_512_BOREL = ["--rank", "512", "--bottom", "-",

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, rank_int_rows,
-                              rank_mod_p, ranks_mod_p, solve_by_propagation,
-                              solve_nonsingular)
+                              rank_mod_p, ranks_mod_p, solve_nonsingular)
 
 from reference_impl import rank_exact, solve_unique
 
@@ -147,53 +146,6 @@ def _outcome(solver, rows, nvars):
         return solver(rows, nvars)
     except ValueError as exc:
         return str(exc)
-
-
-def _dense(rows, nvars):
-    return solve_unique([[coeffs.get(i, 0) for i in range(1, nvars + 1)]
-                         for coeffs, _ in rows],
-                        [rhs for _, rhs in rows], nvars)
-
-
-SIGNED_SYSTEMS = {
-    "path": ([({1: 1}, 1), ({1: 1, 2: 1}, 0), ({2: -1, 3: -1}, 2)], 3),
-    "pin contradicts path": ([({1: 1}, 1), ({1: 1, 2: 1}, 0), ({2: -1}, 2)], 2),
-    "even cycle contradicts": ([({1: 1, 2: 1}, 0), ({1: 1, 2: 1}, 1)], 2),
-    "free path": ([({1: 1, 2: 1}, 1), ({3: 1}, 0)], 3),
-    "free vertex": ([({1: 1}, 1)], 2),
-    "inconsistent beats free": ([({1: 1}, 1), ({1: -1}, 1), ({2: 1, 3: 1}, 0)], 3),
-    "odd cycle": ([({1: 1, 2: 1}, 1), ({2: 1, 3: 1}, 0), ({3: 1, 1: 1}, 0)], 3),
-    "odd cycle, integral": ([({1: 1, 2: 1}, 0), ({2: 1, 3: 1}, 0), ({1: 1, 3: 1}, 2)], 3),
-}
-
-
-@pytest.mark.parametrize("name", list(SIGNED_SYSTEMS))
-def test_propagation_matches_solve_unique_on_signed_systems(name):
-    rows, nvars = SIGNED_SYSTEMS[name]
-    got = _outcome(solve_by_propagation, rows, nvars)
-    assert got == _outcome(_dense, rows, nvars)
-    expected = {"pin contradicts path": "inconsistent linear system",
-                "even cycle contradicts": "inconsistent linear system",
-                "inconsistent beats free": "inconsistent linear system",
-                "free path": "underdetermined linear system",
-                "free vertex": "underdetermined linear system",
-                "odd cycle": [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]}
-    if name in expected:
-        assert got == expected[name]
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_propagation_matches_solve_unique_on_random_signed_rows(data):
-    nvars = data.draw(st.integers(1, 7))
-    variables = st.integers(1, nvars)
-    rows = []
-    for _ in range(data.draw(st.integers(0, nvars + 3))):
-        support = data.draw(st.sets(variables, min_size=1, max_size=2))
-        coeffs = {v: data.draw(st.sampled_from((1, -1))) for v in support}
-        rows.append((coeffs, data.draw(st.integers(-3, 3))))
-    assert (_outcome(solve_by_propagation, rows, nvars)
-            == _outcome(_dense, rows, nvars))
 
 
 @given(st.data())

@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from seaweeds import spectrum
 from seaweeds.enumerate import enumerate_frobenius
-from seaweeds.rootsys import LieType, build_root_system
+from seaweeds.rootsys import DiagramShape, LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed
-from seaweeds.meander import (Move, components, is_frobenius, winding_bases,
-                              winding_move)
-from seaweeds.spectrum import (Spectrum, component_constraints,
-                               component_spectrum, full_spectrum,
+from seaweeds.meander import (Move, _orbit_rows, components, is_frobenius,
+                              winding_bases, winding_move)
+from seaweeds.spectrum import (Spectrum, component_spectrum, full_spectrum,
                                seaweed_dimension, simple_eigenvalues,
                                verify_symmetric, verify_unbroken,
                                zero_padding)
 
 from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
-from reference_impl import solve_unique, sub_positive_roots, symmetric_root
+from reference_impl import (component_constraints, component_involution,
+                            solve_unique, sub_positive_roots, symmetric_root)
 
 REFS = {"A9": A9, "B8": B8, "C8": C8, "D14": D14, "D11": D11, "E6": E6X}
 
@@ -73,7 +73,6 @@ def test_spectrum_sizes_match_dimension():
 
 
 def test_zero_padding_table():
-    from seaweeds.rootsys import DiagramShape
     assert zero_padding(DiagramShape("A", 4)) == 2
     assert zero_padding(DiagramShape("A", 5)) == 3
     assert zero_padding(DiagramShape("B", 3)) == 3
@@ -85,6 +84,37 @@ def test_zero_padding_table():
     assert zero_padding(DiagramShape("E", 8)) == 8
     assert zero_padding(DiagramShape("F", 4)) == 4
     assert zero_padding(DiagramShape("G", 2)) == 2
+
+
+RULE_TYPES = [LieType(fam, n)
+              for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+              for n in range(lo, 13)] + [
+    LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+
+
+def _dense(coeffs, rhs, n):
+    return tuple(coeffs.get(i, 0) for i in range(1, n + 1)), rhs
+
+
+@pytest.mark.parametrize("t", RULE_TYPES, ids=str)
+def test_orbit_rule_matches_reference_rows_and_involution(t):
+    # the whole diagram as the top, then as the bottom: one component of
+    # the type's own shape, in the classification's order, on each side
+    every = range(1, t.rank + 1)
+    tops, _ = components(make_seaweed(t, every, ()))
+    _, bottoms = components(make_seaweed(t, (), every))
+    for c in tops + bottoms:
+        assert c.shape == (t.family, t.rank)
+        partner, value = _orbit_rows(c.shape)
+        order, sgn = c.order, c.side.sign
+        assert ({a: order[j] for a, j in zip(order, partner)}
+                == component_involution(c))
+        reference = sorted(_dense(coeffs, rhs, t.rank)
+                           for coeffs, rhs in component_constraints(c))
+        rows = {_dense({a: sgn, order[j]: sgn}, v, t.rank)
+                for a, j, v in zip(order, partner, value)}
+        assert sorted(rows) == reference
+        assert zero_padding(c.shape) == len(reference)
 
 
 def test_simple_eigenvalues_rejects_non_frobenius():
@@ -275,15 +305,28 @@ def test_dimension_matches_root_count_on_any_subsets(data):
     assert seaweed_dimension(s) == _scanned_dimension(s)
 
 
-@pytest.mark.parametrize("rows,message", [
-    ([({3: 1}, 1), ({3: 1, 2: 1}, 0), ({2: 1}, 0)], "inconsistent linear system"),
-    ([({3: 1, 1: 1}, 1), ({2: 1}, 0)], "underdetermined linear system"),
-    ([({1: 1, 2: 1}, 1), ({2: 1, 3: 1}, 0), ({3: 1, 1: 1}, 0)],
-     "non-integer simple eigenvalues"),
-], ids=["inconsistent", "underdetermined", "odd-cycle"])
-def test_broken_constraint_systems_raise(monkeypatch, rows, message):
-    s = make_seaweed(LieType("C", 3), {3, 2, 1}, set())
-    monkeypatch.setattr(spectrum, "component_constraints", lambda c: rows)
+# C6 with top {1,2,3,4} (shape C4, order 1..4) and bottom {3,4,5,6} (shape
+# A4, order 3..6) is Frobenius; the rules below replace the two shapes'
+# (partner, value) rows.  A free pair ties x1 + x2 on vertices no bottom
+# row reaches; the clashing rule pairs x3 + x4 = -1 against the top's
+# pins x3 = x4 = 0.
+TRUE_C4 = ((0, 1, 2, 3), (1, 0, 0, 0))
+TRUE_A4 = ((3, 2, 1, 0), (0, 1, 1, 0))
+FREE_PAIR_C4 = ((1, 0, 2, 3), (0, 0, 0, 0))
+CLASHING_A4 = ((1, 0, 2, 3), (1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("top,bottom,message", [
+    (TRUE_C4, CLASHING_A4, "inconsistent linear system"),
+    (FREE_PAIR_C4, TRUE_A4, "underdetermined linear system"),
+    (FREE_PAIR_C4, CLASHING_A4, "inconsistent linear system"),
+], ids=["inconsistent", "underdetermined", "inconsistent-beats-underdetermined"])
+def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
+    s = make_seaweed(LieType("C", 6), {4, 3, 2, 1}, {6, 5, 4, 3})
+    rules = {DiagramShape("C", 4): top, DiagramShape("A", 4): bottom}
+    assert {shape: _orbit_rows(shape) for shape in rules} == {
+        DiagramShape("C", 4): TRUE_C4, DiagramShape("A", 4): TRUE_A4}
+    monkeypatch.setattr(spectrum, "_orbit_rows", rules.__getitem__)
     with pytest.raises(AssertionError, match=message):
         simple_eigenvalues(s)
 
