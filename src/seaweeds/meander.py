@@ -5,9 +5,12 @@ side.  Each side carries an involution acting as the negated longest Weyl
 element on every maximally connected component (the chain reversal on
 A-chains, a prong swap on odd D-components, the diagram flip on E6, the
 identity elsewhere).  One rule per component shape, `_orbit_rows`, gives
-both that involution and the spectrum's constraint row of each of its
-orbits.  The seaweed is Frobenius exactly when every cycle of the composed
-involutions meets the complement of pi1 & pi2 once.
+both that involution and the constraint row of each of its orbits; one
+side table per side holds both, built once per seaweed.  The meander is
+walked two ways.  The composed involution v -> i2(i1(v)) gives the orbits
+and the Frobenius test: every orbit meets the complement of pi1 & pi2
+once.  `_walk` alternates the sides along one piece, a path or a closed
+cycle, for the U-turns and the eigenvalue solve.
 """
 from __future__ import annotations
 
@@ -45,9 +48,6 @@ class Involution(NamedTuple):
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
-
-    def fixed(self, i: int) -> bool:
-        return self.perm[i] == i
 
 
 class OrbitMeander(NamedTuple):
@@ -141,50 +141,57 @@ def _orbit_rows(shape: DiagramShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partner, values
 
 
-def _permutation(n: int, comps) -> tuple[int, ...]:
-    """The involution of one side from its components: perm[i] for i >= 1,
-    identity away from the components; perm[0] = 0 is unused."""
-    perm = list(range(n + 1))
+def _side_table(n: int, comps) -> tuple[tuple, tuple]:
+    """One side's table from its components: the involution's perm (perm[i]
+    for i >= 1, identity away from the components, perm[0] = 0 unused) and
+    each vertex's orbit-row value with the side sign folded in (None off
+    the side's subset)."""
+    perm, total = list(range(n + 1)), [None] * (n + 1)
     for c in comps:
-        order = c.order
-        for a, j in zip(order, _orbit_rows(c.shape)[0]):
+        partner, value = _orbit_rows(c.shape)
+        sgn, order = c.side.sign, c.order
+        for a, j, v in zip(order, partner, value):
             perm[a] = order[j]
-    return tuple(perm)
+            total[a] = sgn * v
+    return tuple(perm), tuple(total)
+
+
+@lru_cache(maxsize=256)
+def _side_tables(n: int, sides) -> tuple[tuple, tuple]:
+    """The (top, bottom) side tables of a seaweed's components, built once
+    for its involutions and for the eigenvalue walk that soon follows."""
+    return tuple(_side_table(n, comps) for comps in sides)
 
 
 def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
     """The side involution of a subset on either side, as Involution.perm;
     it depends on the subset alone, so a catalog scan keeps one per subset."""
-    return _permutation(rs.rank, _side_components(rs, subset, Side.TOP))
+    return _side_table(rs.rank, _side_components(rs, subset, Side.TOP))[0]
 
 
 @lru_cache(maxsize=65536)
 def involution(s: Seaweed, side: Side) -> Involution:
     """The side involution: componentwise negated longest element, identity
     away from the side's subset."""
-    tops, bottoms = components(s)
-    return Involution(_permutation(s.rank,
-                                   tops if side is Side.TOP else bottoms))
+    tables = _side_tables(s.rank, components(s))
+    return Involution(tables[side is Side.BOTTOM][0])
 
 
 @lru_cache(maxsize=65536)
 def orbits(s: Seaweed) -> OrbitMeander:
     """Cycles of the composed involutions, each listed from its smallest index."""
-    i1 = involution(s, Side.TOP)
-    i2 = involution(s, Side.BOTTOM)
-    n = s.rank
-    seen = [False] * (n + 1)
+    i1, i2 = involution(s, Side.TOP), involution(s, Side.BOTTOM)
+    p1, p2 = i1.perm, i2.perm
+    seen = [False] * (s.rank + 1)
     cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
+    for start in range(1, s.rank + 1):
+        cyc, v = [], start
         while not seen[v]:
             seen[v] = True
             cyc.append(v)
-            v = i2(i1(v))
-        cycles.append(tuple(cyc))
+            v = p2[p1[v]]
+        if cyc:
+            cycles.append(tuple(cyc))
     return OrbitMeander(s, i1, i2, tuple(cycles))
 
 
@@ -227,54 +234,47 @@ def is_frobenius(s: Seaweed) -> bool:
                        subset_mask(s.pi_union_complement))
 
 
-def _adjacent(s: Seaweed, a: int, b: int) -> bool:
-    return b in s.root_system.neighbors(a)
+def _walk(perms, v: int, side: int):
+    """Yield the steps (v, w = perms[side][v], side) of v's piece of the
+    meander, the side alternating (0 top, 1 bottom) from the one given, up
+    to a path end's fixed step (w == v) or back at the starting (v, side)."""
+    start = v, side
+    while True:
+        w = perms[side][v]
+        yield v, w, side
+        if w == v:
+            return
+        v, side = w, 1 - side
+        if (v, side) == start:
+            return
 
 
 def u_turn_report(m: OrbitMeander) -> UTurnReport:
     """Count right/left U-turns per orbit.
 
-    A U-turn is an orbit step along a dashed edge joining diagram-adjacent
-    vertices (the middle pair of an even chain).  Orbits are traversed from
-    a fixed point lying in pi1 & pi2 when one exists; a step that moves
-    right in the drawing is a right U-turn on the bottom row and a left
-    U-turn on the top row.
+    A U-turn is a step along a dashed edge joining diagram-adjacent
+    vertices (the middle pair of an even chain); one moving right in the
+    drawing is a right U-turn on the bottom row, a left one on the top.
+    An orbit's piece is walked from its least path end in pi1 & pi2, else
+    its least path end, else (a closed cycle) its least vertex.  A
+    one-vertex orbit reports none, even on a closed cycle of two steps.
     """
     s = m.seaweed
     cols = s.root_system.columns()
+    neighbors = s.root_system.neighbors
     inter = s.pi1 & s.pi2
-    invs = {Side.TOP: m.i1, Side.BOTTOM: m.i2}
+    perms = (m.i1.perm, m.i2.perm)
     rows = []
     for cyc in m.orbits:
-        if len(cyc) == 1:
-            rows.append(OrbitUTurns(cyc, 0, 0))
-            continue
-        path_ends = [v for v in cyc if m.i1.fixed(v) or m.i2.fixed(v)]
-        anchors = [v for v in path_ends if v in inter]
-        if anchors:
-            start = min(anchors)
-        elif path_ends:
-            start = min(path_ends)
-        else:
-            start = min(cyc)  # a closed loop; only occurs off the Frobenius case
-        first = Side.BOTTOM if invs[Side.TOP].fixed(start) else Side.TOP
-        right = left = 0
-        side = first
-        v = start
-        for _ in range(2 * len(cyc) + 2):
-            w = invs[side](v)
-            if w == v:
-                break
-            if _adjacent(s, v, w):
-                if (cols[w] > cols[v]) == (side is Side.BOTTOM):
-                    right += 1
-                else:
-                    left += 1
-            v = w
-            side = Side.BOTTOM if side is Side.TOP else Side.TOP
-            if v == start and side is first:
-                break
-        rows.append(OrbitUTurns(cyc, right, left))
+        turns = [0, 0]                  # [left, right]
+        if len(cyc) > 1:
+            ends = [v for v in cyc if perms[0][v] == v or perms[1][v] == v]
+            start = min([v for v in ends if v in inter] or ends or cyc)
+            first = int(perms[0][start] == start)
+            for v, w, side in _walk(perms, start, first):
+                if w in neighbors(v):
+                    turns[(cols[w] > cols[v]) == (side == 1)] += 1
+        rows.append(OrbitUTurns(cyc, turns[1], turns[0]))
     return UTurnReport(tuple(rows))
 
 

@@ -5,9 +5,8 @@ take on a principal element with one row per orbit of its involution
 (`meander._orbit_rows` holds the rule of each shape): a fixed root's value
 is pinned, a swapped pair's values have a set sum, and the values are
 negated on the bottom side.  Each variable lies in at most one row per
-side, so the rows form paths alternating between the sides with the pins
-at their ends; the values are found by walking each path from a pin, and
-for a Frobenius seaweed every value is reached exactly once.  The
+side, so the rows form the meander's paths, pinned at their ends; the
+values are carried along each path from a pin by `meander._walk`.  The
 per-component eigenvalue multisets (each root evaluated on the solution,
 plus one zero per orbit) then partition the full spectrum.  A classical
 component's roots are evaluated from the epsilon coordinates of its
@@ -23,7 +22,8 @@ from typing import NamedTuple
 from .rootsys import (DiagramShape, LieType, build_root_system,
                       epsilon_root_values, positive_root_count,
                       twice_epsilon)
-from .meander import Component, _orbit_rows, components, is_frobenius
+from .meander import (Component, _orbit_rows, _side_tables, _walk, components,
+                      is_frobenius)
 from .seaweed import Seaweed, decompose_direct_sum
 
 
@@ -88,44 +88,28 @@ def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
                                                  tuple[Component, ...]]
                        ) -> SimpleEigenvalueVector:
     """Solve the constraints of s's (tops, bottoms) component pair by
-    walking the meander.
+    walking the meander from each pin, a vertex its own row fixes.
 
-    On each side, mate[v] is v's partner in its orbit row, with the row's
-    value, side sign folded in, in total[v]: mate[v] == v pins x_v, and
-    mate[v] == 0 means v has no row on that side.  A vertex has at most one
-    row per side, so the pair rows form paths alternating between the
-    sides, with the pins at their ends.  Each walk starts at a pin and sets
-    x_w = total - x_v at each step; a second pin, or a value already set,
-    is checked against the value reached.  A piece no pin reaches, such as
-    an even cycle off the Frobenius case, is left without values.
+    A pin starts a path, and each pair row on it sets x_w = total - x_v.
+    The path's other end is a second pin, checked against the value
+    reached, or a vertex with no row on that side.  A piece no pin reaches,
+    such as an even cycle off the Frobenius case, is left without values.
     """
     n = s.rank
-    mates, totals = [], []
-    for comps in sides:
-        mate, total = [0] * (n + 1), [0] * (n + 1)
-        for c in comps:
-            partner, value = _orbit_rows(c.shape)
-            sgn, order = c.side.sign, c.order
-            for a, j, v in zip(order, partner, value):
-                mate[a] = order[j]
-                total[a] = sgn * v
-        mates.append(mate)
-        totals.append(total)
+    perms, totals = zip(*_side_tables(n, sides))
     x: list[int | None] = [None] * (n + 1)
     inconsistent = False
     for side in (0, 1):
-        for start in range(1, n + 1):
-            if mates[side][start] != start or x[start] is not None:
+        for start, (mate, pin) in enumerate(zip(perms[side], totals[side])):
+            if mate != start or pin is None or x[start] is not None:
                 continue
-            x[start] = totals[side][start]
-            v, t = start, 1 - side
-            while w := mates[t][v]:
-                value = totals[t][v] - (0 if w == v else x[v])
-                if x[w] is not None:
-                    inconsistent |= x[w] != value
-                    break
-                x[w] = value
-                v, t = w, 1 - t
+            x[start] = pin
+            for v, w, t in _walk(perms, start, 1 - side):
+                value = totals[t][v]
+                if w == v:              # the path's other end
+                    inconsistent |= value is not None and value != x[v]
+                else:
+                    x[w] = value - x[v]
     problem = ("inconsistent" if inconsistent
                else "underdetermined" if None in x[1:] else None)
     if problem:
@@ -194,6 +178,11 @@ def verify_symmetric(sp: Spectrum) -> bool:
     return all(m == c.get(1 - k, 0) for k, m in c.items())
 
 
+_VALUE_RANGES = {"A": range(-3, 4), "D": range(-3, 4), "B": range(-1, 2),
+                 "C": range(0, 2), "E": range(-2, 3), "F": range(-2, 3),
+                 "G": range(-2, 3)}
+
+
 def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     """Side-normalized simple-eigenvalue ranges by component type.
 
@@ -202,16 +191,7 @@ def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     together); components with a distinguished root stay in the pinned
     ranges.
     """
-    sgn = c.side.sign
-    kind = c.shape.kind
-    if kind in ("A", "D"):
-        allowed = range(-3, 4)
-    elif kind == "B":
-        allowed = range(-1, 2)
-    elif kind == "C":
-        allowed = range(0, 2)
-    else:
-        allowed = range(-2, 3)
+    sgn, allowed = c.side.sign, _VALUE_RANGES[c.shape.kind]
     return all(sgn * x.of(i) in allowed for i in c.roots)
 
 

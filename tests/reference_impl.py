@@ -6,17 +6,21 @@ the integer and modular ranks and for the exact solve, root tuples for the
 census's prefix sums,
 a subset filter over all positive roots for the closed-form component
 spectra, per-shape involutions and constraint rows for the one rule
-`meander._orbit_rows` states for both), or a fixture the oracle tests
-share.
+`meander._orbit_rows` states for both, a per-orbit U-turn count and a
+per-call mate-table solve for the one meander walker), or a fixture the
+oracle tests share.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from seaweeds.meander import Component
+from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
+                              UTurnReport, _orbit_rows)
 from seaweeds.oracle import MatrixSeaweed
 from seaweeds.rootsys import DiagramShape, PositiveRoot, RootSystem
 from seaweeds.seaweed import Seaweed, subset_mask
+from seaweeds.spectrum import SimpleEigenvalueVector
 
 
 def rank_exact(matrix: list[list[Fraction | int]]) -> int:
@@ -223,6 +227,110 @@ def canonical_form(s: Seaweed) -> Seaweed:
     return s
 
 
+def full_union_pairs(n: int):
+    """(top, bottom) index lists for each of the 3^n ways to put every
+    vertex of a rank-n diagram on the top only, the bottom only, or both."""
+    for places in itertools.product((1, 2, 3), repeat=n):
+        yield ([i for i, p in enumerate(places, 1) if p & 1],
+               [i for i, p in enumerate(places, 1) if p & 2])
+
+
 def poset_algebra_sl4() -> MatrixSeaweed:
     """The 8-dimensional incidence algebra of the poset 1,2 < 3 < 4 in sl(4)."""
     return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
+
+
+def u_turn_report(m: OrbitMeander) -> UTurnReport:
+    """Count right/left U-turns per orbit, each orbit walked on its own
+    under a step guard.
+
+    A U-turn is an orbit step along a dashed edge joining diagram-adjacent
+    vertices (the middle pair of an even chain).  Orbits are traversed from
+    a fixed point lying in pi1 & pi2 when one exists; a step that moves
+    right in the drawing is a right U-turn on the bottom row and a left
+    U-turn on the top row.
+    """
+    s = m.seaweed
+    cols = s.root_system.columns()
+    inter = s.pi1 & s.pi2
+    invs = {Side.TOP: m.i1, Side.BOTTOM: m.i2}
+    rows = []
+    for cyc in m.orbits:
+        if len(cyc) == 1:
+            rows.append(OrbitUTurns(cyc, 0, 0))
+            continue
+        path_ends = [v for v in cyc if m.i1(v) == v or m.i2(v) == v]
+        anchors = [v for v in path_ends if v in inter]
+        if anchors:
+            start = min(anchors)
+        elif path_ends:
+            start = min(path_ends)
+        else:
+            start = min(cyc)  # a closed loop; only occurs off the Frobenius case
+        first = Side.BOTTOM if m.i1(start) == start else Side.TOP
+        right = left = 0
+        side = first
+        v = start
+        for _ in range(2 * len(cyc) + 2):
+            w = invs[side](v)
+            if w == v:
+                break
+            if w in s.root_system.neighbors(v):
+                if (cols[w] > cols[v]) == (side is Side.BOTTOM):
+                    right += 1
+                else:
+                    left += 1
+            v = w
+            side = Side.BOTTOM if side is Side.TOP else Side.TOP
+            if v == start and side is first:
+                break
+        rows.append(OrbitUTurns(cyc, right, left))
+    return UTurnReport(tuple(rows))
+
+
+def solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
+                                                tuple[Component, ...]]
+                      ) -> SimpleEigenvalueVector:
+    """Solve the constraints of s's (tops, bottoms) component pair by
+    walking the meander from per-call mate tables.
+
+    On each side, mate[v] is v's partner in its orbit row, with the row's
+    value, side sign folded in, in total[v]: mate[v] == v pins x_v, and
+    mate[v] == 0 means v has no row on that side.  Each walk starts at a
+    pin and sets x_w = total - x_v at each step; a second pin, or a value
+    already set, is checked against the value reached.
+    """
+    n = s.rank
+    mates, totals = [], []
+    for comps in sides:
+        mate, total = [0] * (n + 1), [0] * (n + 1)
+        for c in comps:
+            partner, value = _orbit_rows(c.shape)
+            sgn, order = c.side.sign, c.order
+            for a, j, v in zip(order, partner, value):
+                mate[a] = order[j]
+                total[a] = sgn * v
+        mates.append(mate)
+        totals.append(total)
+    x: list[int | None] = [None] * (n + 1)
+    inconsistent = False
+    for side in (0, 1):
+        for start in range(1, n + 1):
+            if mates[side][start] != start or x[start] is not None:
+                continue
+            x[start] = totals[side][start]
+            v, t = start, 1 - side
+            while w := mates[t][v]:
+                value = totals[t][v] - (0 if w == v else x[v])
+                if x[w] is not None:
+                    inconsistent |= x[w] != value
+                    break
+                x[w] = value
+                v, t = w, 1 - t
+    problem = ("inconsistent" if inconsistent
+               else "underdetermined" if None in x[1:] else None)
+    if problem:
+        raise AssertionError(
+            f"constraint system for {s} is {problem} linear system; this "
+            "indicates a component-classification bug")
+    return SimpleEigenvalueVector(tuple(x[1:]))

@@ -3,14 +3,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds.rootsys import LieType
-from seaweeds.seaweed import make_seaweed
-from seaweeds.meander import (CompositionPair, Move, Side, components,
+import reference_impl
+from seaweeds import spectrum
+from seaweeds.oracle import index, realize_type_a
+from seaweeds.rootsys import LieType, build_root_system
+from seaweeds.seaweed import Seaweed, make_seaweed
+from seaweeds.meander import (CompositionPair, Move, Side, _walk, components,
                               generate_frobenius, involution, is_frobenius,
-                              orbits, u_turn_report, winding_bases,
-                              winding_move)
+                              orbits, swapped_components, u_turn_report,
+                              winding_bases, winding_move)
 
 from reference_data import A9, B8, C8, D11, D14
+from reference_impl import full_union_pairs
 
 
 def _seaweed(ref):
@@ -218,3 +222,84 @@ def test_involutions_square_to_identity(data):
                 assert inv(i) == i
     m = orbits(s)
     assert sorted(v for o in m.orbits for v in o) == list(range(1, n + 1))
+
+
+def _full_union_seaweeds(t: LieType):
+    rs = build_root_system(t)
+    for top, bottom in full_union_pairs(t.rank):
+        yield Seaweed(rs, frozenset(top), frozenset(bottom))
+
+
+def _solve_outcome(solve, s, sides):
+    """The solved values, or the text of the AssertionError raised."""
+    try:
+        return solve(s, sides).values
+    except AssertionError as exc:
+        return str(exc)
+
+
+def _assert_walks_match_reference(t: LieType) -> None:
+    for s in _full_union_seaweeds(t):
+        m = orbits(s)
+        assert u_turn_report(m) == reference_impl.u_turn_report(m), s
+        flipped = Seaweed(s.root_system, s.pi2, s.pi1)
+        for seaweed, sides in ((s, components(s)),
+                               (flipped, swapped_components(s))):
+            assert (_solve_outcome(spectrum._solve_eigenvalues, seaweed, sides)
+                    == _solve_outcome(reference_impl.solve_eigenvalues,
+                                      seaweed, sides)), seaweed
+
+
+def _types(spec: str) -> list[LieType]:
+    return [LieType.parse(name) for name in spec.split()]
+
+
+@pytest.mark.parametrize("t", _types(
+    "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C2 C3 C4 C5 D4 D5 E6 F4 G2"), ids=str)
+def test_walks_match_reference_on_every_full_union_pair(t):
+    # U-turn rows, and the solved values or the error, for s's components
+    # and for the swapped components
+    _assert_walks_match_reference(t)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t", _types("A7 A8 B6 B7 C6 C7 D6 D7 E7"), ids=str)
+def test_walks_match_reference_at_higher_rank(t):
+    _assert_walks_match_reference(t)
+
+
+def test_one_vertex_orbit_on_a_closed_two_cycle_reports_no_u_turn():
+    # both sides swap 1 and 2, so the composition fixes each: two
+    # one-vertex orbits on one closed cycle of two U-turn steps
+    m = orbits(make_seaweed(LieType("A", 2), {2, 1}, {2, 1}))
+    assert m.orbits == ((1,), (2,))
+    assert [(r.right, r.left) for r in u_turn_report(m).rows] == [(0, 0)] * 2
+
+
+def _piece_counts(s: Seaweed) -> tuple[int, int, int]:
+    """(C, P0, P2): the closed cycles of the meander, and its paths with no
+    end, or both ends, outside pi1 & pi2, each piece walked with _walk."""
+    perms = (involution(s, Side.TOP).perm, involution(s, Side.BOTTOM).perm)
+    inter = s.pi1 & s.pi2
+    seen: set[int] = set()
+    outside = []
+    for v in range(1, s.rank + 1):
+        for side in (0, 1):
+            if perms[side][v] == v and v not in seen:
+                steps = list(_walk(perms, v, 1 - side))
+                seen.update(w for _, w, _ in steps)
+                seen.add(v)
+                outside.append(len({v, steps[-1][1]} - inter))
+    closed = 0
+    for v in range(1, s.rank + 1):
+        if v not in seen:
+            seen.update(w for _, w, _ in _walk(perms, v, 0))
+            closed += 1
+    return closed, outside.count(0), outside.count(2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_piece_counts_give_the_type_a_index(n):
+    for s in _full_union_seaweeds(LieType("A", n)):
+        closed, p0, p2 = _piece_counts(s)
+        assert 2 * closed + p0 + p2 == index(realize_type_a(s)).index, s
