@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import lru_cache
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
@@ -246,10 +245,7 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it as it
-    was, so every in-process `main` call can share it."""
     # options shared by several subcommands, declared once as parents
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", required=True,

@@ -5,10 +5,9 @@ side.  Each side carries an involution acting as the negated longest Weyl
 element on every maximally connected component (the chain reversal on
 A-chains, a prong swap on odd D-components, the diagram flip on E6, the
 identity elsewhere).  One rule per component shape, `_orbit_rows`, gives
-both that involution and the constraint row of each of its orbits; one
-side table per side holds both, built once per seaweed.  The meander is
-walked two ways.  The composed involution v -> i2(i1(v)) gives the orbits
-and the Frobenius test: every orbit meets the complement of pi1 & pi2
+both that involution and the constraint row of each of its orbits.  The
+cycles of the composed involution v -> i2(i1(v)) are the orbits, and the
+seaweed is Frobenius exactly when each meets the complement of pi1 & pi2
 once.  `_walk` alternates the sides along one piece, a path or a closed
 cycle, for the U-turns and the eigenvalue solve.
 """
@@ -146,7 +145,8 @@ def _side_table(n: int, comps) -> tuple[tuple, tuple]:
     for i >= 1, identity away from the components, perm[0] = 0 unused) and
     each vertex's orbit-row value with the side sign folded in (None off
     the side's subset)."""
-    perm, total = list(range(n + 1)), [None] * (n + 1)
+    perm = list(range(n + 1))
+    total = [None] * (n + 1)
     for c in comps:
         partner, value = _orbit_rows(c.shape)
         sgn, order = c.side.sign, c.order
@@ -154,13 +154,6 @@ def _side_table(n: int, comps) -> tuple[tuple, tuple]:
             perm[a] = order[j]
             total[a] = sgn * v
     return tuple(perm), tuple(total)
-
-
-@lru_cache(maxsize=256)
-def _side_tables(n: int, sides) -> tuple[tuple, tuple]:
-    """The (top, bottom) side tables of a seaweed's components, built once
-    for its involutions and for the eigenvalue walk that soon follows."""
-    return tuple(_side_table(n, comps) for comps in sides)
 
 
 def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
@@ -173,25 +166,28 @@ def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
 def involution(s: Seaweed, side: Side) -> Involution:
     """The side involution: componentwise negated longest element, identity
     away from the side's subset."""
-    tables = _side_tables(s.rank, components(s))
-    return Involution(tables[side is Side.BOTTOM][0])
+    return Involution(_side_table(s.rank,
+                                  components(s)[side is Side.BOTTOM])[0])
 
 
 @lru_cache(maxsize=65536)
 def orbits(s: Seaweed) -> OrbitMeander:
     """Cycles of the composed involutions, each listed from its smallest index."""
-    i1, i2 = involution(s, Side.TOP), involution(s, Side.BOTTOM)
-    p1, p2 = i1.perm, i2.perm
-    seen = [False] * (s.rank + 1)
+    i1 = involution(s, Side.TOP)
+    i2 = involution(s, Side.BOTTOM)
+    n = s.rank
+    seen = [False] * (n + 1)
     cycles = []
-    for start in range(1, s.rank + 1):
-        cyc, v = [], start
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        v = start
         while not seen[v]:
             seen[v] = True
             cyc.append(v)
-            v = p2[p1[v]]
-        if cyc:
-            cycles.append(tuple(cyc))
+            v = i2(i1(v))
+        cycles.append(tuple(cyc))
     return OrbitMeander(s, i1, i2, tuple(cycles))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .rootsys import (DiagramShape, LieType, build_root_system,
                       epsilon_root_values, positive_root_count,
                       twice_epsilon)
-from .meander import (Component, _orbit_rows, _side_tables, _walk, components,
+from .meander import (Component, _orbit_rows, _side_table, _walk, components,
                       is_frobenius)
 from .seaweed import Seaweed, decompose_direct_sum
 
@@ -96,7 +96,7 @@ def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
     such as an even cycle off the Frobenius case, is left without values.
     """
     n = s.rank
-    perms, totals = zip(*_side_tables(n, sides))
+    perms, totals = zip(*(_side_table(n, comps) for comps in sides))
     x: list[int | None] = [None] * (n + 1)
     inconsistent = False
     for side in (0, 1):
@@ -178,11 +178,6 @@ def verify_symmetric(sp: Spectrum) -> bool:
     return all(m == c.get(1 - k, 0) for k, m in c.items())
 
 
-_VALUE_RANGES = {"A": range(-3, 4), "D": range(-3, 4), "B": range(-1, 2),
-                 "C": range(0, 2), "E": range(-2, 3), "F": range(-2, 3),
-                 "G": range(-2, 3)}
-
-
 def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     """Side-normalized simple-eigenvalue ranges by component type.
 
@@ -191,7 +186,16 @@ def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     together); components with a distinguished root stay in the pinned
     ranges.
     """
-    sgn, allowed = c.side.sign, _VALUE_RANGES[c.shape.kind]
+    sgn = c.side.sign
+    kind = c.shape.kind
+    if kind in ("A", "D"):
+        allowed = range(-3, 4)
+    elif kind == "B":
+        allowed = range(-1, 2)
+    elif kind == "C":
+        allowed = range(0, 2)
+    else:
+        allowed = range(-2, 3)
     return all(sgn * x.of(i) in allowed for i in c.roots)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import seaweeds
-from seaweeds import cli, oracle, spectrum
+from seaweeds import oracle, spectrum
 from seaweeds.cli import main
 from seaweeds.rootsys import LieType, build_root_system
 
@@ -312,30 +312,6 @@ def test_oracle_rejects_non_type_a(capsys):
     code, _, err = run(capsys, "oracle", "--type", "E6",
                        "--top", "5,4,3,1", "--bottom", "6,5,4,3,2,1")
     assert code == 4
-
-
-SUCCESS = ("check", "--type", "A", "--rank", "9", "--top", "9,7,6,4,3,2,1",
-           "--bottom", "9,8,7,5,4,3,2,1")
-PARSER_SEQUENCE = [
-    SUCCESS,
-    ("check", "--type", "A", "--rank", "9", "--top", "9,7", "--no-such-flag"),
-    ("spectrum", "--help"),
-    ("oracle", "--type", "E6", "--top", "5,4,3,1", "--bottom", "6,5,4,3,2,1"),
-    SUCCESS,
-]
-
-
-def test_parser_built_once_answers_as_a_fresh_one(capsys):
-    cli.build_parser.cache_clear()
-    shared = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
-    assert cli.build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in PARSER_SEQUENCE:
-        cli.build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 2, 0, 4, 0]
-    assert "usage:" in shared[1][2] and "usage:" in shared[2][1]
 
 
 def test_render_svg_to_file(capsys, tmp_path):

@@ -311,19 +311,11 @@ def test_dimension_matches_root_count_on_any_subsets(data):
 # row reaches; the clashing rule pairs x3 + x4 = -1 against the top's
 # pins x3 = x4 = 0.  A patched rule changes the involutions too, so
 # is_frobenius would refuse first: the rule is patched where the side
-# tables are built and the solve is called directly, with the table
-# cache cleared on both sides of the call.
+# tables are built and the solve is called directly.
 TRUE_C4 = ((0, 1, 2, 3), (1, 0, 0, 0))
 TRUE_A4 = ((3, 2, 1, 0), (0, 1, 1, 0))
 FREE_PAIR_C4 = ((1, 0, 2, 3), (0, 0, 0, 0))
 CLASHING_A4 = ((1, 0, 2, 3), (1, 1, 0, 0))
-
-
-@pytest.fixture
-def fresh_side_tables():
-    meander._side_tables.cache_clear()
-    yield
-    meander._side_tables.cache_clear()
 
 
 @pytest.mark.parametrize("top,bottom,message", [
@@ -331,8 +323,7 @@ def fresh_side_tables():
     (FREE_PAIR_C4, TRUE_A4, "underdetermined linear system"),
     (FREE_PAIR_C4, CLASHING_A4, "inconsistent linear system"),
 ], ids=["inconsistent", "underdetermined", "inconsistent-beats-underdetermined"])
-def test_broken_constraint_systems_raise(monkeypatch, fresh_side_tables,
-                                         top, bottom, message):
+def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
     s = make_seaweed(LieType("C", 6), {4, 3, 2, 1}, {6, 5, 4, 3})
     rules = {DiagramShape("C", 4): top, DiagramShape("A", 4): bottom}
     assert {shape: _orbit_rows(shape) for shape in rules} == {
