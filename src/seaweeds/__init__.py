@@ -9,8 +9,7 @@ so `import seaweeds` loads no submodule.
 from importlib import import_module
 
 _EXPORTS = {
-    "rootsys": "DiagramShape LieType RootSystem build_root_system "
-               "positive_root_count",
+    "rootsys": "LieType RootSystem build_root_system positive_root_count",
     "seaweed": "Composition Seaweed composition_marks decompose_direct_sum "
                "from_compositions make_seaweed",
     "meander": "Component CompositionPair Involution Move OrbitMeander Side "

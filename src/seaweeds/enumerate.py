@@ -262,9 +262,9 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
         if not verify_symmetric(cs):
             fail(f"component {c.roots} spectrum {cs.mult} is asymmetric")
-        if c.shape.kind == "A":
+        if c.shape.family == "A":
             _check_symmetric_roots(s, c, x, fail)
-        if c.shape.kind == "E" and c.shape.rank == 6:
+        if c.shape == ("E", 6):
             config = tuple(c.side.sign * x.of(i) for i in c.order)
             flip = (config[5], config[1], config[4], config[3],
                     config[2], config[0])

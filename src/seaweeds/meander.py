@@ -17,7 +17,7 @@ import enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootsys import (DiagramShape, LieType, RootSystem, _classify,
+from .rootsys import (LieType, RootSystem, classify_component,
                       connected_components)
 from .seaweed import Composition, Seaweed, from_compositions, subset_mask
 
@@ -36,7 +36,7 @@ class Component(NamedTuple):
 
     side: Side
     roots: tuple[int, ...]          # ambient indices, descending
-    shape: DiagramShape
+    shape: LieType
     order: tuple[int, ...]          # ambient indices in internal role order
 
 
@@ -68,10 +68,10 @@ class UTurnReport(NamedTuple):
 
 def _side_components(rs: RootSystem, subset, side: Side) -> tuple[Component, ...]:
     """Maximally connected components of one side's subset, leftmost first."""
-    cols = rs.columns()
+    cols = rs.columns
     comps = []
     for comp in connected_components(subset, rs.neighbors):
-        shape, order = _classify(rs, comp)
+        shape, order = classify_component(rs, comp)
         comps.append(Component(side, tuple(sorted(comp, reverse=True)),
                                shape, order))
     comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))
@@ -106,7 +106,7 @@ _PINNED = {("E", 7): (-1, 1, 1, -1, 1, -1, 1),
 
 
 @lru_cache(maxsize=None)
-def _orbit_rows(shape: DiagramShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _orbit_rows(shape: LieType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rule of one component shape, as (partner, value) by position j
     in the component's order (internal index j + 1).
 
@@ -117,19 +117,19 @@ def _orbit_rows(shape: DiagramShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     middle vertex or middle pair sums to one and its other pairs to zero.
     Each orbit is one row and adds one zero to the spectrum.
     """
-    kind, k = shape
+    family, k = shape
     partner = tuple(range(k))
     alternating = tuple((-1) ** (i + k) for i in range(1, k + 1))
-    if kind == "A":
+    if family == "A":
         partner = partner[::-1]
         values = tuple(int(abs(2 * j + 1 - k) <= 1) for j in range(k))
-    elif kind == "B":
+    elif family == "B":
         values = (k % 2,) + alternating[1:]
-    elif kind == "C":
+    elif family == "C":
         values = (1,) + (0,) * (k - 1)
-    elif kind == "D" and k % 2 == 0:
+    elif family == "D" and k % 2 == 0:
         values = (1, 1) + alternating[2:]
-    elif kind == "D":
+    elif family == "D":
         partner = (1, 0) + partner[2:]
         values = (0, 0) + alternating[2:]
     elif shape == ("E", 6):
@@ -252,11 +252,15 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
     vertices (the middle pair of an even chain); one moving right in the
     drawing is a right U-turn on the bottom row, a left one on the top.
     An orbit's piece is walked from its least path end in pi1 & pi2, else
-    its least path end, else (a closed cycle) its least vertex.  A
+    its least path end, else (a closed cycle) its least vertex.  A closed
+    cycle, which only a seaweed that is not Frobenius has, holds two
+    orbits; each walks the whole cycle from its least vertex, top side
+    first, so both rows count every U-turn of the cycle, in opposite
+    directions (one's right U-turns are the other's left ones).  A
     one-vertex orbit reports none, even on a closed cycle of two steps.
     """
     s = m.seaweed
-    cols = s.root_system.columns()
+    cols = s.root_system.columns
     neighbors = s.root_system.neighbors
     inter = s.pi1 & s.pi2
     perms = (m.i1.perm, m.i2.perm)

@@ -24,7 +24,7 @@ def _geometry(m: OrbitMeander):
     s = m.seaweed
     rs = s.root_system
     n = s.rank
-    cols = rs.columns()
+    cols = rs.columns
     fam = rs.lie_type.family
     coords = {}
     for i in range(1, n + 1):

@@ -4,21 +4,28 @@ Indexing convention: for the classical types B, C and D the distinguished
 root is alpha_1 (short for B, long for C, a fork prong for D) and the chain
 reads alpha_n, ..., alpha_1 from left to right; the exceptional types carry
 the standard Bourbaki numbering.  A RootSystem carries the Cartan matrix and
-the diagram adjacency; its positive roots, coefficient tuples over the simple
-roots, are built on first access.  For A-D they come in closed form from the
-epsilon description of the roots; closure over root strings, driven by the
-Cartan matrix alone, is used for E, F and G only.
+the diagram adjacency; its drawing columns and its positive roots,
+coefficient tuples over the simple roots, are built on first access.  For
+A-D the roots come in closed form from the epsilon description; closure
+over root strings, driven by the Cartan matrix alone, is used for E, F and
+G only.  A LieType names a whole system and equally the type of a connected
+subdiagram: classify_component reads that type, and the order of its
+vertices as a standalone system, off one scan of the piece.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 VALID_RANKS = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (3, 512),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 PositiveRoot = tuple[int, ...]
+
+# The E8 chain alpha_1, alpha_3, ..., alpha_8; E6 and E7 take its prefixes,
+# and alpha_2 hangs off alpha_4.
+_E_CHAIN = (1, 3, 4, 5, 6, 7, 8)
 
 
 class LieType(namedtuple("LieType", "family rank")):
@@ -46,16 +53,6 @@ class LieType(namedtuple("LieType", "family rank")):
         return LieType(text[0], int(text[1:]))
 
 
-class DiagramShape(NamedTuple):
-    """The type of a connected induced subdiagram."""
-
-    kind: str
-    rank: int
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.rank}"
-
-
 def _links(t: LieType) -> list[tuple[int, int, int, int]]:
     """The diagram edges (i, j, a_ij, a_ji) with their Cartan entries."""
     fam, r = t.family, t.rank
@@ -72,7 +69,7 @@ def _links(t: LieType) -> list[tuple[int, int, int, int]]:
         return [(i, i + 1, -1, -1) for i in range(3, r)] + [
             (1, 3, -1, -1), (2, 3, -1, -1)]
     if fam == "E":
-        chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
+        chain = _E_CHAIN[: r - 1]
         return [(a, b, -1, -1) for a, b in zip(chain, chain[1:])] + [
             (2, 4, -1, -1)]
     if fam == "F":
@@ -86,8 +83,9 @@ def _frozen(self, name: str, value=None):
 
 
 class RootSystem:
-    """Cartan data of one simple type; the positive roots are built on
-    first access and kept.  Fields are read-only; equality is identity."""
+    """Cartan data of one simple type; the drawing columns and the positive
+    roots are built on first access and kept.  Fields are read-only;
+    equality is identity."""
 
     __setattr__ = __delattr__ = _frozen
 
@@ -107,10 +105,25 @@ class RootSystem:
     def edge_multiplicity(self, i: int, j: int) -> int:
         return self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
 
+    @cached_property
     def columns(self) -> dict[int, int]:
         """Horizontal drawing positions (doubled to stay integral), matching
         the left-to-right layout alpha_n ... alpha_1 for classical types."""
-        return _columns_of(self)
+        fam, n = self.lie_type
+        if fam in "ABC":
+            return {i: 2 * (n - i) for i in range(1, n + 1)}
+        if fam == "D":
+            col = {i: 2 * (n - i) for i in range(2, n + 1)}
+            col[1] = 2 * (n - 2)  # drawn in the same column as alpha_2
+            return col
+        if fam == "E":
+            chain = _E_CHAIN[: n - 1]
+            col = {a: 2 * k for k, a in enumerate(reversed(chain))}
+            col[2] = col[4] + 1  # branch vertex sits between alpha_4 and alpha_3
+            return col
+        if fam == "F":
+            return {i: 2 * (i - 1) for i in range(1, 5)}
+        return {2: 0, 1: 2}  # G2
 
     @cached_property
     def positive_roots(self) -> tuple[PositiveRoot, ...]:
@@ -121,25 +134,6 @@ class RootSystem:
         else:
             roots = _closure_roots(self.cartan)
         return tuple(sorted(roots, key=lambda b: (sum(b), b)))
-
-
-@lru_cache(maxsize=None)
-def _columns_of(rs: RootSystem) -> dict[int, int]:
-    fam, n = rs.lie_type.family, rs.rank
-    if fam in "ABC":
-        return {i: 2 * (n - i) for i in range(1, n + 1)}
-    if fam == "D":
-        col = {i: 2 * (n - i) for i in range(2, n + 1)}
-        col[1] = 2 * (n - 2)  # drawn in the same column as alpha_2
-        return col
-    if fam == "E":
-        chain = [1, 3, 4, 5, 6, 7, 8][: n - 1]
-        col = {a: 2 * k for k, a in enumerate(reversed(chain))}
-        col[2] = col[4] + 1  # branch vertex sits between alpha_4 and alpha_3
-        return col
-    if fam == "F":
-        return {i: 2 * (i - 1) for i in range(1, 5)}
-    return {2: 0, 1: 2}  # G2
 
 
 @lru_cache(maxsize=None)
@@ -274,76 +268,56 @@ def connected_components(subset, neighbors) -> list[frozenset[int]]:
     return comps
 
 
-def _classify(rs: RootSystem, s: frozenset[int]) -> tuple[DiagramShape, tuple[int, ...]]:
-    """Shape of a connected subset, such as a piece returned by
+def classify_component(rs: RootSystem, s: frozenset[int]
+                       ) -> tuple[LieType, tuple[int, ...]]:
+    """Type of a connected subset, such as a piece returned by
     connected_components, plus its internal vertex order.
 
     The returned order lists ambient indices playing the roles alpha'_1,
-    alpha'_2, ..., alpha'_k of a standalone system of the detected shape
+    alpha'_2, ..., alpha'_k of a standalone system of that type
     (distinguished root first for B/C/D, Bourbaki order for E/F/G, and the
-    rightmost-drawn end first for chains).
+    rightmost-drawn end first for chains).  A chain with a multiple edge
+    is read off one walk: from its short end in B and G2, else from its
+    long end; a bare doubled edge is C2 in a C system and B2 elsewhere.
     """
     verts = sorted(s)
     k = len(verts)
     if k == 1:
-        return DiagramShape("A", 1), (verts[0],)
+        return LieType("A", 1), (verts[0],)
     adj = {v: [w for w in rs.neighbors(v) if w in s] for v in verts}
 
-    for v in verts:
-        for w in adj[v]:
-            if rs.edge_multiplicity(v, w) == 3:
-                short = w if rs.cartan[v - 1][w - 1] == -3 else v
-                longv = v if short == w else w
-                return DiagramShape("G", 2), (short, longv)
+    # a Cartan entry below -1 runs from the long root to the short one
+    cartan = rs.cartan
+    multiple = next(((v, w) for v in verts for w in adj[v]
+                     if cartan[v - 1][w - 1] < -1), None)
+    if multiple:
+        longv, short = multiple
+        if len(adj[short]) == 1 and (k > 2 or rs.lie_type.family != "C"):
+            family = "G" if cartan[longv - 1][short - 1] == -3 else "B"
+            return LieType(family, k), tuple(_chain_from(adj, short))
+        end = _chain_from(adj, longv, short)[-1]   # longv itself unless F4
+        return (LieType("C" if end == longv else "F", k),
+                tuple(_chain_from(adj, end)))
 
-    forks = [v for v in verts if len(adj[v]) == 3]
-    if forks:
-        center = forks[0]
-        legs = [_walk(adj, first, center) for first in adj[center]]
-        legs.sort(key=lambda leg: (len(leg), leg[0]))
-        lens = tuple(len(leg) for leg in legs)
-        if lens[0] == 1 and lens[1] == 1:
-            prongs = sorted([legs[0][0], legs[1][0]])
-            return DiagramShape("D", k), tuple(prongs) + (center,) + tuple(legs[2])
-        if lens == (1, 2, 2):
-            a, b = legs[1], legs[2]
-            return DiagramShape("E", 6), (a[1], legs[0][0], a[0], center, b[0], b[1])
-        if lens[:2] == (1, 2) and lens[2] in (3, 4):
-            a, b = legs[1], legs[2]
-            order = (a[1], legs[0][0], a[0], center) + tuple(b)
-            return DiagramShape("E", k), order
-        raise AssertionError(f"unexpected fork shape {lens} in {rs.lie_type}")
-
-    ends = [v for v in verts if len(adj[v]) == 1]
-    doubles = [(v, w) for v in verts for w in adj[v]
-               if v < w and rs.edge_multiplicity(v, w) == 2]
-    if doubles:
-        v, w = doubles[0]
-        short = w if rs.cartan[v - 1][w - 1] == -2 else v
-        longv = v if short == w else w
-        short_side = _walk(adj, short, longv)
-        long_side = _walk(adj, longv, short)
-        if len(short_side) >= 2 and len(long_side) >= 2:
-            if k != 4:
-                raise AssertionError(f"unexpected doubled chain of size {k}")
-            return DiagramShape("F", 4), tuple(reversed(long_side)) + tuple(short_side)
-        if k == 2 and rs.lie_type.family == "C":
-            # a bare doubled edge reads as the ambient series where possible
-            return DiagramShape("C", 2), (longv, short)
-        if len(short_side) == 1:
-            # the short root is a chain end: B-series, distinguished root first
-            return DiagramShape("B", k), tuple(_walk(adj, short))
-        # the long root is a chain end: C-series
-        return DiagramShape("C", k), tuple(_walk(adj, longv))
+    center = next((v for v in verts if len(adj[v]) == 3), None)
+    if center is not None:
+        legs = sorted((_chain_from(adj, first, center)
+                       for first in adj[center]),
+                      key=lambda leg: (len(leg), leg[0]))
+        if len(legs[1]) == 1:
+            return LieType("D", k), (legs[0][0], legs[1][0], center,
+                                     *legs[2])
+        a = legs[1]
+        return LieType("E", k), (a[1], legs[0][0], a[0], center, *legs[2])
 
     # plain chain; the rightmost-drawn end plays alpha'_1
-    cols = rs.columns()
-    start = max(ends, key=lambda v: cols[v])
-    return DiagramShape("A", k), tuple(_walk(adj, start))
+    cols = rs.columns
+    start = max((v for v in verts if len(adj[v]) == 1), key=cols.__getitem__)
+    return LieType("A", k), tuple(_chain_from(adj, start))
 
 
-def _walk(adj: dict[int, list[int]], start: int,
-          prev: int | None = None) -> list[int]:
+def _chain_from(adj: dict[int, list[int]], start: int,
+                prev: int | None = None) -> list[int]:
     """The vertices met walking from start without stepping back.  The first
     step avoids prev, which picks the leg when start is not a chain end."""
     path = [start]

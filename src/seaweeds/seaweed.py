@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .rootsys import (LieType, RootSystem, _classify, build_root_system,
-                      connected_components)
+from .rootsys import (LieType, RootSystem, build_root_system,
+                      classify_component, connected_components)
 
 
 class Seaweed(namedtuple("Seaweed", "root_system pi1 pi2")):
@@ -102,10 +102,10 @@ def decompose_direct_sum(s: Seaweed) -> list[Seaweed]:
     fragments.sort(key=max, reverse=True)
     out = []
     for frag in fragments:
-        shape, order = _classify(rs, frag)
+        shape, order = classify_component(rs, frag)
         rename = {amb: new for new, amb in enumerate(order, start=1)}
         sub = make_seaweed(
-            LieType(shape.kind, shape.rank),
+            shape,
             {rename[i] for i in s.pi1 & frag},
             {rename[i] for i in s.pi2 & frag},
         )

@@ -19,9 +19,8 @@ from collections import Counter
 from operator import mul
 from typing import NamedTuple
 
-from .rootsys import (DiagramShape, LieType, build_root_system,
-                      epsilon_root_values, positive_root_count,
-                      twice_epsilon)
+from .rootsys import (LieType, build_root_system, epsilon_root_values,
+                      positive_root_count, twice_epsilon)
 from .meander import (Component, _orbit_rows, _side_table, _walk, components,
                       is_frobenius)
 from .seaweed import Seaweed, decompose_direct_sum
@@ -71,7 +70,7 @@ class ComponentSpectrum(NamedTuple):
     values: Spectrum
 
 
-def zero_padding(shape: DiagramShape) -> int:
+def zero_padding(shape: LieType) -> int:
     """Zero multiplicity a component adds on top of its root values: one
     per orbit of its involution."""
     return sum(j <= p for j, p in enumerate(_orbit_rows(shape)[0]))
@@ -126,14 +125,13 @@ def component_spectrum(c: Component,
     padding."""
     sgn = c.side.sign
     vals = [sgn * x.of(i) for i in c.order]
-    kind = c.shape.kind
-    if kind in "ABCD":
-        f = [sum(map(mul, e, vals)) for e in twice_epsilon(kind, len(vals))]
-        counts = Counter(epsilon_root_values(kind, f))
+    family = c.shape.family
+    if family in "ABCD":
+        f = [sum(map(mul, e, vals)) for e in twice_epsilon(family, len(vals))]
+        counts = Counter(epsilon_root_values(family, f))
     else:
-        shape = build_root_system(LieType(kind, c.shape.rank))
         counts = Counter(sum(map(mul, beta, vals))
-                         for beta in shape.positive_roots)
+                         for beta in build_root_system(c.shape).positive_roots)
     counts[0] += zero_padding(c.shape)
     return ComponentSpectrum(c, Spectrum.from_counter(counts))
 
@@ -187,12 +185,12 @@ def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     ranges.
     """
     sgn = c.side.sign
-    kind = c.shape.kind
-    if kind in ("A", "D"):
+    family = c.shape.family
+    if family in ("A", "D"):
         allowed = range(-3, 4)
-    elif kind == "B":
+    elif family == "B":
         allowed = range(-1, 2)
-    elif kind == "C":
+    elif family == "C":
         allowed = range(0, 2)
     else:
         allowed = range(-2, 3)
@@ -201,7 +199,7 @@ def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
 
 def component_sum_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
     """Chain components sum to one after side normalization."""
-    if c.shape.kind != "A":
+    if c.shape.family != "A":
         return True
     return c.side.sign * sum(x.of(i) for i in c.roots) == 1
 
@@ -210,5 +208,4 @@ def seaweed_dimension(s: Seaweed) -> int:
     """Algebra dimension: the positive roots of every component of both
     sides plus the rank."""
     tops, bottoms = components(s)
-    return s.rank + sum(positive_root_count(LieType(c.shape.kind, c.shape.rank))
-                        for c in tops + bottoms)
+    return s.rank + sum(positive_root_count(c.shape) for c in tops + bottoms)

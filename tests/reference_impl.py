@@ -5,7 +5,8 @@ of something the package computes another way (fraction elimination for
 the integer and modular ranks and for the exact solve, root tuples for the
 census's prefix sums,
 a subset filter over all positive roots for the closed-form component
-spectra, per-shape involutions and constraint rows for the one rule
+spectra, the two-scan subdiagram classifier with its own shape record for
+the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
 `meander._orbit_rows` states for both, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker), or a fixture the
 oracle tests share.
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows)
 from seaweeds.oracle import MatrixSeaweed
-from seaweeds.rootsys import DiagramShape, PositiveRoot, RootSystem
+from seaweeds.rootsys import LieType, PositiveRoot, RootSystem
 from seaweeds.seaweed import Seaweed, subset_mask
 from seaweeds.spectrum import SimpleEigenvalueVector
 
@@ -95,6 +97,99 @@ def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
     return [b for b in rs.positive_roots if root_support(b) <= s]
 
 
+class DiagramShape(NamedTuple):
+    """The type of a connected induced subdiagram."""
+
+    kind: str
+    rank: int
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.rank}"
+
+
+def classify_component(rs: RootSystem, s: frozenset[int]
+                       ) -> tuple[DiagramShape, tuple[int, ...]]:
+    """Shape of a connected subset, such as a piece returned by
+    connected_components, plus its internal vertex order.
+
+    The returned order lists ambient indices playing the roles alpha'_1,
+    alpha'_2, ..., alpha'_k of a standalone system of the detected shape
+    (distinguished root first for B/C/D, Bourbaki order for E/F/G, and the
+    rightmost-drawn end first for chains).
+    """
+    verts = sorted(s)
+    k = len(verts)
+    if k == 1:
+        return DiagramShape("A", 1), (verts[0],)
+    adj = {v: [w for w in rs.neighbors(v) if w in s] for v in verts}
+
+    for v in verts:
+        for w in adj[v]:
+            if rs.edge_multiplicity(v, w) == 3:
+                short = w if rs.cartan[v - 1][w - 1] == -3 else v
+                longv = v if short == w else w
+                return DiagramShape("G", 2), (short, longv)
+
+    forks = [v for v in verts if len(adj[v]) == 3]
+    if forks:
+        center = forks[0]
+        legs = [_walk(adj, first, center) for first in adj[center]]
+        legs.sort(key=lambda leg: (len(leg), leg[0]))
+        lens = tuple(len(leg) for leg in legs)
+        if lens[0] == 1 and lens[1] == 1:
+            prongs = sorted([legs[0][0], legs[1][0]])
+            return DiagramShape("D", k), tuple(prongs) + (center,) + tuple(legs[2])
+        if lens == (1, 2, 2):
+            a, b = legs[1], legs[2]
+            return DiagramShape("E", 6), (a[1], legs[0][0], a[0], center, b[0], b[1])
+        if lens[:2] == (1, 2) and lens[2] in (3, 4):
+            a, b = legs[1], legs[2]
+            order = (a[1], legs[0][0], a[0], center) + tuple(b)
+            return DiagramShape("E", k), order
+        raise AssertionError(f"unexpected fork shape {lens} in {rs.lie_type}")
+
+    ends = [v for v in verts if len(adj[v]) == 1]
+    doubles = [(v, w) for v in verts for w in adj[v]
+               if v < w and rs.edge_multiplicity(v, w) == 2]
+    if doubles:
+        v, w = doubles[0]
+        short = w if rs.cartan[v - 1][w - 1] == -2 else v
+        longv = v if short == w else w
+        short_side = _walk(adj, short, longv)
+        long_side = _walk(adj, longv, short)
+        if len(short_side) >= 2 and len(long_side) >= 2:
+            if k != 4:
+                raise AssertionError(f"unexpected doubled chain of size {k}")
+            return DiagramShape("F", 4), tuple(reversed(long_side)) + tuple(short_side)
+        if k == 2 and rs.lie_type.family == "C":
+            # a bare doubled edge reads as the ambient series where possible
+            return DiagramShape("C", 2), (longv, short)
+        if len(short_side) == 1:
+            # the short root is a chain end: B-series, distinguished root first
+            return DiagramShape("B", k), tuple(_walk(adj, short))
+        # the long root is a chain end: C-series
+        return DiagramShape("C", k), tuple(_walk(adj, longv))
+
+    # plain chain; the rightmost-drawn end plays alpha'_1
+    cols = rs.columns
+    start = max(ends, key=lambda v: cols[v])
+    return DiagramShape("A", k), tuple(_walk(adj, start))
+
+
+def _walk(adj: dict[int, list[int]], start: int,
+          prev: int | None = None) -> list[int]:
+    """The vertices met walking from start without stepping back.  The first
+    step avoids prev, which picks the leg when start is not a chain end."""
+    path = [start]
+    cur = start
+    while True:
+        ext = [w for w in adj[cur] if w != prev]
+        if not ext:
+            return path
+        prev, cur = cur, ext[0]
+        path.append(cur)
+
+
 def symmetric_root(rs: RootSystem, c: Component,
                    beta: PositiveRoot) -> PositiveRoot | None:
     """The mirror partner of a root inside a chain component.
@@ -103,7 +198,7 @@ def symmetric_root(rs: RootSystem, c: Component,
     with the unique consecutive sum whose combined span covers a full
     half-chain; the self-paired diagonal (i + j = k + 1) has no partner.
     """
-    if c.shape.kind != "A":
+    if c.shape.family != "A":
         raise ValueError("symmetric roots are defined for chain components only")
     path = c.order          # alpha'_1 first
     k = len(path)
@@ -129,7 +224,7 @@ def symmetric_root(rs: RootSystem, c: Component,
 
 def component_involution(c: Component) -> dict[int, int]:
     """The negated longest element on one component, by ambient index."""
-    kind, k = c.shape.kind, c.shape.rank
+    kind, k = c.shape.family, c.shape.rank
     if kind == "A":
         path = c.order
         return {v: path[len(path) - 1 - i] for i, v in enumerate(path)}
@@ -147,9 +242,9 @@ def component_involution(c: Component) -> dict[int, int]:
     return {v: v for v in c.roots}
 
 
-def _pinned(shape: DiagramShape) -> dict[int, int] | None:
+def _pinned(shape: LieType) -> dict[int, int] | None:
     """Internal index -> value, for shapes whose values are fully forced."""
-    kind, k = shape.kind, shape.rank
+    kind, k = shape.family, shape.rank
     if kind == "B":
         if k == 2:
             return {1: 0, 2: 1}
@@ -176,7 +271,7 @@ def component_constraints(c: Component) -> list[tuple[dict[int, int], int]]:
     already folded in.
     """
     s = c.side.sign
-    kind, k = c.shape.kind, c.shape.rank
+    kind, k = c.shape.family, c.shape.rank
     order = c.order
     rows: list[tuple[dict[int, int], int]] = []
     pinned = _pinned(c.shape)
@@ -251,7 +346,7 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
     U-turn on the top row.
     """
     s = m.seaweed
-    cols = s.root_system.columns()
+    cols = s.root_system.columns
     inter = s.pi1 & s.pi2
     invs = {Side.TOP: m.i1, Side.BOTTOM: m.i2}
     rows = []

@@ -102,7 +102,7 @@ def test_a4_exceptional_component_spectra():
         for s in cat.entries:
             tops, bottoms = components(s)
             for c in tops + bottoms:
-                if (c.shape.kind, c.shape.rank) == (name[0], int(name[1])):
+                if (c.shape.family, c.shape.rank) == (name[0], int(name[1])):
                     x = simple_eigenvalues(s)
                     hit = dict(component_spectrum(c, x).values.mult)
                     break

@@ -176,7 +176,7 @@ def test_census_builds_no_ambient_roots():
         # a fresh root system: the cached one may already hold its roots
         rs = build_root_system.__wrapped__(t)
         s = Seaweed(rs, frozenset(pi1), frozenset(pi2))
-        assert any(c.shape.kind == "A" and c.shape.rank > 1
+        assert any(c.shape.family == "A" and c.shape.rank > 1
                    for side in components(s) for c in side)
         report = spectrum_census(Catalog(t, (s,)))
         assert report.checked == 1 and report.ok(), report.failures
@@ -196,7 +196,7 @@ def test_census_mirror_runs_match_symmetric_root(t):
     its mirror run (lo, hi) is the root symmetric_root pairs it with."""
     for s in enumerate_frobenius(t).entries:
         for c in itertools.chain(*components(s)):
-            if c.shape.kind != "A":
+            if c.shape.family != "A":
                 continue
             k = len(c.order)
             for i in range(1, k + 1):

@@ -26,7 +26,7 @@ def test_components_of_type_a_example():
     tops, bottoms = components(_seaweed(A9))
     assert [c.roots for c in tops] == [(9,), (7, 6), (4, 3, 2, 1)]
     assert [c.roots for c in bottoms] == [(9, 8, 7), (5, 4, 3, 2, 1)]
-    assert all(c.shape.kind == "A" for c in tops + bottoms)
+    assert all(c.shape.family == "A" for c in tops + bottoms)
 
 
 def test_components_of_type_c_example():

@@ -14,17 +14,18 @@ from seaweeds.enumerate import Catalog, CatalogDiff
 from seaweeds.meander import (Component, CompositionPair, Involution,
                               OrbitUTurns, Side, UTurnReport, orbits)
 from seaweeds.oracle import IndexCertificate, MatrixSeaweed
-from seaweeds.rootsys import DiagramShape, LieType, build_root_system
+from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Composition, Seaweed, make_seaweed
 from seaweeds.spectrum import (ComponentSpectrum, SimpleEigenvalueVector,
                                Spectrum)
 
-# seaweeds.__all__ before the root became lazy
+# seaweeds.__all__ before the root became lazy, less DiagramShape, which
+# left when a component's shape became its LieType
 PUBLIC_NAMES = [
     "APPENDIX_A_E6", "Catalog", "CatalogDiff", "CensusReport", "Component",
-    "ComponentSpectrum", "Composition", "CompositionPair", "DiagramShape",
-    "Functional", "IndexCertificate", "Involution", "LieType",
-    "MatrixSeaweed", "Move", "OrbitMeander", "RootSystem", "Seaweed", "Side",
+    "ComponentSpectrum", "Composition", "CompositionPair", "Functional",
+    "IndexCertificate", "Involution", "LieType", "MatrixSeaweed", "Move",
+    "OrbitMeander", "RootSystem", "Seaweed", "Side",
     "SimpleEigenvalueVector", "Spectrum", "UTurnReport", "ad_spectrum",
     "build_root_system", "check_appendix_a", "component_spectrum",
     "components", "composition_marks", "decompose_direct_sum", "enumerate",
@@ -37,24 +38,21 @@ PUBLIC_NAMES = [
     "winding_bases", "winding_move", "zero_padding"]
 
 A2 = LieType("A", 2)
-SHAPE = DiagramShape("A", 2)
-TOP = Component(Side.TOP, (2, 1), SHAPE, (1, 2))
+TOP = Component(Side.TOP, (2, 1), A2, (1, 2))
 SPECTRUM = Spectrum(((0, 2), (1, 2)))
 TURNS = OrbitUTurns((1, 2), 1, 0)
 
 # (factory, field names in order, the repr the dataclasses printed)
 RECORDS = [
     (lambda: LieType("A", 2), "family rank", "LieType(family='A', rank=2)"),
-    (lambda: DiagramShape("A", 2), "kind rank",
-     "DiagramShape(kind='A', rank=2)"),
     (lambda: Composition((1, 2), 4), "parts ambient_rank",
      "Composition(parts=(1, 2), ambient_rank=4)"),
     (lambda: make_seaweed(A2, {2, 1}, ()), "root_system pi1 pi2",
      "p^A2(2,1|-)"),
-    (lambda: Component(Side.TOP, (2, 1), SHAPE, (1, 2)),
+    (lambda: Component(Side.TOP, (2, 1), A2, (1, 2)),
      "side roots shape order",
-     "Component(side=<Side.TOP: 1>, roots=(2, 1), shape=DiagramShape("
-     "kind='A', rank=2), order=(1, 2))"),
+     "Component(side=<Side.TOP: 1>, roots=(2, 1), shape=LieType("
+     "family='A', rank=2), order=(1, 2))"),
     (lambda: Involution((0, 2, 1)), "perm", "Involution(perm=(0, 2, 1))"),
     (lambda: orbits(make_seaweed(A2, {2, 1}, ())), "seaweed i1 i2 orbits",
      "OrbitMeander(seaweed=p^A2(2,1|-), i1=Involution(perm=(0, 2, 1)), "
@@ -71,7 +69,7 @@ RECORDS = [
      "Spectrum(mult=((0, 2), (1, 2)))"),
     (lambda: ComponentSpectrum(TOP, SPECTRUM), "component values",
      "ComponentSpectrum(component=Component(side=<Side.TOP: 1>, roots=(2, 1)"
-     ", shape=DiagramShape(kind='A', rank=2), order=(1, 2)), values="
+     ", shape=LieType(family='A', rank=2), order=(1, 2)), values="
      "Spectrum(mult=((0, 2), (1, 2))))"),
     (lambda: IndexCertificate(0, (1, -1), 20), "index witness samples",
      "IndexCertificate(index=0, witness=(1, -1), samples=20)"),

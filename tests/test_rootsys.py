@@ -3,10 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds.rootsys import (DiagramShape, LieType, _classify,
-                              _closure_roots, build_root_system,
-                              connected_components, positive_root_count)
+from seaweeds.rootsys import (LieType, _closure_roots, build_root_system,
+                              classify_component, connected_components,
+                              positive_root_count)
 
+import reference_impl
 from reference_impl import root_support, sub_positive_roots
 
 ALL_TYPES = [LieType("A", 3), LieType("A", 9), LieType("B", 2), LieType("B", 8),
@@ -118,7 +119,7 @@ def test_sub_positive_roots_monotone(data):
 ])
 def test_induced_shape(fam, rank, sigma, expect):
     rs = build_root_system(LieType(fam, rank))
-    assert str(_classify(rs, frozenset(sigma))[0]) == expect
+    assert str(classify_component(rs, frozenset(sigma))[0]) == expect
 
 
 @given(st.data())
@@ -156,10 +157,44 @@ def test_connected_components_partition_the_subset(data):
 
 def test_classify_order_for_chain_is_a_path():
     rs = build_root_system(LieType("E", 7))
-    shape, order = _classify(rs, frozenset({2, 4, 5}))
-    assert shape == DiagramShape("A", 3)
+    shape, order = classify_component(rs, frozenset({2, 4, 5}))
+    assert shape == LieType("A", 3)
     for a, b in zip(order, order[1:]):
         assert b in rs.neighbors(a)
+
+
+def _connected_subsets(rs):
+    """Every connected subset of rs's diagram, grown one neighbour at a time
+    from the single vertices."""
+    found: set[frozenset[int]] = set()
+    frontier = {frozenset({v}) for v in range(1, rs.rank + 1)}
+    while frontier:
+        found |= frontier
+        frontier = {piece | {w} for piece in frontier for v in piece
+                    for w in rs.neighbors(v) if w not in piece} - found
+    return found
+
+
+CLASSIFY_TYPES = [LieType(fam, n)
+                  for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                  for n in range(lo, 13)] + [
+    LieType("E", 6), LieType("E", 7), LieType("E", 8), LieType("F", 4),
+    LieType("G", 2)]
+
+
+def test_classifier_matches_the_two_scan_reference():
+    """The one-scan classifier gives the reference's type, printed name and
+    vertex order on every connected subset of every diagram above."""
+    checked = 0
+    for t in CLASSIFY_TYPES:
+        rs = build_root_system(t)
+        for piece in _connected_subsets(rs):
+            shape, order = classify_component(rs, piece)
+            ref_shape, ref_order = reference_impl.classify_component(rs, piece)
+            assert (tuple(shape), str(shape), order) == (
+                tuple(ref_shape), str(ref_shape), ref_order), (t, sorted(piece))
+            checked += 1
+    assert checked == 1611
 
 
 def test_invalid_lie_types_rejected():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from seaweeds import meander, spectrum
 from seaweeds.enumerate import enumerate_frobenius
-from seaweeds.rootsys import DiagramShape, LieType, build_root_system
+from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed
 from seaweeds.meander import (Move, _orbit_rows, components, is_frobenius,
                               winding_bases, winding_move)
@@ -73,17 +73,17 @@ def test_spectrum_sizes_match_dimension():
 
 
 def test_zero_padding_table():
-    assert zero_padding(DiagramShape("A", 4)) == 2
-    assert zero_padding(DiagramShape("A", 5)) == 3
-    assert zero_padding(DiagramShape("B", 3)) == 3
-    assert zero_padding(DiagramShape("C", 6)) == 6
-    assert zero_padding(DiagramShape("D", 6)) == 6
-    assert zero_padding(DiagramShape("D", 5)) == 4
-    assert zero_padding(DiagramShape("E", 6)) == 4
-    assert zero_padding(DiagramShape("E", 7)) == 7
-    assert zero_padding(DiagramShape("E", 8)) == 8
-    assert zero_padding(DiagramShape("F", 4)) == 4
-    assert zero_padding(DiagramShape("G", 2)) == 2
+    assert zero_padding(LieType("A", 4)) == 2
+    assert zero_padding(LieType("A", 5)) == 3
+    assert zero_padding(LieType("B", 3)) == 3
+    assert zero_padding(LieType("C", 6)) == 6
+    assert zero_padding(LieType("D", 6)) == 6
+    assert zero_padding(LieType("D", 5)) == 4
+    assert zero_padding(LieType("E", 6)) == 4
+    assert zero_padding(LieType("E", 7)) == 7
+    assert zero_padding(LieType("E", 8)) == 8
+    assert zero_padding(LieType("F", 4)) == 4
+    assert zero_padding(LieType("G", 2)) == 2
 
 
 RULE_TYPES = [LieType(fam, n)
@@ -149,7 +149,7 @@ def test_chain_component_sums_to_one():
         x = simple_eigenvalues(s)
         tops, bottoms = components(s)
         for c in tops + bottoms:
-            if c.shape.kind == "A":
+            if c.shape.family == "A":
                 assert c.side.sign * sum(x.of(i) for i in c.roots) == 1
 
 
@@ -178,7 +178,7 @@ def test_symmetric_root_pairs_sum_to_one():
         x = simple_eigenvalues(s)
         tops, bottoms = components(s)
         for c in tops + bottoms:
-            if c.shape.kind != "A":
+            if c.shape.family != "A":
                 continue
             for beta in sub_positive_roots(s.root_system, c.roots):
                 mirror = symmetric_root(s.root_system, c, beta)
@@ -325,9 +325,9 @@ CLASHING_A4 = ((1, 0, 2, 3), (1, 1, 0, 0))
 ], ids=["inconsistent", "underdetermined", "inconsistent-beats-underdetermined"])
 def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
     s = make_seaweed(LieType("C", 6), {4, 3, 2, 1}, {6, 5, 4, 3})
-    rules = {DiagramShape("C", 4): top, DiagramShape("A", 4): bottom}
+    rules = {LieType("C", 4): top, LieType("A", 4): bottom}
     assert {shape: _orbit_rows(shape) for shape in rules} == {
-        DiagramShape("C", 4): TRUE_C4, DiagramShape("A", 4): TRUE_A4}
+        LieType("C", 4): TRUE_C4, LieType("A", 4): TRUE_A4}
     monkeypatch.setattr(meander, "_orbit_rows", rules.__getitem__)
     with pytest.raises(AssertionError, match=message):
         spectrum._solve_eigenvalues(s, components(s))

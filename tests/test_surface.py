@@ -64,6 +64,20 @@ def _uncalled() -> list[str]:
             and not used[node.name] - _uses(node)[node.name]]
 
 
+def test_no_two_modules_define_the_same_name():
+    """Each module-level function or class name of src/seaweeds is defined
+    in one module only: the caller check above reads names, so a shared
+    name could keep a dead definition alive."""
+    homes: dict[str, list[str]] = {}
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                homes.setdefault(node.name, []).append(path.stem)
+    shared = {name: stems for name, stems in homes.items() if len(stems) > 1}
+    assert not shared, f"defined in more than one module: {shared}"
+
+
 def test_every_package_definition_has_a_caller():
     uncalled = _uncalled()
     assert not uncalled, ("defined in src/seaweeds but never used by the "
