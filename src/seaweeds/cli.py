@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 the oracle and the combinatorics disagree (an
-internal inconsistency), 2 usage or parse error (an unwritable --out
-included), 3 seaweed not Frobenius, 4 unsupported operation.
+internal inconsistency), 2 usage or parse error, or output that cannot be
+written (an unwritable --out, or a stdout whose reader has closed it), 3
+seaweed not Frobenius, 4 unsupported operation.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -245,48 +247,81 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # options shared by several subcommands, declared once as parents
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", required=True,
-                        help="A, B, C, D (with --rank) or E6, E7, E8, F4, G2")
-    common.add_argument("--rank", type=int)
-    common.add_argument("--bourbaki", action="store_true",
-                        help="confirm Bourbaki indexing (exceptional types only)")
-    common.add_argument("--out", help="write the output to this file, not stdout")
-    sides = argparse.ArgumentParser(add_help=False)
-    sides.add_argument("--top",
-                       help="comma list of simple-root indices, e.g. 9,7,6")
-    sides.add_argument("--top-comp", help="composition form, e.g. 1,1,5,1")
-    sides.add_argument("--bottom")
-    sides.add_argument("--bottom-comp")
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=("json", "table"), default="table")
+# Options as (flag, add_argument keywords), in the order help lists them.
+COMMON = (("--type", {"required": True, "help": "A, B, C, D (with --rank) or "
+                      "E6, E7, E8, F4, G2"}),
+          ("--rank", {"type": int}),
+          ("--bourbaki", {"action": "store_true", "help": "confirm Bourbaki "
+                          "indexing (exceptional types only)"}),
+          ("--out", {"help": "write the output to this file, not stdout"}))
+SIDES = (("--top", {"help": "comma list of simple-root indices, e.g. 9,7,6"}),
+         ("--top-comp", {"help": "composition form, e.g. 1,1,5,1"}),
+         ("--bottom", {}),
+         ("--bottom-comp", {}))
+TABLE_FORMAT = (("--format", {"choices": ("json", "table"),
+                              "default": "table"}),)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one subcommand when `command` names one, else for all.
+
+    Only the subcommand a call runs needs its subparser, so `main` builds
+    the one its first argument names; help, a missing command and an
+    unknown word get all of them.
+    """
+    # Each subcommand: its handler, its help line and the options it takes
+    # after COMMON.  The handlers are read on each call, so that one rebound
+    # on the module (a test spy, a layer tracer) is the one that runs.
+    commands = {
+        "check": (cmd_check, "orbits and the Frobenius test",
+                  SIDES + TABLE_FORMAT),
+        "spectrum": (cmd_spectrum, "simple eigenvalues and the spectrum",
+                     SIDES + TABLE_FORMAT
+                     + (("--decompose", {"action": "store_true"}),)),
+        "enumerate": (cmd_enumerate, "catalog all Frobenius seaweeds",
+                      (("--check-appendix-a", {"action": "store_true"}),)),
+        # --seed None means oracle.DEFAULT_SEED
+        "oracle": (cmd_oracle, "exact matrix cross-check (type A)",
+                   SIDES + (("--seed", {"type": int}),)),
+        "render": (cmd_render, "draw the orbit meander",
+                   SIDES + (("--format", {"choices": ("svg", "tikz"),
+                                          "default": "svg"}),)),
+    }
+    # the usage names every command even when one subparser is built, as
+    # "unrecognized arguments" errors print it
     parser = argparse.ArgumentParser(
-        prog="seaweed",
+        prog="seaweed", usage="%(prog)s [-h] {" + ",".join(commands) + "} ...",
         description="Frobenius seaweeds: meanders, spectra, catalogs")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_, *parents):
-        p = sub.add_parser(name, help=help_, parents=[common, *parents])
+    # prog= keeps the pinned usage out of each subcommand's own prog
+    sub = parser.add_subparsers(dest="command", required=True, prog="seaweed")
+    for name in [command] if command in commands else commands:
+        func, help_, options = commands[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, keywords in COMMON + options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    command("check", cmd_check, "orbits and the Frobenius test", sides, table)
-    command("spectrum", cmd_spectrum, "simple eigenvalues and the spectrum",
-            sides, table).add_argument("--decompose", action="store_true")
-    command("enumerate", cmd_enumerate, "catalog all Frobenius seaweeds"
-            ).add_argument("--check-appendix-a", action="store_true")
-    command("oracle", cmd_oracle, "exact matrix cross-check (type A)", sides
-            ).add_argument("--seed", type=int)  # None: oracle.DEFAULT_SEED
-    command("render", cmd_render, "draw the orbit meander", sides
-            ).add_argument("--format", choices=("svg", "tikz"), default="svg")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
+    try:
+        code = _run(parser, argv)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's own flush of it at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _run(parser: argparse.ArgumentParser, argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,15 +8,19 @@ a subset filter over all positive roots for the closed-form component
 spectra, the two-scan subdiagram classifier with its own shape record for
 the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
 `meander._orbit_rows` states for both, a per-orbit U-turn count and a
-per-call mate-table solve for the one meander walker), or a fixture the
-oracle tests share.
+per-call mate-table solve for the one meander walker, the whole
+command-line parser for the one `cli.build_parser` builds per subcommand),
+or a fixture the oracle tests share.
 """
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
+                          cmd_spectrum)
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows)
 from seaweeds.oracle import MatrixSeaweed
@@ -429,3 +433,43 @@ def solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
             f"constraint system for {s} is {problem} linear system; this "
             "indicates a component-classification bug")
     return SimpleEigenvalueVector(tuple(x[1:]))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # options shared by several subcommands, declared once as parents
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--type", required=True,
+                        help="A, B, C, D (with --rank) or E6, E7, E8, F4, G2")
+    common.add_argument("--rank", type=int)
+    common.add_argument("--bourbaki", action="store_true",
+                        help="confirm Bourbaki indexing (exceptional types only)")
+    common.add_argument("--out", help="write the output to this file, not stdout")
+    sides = argparse.ArgumentParser(add_help=False)
+    sides.add_argument("--top",
+                       help="comma list of simple-root indices, e.g. 9,7,6")
+    sides.add_argument("--top-comp", help="composition form, e.g. 1,1,5,1")
+    sides.add_argument("--bottom")
+    sides.add_argument("--bottom-comp")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "table"), default="table")
+
+    parser = argparse.ArgumentParser(
+        prog="seaweed",
+        description="Frobenius seaweeds: meanders, spectra, catalogs")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help_, *parents):
+        p = sub.add_parser(name, help=help_, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    command("check", cmd_check, "orbits and the Frobenius test", sides, table)
+    command("spectrum", cmd_spectrum, "simple eigenvalues and the spectrum",
+            sides, table).add_argument("--decompose", action="store_true")
+    command("enumerate", cmd_enumerate, "catalog all Frobenius seaweeds"
+            ).add_argument("--check-appendix-a", action="store_true")
+    command("oracle", cmd_oracle, "exact matrix cross-check (type A)", sides
+            ).add_argument("--seed", type=int)  # None: oracle.DEFAULT_SEED
+    command("render", cmd_render, "draw the orbit meander", sides
+            ).add_argument("--format", choices=("svg", "tikz"), default="svg")
+    return parser

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impl
 import seaweeds
-from seaweeds import oracle, spectrum
+from seaweeds import cli, oracle, spectrum
 from seaweeds.cli import main
 from seaweeds.rootsys import LieType, build_root_system
 
@@ -393,3 +399,200 @@ def test_oracle_refuses_ranks_above_its_guard():
     assert done.returncode == 2
     assert done.stdout == ""
     assert "exceeds the matrix-oracle guard (16)" in done.stderr
+
+
+def test_closed_stdout_exits_two_with_one_error_line():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seaweeds.cli", "enumerate", "--type", "A",
+         "--rank", "9"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    # the A9 catalog (119,552 bytes) overflows a pipe buffer, so its write
+    # fails even when it starts before the read end is closed
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write stdout:")
+    assert len(err.splitlines()) == 1, err
+
+
+# ------------------------------------------------- the per-command parser
+
+def _subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+VALID_ARGV = {
+    "check": ["--type", "A", "--rank", "3", "--top", "3,1", "--bottom", "3,2"],
+    "spectrum": ["--type", "A", "--rank", "3", "--top", "3,1",
+                 "--bottom", "3,2"],
+    "enumerate": ["--type", "A", "--rank", "3"],
+    "oracle": ["--type", "A", "--rank", "3", "--top", "3,1", "--bottom", "3,2"],
+    "render": ["--type", "A", "--rank", "3", "--top", "3,1", "--bottom", "3,2"],
+}
+
+
+def test_build_parser_builds_only_the_named_subcommand():
+    assert _subcommands(cli.build_parser("oracle")) == ["oracle"]
+    for command in (None, "-h", "bogus"):
+        assert _subcommands(cli.build_parser(command)) == list(VALID_ARGV)
+
+
+def test_main_runs_the_handler_bound_on_the_module(monkeypatch):
+    # a handler rebound on the module after import (here a spy) is the one
+    # that runs, as the benchmark's layer tracer needs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args: calls.append(args.top) or 4)
+    assert main(["check", "--type", "A", "--rank", "3", "--top", "3,1",
+                 "--bottom", "3,2"]) == 4
+    assert calls == ["3,1"]
+
+
+PARSER_CASES = [["-h"], [], ["bogus"], ["-h", "oracle"],
+                ["--type", "A", "check"]]
+for _name, _valid in VALID_ARGV.items():
+    PARSER_CASES += [
+        [_name, "-h"],
+        [_name, "--rank", "3"],                               # no --type
+        [_name, "--type", "A", "--rank", "three"],            # bad int
+        [_name, *_valid, "--format", "bogus"],                # bad choice
+        [_name, *_valid, "--extra"],                          # unrecognized
+    ]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_output_matches_the_whole_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _run_quietly(list(argv))
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: reference_impl.build_parser())
+    assert got == _run_quietly(list(argv))
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("seaweed ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_parse_as_with_the_whole_parser(argv):
+    assert (vars(cli.build_parser(argv[0]).parse_args(argv))
+            == vars(reference_impl.build_parser().parse_args(argv)))
+
+
+# ------------------------------------------- the command line's input space
+
+EXIT_CODES = {0, 1, 2, 3, 4}
+# mostly types that run, with a few the parser or _lie_type must refuse
+TYPES = ("A", "A", "A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "e6",
+         "X", "")
+EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2, "e6": 6}
+MALFORMED = (",", "1,,2", "x", "1;2", "1.5", "+", "0x1")
+# enumerate and oracle grow fast in the rank; these caps keep the test short
+RANK_CAP = {"enumerate": 8, "oracle": 6}
+FORMATS = {"check": ("json", "table"), "spectrum": ("json", "table"),
+           "render": ("svg", "tikz")}
+RARELY = st.sampled_from((False, False, False, True))
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _subset(draw, n: int) -> str:
+    if draw(RARELY):
+        return draw(st.sampled_from(MALFORMED + (_csv([0]), _csv([n + 1]))))
+    return _csv(sorted(draw(st.sets(st.integers(1, n))), reverse=True))
+
+
+@st.composite
+def _composition(draw, n: int) -> str:
+    if draw(RARELY):
+        return draw(st.sampled_from(MALFORMED + ("0", "-1", str(n + 1))))
+    parts, total = [], 0
+    while total < n and draw(st.booleans()):
+        parts.append(draw(st.integers(1, n - total)))
+        total += parts[-1]
+    return _csv(parts) or "-"
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv for any subcommand: mostly well-formed, with out-of-range
+    ranks, malformed sides, both or neither form of a side, bad --format
+    values and flags the command or type refuses mixed in."""
+    command = draw(st.sampled_from(sorted(VALID_ARGV)))
+    cap = RANK_CAP.get(command, 12)
+    name = draw(st.sampled_from(TYPES))
+    argv = [command, "--type", name]
+    n = EXCEPTIONAL_RANK.get(name)
+    if n is None or draw(RARELY):
+        rank = draw(st.integers(1, cap) if not draw(RARELY)
+                    else st.sampled_from((None, 0, -1, cap + 1)))
+        if rank is not None:
+            argv += ["--rank", str(rank)]
+        n = rank if rank is not None and 0 < rank <= cap else None
+    n = n or 3  # sides for a rank the command refuses anyway
+    if command != "enumerate":
+        top = draw(st.sets(st.integers(1, n)))
+        # a bottom that mostly covers what the top leaves out, so that
+        # check, oracle and spectrum without --decompose get past the union
+        every = set(range(1, n + 1))
+        bottom = (every - top) | draw(st.sets(st.integers(1, n)))
+        if draw(RARELY):
+            bottom = draw(st.sets(st.integers(1, n)))
+        for side, roots in (("top", top), ("bottom", bottom)):
+            form = draw(st.sampled_from(
+                ("both", "neither") if draw(RARELY)
+                else ("subset", "subset", "comp", "drawn")))
+            if form in ("subset", "both"):
+                argv.append(f"--{side}=" + (_csv(sorted(roots, reverse=True))
+                                            or "-"))
+            if form == "drawn":
+                argv.append(f"--{side}=" + draw(_subset(n)))
+            if form in ("comp", "both"):
+                argv.append(f"--{side}-comp=" + draw(_composition(n)))
+    formats = FORMATS.get(command, ())
+    fmt = draw(st.sampled_from(("bogus",) if draw(RARELY)
+                               else (None, *formats)))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    own = {"spectrum": "--decompose", "enumerate": "--check-appendix-a"}
+    if command in own and draw(st.booleans()):
+        argv.append(own[command])
+    if name in EXCEPTIONAL_RANK and draw(st.booleans()):
+        argv.append("--bourbaki")
+    if draw(RARELY):
+        argv.append(draw(st.sampled_from(
+            ("--bourbaki", "--decompose", "--check-appendix-a", "--seed=x"))))
+    if command == "oracle" and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 2 ** 31)))]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=500, deadline=None)
+def test_command_line_input_space(argv):
+    code, out, _ = _run_quietly(argv)
+    assert code in EXIT_CODES
+    # "json" is a word of its own only as the value of --format
+    prints_json = argv[0] in ("enumerate", "oracle") or "json" in argv
+    if code == 0:
+        assert out
+    if prints_json and out:
+        json.loads(out)
