@@ -7,9 +7,12 @@ rows; one kernel serves each arithmetic.  The fraction-free
 `solve_nonsingular`'s exact fallback.
 Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`) serves `rank_mod_p`,
 `ModularInverse` and `solve_nonsingular`; `ranks_mod_p` ranks a stack of
-matrices in one pass.  Rows reach numpy int64 arrays through `_residues`,
-which reduces entries mod p in Python, so entries past int64 stay exact;
-the product of two residues fits in int64.
+matrices in one pass.  `ModularInverse` steps its inverse through the
+small capacitance matrix of each low-rank term (Woodbury) and certifies
+the final matrix by the product W K = I mod p (`_mul_mod_p`), not by a
+fresh rank.  Rows reach numpy int64 arrays through `_residues`, which
+reduces entries mod p in Python, so entries past int64 stay exact; the
+product of two residues fits in int64.
 """
 from __future__ import annotations
 
@@ -106,13 +109,13 @@ def _eliminate_mod_p(m, ncols: int) -> int:
 
 class ModularInverse:
     """The inverse W mod p = PRIME of a nonsingular integer matrix K, kept
-    current while small blocks are added to K.
+    current while low-rank terms are added to K.
 
-    Adding c B on the rows and columns `rows` keeps K nonsingular mod p
-    exactly when T = I + c B W[rows, rows] is nonsingular mod p (the
-    determinant lemma), and the new inverse is then
-    W - W[:, rows] T^-1 c B W[rows, :] (Woodbury's identity).  So a step
-    eliminates len(rows) columns where a fresh rank would eliminate all.
+    A term c Z J Z^T, with Z nonzero only on the rows `rows` and s columns,
+    keeps K nonsingular mod p exactly when the s x s capacitance matrix
+    T = I + c J Z^T W Z is nonsingular mod p (the determinant lemma), and
+    the new inverse is then W - W Z T^-1 c J Z^T W (Woodbury's identity).
+    So a step eliminates s columns where a fresh rank would eliminate all.
     """
 
     def __init__(self, matrix: list[list[int]]):
@@ -124,24 +127,39 @@ class ModularInverse:
             raise ValueError("matrix is singular mod p")
         self.w = aug[:, d:]
 
-    def try_add(self, rows, block, c: int) -> bool:
-        """Add c * block on rows x rows if K stays nonsingular mod p; report
-        whether it did.  Entries of block are small integers (|x| * len(rows)
-        below 2^32), rows an index array."""
+    def try_add(self, rows, z, j, c: int) -> bool:
+        """Add c * Z J Z^T to K if K stays nonsingular mod p; report whether
+        it did.  rows is an index array, z the rows of Z there (len(rows) x
+        s) and j the s x s middle factor; their entries are small integers
+        (|x| * len(rows) below 2^32)."""
         import numpy as np
-        p, w, r = PRIME, self.w, len(rows)
-        y = (block @ w[rows]) % p * (c % p) % p        # c B W[rows, :]
-        aug = np.concatenate((y[:, rows], y), axis=1)
-        aug[:, :r] += np.eye(r, dtype=np.int64)
+        p, w = PRIME, self.w
+        s = len(j)
+        y = j @ (z.T @ w[rows] % p) % p * (c % p) % p      # c J Z^T W
+        aug = np.concatenate((y[:, rows] @ z, y), axis=1)
+        aug[:, :s] += np.eye(s, dtype=np.int64)
         aug %= p
-        if _eliminate_mod_p(aug, r) < r:
+        if _eliminate_mod_p(aug, s) < s:
             return False
-        # aug[:, r:] is now T^-1 y; split it in 16-bit halves so that no
-        # int64 dot product overflows
-        x = aug[:, r:]
-        wr = w[:, rows]
-        self.w = (w - ((wr @ (x >> 16)) % p * 65536 + wr @ (x & 0xFFFF))) % p
+        # aug[:, s:] is now T^-1 y
+        self.w = (w - _mul_mod_p(w[:, rows] @ z % p, aug[:, s:])) % p
         return True
+
+    def inverts(self, matrix: list[list[int]]) -> bool:
+        """Whether W K = I mod p for the integer matrix K: a certificate
+        that K has full rank mod p, hence over the rationals."""
+        import numpy as np
+        k = _residues(matrix)
+        return np.array_equal(_mul_mod_p(self.w, k),
+                              np.eye(len(k), dtype=np.int64))
+
+
+def _mul_mod_p(a, b):
+    """a b mod p for int64 arrays with entries in [0, p) and fewer than 2^15
+    inner terms: b is split into 16-bit halves so that no int64 dot product
+    overflows."""
+    p = PRIME
+    return ((a @ (b >> 16)) % p * 65536 + a @ (b & 0xFFFF)) % p
 
 
 def _rational(x: int, p: int, bound: int) -> Fraction | None:

@@ -35,8 +35,9 @@ COEFF_BOUND = 100
 # algebra uses them up.
 FUNCTIONAL_DRAWS = 4
 # The dense eliminations grow steeply with the rank: `seaweed oracle` on full
-# sl(17) (A16), which is not Frobenius, takes 27-30 s on a 2-core VM with
-# Python 3.11, nearly all of it in the exact confirmation of its index.
+# sl(17) (A16), which is not Frobenius, took 27.2 s in a cold process on a
+# 2-core VM with Python 3.11, nearly all of it in the exact confirmation of
+# its index.
 ORACLE_RANK_GUARD = 16
 
 
@@ -159,7 +160,7 @@ def _kirillov_stack(m: MatrixSeaweed, fs: list[Functional]):
     shape (len(fs), dim, dim), built without a Python list per matrix.
     Exact for coefficients within COEFF_BOUND: an entry is a sum of fewer
     than n terms c * v with |v| <= 2."""
-    import numpy as np  # deferred, as in _slot_block
+    import numpy as np  # deferred, as in _slot_factor
     d, count = m.dim, len(fs)
     # every term of a slot, at (p, q) with v and at (q, p) with -v
     slots, entries, values = np.array(
@@ -225,19 +226,20 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     singular draws, ValueError is raised.  Passes over the unit slots then
     replace each coefficient by 0, or else a residue by 1 or -1, keeping the
     first value under which the Kirillov matrix stays of full rank mod p,
-    until a pass changes nothing (each step is an update of the modular
-    inverse, see ModularInverse).  So every surviving coefficient is
-    needed, and one outside {-1, 0, 1} survives only where none of the
-    three keeps the rank, which no Frobenius type-A seaweed up to rank 8
-    showed (seeds 1 and 2).  A final full rank mod p of the integer
-    Kirillov matrix proves the result regular.
+    until a pass changes nothing.  Each step updates the modular inverse W
+    through the slot's factor of rank 2 + 2m (`_slot_factor`,
+    ModularInverse.try_add), not through a fresh elimination.  So every
+    surviving coefficient is needed, and one outside {-1, 0, 1} survives
+    only where none of the three keeps the rank, which no Frobenius type-A
+    seaweed up to rank 8 showed (seeds 1 and 2).  The product W K = I mod p
+    with the final integer Kirillov matrix K proves the result regular.
 
     All regular functionals of a Frobenius algebra give conjugate principal
     elements, hence one spectrum; a sparse one keeps the principal
     element's denominators small.  Uniform {-1, 0, 1} draws are regular
     too rarely to start from: 6% of the time on p^A8(8,6,4,1|8,7,5,3,2,1).
     """
-    h, d = m.n - 1, m.dim
+    h = m.n - 1
     rng = random.Random(seed)
     for _ in range(FUNCTIONAL_DRAWS):
         coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
@@ -249,35 +251,52 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     else:
         raise ValueError(f"no regular functional in {FUNCTIONAL_DRAWS} "
                          "draws: the algebra is not Frobenius")
-    blocks = [_slot_block(terms) for terms in m._slot_terms[h:]]
+    factors = [_slot_factor(terms, k)
+               for k, terms in enumerate(m._slot_terms[h:], h)]
     changed = True
     while changed:
         changed = False
-        for k, (rows, block) in enumerate(blocks, h):
+        for k, (rows, z, j) in enumerate(factors, h):
             c = coeffs[k]
             if c == 0:
                 continue
             for v in (0,) if c in (1, -1) else (0, 1, -1):
-                if inverse.try_add(rows, block, v - c):
+                if inverse.try_add(rows, z, j, v - c):
                     coeffs[k], changed = v, True
                     break
     f = tuple(coeffs)
-    if rank_mod_p(kirillov_matrix(m, f)) != d:
+    if not inverse.inverts(kirillov_matrix(m, f)):
         raise AssertionError("the functional search lost the full rank")
     return f
 
 
-def _slot_block(terms: list[tuple[int, int, int]]):
-    """The rows and columns that slot terms touch, as an index array, and
-    the antisymmetric block the terms form on them."""
+def _slot_factor(terms: list[tuple[int, int, int]], slot: int):
+    """The antisymmetric block that the terms of a unit slot form, as
+    Z J Z^T with Z of 2 + 2m columns.
+
+    By the sl(n) rules the terms are a star [h_i, b_slot] = w_i b_slot,
+    which gives the columns u = sum w_i e_(h_i) and e_slot with the J block
+    [[0, 1], [-1, 0]], plus a matching of m unit pairs
+    [b_a, b_b] = v b_slot, each giving the columns e_a, e_b with the J block
+    [[0, v], [-v, 0]].  Returns the touched rows as an index array, Z on
+    those rows and J.  Raises AssertionError on terms of any other shape.
+    """
     import numpy as np  # deferred: check and spectrum runs never load numpy
-    rows = sorted({a for a, _, _ in terms} | {b for _, b, _ in terms})
-    at = {x: i for i, x in enumerate(rows)}
-    block = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for a, b, v in terms:
-        block[at[a], at[b]] = v
-        block[at[b], at[a]] = -v
-    return np.array(rows, dtype=np.intp), block
+    star = [(a, v) for a, b, v in terms if b == slot]
+    pairs = [(a, b, v) for a, b, v in terms if b != slot]
+    rows = [a for a, _ in star] + [slot] + [x for a, b, _ in pairs
+                                            for x in (a, b)]
+    if len(set(rows)) != len(rows):
+        raise AssertionError(f"the terms of slot {slot} are not a star at "
+                             "the slot plus a matching")
+    r, s = len(rows), 2 + 2 * len(pairs)
+    z = np.zeros((r, s), dtype=np.int64)
+    z[:len(star), 0] = [v for _, v in star]
+    z[len(star):, 1:] = np.eye(r - len(star), s - 1, dtype=np.int64)
+    j = np.zeros((s, s), dtype=np.int64)
+    for t, v in enumerate([1] + [v for _, _, v in pairs]):
+        j[2 * t, 2 * t + 1], j[2 * t + 1, 2 * t] = v, -v
+    return np.array(rows, dtype=np.intp), z, j
 
 
 def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
@@ -323,8 +342,11 @@ def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
     block diagonal on the pieces of the graph of its off-diagonal entries,
     so each piece is scanned on its own; a piece of one basis vector (every
     piece when the element lies in the Cartan subalgebra) holds its own
-    eigenvalue.
+    eigenvalue.  The shifted copies of a larger piece are ranked mod p as
+    one stack (`ranks_mod_p`), and exact elimination settles every shift
+    whose modular rank falls short.
     """
+    import numpy as np  # deferred, as in _slot_factor
     scale = lcm(*(x.denominator for x in coords))
     scaled = ad_matrix(m, [int(x * scale) for x in coords])
     d = m.dim
@@ -344,12 +366,16 @@ def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
         block = sorted(piece)
         b = len(block)
         sub = [[scaled[i][j] for j in block] for i in block]
-        for k in window:
-            shifted = [row[:] for row in sub]
-            for i in range(b):
-                shifted[i][i] -= k * scale
-            if rank_mod_p(shifted) < b:
+        residues = np.array([[x % PRIME for x in row] for row in sub],
+                            dtype=np.int64)
+        shifts = np.array([-k * scale % PRIME for k in window], dtype=np.int64)
+        stack = residues + shifts[:, None, None] * np.eye(b, dtype=np.int64)
+        for k, rank in zip(window, ranks_mod_p(stack)):
+            if rank < b:
                 # the modular probe lost rank or the kernel is real; settle it exactly
+                shifted = [row[:] for row in sub]
+                for i in range(b):
+                    shifted[i][i] -= k * scale
                 mult = b - rank_int_rows(shifted)
                 if mult:
                     counts[k] += mult

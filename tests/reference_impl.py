@@ -9,21 +9,29 @@ spectra, the two-scan subdiagram classifier with its own shape record for
 the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
 `meander._orbit_rows` states for both, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker, the whole
-command-line parser for the one `cli.build_parser` builds per subcommand),
-or a fixture the oracle tests share.
+command-line parser for the one `cli.build_parser` builds per subcommand,
+the dense slot blocks and their r x r capacitance steps for the
+functional search on each slot's low-rank factor), or a fixture the oracle
+tests share.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import random
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
                           cmd_spectrum)
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows)
-from seaweeds.oracle import MatrixSeaweed
+from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
+                              rank_mod_p)
+from seaweeds.oracle import (FUNCTIONAL_DRAWS, Functional, MatrixSeaweed,
+                             kirillov_matrix)
 from seaweeds.rootsys import LieType, PositiveRoot, RootSystem
 from seaweeds.seaweed import Seaweed, subset_mask
 from seaweeds.spectrum import SimpleEigenvalueVector
@@ -337,6 +345,67 @@ def full_union_pairs(n: int):
 def poset_algebra_sl4() -> MatrixSeaweed:
     """The 8-dimensional incidence algebra of the poset 1,2 < 3 < 4 in sl(4)."""
     return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
+
+
+def slot_block(terms: list[tuple[int, int, int]]):
+    """The rows and columns that slot terms touch, as an index array, and
+    the dense antisymmetric block the terms form on them."""
+    rows = sorted({a for a, _, _ in terms} | {b for _, b, _ in terms})
+    at = {x: i for i, x in enumerate(rows)}
+    block = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for a, b, v in terms:
+        block[at[a], at[b]] = v
+        block[at[b], at[a]] = -v
+    return np.array(rows, dtype=np.intp), block
+
+
+def try_add_block(inverse: ModularInverse, rows, block, c: int) -> bool:
+    """ModularInverse.try_add for a dense block: add c * block on rows x
+    rows if K stays nonsingular mod p, through the r x r capacitance
+    matrix I + c B W[rows, rows]."""
+    p, w, r = PRIME, inverse.w, len(rows)
+    y = (block @ w[rows]) % p * (c % p) % p        # c B W[rows, :]
+    aug = np.concatenate((y[:, rows], y), axis=1)
+    aug[:, :r] += np.eye(r, dtype=np.int64)
+    aug %= p
+    if _eliminate_mod_p(aug, r) < r:
+        return False
+    x = aug[:, r:]
+    wr = w[:, rows]
+    inverse.w = (w - ((wr @ (x >> 16)) % p * 65536 + wr @ (x & 0xFFFF))) % p
+    return True
+
+
+def frobenius_functional_by_blocks(m: MatrixSeaweed, seed: int) -> Functional:
+    """The search of oracle.frobenius_functional with every step through
+    the slot's dense block (`try_add_block`) and a fresh modular rank of
+    the result in place of the inverse-product certificate."""
+    h, d = m.n - 1, m.dim
+    rng = random.Random(seed)
+    for _ in range(FUNCTIONAL_DRAWS):
+        coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
+        try:
+            inverse = ModularInverse(kirillov_matrix(m, coeffs))
+            break
+        except ValueError:
+            continue
+    else:
+        raise ValueError("not Frobenius")
+    blocks = [slot_block(terms) for terms in m._slot_terms[h:]]
+    changed = True
+    while changed:
+        changed = False
+        for k, (rows, block) in enumerate(blocks, h):
+            c = coeffs[k]
+            if c == 0:
+                continue
+            for v in (0,) if c in (1, -1) else (0, 1, -1):
+                if try_add_block(inverse, rows, block, v - c):
+                    coeffs[k], changed = v, True
+                    break
+    f = tuple(coeffs)
+    assert rank_mod_p(kirillov_matrix(m, f)) == d
+    return f
 
 
 def u_turn_report(m: OrbitMeander) -> UTurnReport:

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, rank_int_rows,
                               rank_mod_p, ranks_mod_p, solve_nonsingular)
+from seaweeds.oracle import _slot_factor
 
-from reference_impl import rank_exact, solve_unique
+from reference_impl import rank_exact, solve_unique, try_add_block
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -226,6 +227,18 @@ def _mod_inverse_check(w, k, p):
             assert sum(int(w[i][t]) * k[t][j] for t in range(d)) % p == (i == j)
 
 
+def _star_plus_matching(rng, d):
+    """Random terms of the shape `oracle._slot_factor` takes: a star
+    (a, slot, w) and a matching (a, b, v) on distinct rows of 0..d-1."""
+    rows = rng.sample(range(d), rng.randint(1, d))
+    slot, rest = rows[0], rows[1:]
+    leaves = rest[:rng.randint(0, len(rest))]
+    rest = rest[len(leaves):]
+    terms = [(a, slot, rng.choice((-2, -1, 1, 2))) for a in leaves]
+    terms += [(a, b, rng.choice((-1, 1))) for a, b in zip(rest[::2], rest[1::2])]
+    return terms, slot
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_modular_inverse_follows_block_updates(data):
@@ -240,16 +253,50 @@ def test_modular_inverse_follows_block_updates(data):
         return
     inv = ModularInverse(k)
     _mod_inverse_check(inv.w, k, p)
+
+    def step(rows, z, j, c):
+        nonlocal k
+        block = z @ j @ z.T
+        new = [row[:] for row in k]
+        for a, i in enumerate(rows):
+            for b, t in enumerate(rows):
+                new[i][t] += c * int(block[a][b])
+        ref = ModularInverse(k)
+        kept = inv.try_add(rows, z, j, c)
+        assert kept == (rank_mod_p(new) == d)
+        assert kept == try_add_block(ref, rows, block, c)
+        assert np.array_equal(inv.w, ref.w)
+        if kept:
+            k = new
+        _mod_inverse_check(inv.w, k, p)
+
+    # each drawn block as the factor Z = I on the drawn rows, J = the block
     for _ in range(4):
         rows = sorted(rng.sample(range(d), rng.randint(1, d)))
         block = [[rng.randint(-2, 2) for _ in rows] for _ in rows]
         c = rng.choice((-1, 1, rng.randrange(p)))
-        new = [row[:] for row in k]
-        for a, i in enumerate(rows):
-            for b, j in enumerate(rows):
-                new[i][j] += c * block[a][b]
-        kept = inv.try_add(np.array(rows), np.array(block, dtype=np.int64), c)
-        assert kept == (rank_mod_p(new) == d)
-        if kept:
-            k = new
-        _mod_inverse_check(inv.w, k, p)
+        step(np.array(rows), np.eye(len(rows), dtype=np.int64),
+             np.array(block, dtype=np.int64), c)
+    # the star-plus-matching factors of the functional search
+    for _ in range(4):
+        terms, slot = _star_plus_matching(rng, d)
+        c = rng.choice((-1, 1, rng.randrange(p)))
+        step(*_slot_factor(terms, slot), c)
+
+
+def test_inverse_product_certificate_rejects_a_changed_entry():
+    rng = random.Random(4)
+    d = 6
+    while True:
+        k = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        if rank_mod_p(k) == d:
+            break
+    inv = ModularInverse(k)
+    assert inv.inverts(k)
+    for i, j in ((0, 0), (2, 5), (d - 1, 1)):
+        w = inv.w.copy()
+        for delta in (1, PRIME - 1):
+            inv.w[i, j] = (w[i, j] + delta) % PRIME
+            assert not inv.inverts(k)
+        inv.w = w
+        assert inv.inverts(k)

@@ -22,7 +22,8 @@ from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              kirillov_matrix, principal_element,
                              realize_type_a)
 
-from reference_impl import poset_algebra_sl4
+from reference_impl import (frobenius_functional_by_blocks,
+                            poset_algebra_sl4, slot_block)
 
 
 def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
@@ -227,10 +228,12 @@ def test_ad_spectrum_settles_or_refuses_a_wrong_modular_probe(monkeypatch):
     expected = ad_spectrum(mat, coords)
     assert expected == full_spectrum(s)
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "rank_mod_p", lambda matrix: len(matrix) - 1)
+        patch.setattr(oracle, "ranks_mod_p",
+                      lambda stack: [len(matrix) - 1 for matrix in stack])
         assert ad_spectrum(mat, coords) == expected
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "rank_mod_p", len)
+        patch.setattr(oracle, "ranks_mod_p",
+                      lambda stack: [len(matrix) for matrix in stack])
         with pytest.raises(ValueError, match="non-integer spectrum"):
             ad_spectrum(mat, coords)
 
@@ -410,6 +413,62 @@ def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
                     break
                 coeffs[k] = c
     return tuple(coeffs)
+
+
+def _embedded(d: int, rows, block) -> np.ndarray:
+    out = np.zeros((d, d), dtype=np.int64)
+    out[np.ix_(rows, rows)] = block
+    return out
+
+
+def test_slot_factor_is_the_dense_block_of_a_star_plus_matching():
+    for mat in _full_union_algebras(6):
+        h, d = mat.n - 1, mat.dim
+        for k, terms in enumerate(mat._slot_terms[h:], h):
+            # a star [h_i, b_k] = w_i b_k, then unit pairs on distinct rows
+            star = [a for a, b, _ in terms if b == k]
+            pairs = [(a, b) for a, b, _ in terms if b != k]
+            touched = star + [k] + [x for pair in pairs for x in pair]
+            assert star and all(a < h for a in star)
+            assert all(a >= h and b >= h for a, b in pairs)
+            assert len(set(touched)) == len(touched)
+            rows, z, j = oracle._slot_factor(terms, k)
+            assert z.shape[1] == j.shape[0] == 2 + 2 * len(pairs)
+            assert np.array_equal(_embedded(d, rows, z @ j @ z.T),
+                                  _embedded(d, *slot_block(terms)))
+
+
+@pytest.mark.parametrize("terms, slot", [
+    ([(0, 5, 1), (3, 4, 1), (4, 6, -1)], 5),    # two pairs share row 4
+    ([(0, 5, 1), (5, 6, 1)], 5),                # a pair touches the slot
+    ([(0, 5, 1), (0, 3, 1)], 5),                # a pair touches a leaf
+    ([(0, 5, 1), (0, 5, 2)], 5),                # a leaf twice
+])
+def test_slot_factor_refuses_other_shapes(terms, slot):
+    with pytest.raises(AssertionError, match="not a star at the slot"):
+        oracle._slot_factor(terms, slot)
+
+
+def test_frobenius_functional_certifies_the_inverse_it_kept(monkeypatch):
+    # a step that accepts without updating W leaves an inverse of the draw,
+    # which the product with the final Kirillov matrix exposes
+    mat = realize_type_a(_staircase(4))
+    monkeypatch.setattr(oracle.ModularInverse, "try_add",
+                        lambda self, rows, z, j, c: True)
+    with pytest.raises(AssertionError,
+                       match="the functional search lost the full rank"):
+        frobenius_functional(mat)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rank", [6, 7])
+def test_frobenius_functional_matches_the_dense_block_search(rank):
+    from seaweeds.enumerate import enumerate_frobenius
+    for s in enumerate_frobenius(LieType("A", rank)).entries:
+        mat = realize_type_a(s)
+        for seed in (5, 1729):
+            assert (frobenius_functional(mat, seed)
+                    == frobenius_functional_by_blocks(mat, seed))
 
 
 def test_frobenius_functional_matches_the_search_by_fresh_ranks():
