@@ -16,9 +16,9 @@ from .seaweed import Seaweed, mask_subset, subset_mask
 from .meander import (_meets_once, components, orbits, side_permutation,
                       swapped_components, u_turn_report)
 from .spectrum import (_solve_eigenvalues, component_spectra,
-                       component_sum_ok, eigenvalue_bounds_ok,
-                       seaweed_dimension, simple_eigenvalues,
-                       verify_symmetric, verify_unbroken, zero_padding)
+                       eigenvalue_bounds_ok, seaweed_dimension,
+                       simple_eigenvalues, verify_symmetric, verify_unbroken,
+                       zero_padding)
 
 ENUM_RANK_GUARD = 16
 
@@ -229,6 +229,14 @@ class CensusReport:
 def verify_entry(s: Seaweed, report: CensusReport) -> None:
     """Run every structural check one Frobenius seaweed must satisfy.
 
+    Each component's side-normalized values (the bottom side's negated),
+    in the component's order, feed its value bounds, its chain pairing and
+    the E6 pattern.  On a chain of k simple roots, each root and its mirror
+    are adjacent runs whose union is a centered run i..k+1-i, and the
+    self-paired roots are the centered runs, so the pairing holds exactly
+    when each of the ceil(k/2) centered runs, the whole chain among them,
+    evaluates to one; that is what `_check_centered_runs` checks.
+
     The per-value range table and the right/left U-turn dichotomy are
     statements about the classical drawings, so inside the exceptional
     algebras they relax to the pinned exceptional ranges and a total of at
@@ -253,24 +261,22 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     pad_total = 0
     for comp_spectrum in spectra:
         c, cs = comp_spectrum.component, comp_spectrum.values
+        values = x.side_normalized(c)
         pad_total += zero_padding(c.shape)
-        if not eigenvalue_bounds_ok(c, x):
+        if not eigenvalue_bounds_ok(c.shape, values):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
-        if not component_sum_ok(c, x):
-            fail(f"chain component {c.roots} does not sum to one")
         if not verify_unbroken(cs):
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
         if not verify_symmetric(cs):
             fail(f"component {c.roots} spectrum {cs.mult} is asymmetric")
         if c.shape.family == "A":
-            _check_symmetric_roots(s, c, x, fail)
+            _check_centered_runs(s.rank, c.order, values, fail)
         if c.shape == ("E", 6):
-            config = tuple(c.side.sign * x.of(i) for i in c.order)
-            flip = (config[5], config[1], config[4], config[3],
-                    config[2], config[0])
-            if config not in E6_COMPONENT_CONFIGURATIONS \
+            flip = (values[5], values[1], values[4], values[3],
+                    values[2], values[0])
+            if values not in E6_COMPONENT_CONFIGURATIONS \
                     and flip not in E6_COMPONENT_CONFIGURATIONS:
-                fail(f"unlisted full-E6 value pattern {config}")
+                fail(f"unlisted full-E6 value pattern {values}")
     if pad_total != s.rank:
         fail(f"zero padding totals {pad_total}, expected the rank {s.rank}")
     meander = orbits(s)
@@ -295,43 +301,22 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     report.checked += 1
 
 
-def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
-    """Check the mirror pairing on every root of a chain component.
-
-    Each root is the run of positions i..j along c.order and evaluates to
-    P[j] - P[i-1] on the prefix sums P of the side-normalized values; its
-    mirror is the run `_mirror_run` names.  Root tuples are built only for
-    a failure message.
+def _check_centered_runs(rank: int, path: tuple[int, ...],
+                         values: tuple[int, ...], fail) -> None:
+    """Fail each centered run i..k+1-i of a chain whose side-normalized
+    values do not sum to one (`verify_entry` says why that is the mirror
+    pairing).  One running total, walked in from both ends, gives the runs
+    in O(k); root tuples are built only for a failure message.
     """
-    path = c.order
-    k = len(path)
-    sgn = c.side.sign
-    prefix = [0]
-    for a in path:
-        prefix.append(prefix[-1] + sgn * x.of(a))
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            value = prefix[j] - prefix[i - 1]
-            mirror = _mirror_run(k, i, j)
-            if mirror is None:
-                if value != 1:
-                    fail(f"self-paired root {_run_root(s.rank, path, i, j)} "
-                         "does not evaluate to one")
-            elif value + prefix[mirror[1]] - prefix[mirror[0] - 1] != 1:
-                fail(f"mirror roots {_run_root(s.rank, path, i, j)}, "
-                     f"{_run_root(s.rank, path, *mirror)} do not sum to one")
-
-
-def _mirror_run(k: int, i: int, j: int) -> tuple[int, int] | None:
-    """The positions lo..hi of the mirror partner of the run i..j on a chain
-    of k simple roots: the one run adjacent to i..j whose combined span
-    covers a full half-chain.  None on the self-paired diagonal
-    i + j = k + 1."""
-    if i + j == k + 1:
-        return None
-    if i + j >= k + 2:
-        return k + 1 - j, i - 1
-    return j + 1, k + 1 - i
+    total = sum(values)
+    lo, hi = 0, len(values) - 1
+    while lo <= hi:
+        if total != 1:
+            fail(f"self-paired root {_run_root(rank, path, lo + 1, hi + 1)} "
+                 "does not evaluate to one")
+        total -= values[lo] + values[hi]
+        lo += 1
+        hi -= 1
 
 
 def _run_root(rank: int, path: tuple[int, ...], lo: int, hi: int

@@ -18,8 +18,8 @@ from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
-from ._linalg import (PRIME, ModularInverse, rank_int_rows, rank_mod_p,
-                      ranks_mod_p, solve_nonsingular)
+from ._linalg import (PRIME, ModularInverse, _residues, rank_int_rows,
+                      rank_mod_p, ranks_mod_p, solve_nonsingular)
 from .rootsys import _frozen, connected_components
 from .seaweed import Seaweed
 from .spectrum import Spectrum
@@ -366,8 +366,7 @@ def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
         block = sorted(piece)
         b = len(block)
         sub = [[scaled[i][j] for j in block] for i in block]
-        residues = np.array([[x % PRIME for x in row] for row in sub],
-                            dtype=np.int64)
+        residues = _residues(sub)
         shifts = np.array([-k * scale % PRIME for k in window], dtype=np.int64)
         stack = residues + shifts[:, None, None] * np.eye(b, dtype=np.int64)
         for k, rank in zip(window, ranks_mod_p(stack)):

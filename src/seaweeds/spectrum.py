@@ -34,6 +34,11 @@ class SimpleEigenvalueVector(NamedTuple):
     def of(self, i: int) -> int:
         return self.values[i - 1]
 
+    def side_normalized(self, c: Component) -> tuple[int, ...]:
+        """The values of c's simple roots in c.order, negated on the bottom
+        side: the one vector a component's spectrum and checks read."""
+        return tuple(c.side.sign * self.of(i) for i in c.order)
+
     def as_dict(self) -> dict[int, int]:
         return {i + 1: v for i, v in enumerate(self.values)}
 
@@ -123,8 +128,7 @@ def component_spectrum(c: Component,
     """Eigenvalue multiset of one component: every root of its shape
     evaluated on the solved values (negated on the bottom), plus the zero
     padding."""
-    sgn = c.side.sign
-    vals = [sgn * x.of(i) for i in c.order]
+    vals = x.side_normalized(c)
     family = c.shape.family
     if family in "ABCD":
         f = [sum(map(mul, e, vals)) for e in twice_epsilon(family, len(vals))]
@@ -176,16 +180,16 @@ def verify_symmetric(sp: Spectrum) -> bool:
     return all(m == c.get(1 - k, 0) for k, m in c.items())
 
 
-def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
-    """Side-normalized simple-eigenvalue ranges by component type.
+def eigenvalue_bounds_ok(shape: LieType, values: tuple[int, ...]) -> bool:
+    """Side-normalized simple-eigenvalue ranges by component type; values
+    are one component's values, with the bottom side's negated.
 
     Chain and fork values are bounded by three in absolute value (both
     signs occur: a chain inside a rank-6 system already realizes -3 and 3
     together); components with a distinguished root stay in the pinned
     ranges.
     """
-    sgn = c.side.sign
-    family = c.shape.family
+    family = shape.family
     if family in ("A", "D"):
         allowed = range(-3, 4)
     elif family == "B":
@@ -194,14 +198,7 @@ def eigenvalue_bounds_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
         allowed = range(0, 2)
     else:
         allowed = range(-2, 3)
-    return all(sgn * x.of(i) in allowed for i in c.roots)
-
-
-def component_sum_ok(c: Component, x: SimpleEigenvalueVector) -> bool:
-    """Chain components sum to one after side normalization."""
-    if c.shape.family != "A":
-        return True
-    return c.side.sign * sum(x.of(i) for i in c.roots) == 1
+    return all(v in allowed for v in values)
 
 
 def seaweed_dimension(s: Seaweed) -> int:

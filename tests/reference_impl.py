@@ -2,8 +2,8 @@
 
 The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
-the integer and modular ranks and for the exact solve, root tuples for the
-census's prefix sums,
+the integer and modular ranks and for the exact solve, root tuples and the
+per-pair mirror check for the census's centered chain runs,
 a subset filter over all positive roots for the closed-form component
 spectra, the two-scan subdiagram classifier with its own shape record for
 the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
@@ -26,6 +26,7 @@ import numpy as np
 
 from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
                           cmd_spectrum)
+from seaweeds.enumerate import _run_root
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows)
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
@@ -232,6 +233,45 @@ def symmetric_root(rs: RootSystem, c: Component,
     for p in range(lo, hi + 1):
         coeffs[path[p - 1] - 1] = 1
     return tuple(coeffs)
+
+
+def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
+    """Check the mirror pairing on every root of a chain component.
+
+    Each root is the run of positions i..j along c.order and evaluates to
+    P[j] - P[i-1] on the prefix sums P of the side-normalized values; its
+    mirror is the run `_mirror_run` names.  Root tuples are built only for
+    a failure message.
+    """
+    path = c.order
+    k = len(path)
+    sgn = c.side.sign
+    prefix = [0]
+    for a in path:
+        prefix.append(prefix[-1] + sgn * x.of(a))
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            value = prefix[j] - prefix[i - 1]
+            mirror = _mirror_run(k, i, j)
+            if mirror is None:
+                if value != 1:
+                    fail(f"self-paired root {_run_root(s.rank, path, i, j)} "
+                         "does not evaluate to one")
+            elif value + prefix[mirror[1]] - prefix[mirror[0] - 1] != 1:
+                fail(f"mirror roots {_run_root(s.rank, path, i, j)}, "
+                     f"{_run_root(s.rank, path, *mirror)} do not sum to one")
+
+
+def _mirror_run(k: int, i: int, j: int) -> tuple[int, int] | None:
+    """The positions lo..hi of the mirror partner of the run i..j on a chain
+    of k simple roots: the one run adjacent to i..j whose combined span
+    covers a full half-chain.  None on the self-paired diagonal
+    i + j = k + 1."""
+    if i + j == k + 1:
+        return None
+    if i + j >= k + 2:
+        return k + 1 - j, i - 1
+    return j + 1, k + 1 - i
 
 
 def component_involution(c: Component) -> dict[int, int]:

@@ -2,22 +2,25 @@ from __future__ import annotations
 
 import itertools
 import json
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import seaweeds.enumerate as enumerate_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
-from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
+from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
+                              make_seaweed, mask_subset)
 from seaweeds.meander import (Side, components, involution, is_frobenius,
                               orbits, side_permutation, swapped_components)
-from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _frobenius_pairs,
-                                _mask_pairs, _mirror_run, _run_root,
+from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
+                                _frobenius_pairs, _mask_pairs, _run_root,
                                 check_appendix_a, enumerate_frobenius,
                                 spectrum_census, verify_entry, CensusReport)
 from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
-from reference_impl import symmetric_root
+from reference_impl import _check_symmetric_roots, _mirror_run, symmetric_root
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -192,8 +195,11 @@ def test_census_rejects_non_frobenius_entry():
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
 def test_census_mirror_runs_match_symmetric_root(t):
-    """The census's run (i, j) is the root on positions i..j of c.order, and
-    its mirror run (lo, hi) is the root symmetric_root pairs it with."""
+    """The run (i, j) is the root on positions i..j of c.order, and its
+    mirror run (lo, hi) is the root symmetric_root pairs it with.  A root
+    plus its mirror, or a self-paired root alone, is the centered run
+    i'..k+1-i' with i' = min(i, k+1-j), which is what lets the census check
+    the centered runs alone."""
     for s in enumerate_frobenius(t).entries:
         for c in itertools.chain(*components(s)):
             if c.shape.family != "A":
@@ -209,6 +215,75 @@ def test_census_mirror_runs_match_symmetric_root(t):
                            else _run_root(s.rank, c.order, *mirror))
                     assert got == symmetric_root(s.root_system, c, beta), \
                         (s, c, i, j)
+                    lo = min(i, k + 1 - j)
+                    centered = _run_root(s.rank, c.order, lo, k + 1 - lo)
+                    covered = tuple(map(sum, zip(beta, got or [0] * s.rank)))
+                    assert covered == centered, (s, c, i, j)
+
+
+def _chain_checks_agree(values: tuple[int, ...]) -> bool:
+    """Whether the centered-run check and the per-pair reference fail the
+    same self-paired roots, and pass or fail together, on one chain of
+    side-normalized values (a top chain of A_k, whose sign is +1)."""
+    k = len(values)
+    s = make_seaweed(LieType("A", k), set(range(1, k + 1)), set())
+    c, = components(s)[0]
+    x = [0] * k
+    for a, v in zip(c.order, values):
+        x[a - 1] = v
+    reference: list[str] = []
+    _check_symmetric_roots(s, c, SimpleEigenvalueVector(tuple(x)),
+                           reference.append)
+    got: list[str] = []
+    _check_centered_runs(s.rank, c.order, values, got.append)
+    return (bool(got) == bool(reference)
+            and got == [f for f in reference if f.startswith("self-paired")])
+
+
+@st.composite
+def _near_valid_chain_values(draw) -> tuple[int, ...]:
+    """Chain values of length 1-12: mostly a valid pattern (the two values
+    mirrored about the middle sum to zero, the middle one or two to one)
+    with one entry moved by +-1, else a valid pattern or any small values."""
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("near", "near", "near", "valid", "any")))
+    if kind == "any":
+        return tuple(draw(st.lists(st.integers(-3, 3), min_size=k,
+                                   max_size=k)))
+    outer = draw(st.lists(st.integers(-3, 3), min_size=(k - 1) // 2,
+                          max_size=(k - 1) // 2))
+    if k % 2:
+        middle = [1]
+    else:
+        m = draw(st.integers(-3, 3))
+        middle = [m, 1 - m]
+    values = outer + middle + [-v for v in reversed(outer)]
+    if kind == "near":
+        values[draw(st.integers(0, k - 1))] += draw(st.sampled_from((-1, 1)))
+    return tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_near_valid_chain_values())
+def test_centered_runs_match_the_pair_check_on_drawn_values(values):
+    assert _chain_checks_agree(values), values
+
+
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_centered_runs_match_the_pair_check_on_catalog_chains(t):
+    """Every chain of every catalog of rank <= 8, as solved and with each
+    value moved by +-1."""
+    for s in enumerate_frobenius(t).entries:
+        x = simple_eigenvalues(s)
+        for c in itertools.chain(*components(s)):
+            if c.shape.family != "A":
+                continue
+            values = tuple(c.side.sign * x.of(a) for a in c.order)
+            assert _chain_checks_agree(values), (s, c)
+            for p in range(len(values)):
+                for d in (-1, 1):
+                    moved = values[:p] + (values[p] + d,) + values[p + 1:]
+                    assert _chain_checks_agree(moved), (s, c, moved)
 
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
@@ -219,8 +294,8 @@ def test_swapped_components_are_those_of_the_swapped_seaweed(t):
 
 
 def test_census_reports_a_corrupted_chain_value(monkeypatch):
-    """A wrong value on a chain shows in the mirror check, in the messages
-    the tuple-building check wrote."""
+    """A wrong value on a chain fails each centered run that holds it: the
+    whole top A4 chain and the bottom A1 chain {1}."""
     s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
     x = simple_eigenvalues(s)
     bad = SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
@@ -232,13 +307,7 @@ def test_census_reports_a_corrupted_chain_value(monkeypatch):
                        if "mirror roots" in f or "self-paired" in f]
     label = "p^A4(4,3,2,1|4,3,1): "
     assert mirror_messages == [label + m for m in (
-        "mirror roots (1, 0, 0, 0), (0, 1, 1, 1) do not sum to one",
-        "mirror roots (1, 1, 0, 0), (0, 0, 1, 1) do not sum to one",
-        "mirror roots (1, 1, 1, 0), (0, 0, 0, 1) do not sum to one",
         "self-paired root (1, 1, 1, 1) does not evaluate to one",
-        "mirror roots (0, 1, 1, 1), (1, 0, 0, 0) do not sum to one",
-        "mirror roots (0, 0, 1, 1), (1, 1, 0, 0) do not sum to one",
-        "mirror roots (0, 0, 0, 1), (1, 1, 1, 0) do not sum to one",
         "self-paired root (1, 0, 0, 0) does not evaluate to one")]
 
 
@@ -279,6 +348,43 @@ def test_census_sweep_ranks_9_to_12(fam, n):
     report = spectrum_census(cat)
     assert report.checked == cat.count
     assert report.ok(), report.failures[:10]
+
+
+@st.composite
+def _closed_form_blocks(draw) -> tuple[int, ...]:
+    """The blocks (a, b) or (a, b, c) of a type-A seaweed (a|b)/(N) or
+    (a|b|c)/(N), every block positive, N = n + 1 in 2..513."""
+    count = draw(st.sampled_from((2, 3)))
+    big_n = draw(st.integers(count, 513))
+    cuts = draw(st.lists(st.integers(1, big_n - 1), min_size=count - 1,
+                         max_size=count - 1, unique=True))
+    bounds = [0, *sorted(cuts), big_n]
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@example(blocks=(256, 257))
+@example(blocks=(200, 101, 212))
+@given(blocks=_closed_form_blocks())
+def test_closed_form_families_up_to_rank_512(blocks):
+    """Coll-Giaquinto-Magnant: the maximal parabolic (a|b) is Frobenius
+    exactly when gcd(a, b) = 1, and (a|b|c)/(N) exactly when
+    gcd(a+b, b+c) = 1; every Frobenius draw passes the whole census.
+    About 2.2 s on a 2-core VM, the two pinned rank-512 seaweeds included."""
+    n = sum(blocks) - 1
+    s = from_compositions(LieType("A", n), Composition(blocks[:-1], n),
+                          Composition((), n))
+    if len(blocks) == 2:
+        a, b = blocks
+        frobenius = gcd(a, b) == 1
+    else:
+        a, b, c = blocks
+        frobenius = gcd(a + b, b + c) == 1
+    assert is_frobenius(s) == frobenius, blocks
+    if frobenius:
+        report = CensusReport()
+        verify_entry(s, report)
+        assert report.checked == 1 and report.ok(), report.failures[:5]
 
 
 def test_census_detects_corrupted_values():

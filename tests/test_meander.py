@@ -298,7 +298,7 @@ def _piece_counts(s: Seaweed) -> tuple[int, int, int]:
     return closed, outside.count(0), outside.count(2)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_piece_counts_give_the_type_a_index(n):
     for s in _full_union_seaweeds(LieType("A", n)):
         closed, p0, p2 = _piece_counts(s)
