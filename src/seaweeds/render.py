@@ -2,9 +2,10 @@
 
 Vertices are named by drawing position with a side suffix, position 1
 leftmost, so the node for alpha_i on the top row is (p+) with
-p = n + 1 - i.  Solid segments are diagram edges inside a side's subset
-(doubled or tripled with an arrowhead toward the short root), dashed arcs
-are the involution pairs, filled circles mark membership.
+p = n + 1 - i.  Solid segments are diagram edges inside a side's subset;
+a double or triple edge is drawn as that many parallel strokes in SVG and
+as one double line in TikZ, wider apart when triple, with no arrowhead.
+Dashed arcs are the involution pairs, filled circles mark membership.
 """
 from __future__ import annotations
 

@@ -6,16 +6,18 @@ reads alpha_n, ..., alpha_1 from left to right; the exceptional types carry
 the standard Bourbaki numbering.  A RootSystem carries the Cartan matrix and
 the diagram adjacency; its drawing columns and its positive roots,
 coefficient tuples over the simple roots, are built on first access.  For
-A-D the roots come in closed form from the epsilon description; closure
-over root strings, driven by the Cartan matrix alone, is used for E, F and
-G only.  A LieType names a whole system and equally the type of a connected
-subdiagram: classify_component reads that type, and the order of its
-vertices as a standalone system, off one scan of the piece.
+A-D the roots come in closed form from the epsilon description, each
+2*eps_j read off running sums of simple roots (twice_epsilon_values);
+closure over root strings, driven by the Cartan matrix alone, is used for
+E, F and G only.  A LieType names a whole system and equally the type of a
+connected subdiagram: classify_component reads that type, and the order of
+its vertices as a standalone system, off one scan of the piece.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 VALID_RANKS = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (3, 512),
@@ -190,38 +192,34 @@ def _closure_roots(cartan: tuple[tuple[int, ...], ...]) -> list[PositiveRoot]:
     return all_roots
 
 
-@lru_cache(maxsize=None)
-def twice_epsilon(kind: str, k: int) -> tuple[tuple[int, ...], ...]:
-    """The vectors 2*eps_1, ..., 2*eps_m of a classical system of rank k, as
-    coefficient tuples over its simple roots in this module's indexing.
+def twice_epsilon_values(kind: str, values: Sequence[int]) -> list[int]:
+    """The values f_1, ..., f_m of a linear functional on 2*eps_1, ...,
+    2*eps_m of a classical system, given its values on the simple roots in
+    this module's indexing.
 
     In Bourbaki numbering (this indexing reversed) alpha_j = eps_j - eps_j+1
     for j < k, and alpha_k is eps_k (B), 2 eps_k (C) or eps_k-1 + eps_k (D).
-    Type A has m = k + 1 coordinates, taken with eps_k+1 = 0; the others
-    have m = k.  epsilon_root_values lists the positive roots in these terms.
+    So 2*eps_j is twice the running sum alpha_j + ... + alpha_k (a prefix
+    sum in this indexing), less alpha_k in C and less the two fork roots in
+    D, whose last 2*eps_k is alpha_k - alpha_k-1 instead.  Type A has
+    m = k + 1 coordinates, taken with eps_k+1 = 0; the others have m = k.
     """
-    vectors = []
-    for j in range(1, k + 1):
-        v = [0] * k                      # Bourbaki coefficients of 2*eps_j
-        if kind in "AB":
-            v[j - 1:] = [2] * (k + 1 - j)
-        elif kind == "C":
-            v[j - 1:k - 1] = [2] * (k - j)
-            v[k - 1] = 1
-        elif j < k:                      # D
-            v[j - 1:k - 2] = [2] * (k - 1 - j)
-            v[k - 2] = v[k - 1] = 1
-        else:
-            v[k - 2], v[k - 1] = -1, 1
-        vectors.append(tuple(reversed(v)))
-    if kind == "A":
-        vectors.append((0,) * k)
-    return tuple(vectors)
+    f = [2 * total for total in accumulate(values)]
+    f.reverse()
+    if kind == "C":
+        f = [fj - values[0] for fj in f]
+    elif kind == "D":
+        fork = values[0] + values[1]
+        f = [fj - fork for fj in f]
+        f[-1] = values[0] - values[1]
+    elif kind == "A":
+        f.append(0)
+    return f
 
 
 def epsilon_root_values(kind: str, f: Sequence[int]) -> Iterator[int]:
     """The value of every positive root of a classical system on a linear
-    functional, given f_j, its value on 2*eps_j (see twice_epsilon).
+    functional, given f_j, its value on 2*eps_j (twice_epsilon_values).
 
     The roots are (e_i - e_j) / 2 for i < j; in B, C and D also
     (e_i + e_j) / 2 for i < j; in B also e_i / 2; in C also e_i.  The order
@@ -242,8 +240,9 @@ def epsilon_root_values(kind: str, f: Sequence[int]) -> Iterator[int]:
 def _classical_roots(kind: str, k: int) -> list[PositiveRoot]:
     """The positive roots of A-D in closed form: a root's coefficient on
     alpha_p is its value on the p-th coordinate functional."""
-    columns = zip(*twice_epsilon(kind, k))
-    return list(zip(*(epsilon_root_values(kind, col) for col in columns)))
+    units = ([0] * p + [1] + [0] * (k - 1 - p) for p in range(k))
+    return list(zip(*(epsilon_root_values(kind, twice_epsilon_values(kind, u))
+                      for u in units)))
 
 
 def connected_components(subset, neighbors) -> list[frozenset[int]]:

@@ -10,8 +10,9 @@ values are carried along each path from a pin by `meander._walk`.  The
 per-component eigenvalue multisets (each root evaluated on the solution,
 plus one zero per orbit) then partition the full spectrum.  A classical
 component's roots are evaluated from the epsilon coordinates of its
-values, never as root tuples; an exceptional component's roots are those
-of the standalone system of its shape.
+values, running sums along its order (`rootsys.twice_epsilon_values`),
+never as root tuples; an exceptional component's roots are those of the
+standalone system of its shape.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .rootsys import (LieType, build_root_system, epsilon_root_values,
-                      positive_root_count, twice_epsilon)
+                      positive_root_count, twice_epsilon_values)
 from .meander import (Component, _orbit_rows, _side_table, _walk, components,
                       is_frobenius)
 from .seaweed import Seaweed, decompose_direct_sum
@@ -31,13 +32,11 @@ class SimpleEigenvalueVector(NamedTuple):
 
     values: tuple[int, ...]
 
-    def of(self, i: int) -> int:
-        return self.values[i - 1]
-
     def side_normalized(self, c: Component) -> tuple[int, ...]:
         """The values of c's simple roots in c.order, negated on the bottom
         side: the one vector a component's spectrum and checks read."""
-        return tuple(c.side.sign * self.of(i) for i in c.order)
+        sign, values = c.side.sign, self.values
+        return tuple(sign * values[i - 1] for i in c.order)
 
     def as_dict(self) -> dict[int, int]:
         return {i + 1: v for i, v in enumerate(self.values)}
@@ -131,8 +130,8 @@ def component_spectrum(c: Component,
     vals = x.side_normalized(c)
     family = c.shape.family
     if family in "ABCD":
-        f = [sum(map(mul, e, vals)) for e in twice_epsilon(family, len(vals))]
-        counts = Counter(epsilon_root_values(family, f))
+        counts = Counter(epsilon_root_values(
+            family, twice_epsilon_values(family, vals)))
     else:
         counts = Counter(sum(map(mul, beta, vals))
                          for beta in build_root_system(c.shape).positive_roots)

@@ -3,8 +3,9 @@
 The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
 the integer and modular ranks and for the exact solve, root tuples and the
-per-pair mirror check for the census's centered chain runs,
-a subset filter over all positive roots for the closed-form component
+per-pair mirror check for the census's centered chain runs, the dense
+2*eps table for the running sums of `rootsys.twice_epsilon_values`, a
+subset filter over all positive roots for the closed-form component
 spectra, the two-scan subdiagram classifier with its own shape record for
 the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
 `meander._orbit_rows` states for both, a per-orbit U-turn count and a
@@ -20,6 +21,7 @@ import argparse
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +110,36 @@ def sub_positive_roots(rs: RootSystem, sigma) -> list[PositiveRoot]:
     """All positive roots supported inside the simple-root subset sigma."""
     s = frozenset(sigma)
     return [b for b in rs.positive_roots if root_support(b) <= s]
+
+
+@lru_cache(maxsize=None)
+def twice_epsilon(kind: str, k: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors 2*eps_1, ..., 2*eps_m of a classical system of rank k, as
+    coefficient tuples over its simple roots in rootsys's indexing.
+
+    In Bourbaki numbering (this indexing reversed) alpha_j = eps_j - eps_j+1
+    for j < k, and alpha_k is eps_k (B), 2 eps_k (C) or eps_k-1 + eps_k (D).
+    Type A has m = k + 1 coordinates, taken with eps_k+1 = 0; the others
+    have m = k.  rootsys.epsilon_root_values lists the positive roots in
+    these terms.
+    """
+    vectors = []
+    for j in range(1, k + 1):
+        v = [0] * k                      # Bourbaki coefficients of 2*eps_j
+        if kind in "AB":
+            v[j - 1:] = [2] * (k + 1 - j)
+        elif kind == "C":
+            v[j - 1:k - 1] = [2] * (k - j)
+            v[k - 1] = 1
+        elif j < k:                      # D
+            v[j - 1:k - 2] = [2] * (k - 1 - j)
+            v[k - 2] = v[k - 1] = 1
+        else:
+            v[k - 2], v[k - 1] = -1, 1
+        vectors.append(tuple(reversed(v)))
+    if kind == "A":
+        vectors.append((0,) * k)
+    return tuple(vectors)
 
 
 class DiagramShape(NamedTuple):
@@ -248,7 +280,7 @@ def _check_symmetric_roots(s: Seaweed, c, x, fail) -> None:
     sgn = c.side.sign
     prefix = [0]
     for a in path:
-        prefix.append(prefix[-1] + sgn * x.of(a))
+        prefix.append(prefix[-1] + sgn * x.values[a - 1])
     for i in range(1, k + 1):
         for j in range(i, k + 1):
             value = prefix[j] - prefix[i - 1]

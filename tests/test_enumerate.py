@@ -278,7 +278,7 @@ def test_centered_runs_match_the_pair_check_on_catalog_chains(t):
         for c in itertools.chain(*components(s)):
             if c.shape.family != "A":
                 continue
-            values = tuple(c.side.sign * x.of(a) for a in c.order)
+            values = tuple(c.side.sign * x.values[a - 1] for a in c.order)
             assert _chain_checks_agree(values), (s, c)
             for p in range(len(values)):
                 for d in (-1, 1):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+from operator import mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds.rootsys import (LieType, _closure_roots, build_root_system,
                               classify_component, connected_components,
-                              positive_root_count)
+                              positive_root_count, twice_epsilon_values)
 
 import reference_impl
 from reference_impl import root_support, sub_positive_roots
@@ -80,6 +83,25 @@ def test_closed_form_roots_match_closure(t):
     rs = build_root_system(t)
     closure = sorted(_closure_roots(rs.cartan), key=lambda b: (sum(b), b))
     assert rs.positive_roots == tuple(closure)
+
+
+@pytest.mark.parametrize("kind,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 3)],
+                         ids=["A", "B", "C", "D"])
+def test_twice_epsilon_values_match_the_reference_table(kind, lo):
+    """The running sums equal the dense 2*eps table times the values, in
+    the table's order: at ranks lo..64 on seeded values in -3..3, the zero
+    vector and each unit vector, and at rank 512 on seeded values and the
+    zero vector."""
+    rng = random.Random(kind)
+    for k in [*range(lo, 65), 512]:
+        table = reference_impl.twice_epsilon(kind, k)
+        cases = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(3)]
+        cases.append([0] * k)
+        if k <= 64:
+            cases += [[int(p == q) for q in range(k)] for p in range(k)]
+        for v in cases:
+            assert twice_epsilon_values(kind, v) == [
+                sum(map(mul, row, v)) for row in table], (kind, k, v)
 
 
 def test_sub_positive_roots_full_and_empty():

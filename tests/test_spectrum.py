@@ -2,17 +2,20 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds import meander, spectrum
 from seaweeds.enumerate import enumerate_frobenius
-from seaweeds.rootsys import LieType, build_root_system
-from seaweeds.seaweed import Seaweed, make_seaweed
+from seaweeds.rootsys import LieType, build_root_system, epsilon_root_values
+from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
+                              make_seaweed)
 from seaweeds.meander import (Move, _orbit_rows, components, is_frobenius,
                               winding_bases, winding_move)
-from seaweeds.spectrum import (Spectrum, component_spectrum, full_spectrum,
+from seaweeds.spectrum import (Spectrum, component_spectra,
+                               component_spectrum, full_spectrum,
                                seaweed_dimension, simple_eigenvalues,
                                verify_symmetric, verify_unbroken,
                                zero_padding)
@@ -20,7 +23,8 @@ from seaweeds.spectrum import (Spectrum, component_spectrum, full_spectrum,
 from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
 from reference_impl import (component_constraints, component_involution,
-                            solve_unique, sub_positive_roots, symmetric_root)
+                            solve_unique, sub_positive_roots, symmetric_root,
+                            twice_epsilon)
 
 REFS = {"A9": A9, "B8": B8, "C8": C8, "D14": D14, "D11": D11, "E6": E6X}
 
@@ -150,7 +154,7 @@ def test_chain_component_sums_to_one():
         tops, bottoms = components(s)
         for c in tops + bottoms:
             if c.shape.family == "A":
-                assert c.side.sign * sum(x.of(i) for i in c.roots) == 1
+                assert c.side.sign * sum(x.values[i - 1] for i in c.roots) == 1
 
 
 def _root(n, idxs, doubled=()):
@@ -333,9 +337,34 @@ def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
         spectrum._solve_eigenvalues(s, components(s))
 
 
-def test_b512_borel_spectrum():
-    s = make_seaweed(LieType("B", 512), range(1, 513), ())
-    sp = full_spectrum(s)
+def _table_component_spectrum(c, x):
+    """component_spectrum with each 2*eps value a dot product of the
+    side-normalized values with a row of the dense reference table."""
+    family, vals = c.shape.family, x.side_normalized(c)
+    f = [sum(map(mul, row, vals)) for row in twice_epsilon(family, len(vals))]
+    counts = Counter(epsilon_root_values(family, f))
+    counts[0] += zero_padding(c.shape)
+    return Spectrum.from_counter(counts)
+
+
+@pytest.mark.parametrize("t,top,bottom,dimension", [
+    (LieType("B", 512), (), (1,) * 512, 262_656),
+    (LieType("C", 512), (), (1,) * 512, 262_656),
+    (LieType("D", 512), (), (1,) * 512, 262_144),
+    (LieType("A", 512), (256,), (), 197_376),
+], ids=["B512-borel", "C512-borel", "D512-borel", "A512-256-257"])
+def test_rank_512_spectrum(t, top, bottom, dimension):
+    """The three Borels, Frobenius at any rank in B and C and at even rank
+    in D, and the maximal parabolic (256|257): every component's spectrum
+    equals the dense-table evaluation, and the whole is unbroken and
+    symmetric, with no ambient roots built."""
+    s = from_compositions(t, Composition(top, t.rank),
+                          Composition(bottom, t.rank))
+    x = simple_eigenvalues(s)
+    spectra, sp = component_spectra(components(s), x)
+    assert [cs.values for cs in spectra] == [
+        _table_component_spectrum(cs.component, x) for cs in spectra]
+    assert sp == full_spectrum(s)
     assert verify_unbroken(sp) and verify_symmetric(sp)
-    assert sp.total() == seaweed_dimension(s) == 262_656
+    assert sp.total() == seaweed_dimension(s) == dimension
     assert "positive_roots" not in vars(s.root_system)
