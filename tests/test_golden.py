@@ -26,9 +26,11 @@ GOLDEN = Path(__file__).with_name("golden_stdout.json")
 
 TYPES = [LieType(fam, n) for fam, lo, hi in (("A", 1, 5), ("B", 2, 4),
                                              ("C", 2, 4), ("D", 4, 4))
-         for n in range(lo, hi + 1)] + [LieType("F", 4), LieType("G", 2)]
+         for n in range(lo, hi + 1)] + [LieType("E", 6), LieType("F", 4),
+                                        LieType("G", 2)]
 
-COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg")]
+COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg"),
+            ("render", "tikz")]
 
 
 def _type_args(t: LieType) -> list[str]:
