@@ -183,11 +183,11 @@ def cmd_spectrum(args) -> int:
 def cmd_enumerate(args) -> int:
     from .enumerate import check_appendix_a, enumerate_frobenius
     t = _lie_type(args)
+    if args.check_appendix_a and str(t) != "E6":
+        raise UsageError("--check-appendix-a applies to --type E6 only")
     cat = enumerate_frobenius(t)
     payload = cat.to_json_dict()
     if args.check_appendix_a:
-        if str(t) != "E6":
-            raise UsageError("--check-appendix-a applies to --type E6 only")
         diff = check_appendix_a(cat)
         payload["appendix_a"] = {
             "match": diff.empty,

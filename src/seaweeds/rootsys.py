@@ -3,15 +3,16 @@
 Indexing convention: for the classical types B, C and D the distinguished
 root is alpha_1 (short for B, long for C, a fork prong for D) and the chain
 reads alpha_n, ..., alpha_1 from left to right; the exceptional types carry
-the standard Bourbaki numbering.  A RootSystem carries the Cartan matrix and
-the diagram adjacency; its drawing columns and its positive roots,
-coefficient tuples over the simple roots, are built on first access.  For
-A-D the roots come in closed form from the epsilon description, each
-2*eps_j read off running sums of simple roots (twice_epsilon_values);
-closure over root strings, driven by the Cartan matrix alone, is used for
-E, F and G only.  A LieType names a whole system and equally the type of a
-connected subdiagram: classify_component reads that type, and the order of
-its vertices as a standalone system, off one scan of the piece.
+the standard Bourbaki numbering.  A RootSystem is its Dynkin diagram: the
+adjacency plus its one multiple edge, the arrow, from which every Cartan
+entry follows; its drawing columns and its positive roots, coefficient
+tuples over the simple roots, are built on first access.  For A-D the
+roots come in closed form from the epsilon description, each 2*eps_j read
+off running sums of simple roots (twice_epsilon_values); closure over root
+strings, driven by the diagram alone, is used for E, F and G only.  A
+LieType names a whole system and equally the type of a connected
+subdiagram: classify_component reads that type, and the order of its
+vertices as a standalone system, off the arrow and one scan of the piece.
 """
 from __future__ import annotations
 
@@ -55,29 +56,23 @@ class LieType(namedtuple("LieType", "family rank")):
         return LieType(text[0], int(text[1:]))
 
 
-def _links(t: LieType) -> list[tuple[int, int, int, int]]:
-    """The diagram edges (i, j, a_ij, a_ji) with their Cartan entries."""
+def _links(t: LieType) -> tuple[list[tuple[int, int]],
+                                tuple[int, int, int] | None]:
+    """The diagram edges (i, j) of t, and its one multiple edge as
+    (long, short, multiplicity), or None when t is simply laced."""
     fam, r = t.family, t.rank
     if fam in "ABC":
-        links = [(i, i + 1, -1, -1) for i in range(2, r)]
-        if fam == "B":
-            links.append((1, 2, -1, -2))  # alpha_1 short
-        elif fam == "C":
-            links.append((1, 2, -2, -1))  # alpha_1 long
-        elif r > 1:
-            links.append((1, 2, -1, -1))
-        return links
+        # alpha_1 is short in B and long in C
+        arrow = {"A": None, "B": (2, 1, 2), "C": (1, 2, 2)}[fam]
+        return [(i, i + 1) for i in range(1, r)], arrow
     if fam == "D":
-        return [(i, i + 1, -1, -1) for i in range(3, r)] + [
-            (1, 3, -1, -1), (2, 3, -1, -1)]
+        return [(i, i + 1) for i in range(3, r)] + [(1, 3), (2, 3)], None
     if fam == "E":
         chain = _E_CHAIN[: r - 1]
-        return [(a, b, -1, -1) for a, b in zip(chain, chain[1:])] + [
-            (2, 4, -1, -1)]
+        return list(zip(chain, chain[1:])) + [(2, 4)], None
     if fam == "F":
-        # alpha_2 long, alpha_3 short
-        return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
-    return [(1, 2, -1, -3)]  # G2, alpha_1 short
+        return [(1, 2), (2, 3), (3, 4)], (2, 3, 2)  # alpha_2 long, alpha_3 short
+    return [(1, 2)], (2, 1, 3)  # G2, alpha_1 short
 
 
 def _frozen(self, name: str, value=None):
@@ -85,17 +80,20 @@ def _frozen(self, name: str, value=None):
 
 
 class RootSystem:
-    """Cartan data of one simple type; the drawing columns and the positive
-    roots are built on first access and kept.  Fields are read-only;
-    equality is identity."""
+    """The Dynkin diagram of one simple type: its adjacency and its one
+    multiple edge, the arrow (long, short, multiplicity) or None.  So the
+    Cartan entry a_long,short is -multiplicity, every other entry on an
+    edge is -1 and every entry off the diagram is 0.  The drawing columns
+    and the positive roots are built on first access and kept.  Fields are
+    read-only; equality is identity."""
 
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
-                 adjacency: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, lie_type: LieType,
+                 adjacency: tuple[tuple[int, ...], ...],
+                 arrow: tuple[int, int, int] | None) -> None:
         # adjacency lists the neighbours of alpha_i at i - 1
-        vars(self).update(lie_type=lie_type, cartan=cartan,
-                          adjacency=adjacency)
+        vars(self).update(lie_type=lie_type, adjacency=adjacency, arrow=arrow)
 
     @property
     def rank(self) -> int:
@@ -105,7 +103,9 @@ class RootSystem:
         return self.adjacency[i - 1]
 
     def edge_multiplicity(self, i: int, j: int) -> int:
-        return self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
+        """The number of lines joining the adjacent vertices i and j."""
+        arrow = self.arrow
+        return arrow[2] if arrow and {i, j} == {arrow[0], arrow[1]} else 1
 
     @cached_property
     def columns(self) -> dict[int, int]:
@@ -134,36 +134,33 @@ class RootSystem:
         if t.family in "ABCD":
             roots = _classical_roots(t.family, t.rank)
         else:
-            roots = _closure_roots(self.cartan)
+            roots = _closure_roots(self)
         return tuple(sorted(roots, key=lambda b: (sum(b), b)))
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
-    """The Cartan matrix and adjacency of t; positive roots come on demand,
-    in closed form for A-D and by root-string closure for E, F and G."""
-    n = t.rank
-    cartan = [[0] * n for _ in range(n)]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        cartan[i][i] = 2
-    for i, j, aij, aji in _links(t):
-        cartan[i - 1][j - 1] = aij
-        cartan[j - 1][i - 1] = aji
+    """The diagram of t, in O(rank); positive roots come on demand, in
+    closed form for A-D and by root-string closure for E, F and G."""
+    edges, arrow = _links(t)
+    adjacency: list[list[int]] = [[] for _ in range(t.rank)]
+    for i, j in edges:
         adjacency[i - 1].append(j)
         adjacency[j - 1].append(i)
-    return RootSystem(t, tuple(map(tuple, cartan)),
-                      tuple(tuple(sorted(a)) for a in adjacency))
+    return RootSystem(t, tuple(tuple(sorted(a)) for a in adjacency), arrow)
 
 
-def _closure_roots(cartan: tuple[tuple[int, ...], ...]) -> list[PositiveRoot]:
-    """Positive roots from the Cartan matrix by closure over root strings.
+def _closure_roots(rs: RootSystem) -> list[PositiveRoot]:
+    """Positive roots from the diagram by closure over root strings.
 
     Roots are generated level by level: a candidate beta + alpha_i at height
     h+1 is a root exactly when q - <beta, alpha_i^v> > 0, with q the number
-    of steps the alpha_i-string descends from beta.
+    of steps the alpha_i-string descends from beta.  The pairing is
+    2 beta_i less beta_j for each neighbour j, times the multiplicity when
+    j is the arrow's long end and i its short end.
     """
-    n = len(cartan)
+    n = rs.rank
+    long_short, mult = (rs.arrow[:2], rs.arrow[2]) if rs.arrow else (None, 1)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     known: set[PositiveRoot] = set(simple)
     level = list(simple)
@@ -179,7 +176,9 @@ def _closure_roots(cartan: tuple[tuple[int, ...], ...]) -> list[PositiveRoot]:
                     if down[i - 1] < 0 or tuple(down) not in known:
                         break
                     q += 1
-                pairing = sum(c * cartan[j][i - 1] for j, c in enumerate(beta) if c)
+                pairing = 2 * beta[i - 1] - sum(
+                    beta[j - 1] * (mult if (j, i) == long_short else 1)
+                    for j in rs.neighbors(i))
                 if q - pairing > 0:
                     up = list(beta)
                     up[i - 1] += 1
@@ -275,9 +274,10 @@ def classify_component(rs: RootSystem, s: frozenset[int]
     The returned order lists ambient indices playing the roles alpha'_1,
     alpha'_2, ..., alpha'_k of a standalone system of that type
     (distinguished root first for B/C/D, Bourbaki order for E/F/G, and the
-    rightmost-drawn end first for chains).  A chain with a multiple edge
-    is read off one walk: from its short end in B and G2, else from its
-    long end; a bare doubled edge is C2 in a C system and B2 elsewhere.
+    rightmost-drawn end first for chains).  The piece has a multiple edge
+    when both ends of the system's arrow lie in it; such a chain is read
+    off one walk: from its short end in B and G2, else from its long end;
+    a bare doubled edge is C2 in a C system and B2 elsewhere.
     """
     verts = sorted(s)
     k = len(verts)
@@ -285,14 +285,11 @@ def classify_component(rs: RootSystem, s: frozenset[int]
         return LieType("A", 1), (verts[0],)
     adj = {v: [w for w in rs.neighbors(v) if w in s] for v in verts}
 
-    # a Cartan entry below -1 runs from the long root to the short one
-    cartan = rs.cartan
-    multiple = next(((v, w) for v in verts for w in adj[v]
-                     if cartan[v - 1][w - 1] < -1), None)
-    if multiple:
-        longv, short = multiple
+    arrow = rs.arrow
+    if arrow and arrow[0] in s and arrow[1] in s:
+        longv, short, mult = arrow
         if len(adj[short]) == 1 and (k > 2 or rs.lie_type.family != "C"):
-            family = "G" if cartan[longv - 1][short - 1] == -3 else "B"
+            family = "G" if mult == 3 else "B"
             return LieType(family, k), tuple(_chain_from(adj, short))
         end = _chain_from(adj, longv, short)[-1]   # longv itself unless F4
         return (LieType("C" if end == longv else "F", k),

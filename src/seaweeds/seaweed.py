@@ -15,12 +15,13 @@ from .rootsys import (LieType, RootSystem, build_root_system,
 
 
 class Seaweed(namedtuple("Seaweed", "root_system pi1 pi2")):
-    """A root system together with the two defining simple-root subsets."""
+    """A root system together with the two defining simple-root subsets,
+    given as any collections of indices and kept as frozensets."""
 
     __slots__ = ()
 
-    def __new__(cls, root_system: RootSystem, pi1: frozenset[int],
-                pi2: frozenset[int]) -> Seaweed:
+    def __new__(cls, root_system: RootSystem, pi1, pi2) -> Seaweed:
+        pi1, pi2 = frozenset(pi1), frozenset(pi2)  # the identity on frozensets
         allr = frozenset(range(1, root_system.rank + 1))
         if not (pi1 <= allr and pi2 <= allr):
             raise ValueError("subsets must consist of simple-root indices")
@@ -50,7 +51,7 @@ class Seaweed(namedtuple("Seaweed", "root_system pi1 pi2")):
 
 def make_seaweed(t: LieType, pi1, pi2) -> Seaweed:
     """Build a seaweed from a Lie type and two index collections."""
-    return Seaweed(build_root_system(t), frozenset(pi1), frozenset(pi2))
+    return Seaweed(build_root_system(t), pi1, pi2)
 
 
 class Composition(namedtuple("Composition", "parts ambient_rank")):

@@ -4,10 +4,12 @@ The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
 the integer and modular ranks and for the exact solve, root tuples and the
 per-pair mirror check for the census's centered chain runs, the dense
-2*eps table for the running sums of `rootsys.twice_epsilon_values`, a
-subset filter over all positive roots for the closed-form component
-spectra, the two-scan subdiagram classifier with its own shape record for
-the one-scan `rootsys.classify_component`, per-shape involutions and constraint rows for the one rule
+Cartan matrix and its root-string closure for the adjacency and arrow a
+`rootsys.RootSystem` keeps, the dense 2*eps table for the running sums of
+`rootsys.twice_epsilon_values`, a subset filter over all positive roots
+for the closed-form component spectra, the two-scan subdiagram classifier
+with its own shape record for the one-scan `rootsys.classify_component`,
+per-shape involutions and constraint rows for the one rule
 `meander._orbit_rows` states for both, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
@@ -142,6 +144,85 @@ def twice_epsilon(kind: str, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(vectors)
 
 
+# The E8 chain alpha_1, alpha_3, ..., alpha_8; alpha_2 hangs off alpha_4.
+_E_CHAIN = (1, 3, 4, 5, 6, 7, 8)
+
+
+def _links(t: LieType) -> list[tuple[int, int, int, int]]:
+    """The diagram edges (i, j, a_ij, a_ji) with their Cartan entries."""
+    fam, r = t.family, t.rank
+    if fam in "ABC":
+        links = [(i, i + 1, -1, -1) for i in range(2, r)]
+        if fam == "B":
+            links.append((1, 2, -1, -2))  # alpha_1 short
+        elif fam == "C":
+            links.append((1, 2, -2, -1))  # alpha_1 long
+        elif r > 1:
+            links.append((1, 2, -1, -1))
+        return links
+    if fam == "D":
+        return [(i, i + 1, -1, -1) for i in range(3, r)] + [
+            (1, 3, -1, -1), (2, 3, -1, -1)]
+    if fam == "E":
+        chain = _E_CHAIN[: r - 1]
+        return [(a, b, -1, -1) for a, b in zip(chain, chain[1:])] + [
+            (2, 4, -1, -1)]
+    if fam == "F":
+        # alpha_2 long, alpha_3 short
+        return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
+    return [(1, 2, -1, -3)]  # G2, alpha_1 short
+
+
+@lru_cache(maxsize=None)
+def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """The dense Cartan matrix of t, a_ij at [i - 1][j - 1], in rootsys's
+    indexing."""
+    n = t.rank
+    cartan = [[0] * n for _ in range(n)]
+    for i in range(n):
+        cartan[i][i] = 2
+    for i, j, aij, aji in _links(t):
+        cartan[i - 1][j - 1] = aij
+        cartan[j - 1][i - 1] = aji
+    return tuple(map(tuple, cartan))
+
+
+def closure_roots(cartan: tuple[tuple[int, ...], ...]) -> list[PositiveRoot]:
+    """Positive roots from the Cartan matrix by closure over root strings.
+
+    Roots are generated level by level: a candidate beta + alpha_i at height
+    h+1 is a root exactly when q - <beta, alpha_i^v> > 0, with q the number
+    of steps the alpha_i-string descends from beta.
+    """
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known: set[PositiveRoot] = set(simple)
+    level = list(simple)
+    all_roots = list(simple)
+    while level:
+        nxt = []
+        for beta in level:
+            for i in range(1, n + 1):
+                q = 0
+                down = list(beta)
+                while True:
+                    down[i - 1] -= 1
+                    if down[i - 1] < 0 or tuple(down) not in known:
+                        break
+                    q += 1
+                pairing = sum(c * cartan[j][i - 1] for j, c in enumerate(beta) if c)
+                if q - pairing > 0:
+                    up = list(beta)
+                    up[i - 1] += 1
+                    cand = tuple(up)
+                    if cand not in known:
+                        known.add(cand)
+                        nxt.append(cand)
+        all_roots.extend(nxt)
+        level = nxt
+    return all_roots
+
+
 class DiagramShape(NamedTuple):
     """The type of a connected induced subdiagram."""
 
@@ -167,11 +248,12 @@ def classify_component(rs: RootSystem, s: frozenset[int]
     if k == 1:
         return DiagramShape("A", 1), (verts[0],)
     adj = {v: [w for w in rs.neighbors(v) if w in s] for v in verts}
+    cartan = cartan_matrix(rs.lie_type)
 
     for v in verts:
         for w in adj[v]:
             if rs.edge_multiplicity(v, w) == 3:
-                short = w if rs.cartan[v - 1][w - 1] == -3 else v
+                short = w if cartan[v - 1][w - 1] == -3 else v
                 longv = v if short == w else w
                 return DiagramShape("G", 2), (short, longv)
 
@@ -198,7 +280,7 @@ def classify_component(rs: RootSystem, s: frozenset[int]
                if v < w and rs.edge_multiplicity(v, w) == 2]
     if doubles:
         v, w = doubles[0]
-        short = w if rs.cartan[v - 1][w - 1] == -2 else v
+        short = w if cartan[v - 1][w - 1] == -2 else v
         longv = v if short == w else w
         short_side = _walk(adj, short, longv)
         long_side = _walk(adj, longv, short)

@@ -248,6 +248,20 @@ def test_enumerate_appendix_flag_is_e6_only(capsys):
     assert code == 2
 
 
+def test_enumerate_appendix_flag_is_refused_before_the_scan(capsys,
+                                                             monkeypatch):
+    """A type other than E6 is refused before its catalog is scanned, so
+    A16 exits 2 at once instead of after a 3^16-pair scan."""
+    def no_scan(t):
+        raise AssertionError(f"scanned {t}")
+    monkeypatch.setattr(seaweeds.enumerate, "enumerate_frobenius", no_scan)
+    code, out, err = run(capsys, "enumerate", "--type", "A", "--rank", "16",
+                         "--check-appendix-a")
+    assert code == 2
+    assert out == ""
+    assert "--check-appendix-a applies to --type E6 only" in err
+
+
 CHECK_A9 = ("check", "--type", "A", "--rank", "9", "--top", "9,7,6,4,3,2,1",
             "--bottom", "9,8,7,5,4,3,2,1")
 SPECTRUM_B8 = ("spectrum", "--type", "B", "--rank", "8",

@@ -20,7 +20,8 @@ from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
 from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
-from reference_impl import _check_symmetric_roots, _mirror_run, symmetric_root
+from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
+                            symmetric_root)
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -90,7 +91,8 @@ def _negated_longest_element(rs, piece) -> dict[int, int]:
     w grows by simple reflections while some w(alpha_i) is positive, which
     ends at w0; -w0 then maps each simple root to a simple root."""
     verts = sorted(piece)
-    cartan = [[rs.cartan[i - 1][j - 1] for j in verts] for i in verts]
+    ambient = cartan_matrix(rs.lie_type)
+    cartan = [[ambient[i - 1][j - 1] for j in verts] for i in verts]
     k = len(verts)
     images = [[int(i == j) for i in range(k)] for j in range(k)]  # w(alpha_j)
     while True:

@@ -76,13 +76,59 @@ def test_support_connected():
             assert len(connected_components(supp, rs.neighbors)) == 1
 
 
-@pytest.mark.parametrize("t", [LieType(fam, n)
-                               for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-                               for n in range(lo, 13)], ids=str)
+CLASSIFY_TYPES = [LieType(fam, n)
+                  for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                  for n in range(lo, 13)] + [
+    LieType("E", 6), LieType("E", 7), LieType("E", 8), LieType("F", 4),
+    LieType("G", 2)]
+
+
+@pytest.mark.parametrize("t", CLASSIFY_TYPES, ids=str)
 def test_closed_form_roots_match_closure(t):
+    """The closure driven by the adjacency and the arrow lists the dense
+    reference closure's roots in its order, and the positive roots (closed
+    form in A-D) are those roots sorted."""
     rs = build_root_system(t)
-    closure = sorted(_closure_roots(rs.cartan), key=lambda b: (sum(b), b))
-    assert rs.positive_roots == tuple(closure)
+    closure = reference_impl.closure_roots(reference_impl.cartan_matrix(t))
+    assert _closure_roots(rs) == closure
+    assert rs.positive_roots == tuple(sorted(closure,
+                                             key=lambda b: (sum(b), b)))
+
+
+def _cartan_from_diagram(rs):
+    """The Cartan matrix a RootSystem's adjacency and arrow define: 2 on the
+    diagonal, -multiplicity at [long][short], -1 on every other edge."""
+    n = rs.rank
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i in range(1, n + 1):
+        for j in rs.neighbors(i):
+            cartan[i - 1][j - 1] = -1
+    if rs.arrow:
+        long, short, mult = rs.arrow
+        cartan[long - 1][short - 1] = -mult
+    return tuple(map(tuple, cartan))
+
+
+@pytest.mark.parametrize("types", [
+    [LieType(fam, n) for n in [*range(lo, 65), 512]]
+    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))] + [
+    [LieType("E", 6), LieType("E", 7), LieType("E", 8), LieType("F", 4),
+     LieType("G", 2)]], ids=["A", "B", "C", "D", "EFG"])
+def test_diagram_defines_the_reference_cartan_matrix(types):
+    """At ranks lo..64 and 512 of A-D and on E, F and G, adjacency plus
+    arrow rebuild the dense reference matrix, and a system keeps no other
+    field (its cached properties aside); its edges number rank - 1, since
+    a Dynkin diagram is a tree."""
+    for t in types:
+        rs = build_root_system(t)
+        cartan = reference_impl.cartan_matrix(t)
+        assert _cartan_from_diagram(rs) == cartan, t
+        assert sum(map(len, rs.adjacency)) == 2 * (t.rank - 1)
+        assert set(vars(rs)) - {"columns", "positive_roots"} == {
+            "lie_type", "adjacency", "arrow"}
+        for i, j, _, _ in reference_impl._links(t):
+            assert rs.edge_multiplicity(i, j) == rs.edge_multiplicity(
+                j, i) == cartan[i - 1][j - 1] * cartan[j - 1][i - 1], (t, i, j)
 
 
 @pytest.mark.parametrize("kind,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 3)],
@@ -195,13 +241,6 @@ def _connected_subsets(rs):
         frontier = {piece | {w} for piece in frontier for v in piece
                     for w in rs.neighbors(v) if w not in piece} - found
     return found
-
-
-CLASSIFY_TYPES = [LieType(fam, n)
-                  for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-                  for n in range(lo, 13)] + [
-    LieType("E", 6), LieType("E", 7), LieType("E", 8), LieType("F", 4),
-    LieType("G", 2)]
 
 
 def test_classifier_matches_the_two_scan_reference():

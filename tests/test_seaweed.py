@@ -97,6 +97,26 @@ def test_marks_inverse_round_trip(data):
     assert composition_marks(c) == subset
 
 
+def test_sides_may_be_any_collection_of_indices():
+    """Sets and lists are coerced to frozensets, so they equal make_seaweed's
+    result and run through the cached Frobenius test and the spectrum."""
+    from seaweeds.meander import is_frobenius
+    from seaweeds.rootsys import build_root_system
+    from seaweeds.seaweed import Seaweed
+    from seaweeds.spectrum import full_spectrum
+    t = LieType("A", 3)
+    want = make_seaweed(t, frozenset({3, 1}), frozenset({3, 2}))
+    for top, bottom in (({3, 1}, {3, 2}), ([3, 1], [3, 2]),
+                        ((1, 3), range(2, 4))):
+        s = Seaweed(build_root_system(t), top, bottom)
+        assert s == want
+        assert type(s.pi1) is type(s.pi2) is frozenset
+        assert is_frobenius(s) is is_frobenius(want) is True
+        assert full_spectrum(s) == full_spectrum(want)
+    with pytest.raises(ValueError):
+        Seaweed(build_root_system(t), [4], [])
+
+
 def test_pi_union_complement():
     s = make_seaweed(LieType("A", 9), {9, 7, 6, 4, 3, 2, 1},
                      {9, 8, 7, 5, 4, 3, 2, 1})
