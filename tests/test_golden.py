@@ -1,10 +1,12 @@
-"""Golden stdout digests of `check` and `render` over small full catalogs.
+"""Golden stdout digests of `check`, `render` and `enumerate`.
 
-For each (command, format, type) one sha256 covers the exit code and the
-stdout of every subset pair whose union is the whole diagram, 3^n pairs
-in a fixed order, run through `cli.main`.  It freezes the orbit order
-and the U-turn rows of non-Frobenius seaweeds too, which no other test
-pins.  `python tests/test_golden.py` prints the digests of the current
+For each (command, format, type) of `check` and `render` one sha256 covers
+the exit code and the stdout of every subset pair whose union is the whole
+diagram, 3^n pairs in a fixed order, run through `cli.main`.  It freezes
+the orbit order and the U-turn rows of non-Frobenius seaweeds too, which
+no other test pins.  For each type of CATALOG_TYPES one sha256 covers the
+exit code and the stdout of `seaweed enumerate`, the catalog JSON byte for
+byte.  `python tests/test_golden.py` prints the digests of the current
 code as JSON, in the form tests/golden_stdout.json keeps.
 """
 from __future__ import annotations
@@ -29,6 +31,11 @@ TYPES = [LieType(fam, n) for fam, lo, hi in (("A", 1, 5), ("B", 2, 4),
          for n in range(lo, hi + 1)] + [LieType("E", 6), LieType("F", 4),
                                         LieType("G", 2)]
 
+CATALOG_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
+                                                ("C", 2), ("D", 3))
+                 for n in range(lo, 11)] + [
+    LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+
 COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg"),
             ("render", "tikz")]
 
@@ -42,14 +49,23 @@ def _type_args(t: LieType) -> list[str]:
 def _digest(command: str, fmt: str, t: LieType) -> str:
     h = hashlib.sha256()
     for top, bottom in full_union_pairs(t.rank):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main([command, *_type_args(t),
-                         "--top=" + ",".join(map(str, top)),
-                         "--bottom=" + ",".join(map(str, bottom)),
-                         "--format", fmt])
-        h.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+        h.update(_run([command, *_type_args(t),
+                       "--top=" + ",".join(map(str, top)),
+                       "--bottom=" + ",".join(map(str, bottom)),
+                       "--format", fmt]).encode("utf-8"))
     return h.hexdigest()
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return f"{code}\n{out.getvalue()}"
+
+
+def _catalog_digest(t: LieType) -> str:
+    text = _run(["enumerate", *_type_args(t)])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _key(command: str, fmt: str, t: LieType) -> str:
@@ -64,7 +80,15 @@ def test_stdout_matches_golden_digest(command, fmt, t):
     assert _digest(command, fmt, t) == want[_key(command, fmt, t)]
 
 
+@pytest.mark.parametrize("t", CATALOG_TYPES, ids=str)
+def test_catalog_matches_golden_digest(t):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _catalog_digest(t) == want[_key("enumerate", "json", t)]
+
+
 if __name__ == "__main__":
-    print(json.dumps({_key(c, f, t): _digest(c, f, t)
-                      for t in TYPES for c, f in COMMANDS},
-                     indent=1, sort_keys=True))
+    digests = {_key(c, f, t): _digest(c, f, t)
+               for t in TYPES for c, f in COMMANDS}
+    digests.update((_key("enumerate", "json", t), _catalog_digest(t))
+                   for t in CATALOG_TYPES)
+    print(json.dumps(digests, indent=1, sort_keys=True))
