@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 the oracle and the combinatorics disagree (an
-internal inconsistency), 2 usage or parse error, or output that cannot be
-written (an unwritable --out, or a stdout whose reader has closed it), 3
-seaweed not Frobenius, 4 unsupported operation.
+Exit codes: 0 success, 1 an internal inconsistency (the oracle and the
+combinatorics disagree, or the E6 catalog differs from Appendix A), 2
+usage or parse error, or output that cannot be written (an unwritable
+--out, or a stdout whose reader has closed it), 3 seaweed not Frobenius,
+4 unsupported operation.
 """
 from __future__ import annotations
 
@@ -187,17 +188,20 @@ def cmd_enumerate(args) -> int:
         raise UsageError("--check-appendix-a applies to --type E6 only")
     cat = enumerate_frobenius(t)
     payload = cat.to_json_dict()
+    match = True
     if args.check_appendix_a:
         diff = check_appendix_a(cat)
+        match = diff.empty
         payload["appendix_a"] = {
-            "match": diff.empty,
+            "match": match,
             "missing": [[sorted(a, reverse=True), sorted(b, reverse=True)]
                         for a, b in diff.missing],
             "extra": [[sorted(a, reverse=True), sorted(b, reverse=True)]
                       for a, b in diff.extra],
         }
     _emit(json.dumps(payload, indent=2, sort_keys=True), args)
-    return EXIT_OK
+    # a scan that disagrees with Appendix A is an internal inconsistency
+    return EXIT_OK if match else 1
 
 
 def cmd_oracle(args) -> int:

@@ -2,8 +2,9 @@
 
 For a rank-n type there are 3^n subset pairs covering the whole diagram
 (each vertex is top-only, bottom-only, or shared).  The scan walks them as
-bitmask pairs against one side involution per subset, keeps the Frobenius
-ones, normalizes each pair under the swap (and, on the self-dual diagrams
+bitmask pairs against a table of the 2^n side involutions, built from one
+involution per connected piece of the diagram, keeps the Frobenius ones,
+normalizes each pair under the swap (and, on the self-dual diagrams
 F4/G2/B2/C2, under the arrow-reversing relabeling), and sorts by bitmask
 for reproducible output.
 """
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
-from .meander import (_meets_once, components, orbits, side_permutation,
+from .meander import (_meets_once, components, orbits, side_permutations,
                       swapped_components, u_turn_report)
 from .spectrum import (_solve_eigenvalues, component_spectra,
                        eigenvalue_bounds_ok, seaweed_dimension,
@@ -61,10 +62,11 @@ def _mask_pairs(n: int):
 def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     """The (m1, m2) masks of every Frobenius pair with full union, before
     any normalization.  A side's involution depends on its subset alone, so
-    it is computed once per mask, not once per pair."""
+    the table of all 2^n is built first, from the diagram's connected
+    pieces."""
     n = rs.rank
     full = (1 << n) - 1
-    perms = [side_permutation(rs, mask_subset(m)) for m in range(full + 1)]
+    perms = side_permutations(rs)
     return [(m1, m2) for m1, m2 in _mask_pairs(n)
             if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .rootsys import (LieType, RootSystem, classify_component,
                       connected_components)
-from .seaweed import Composition, Seaweed, from_compositions, subset_mask
+from .seaweed import (Composition, Seaweed, from_compositions, mask_subset,
+                      subset_mask)
 
 
 class Side(enum.Enum):
@@ -158,8 +159,42 @@ def _side_table(n: int, comps) -> tuple[tuple, tuple]:
 
 def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
     """The side involution of a subset on either side, as Involution.perm;
-    it depends on the subset alone, so a catalog scan keeps one per subset."""
+    it depends on the subset alone, and a catalog scan computes it once per
+    connected piece (see side_permutations)."""
     return _side_table(rs.rank, _side_components(rs, subset, Side.TOP))[0]
+
+
+def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
+    """side_permutation of every subset, indexed by its subset_mask.
+
+    A subset's involution is the union of its connected pieces' ones.  So
+    mask m grows the piece holding its lowest bit inside m, takes the
+    table of m ^ piece, the identity on the piece, and writes in the
+    piece's entries, which side_permutation gives on the piece's first
+    appearance.
+    """
+    n = rs.rank
+    # near[v]: the mask of v's neighbours, v being bit v - 1
+    near = [0] + [subset_mask(rs.neighbors(v)) for v in range(1, n + 1)]
+    perms = [tuple(range(n + 1))]
+    pieces: dict[int, list[tuple[int, int]]] = {}
+    for m in range(1, 1 << n):
+        piece = frontier = m & -m
+        while frontier:
+            bit = frontier & -frontier
+            grown = near[bit.bit_length()] & m & ~piece
+            piece |= grown
+            frontier = (frontier ^ bit) | grown
+        entries = pieces.get(piece)
+        if entries is None:
+            verts = mask_subset(piece)
+            own = side_permutation(rs, verts)
+            entries = pieces[piece] = [(v, own[v]) for v in verts]
+        perm = list(perms[m ^ piece])
+        for v, w in entries:
+            perm[v] = w
+        perms.append(tuple(perm))
+    return perms
 
 
 @lru_cache(maxsize=65536)

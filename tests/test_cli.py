@@ -242,6 +242,23 @@ def test_enumerate_and_appendix(capsys, tmp_path):
     assert payload["appendix_a"]["match"] is True
 
 
+def test_enumerate_appendix_mismatch_exits_one(capsys, monkeypatch):
+    """A scan that disagrees with Appendix A exits 1, the documented code
+    for an internal inconsistency, with the same JSON on stdout."""
+    dropped = seaweeds.enumerate.APPENDIX_A_E6[0]
+    monkeypatch.setattr(seaweeds.enumerate, "APPENDIX_A_E6",
+                        seaweeds.enumerate.APPENDIX_A_E6[1:])
+    code, out, _ = run(capsys, "enumerate", "--type", "E6",
+                       "--check-appendix-a")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["count"] == 74
+    diff = payload["appendix_a"]
+    assert diff["match"] is False and diff["missing"] == []
+    (extra,) = diff["extra"]
+    assert {frozenset(side) for side in extra} == set(dropped)
+
+
 def test_enumerate_appendix_flag_is_e6_only(capsys):
     code, _, err = run(capsys, "enumerate", "--type", "G2",
                        "--check-appendix-a")

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seaweeds.enumerate as enumerate_module
+import seaweeds.meander as meander_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
                               make_seaweed, mask_subset)
 from seaweeds.meander import (Side, components, involution, is_frobenius,
-                              orbits, side_permutation, swapped_components)
+                              orbits, side_permutation, side_permutations,
+                              swapped_components)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
                                 _frobenius_pairs, _mask_pairs, _run_root,
                                 check_appendix_a, enumerate_frobenius,
@@ -126,6 +128,47 @@ def test_side_permutations_match_involution_and_longest_element(t):
         s = Seaweed(rs, sub, mask_subset(full ^ mask))
         assert involution(s, Side.TOP).perm == entry
         assert involution(Seaweed(rs, s.pi2, s.pi1), Side.BOTTOM).perm == entry
+
+
+# Every A-D type of rank <= 10 and every exceptional type.
+RANK_10_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
+                                                ("C", 2), ("D", 3))
+                 for n in range(lo, 11)] + [LieType.parse(name)
+                                            for name in FROBENIUS_COUNTS]
+
+
+@pytest.mark.parametrize("t", RANK_10_TYPES, ids=str)
+def test_side_permutation_table_matches_each_subset(t):
+    rs = build_root_system(t)
+    table = side_permutations(rs)
+    assert len(table) == 1 << t.rank
+    for mask, perm in enumerate(table):
+        assert perm == side_permutation(rs, mask_subset(mask)), mask
+
+
+@pytest.mark.parametrize("name,pieces,count", [
+    ("E6", 25, 74), ("E7", 34, 143), ("E8", 44, 301), ("D8", 41, 292),
+    ("A9", 45, 570)])
+def test_catalog_scan_builds_one_involution_per_connected_piece(
+        monkeypatch, name, pieces, count):
+    """The scan calls side_permutation once per connected piece of the
+    diagram, not once per subset (64 to 512 of them here)."""
+    t = LieType.parse(name)
+    rs = build_root_system(t)
+    seen = []
+
+    def spy(rs_, subset):
+        seen.append(frozenset(subset))
+        return side_permutation(rs_, subset)
+
+    monkeypatch.setattr(meander_module, "side_permutation", spy)
+    assert enumerate_frobenius(t).count == count
+    assert len(seen) == len(set(seen)) == pieces
+    assert all(len(connected_components(sub, rs.neighbors)) == 1
+               for sub in seen)
+    connected = sum(len(connected_components(mask_subset(m), rs.neighbors))
+                    == 1 for m in range(1, 1 << t.rank))
+    assert connected == pieces
 
 
 def test_rank_guard():
