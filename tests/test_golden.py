@@ -6,7 +6,8 @@ diagram, 3^n pairs in a fixed order, run through `cli.main`.  It freezes
 the orbit order and the U-turn rows of non-Frobenius seaweeds too, which
 no other test pins.  For each type of CATALOG_TYPES one sha256 covers the
 exit code and the stdout of `seaweed enumerate`, the catalog JSON byte for
-byte.  `python tests/test_golden.py` prints the digests of the current
+byte; SLOW_CATALOG_TYPES, the A-D catalogs of ranks 11 and 12, run under
+`-m slow`.  `python tests/test_golden.py` prints the digests of the current
 code as JSON, in the form tests/golden_stdout.json keeps.
 """
 from __future__ import annotations
@@ -35,6 +36,9 @@ CATALOG_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
                                                 ("C", 2), ("D", 3))
                  for n in range(lo, 11)] + [
     LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+
+# About 6 s in all, most of it the 3^12-pair scans.
+SLOW_CATALOG_TYPES = [LieType(fam, n) for fam in "ABCD" for n in (11, 12)]
 
 COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg"),
             ("render", "tikz")]
@@ -86,9 +90,15 @@ def test_catalog_matches_golden_digest(t):
     assert _catalog_digest(t) == want[_key("enumerate", "json", t)]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("t", SLOW_CATALOG_TYPES, ids=str)
+def test_high_rank_catalog_matches_golden_digest(t):
+    test_catalog_matches_golden_digest(t)
+
+
 if __name__ == "__main__":
     digests = {_key(c, f, t): _digest(c, f, t)
                for t in TYPES for c, f in COMMANDS}
     digests.update((_key("enumerate", "json", t), _catalog_digest(t))
-                   for t in CATALOG_TYPES)
+                   for t in CATALOG_TYPES + SLOW_CATALOG_TYPES)
     print(json.dumps(digests, indent=1, sort_keys=True))
