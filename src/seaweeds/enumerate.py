@@ -3,10 +3,11 @@
 For a rank-n type there are 3^n subset pairs covering the whole diagram
 (each vertex is top-only, bottom-only, or shared).  The scan walks them as
 bitmask pairs against a table of the 2^n side involutions, built from one
-involution per connected piece of the diagram, keeps the Frobenius ones,
-normalizes each pair under the swap (and, on the self-dual diagrams
-F4/G2/B2/C2, under the arrow-reversing relabeling), and sorts by bitmask
-for reproducible output.
+involution per connected piece of the diagram.  It walks the cycles of
+the pairs whose permutation signs allow a Frobenius pair, keeps the
+Frobenius ones, normalizes each pair under the swap (and, on the
+self-dual diagrams F4/G2/B2/C2, under the arrow-reversing relabeling),
+and sorts by bitmask for reproducible output.
 """
 from __future__ import annotations
 
@@ -63,12 +64,26 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     """The (m1, m2) masks of every Frobenius pair with full union, before
     any normalization.  A side's involution depends on its subset alone, so
     the table of all 2^n is built first, from the diagram's connected
-    pieces."""
+    pieces.
+
+    A pair reaches the cycle walk only if it passes a sign test.  A
+    permutation of n points with c cycles has sign (-1)^(n - c), and a
+    Frobenius pair's p2.p1 has one cycle per vertex outside m1 & m2, so its
+    sign, (-1)^(t1 + t2) for t_i transpositions in side i, is
+    (-1)^|m1 & m2|.  As |m1 & m2| = |m1| + |m2| - n, that reads
+    odd[m1] ^ odd[m2] == n & 1, with odd[m] the parity of t + |m|.  About
+    half the pairs fail it.
+    """
     n = rs.rank
     full = (1 << n) - 1
     perms = side_permutations(rs)
+    # t counts v < perm[v], one v per transposition
+    odd = [(sum(map(int.__lt__, range(n + 1), perm)) + m.bit_count()) & 1
+           for m, perm in enumerate(perms)]
+    parity = n & 1
     return [(m1, m2) for m1, m2 in _mask_pairs(n)
-            if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
+            if odd[m1] ^ odd[m2] == parity
+            and _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
 
 
 def enumerate_frobenius(t: LieType) -> Catalog:

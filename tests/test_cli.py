@@ -259,6 +259,45 @@ def test_enumerate_appendix_mismatch_exits_one(capsys, monkeypatch):
     assert {frozenset(side) for side in extra} == set(dropped)
 
 
+def _appendix_a(diff) -> dict:
+    def sides(pairs):
+        return [[sorted(a, reverse=True), sorted(b, reverse=True)]
+                for a, b in pairs]
+    return {"match": diff.empty, "missing": sides(diff.missing),
+            "extra": sides(diff.extra)}
+
+
+@pytest.mark.parametrize("name,appendix", [
+    ("A1", False), ("B2", False), ("G2", False), ("E6", True),
+    ("E6", "mismatch")])
+def test_catalog_writer_matches_stdlib_json(capsys, monkeypatch, name,
+                                            appendix):
+    """The CLI writes the catalog as json.dumps(indent=2, sort_keys=True)
+    would, byte for byte: catalogs with an empty side (A1, B2, G2), and the
+    E6 Appendix A head, matching and with both missing and extra rows."""
+    t = LieType.parse(name)
+    argv = ["enumerate", *(["--type", name] if t.family in "EFG" else
+                           ["--type", t.family, "--rank", str(t.rank)])]
+    if appendix == "mismatch":
+        bogus = (frozenset({1}), frozenset({2}))
+        monkeypatch.setattr(seaweeds.enumerate, "APPENDIX_A_E6",
+                            seaweeds.enumerate.APPENDIX_A_E6[1:] + (bogus,))
+    cat = seaweeds.enumerate.enumerate_frobenius(t)
+    payload = cat.to_json_dict()
+    if appendix:
+        argv.append("--check-appendix-a")
+        payload["appendix_a"] = _appendix_a(
+            seaweeds.enumerate.check_appendix_a(cat))
+    if appendix == "mismatch":
+        assert payload["appendix_a"]["missing"]
+        assert payload["appendix_a"]["extra"]
+    if not appendix:
+        assert any(not e["pi1"] or not e["pi2"] for e in payload["entries"])
+    code, out, _ = run(capsys, *argv)
+    assert code == (1 if appendix == "mismatch" else 0)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_enumerate_appendix_flag_is_e6_only(capsys):
     code, _, err = run(capsys, "enumerate", "--type", "G2",
                        "--check-appendix-a")
@@ -396,6 +435,24 @@ def test_cli_import_leaves_numpy_and_threads_unloaded():
     assert "frobenius yes" in done.stdout
     assert '"unbroken": true' in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_enumerate_import_leaves_numpy_and_the_oracle_unloaded():
+    # a cold enumerate process, as the catalog benchmark's scans run, pays
+    # for none of the oracle's numpy, linear algebra or rational arithmetic
+    unwanted = ("numpy", "seaweeds._linalg", "seaweeds.oracle", "fractions")
+    probe = ("import sys; before = set(sys.modules); "
+             "from seaweeds.cli import main; "
+             "code = main(['enumerate', '--type', 'E6']); "
+             "print(code, sorted((set(sys.modules) - before) & "
+             f"set({unwanted})))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seaweeds.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert '"count": 74' in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 RANK_512_BOREL = ["--rank", "512", "--bottom", "-",

@@ -12,9 +12,10 @@ import seaweeds.meander as meander_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
                               make_seaweed, mask_subset)
-from seaweeds.meander import (Side, components, involution, is_frobenius,
-                              orbits, side_permutation, side_permutations,
-                              swapped_components)
+from seaweeds.cli import main
+from seaweeds.meander import (Side, _meets_once, components, involution,
+                              is_frobenius, orbits, side_permutation,
+                              side_permutations, swapped_components)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
                                 _frobenius_pairs, _mask_pairs, _run_root,
                                 check_appendix_a, enumerate_frobenius,
@@ -169,6 +170,55 @@ def test_catalog_scan_builds_one_involution_per_connected_piece(
     connected = sum(len(connected_components(mask_subset(m), rs.neighbors))
                     == 1 for m in range(1, 1 << t.rank))
     assert connected == pieces
+
+
+def _cycle_count(perm: list[int]) -> int:
+    seen, cycles = set(), 0
+    for v in range(len(perm)):
+        if v not in seen:
+            cycles += 1
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+    return cycles
+
+
+@pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
+def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
+    """The scan's sign test is a necessary condition: every pair that
+    _meets_once accepts has odd[m1] ^ odd[m2] == n & 1, odd[m] being the
+    parity of perms[m]'s transpositions plus |m|.  The sign of p2.p1 is read
+    off its cycles here, not off the transposition counts."""
+    n = t.rank
+    full = (1 << n) - 1
+    rs = build_root_system(t)
+    perms = side_permutations(rs)
+    swaps = [sum(v < w for v, w in enumerate(perm)) for perm in perms]
+    odd = [(k + bin(m).count("1")) & 1 for m, k in enumerate(swaps)]
+    accepted = 0
+    for m1, m2 in _mask_pairs(n):
+        p1, p2 = perms[m1], perms[m2]
+        sigma = [p2[p1[v]] - 1 for v in range(1, n + 1)]
+        assert (n - _cycle_count(sigma)) % 2 == (swaps[m1] + swaps[m2]) % 2
+        if _meets_once(p1, p2, full ^ (m1 & m2)):
+            accepted += 1
+            assert _cycle_count(sigma) == n - bin(m1 & m2).count("1")
+            assert odd[m1] ^ odd[m2] == n & 1, (m1, m2)
+    assert accepted == len(_frobenius_pairs(rs))
+
+
+def test_sign_prefilter_skips_about_half_the_walks(monkeypatch):
+    """An A9 scan walks at most 0.55 * 3^9 pairs: the prefilter cannot
+    have been reduced to True."""
+    calls = []
+
+    def spy(p1, p2, target):
+        calls.append(target)
+        return _meets_once(p1, p2, target)
+
+    monkeypatch.setattr(enumerate_module, "_meets_once", spy)
+    assert enumerate_frobenius(LieType("A", 9)).count == 570
+    assert len(calls) <= 0.55 * 3 ** 9
 
 
 def test_rank_guard():
@@ -445,9 +495,12 @@ def test_census_detects_corrupted_values():
     assert broken
 
 
-def test_catalog_json_shape():
+def test_catalog_json_shape(capsys):
+    """`seaweed enumerate` prints the catalog as json.dumps writes it with
+    indent=2 and sorted keys, byte for byte."""
     cat = enumerate_frobenius(LieType("G", 2))
     payload = cat.to_json_dict()
     assert payload["type"] == "G2" and payload["count"] == 2
-    text = json.dumps(payload, sort_keys=True)
-    assert json.loads(text) == payload
+    assert main(["enumerate", "--type", "G2"]) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
