@@ -40,8 +40,8 @@ def rank_mod_p(matrix: list[list[int]]) -> int:
 
 def ranks_mod_p(stack) -> list[int]:
     """The rank mod p = PRIME of each matrix in a stack of same-shape
-    integer matrices: a 3-D array, or nested lists whose entries may leave
-    the int64 range (each is reduced mod p before the array is built).
+    integer matrices, a 3-D int64 array (reduce entries past the int64
+    range with `_residues` first).
 
     One elimination runs over the whole stack: its loop makes one pass per
     column, not one per column of each matrix, and at small sizes the numpy
@@ -53,12 +53,7 @@ def ranks_mod_p(stack) -> list[int]:
     """
     import numpy as np  # deferred, as in _residues
     p = PRIME
-    if isinstance(stack, np.ndarray):
-        a = (stack % p).astype(np.int64, copy=False)
-    else:
-        a = np.array([_residues(m) for m in stack], dtype=np.int64)
-    if not a.size:
-        return [0] * len(a)
+    a = stack % p
     count, rows, cols = a.shape
     free = np.ones((count, rows), dtype=bool)      # rows no pivot took yet
     for c in range(cols):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
 from .meander import (_meets_once, components, orbits, side_permutations,
-                      swapped_components, u_turn_report)
+                      u_turn_report)
 from .spectrum import (_solve_eigenvalues, component_spectra,
                        eigenvalue_bounds_ok, seaweed_dimension,
                        simple_eigenvalues, verify_symmetric, verify_unbroken,
@@ -303,16 +303,16 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
                  "U-turns")
         if row.right + row.left > 2:
             fail(f"orbit {row.orbit} has more than two U-turns")
-    # The swapped seaweed's involutions and components are s's with the
-    # sides exchanged; its Frobenius test and solve still run.  Its values
-    # must be s's negated: every component then has the same side-normalized
-    # values, hence the same spectrum, so the full spectrum is unchanged.
+    # The swapped seaweed's involutions are s's with the sides exchanged;
+    # its Frobenius test and solve still run.  Its values must be s's
+    # negated: every component then has the same side-normalized values,
+    # hence the same spectrum, so the full spectrum is unchanged.
     flipped = Seaweed(rs, s.pi2, s.pi1)
     if not _meets_once(meander.i2.perm, meander.i1.perm,
                        subset_mask(s.pi_union_complement)):
         raise ValueError(f"{flipped} is not Frobenius; its spectrum is "
                          "undefined")
-    x_swapped = _solve_eigenvalues(flipped, swapped_components(s))
+    x_swapped = _solve_eigenvalues(flipped, meander.i2, meander.i1)
     if x_swapped.values != tuple(-v for v in x.values):
         fail("spectrum changed under the side swap")
     report.checked += 1

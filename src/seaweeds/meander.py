@@ -5,11 +5,14 @@ side.  Each side carries an involution acting as the negated longest Weyl
 element on every maximally connected component (the chain reversal on
 A-chains, a prong swap on odd D-components, the diagram flip on E6, the
 identity elsewhere).  One rule per component shape, `_orbit_rows`, gives
-both that involution and the constraint row of each of its orbits.  The
-cycles of the composed involution v -> i2(i1(v)) are the orbits, and the
-seaweed is Frobenius exactly when each meets the complement of pi1 & pi2
-once.  `_walk` alternates the sides along one piece, a path or a closed
-cycle, for the U-turns and the eigenvalue solve.
+both that involution and the constraint row of each of its orbits, and an
+`Involution` carries both: its perm and each vertex's row value.  They
+depend on the side's subset alone; only the sign of the rows, negated on
+the bottom, says which side they sit on.  The cycles of the composed
+involution v -> i2(i1(v)) are the orbits, and the seaweed is Frobenius
+exactly when each meets the complement of pi1 & pi2 once.  `_walk`
+alternates the sides along one piece, a path or a closed cycle, for the
+U-turns and the eigenvalue solve.
 """
 from __future__ import annotations
 
@@ -42,9 +45,11 @@ class Component(NamedTuple):
 
 
 class Involution(NamedTuple):
-    """A permutation of the simple-root indices squaring to the identity."""
+    """A side's involution, a permutation of the simple-root indices
+    squaring to the identity, with the constraint row of each orbit."""
 
     perm: tuple[int, ...]           # perm[i] for i >= 1; perm[0] unused
+    values: tuple[int | None, ...]  # orbit-row value, None off the subset
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
@@ -85,18 +90,6 @@ def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]
     rs = s.root_system
     return (_side_components(rs, s.pi1, Side.TOP),
             _side_components(rs, s.pi2, Side.BOTTOM))
-
-
-def swapped_components(s: Seaweed
-                       ) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
-    """The components of Seaweed(rs, s.pi2, s.pi1), derived from s's: a
-    side's components depend on its subset alone, so the two sides trade
-    places and each component takes the other side (and its sign)."""
-    tops, bottoms = components(s)
-    return (tuple(Component(Side.TOP, c.roots, c.shape, c.order)
-                  for c in bottoms),
-            tuple(Component(Side.BOTTOM, c.roots, c.shape, c.order)
-                  for c in tops))
 
 
 # Values of the exceptional shapes whose involution fixes every index.
@@ -141,27 +134,26 @@ def _orbit_rows(shape: LieType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partner, values
 
 
-def _side_table(n: int, comps) -> tuple[tuple, tuple]:
-    """One side's table from its components: the involution's perm (perm[i]
-    for i >= 1, identity away from the components, perm[0] = 0 unused) and
-    each vertex's orbit-row value with the side sign folded in (None off
-    the side's subset)."""
+def _side_table(n: int, comps) -> Involution:
+    """One side's involution from its components: perm is the identity
+    away from them, and each vertex of the side's subset takes the
+    unsigned value of its orbit's row."""
     perm = list(range(n + 1))
-    total = [None] * (n + 1)
+    values = [None] * (n + 1)
     for c in comps:
         partner, value = _orbit_rows(c.shape)
-        sgn, order = c.side.sign, c.order
+        order = c.order
         for a, j, v in zip(order, partner, value):
             perm[a] = order[j]
-            total[a] = sgn * v
-    return tuple(perm), tuple(total)
+            values[a] = v
+    return Involution(tuple(perm), tuple(values))
 
 
 def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
     """The side involution of a subset on either side, as Involution.perm;
     it depends on the subset alone, and a catalog scan computes it once per
     connected piece (see side_permutations)."""
-    return _side_table(rs.rank, _side_components(rs, subset, Side.TOP))[0]
+    return _side_table(rs.rank, _side_components(rs, subset, Side.TOP)).perm
 
 
 def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
@@ -200,9 +192,8 @@ def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=65536)
 def involution(s: Seaweed, side: Side) -> Involution:
     """The side involution: componentwise negated longest element, identity
-    away from the side's subset."""
-    return Involution(_side_table(s.rank,
-                                  components(s)[side is Side.BOTTOM])[0])
+    away from the side's subset, with its orbit-row values."""
+    return _side_table(s.rank, components(s)[side is Side.BOTTOM])
 
 
 @lru_cache(maxsize=65536)

@@ -2,17 +2,18 @@
 
 Every maximally connected component constrains the values the simple roots
 take on a principal element with one row per orbit of its involution
-(`meander._orbit_rows` holds the rule of each shape): a fixed root's value
-is pinned, a swapped pair's values have a set sum, and the values are
-negated on the bottom side.  Each variable lies in at most one row per
-side, so the rows form the meander's paths, pinned at their ends; the
-values are carried along each path from a pin by `meander._walk`.  The
-per-component eigenvalue multisets (each root evaluated on the solution,
-plus one zero per orbit) then partition the full spectrum.  A classical
-component's roots are evaluated from the epsilon coordinates of its
-values, running sums along its order (`rootsys.twice_epsilon_values`),
-never as root tuples; an exceptional component's roots are those of the
-standalone system of its shape.
+(`meander._orbit_rows` holds the rule of each shape, and each side's
+`Involution` carries its rows' values): a fixed root's value is pinned, a
+swapped pair's values have a set sum, and the values are negated on the
+bottom side.  Each variable lies in at most one row per side, so the rows
+form the meander's paths, pinned at their ends; the values are carried
+along each path from a pin by `meander._walk`.  The per-component
+eigenvalue multisets (each root evaluated on the solution, plus one zero
+per orbit) then partition the full spectrum.  A classical component's
+roots are evaluated from the epsilon coordinates of its values, running
+sums along its order (`rootsys.twice_epsilon_values`), never as root
+tuples; an exceptional component's roots are those of the standalone
+system of its shape.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 from .rootsys import (LieType, build_root_system, epsilon_root_values,
                       positive_root_count, twice_epsilon_values)
-from .meander import (Component, _orbit_rows, _side_table, _walk, components,
-                      is_frobenius)
+from .meander import (Component, Involution, Side, _orbit_rows, _walk,
+                      components, involution, is_frobenius)
 from .seaweed import Seaweed, decompose_direct_sum
 
 
@@ -84,14 +85,15 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
     """Solve the constraint system; the seaweed must be Frobenius."""
     if not is_frobenius(s):
         raise ValueError(f"{s} is not Frobenius; its spectrum is undefined")
-    return _solve_eigenvalues(s, components(s))
+    return _solve_eigenvalues(s, involution(s, Side.TOP),
+                              involution(s, Side.BOTTOM))
 
 
-def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
-                                                 tuple[Component, ...]]
+def _solve_eigenvalues(s: Seaweed, top: Involution, bottom: Involution
                        ) -> SimpleEigenvalueVector:
-    """Solve the constraints of s's (tops, bottoms) component pair by
-    walking the meander from each pin, a vertex its own row fixes.
+    """Solve the constraints of s's top and bottom involutions by walking
+    the meander from each pin, a vertex its own row fixes; the bottom
+    rows' values are negated.
 
     A pin starts a path, and each pair row on it sets x_w = total - x_v.
     The path's other end is a second pin, checked against the value
@@ -99,7 +101,8 @@ def _solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],
     such as an even cycle off the Frobenius case, is left without values.
     """
     n = s.rank
-    perms, totals = zip(*(_side_table(n, comps) for comps in sides))
+    perms = top.perm, bottom.perm
+    totals = top.values, tuple(v if v is None else -v for v in bottom.values)
     x: list[int | None] = [None] * (n + 1)
     inconsistent = False
     for side in (0, 1):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -10,6 +12,26 @@ ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
 def record_acceptance(name: str, ok: bool, detail: str = "") -> None:
     ACCEPTANCE_RESULTS[name] = (ok, detail)
+
+
+@pytest.fixture
+def side_table_calls(monkeypatch):
+    """One entry per `meander._side_table` call through any module of the
+    package that binds it; the involution cache starts empty."""
+    from seaweeds import meander
+    side_table = meander._side_table
+    calls: list[int] = []
+
+    def spy(n, comps):
+        calls.append(n)
+        return side_table(n, comps)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("seaweeds.")
+                and getattr(module, "_side_table", None) is side_table):
+            monkeypatch.setattr(module, "_side_table", spy)
+    meander.involution.cache_clear()
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -94,12 +94,22 @@ def test_spectrum_table_solves_once(capsys, monkeypatch):
     solved = []
     solve = spectrum._solve_eigenvalues
     monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s, sides: solved.append(s) or solve(s, sides))
+                        lambda s, *sides: solved.append(s) or solve(s, *sides))
     code, _, _ = run(capsys, "spectrum", "--type", "B", "--rank", "8",
                      "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2",
                      "--format", "table")
     assert code == 0
     assert len(solved) == 1
+
+
+def test_spectrum_json_builds_each_side_table_once(capsys,
+                                                   side_table_calls):
+    # the Frobenius test and the solve read the same cached involutions
+    code, _, _ = run(capsys, "spectrum", "--type", "B", "--rank", "8",
+                     "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2",
+                     "--format", "json")
+    assert code == 0
+    assert len(side_table_calls) == 2
 
 
 def test_spectrum_non_frobenius_exit(capsys):
@@ -162,7 +172,7 @@ def test_spectrum_decompose_multi_summand(capsys, monkeypatch, typ, rank,
     solved = []
     solve = spectrum._solve_eigenvalues
     monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s, sides: solved.append(s) or solve(s, sides))
+                        lambda s, *sides: solved.append(s) or solve(s, *sides))
     argv = ("spectrum", "--type", typ, "--rank", rank, "--top", top,
             "--bottom", bottom, "--decompose")
     code, out, err = run(capsys, *argv, "--format", "json")

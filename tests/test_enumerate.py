@@ -15,7 +15,7 @@ from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
 from seaweeds.cli import main
 from seaweeds.meander import (Side, _meets_once, components, involution,
                               is_frobenius, orbits, side_permutation,
-                              side_permutations, swapped_components)
+                              side_permutations)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
                                 _frobenius_pairs, _mask_pairs, _run_root,
                                 check_appendix_a, enumerate_frobenius,
@@ -383,9 +383,16 @@ def test_centered_runs_match_the_pair_check_on_catalog_chains(t):
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
 def test_swapped_components_are_those_of_the_swapped_seaweed(t):
+    # a side's components and involution depend on its subset alone, which
+    # is why the census solves the swapped seaweed from s's involutions
     for s in enumerate_frobenius(t).entries:
         flipped = Seaweed(s.root_system, s.pi2, s.pi1)
-        assert swapped_components(s) == components(flipped), s
+        tops, bottoms = components(s)
+        assert components(flipped) == (
+            tuple(c._replace(side=Side.TOP) for c in bottoms),
+            tuple(c._replace(side=Side.BOTTOM) for c in tops)), s
+        assert involution(flipped, Side.TOP) == involution(s, Side.BOTTOM)
+        assert involution(flipped, Side.BOTTOM) == involution(s, Side.TOP)
 
 
 def test_census_reports_a_corrupted_chain_value(monkeypatch):
@@ -410,8 +417,8 @@ def test_census_reports_a_perturbed_side_swap_solve(monkeypatch):
     s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
     solve = enumerate_module._solve_eigenvalues
 
-    def perturbed(seaweed, sides):
-        x = solve(seaweed, sides)
+    def perturbed(seaweed, top, bottom):
+        x = solve(seaweed, top, bottom)
         return SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
 
     report = CensusReport()
@@ -421,6 +428,15 @@ def test_census_reports_a_perturbed_side_swap_solve(monkeypatch):
     verify_entry(s, report)
     assert report.failures == [
         "p^A4(4,3,2,1|4,3,1): spectrum changed under the side swap"]
+
+
+def test_census_builds_each_side_table_once(side_table_calls):
+    # the side swap solves from s's involutions, sides exchanged
+    s = make_seaweed(LieType("D", 6), {5, 4, 2, 1}, {6, 5, 4, 3, 2})
+    report = CensusReport()
+    verify_entry(s, report)
+    assert report.ok(), report.failures
+    assert len(side_table_calls) == 2
 
 
 def test_census_runs_the_side_swap_frobenius_test(monkeypatch):

@@ -10,8 +10,8 @@ from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed
 from seaweeds.meander import (CompositionPair, Move, Side, _walk, components,
                               generate_frobenius, involution, is_frobenius,
-                              orbits, swapped_components, u_turn_report,
-                              winding_bases, winding_move)
+                              orbits, u_turn_report, winding_bases,
+                              winding_move)
 
 from reference_data import A9, B8, C8, D11, D14
 from reference_impl import full_union_pairs
@@ -230,10 +230,10 @@ def _full_union_seaweeds(t: LieType):
         yield Seaweed(rs, frozenset(top), frozenset(bottom))
 
 
-def _solve_outcome(solve, s, sides):
+def _solve_outcome(solve, s, *sides):
     """The solved values, or the text of the AssertionError raised."""
     try:
-        return solve(s, sides).values
+        return solve(s, *sides).values
     except AssertionError as exc:
         return str(exc)
 
@@ -243,11 +243,13 @@ def _assert_walks_match_reference(t: LieType) -> None:
         m = orbits(s)
         assert u_turn_report(m) == reference_impl.u_turn_report(m), s
         flipped = Seaweed(s.root_system, s.pi2, s.pi1)
-        for seaweed, sides in ((s, components(s)),
-                               (flipped, swapped_components(s))):
-            assert (_solve_outcome(spectrum._solve_eigenvalues, seaweed, sides)
+        assert involution(flipped, Side.TOP) == m.i2, s
+        assert involution(flipped, Side.BOTTOM) == m.i1, s
+        for seaweed, top, bottom in ((s, m.i1, m.i2), (flipped, m.i2, m.i1)):
+            assert (_solve_outcome(spectrum._solve_eigenvalues, seaweed,
+                                   top, bottom)
                     == _solve_outcome(reference_impl.solve_eigenvalues,
-                                      seaweed, sides)), seaweed
+                                      seaweed, components(seaweed))), seaweed
 
 
 def _types(spec: str) -> list[LieType]:
@@ -257,8 +259,9 @@ def _types(spec: str) -> list[LieType]:
 @pytest.mark.parametrize("t", _types(
     "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C2 C3 C4 C5 D4 D5 E6 F4 G2"), ids=str)
 def test_walks_match_reference_on_every_full_union_pair(t):
-    # U-turn rows, and the solved values or the error, for s's components
-    # and for the swapped components
+    # U-turn rows; the swapped seaweed's involutions, s's with the sides
+    # exchanged; and the solved values or the error, for s and for the
+    # swapped seaweed solved from s's involutions
     _assert_walks_match_reference(t)
 
 

@@ -53,10 +53,12 @@ RECORDS = [
      "side roots shape order",
      "Component(side=<Side.TOP: 1>, roots=(2, 1), shape=LieType("
      "family='A', rank=2), order=(1, 2))"),
-    (lambda: Involution((0, 2, 1)), "perm", "Involution(perm=(0, 2, 1))"),
+    (lambda: Involution((0, 2, 1), (None, 1, 1)), "perm values",
+     "Involution(perm=(0, 2, 1), values=(None, 1, 1))"),
     (lambda: orbits(make_seaweed(A2, {2, 1}, ())), "seaweed i1 i2 orbits",
-     "OrbitMeander(seaweed=p^A2(2,1|-), i1=Involution(perm=(0, 2, 1)), "
-     "i2=Involution(perm=(0, 1, 2)), orbits=((1, 2),))"),
+     "OrbitMeander(seaweed=p^A2(2,1|-), i1=Involution(perm=(0, 2, 1), "
+     "values=(None, 1, 1)), i2=Involution(perm=(0, 1, 2), "
+     "values=(None, None, None)), orbits=((1, 2),))"),
     (lambda: OrbitUTurns((1, 2), 1, 0), "orbit right left",
      "OrbitUTurns(orbit=(1, 2), right=1, left=0)"),
     (lambda: UTurnReport((TURNS,)), "rows",

@@ -315,7 +315,8 @@ def test_dimension_matches_root_count_on_any_subsets(data):
 # row reaches; the clashing rule pairs x3 + x4 = -1 against the top's
 # pins x3 = x4 = 0.  A patched rule changes the involutions too, so
 # is_frobenius would refuse first: the rule is patched where the side
-# tables are built and the solve is called directly.
+# tables are built, and the solve is called directly on fresh involutions
+# (the cached ones hold the true rules).
 TRUE_C4 = ((0, 1, 2, 3), (1, 0, 0, 0))
 TRUE_A4 = ((3, 2, 1, 0), (0, 1, 1, 0))
 FREE_PAIR_C4 = ((1, 0, 2, 3), (0, 0, 0, 0))
@@ -333,8 +334,10 @@ def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
     assert {shape: _orbit_rows(shape) for shape in rules} == {
         LieType("C", 4): TRUE_C4, LieType("A", 4): TRUE_A4}
     monkeypatch.setattr(meander, "_orbit_rows", rules.__getitem__)
+    top, bottom = (meander._side_table(s.rank, comps)
+                   for comps in components(s))
     with pytest.raises(AssertionError, match=message):
-        spectrum._solve_eigenvalues(s, components(s))
+        spectrum._solve_eigenvalues(s, top, bottom)
 
 
 def _table_component_spectrum(c, x):

@@ -10,6 +10,8 @@ a caller of any same-named definition counts.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -83,3 +85,19 @@ def test_every_package_definition_has_a_caller():
     assert not uncalled, ("defined in src/seaweeds but never used by the "
                           f"package or perfbench/: {', '.join(uncalled)}")
 
+
+
+def test_benchmark_ratio_caches_are_package_lru_caches():
+    """The benchmark's tracer reads cache_info() of every RATIO_CACHES
+    name; a cache dropped or renamed in the package would raise KeyError
+    in every traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for name in layertrace.RATIO_CACHES:
+        layer, attr = name.split(".")
+        cached = getattr(importlib.import_module(f"seaweeds.{layer}"), attr)
+        assert callable(getattr(cached, "cache_info", None)), name
+    counts = layertrace.cache_counts(layertrace.lru_caches())
+    assert list(counts) == list(layertrace.RATIO_CACHES)
