@@ -12,15 +12,14 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
                       make_seaweed, parse_composition, parse_subset)
 from .meander import Side, components, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
-                       seaweed_dimension, simple_eigenvalues, verify_symmetric,
-                       verify_unbroken)
+                       seaweed_dimension, simple_eigenvalues, spectrum_union,
+                       verify_symmetric, verify_unbroken)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,8 +149,7 @@ def cmd_spectrum(args) -> int:
     for part in parts:
         x = simple_eigenvalues(part)
         solved.append((part, x, *component_spectra(components(part), x)))
-    total = Spectrum.from_counter(
-        sum((sp.as_counter() for *_, sp in solved), Counter()))
+    total = spectrum_union(sp for *_, sp in solved)
     if args.format == "json":
         summands = [_spectrum_payload(*entry) for entry in solved]
         if len(summands) == 1:

@@ -17,9 +17,9 @@ from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
 from .meander import (_meets_once, components, orbits, side_permutations,
                       u_turn_report)
-from .spectrum import (_solve_eigenvalues, component_spectra,
-                       eigenvalue_bounds_ok, seaweed_dimension,
-                       simple_eigenvalues, verify_symmetric, verify_unbroken,
+from .spectrum import (_solve_eigenvalues, eigenvalue_bounds_ok,
+                       seaweed_dimension, shape_spectrum, simple_eigenvalues,
+                       spectrum_union, verify_symmetric, verify_unbroken,
                        zero_padding)
 
 ENUM_RANK_GUARD = 16
@@ -268,7 +268,11 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
         report.failures.append(f"{label}: {msg}")
 
     x = simple_eigenvalues(s)
-    spectra, sp = component_spectra(components(s), x)
+    tops, bottoms = components(s)
+    comps = tops + bottoms
+    normalized = [x.side_normalized(c) for c in comps]
+    records = list(map(shape_spectrum, (c.shape for c in comps), normalized))
+    sp = spectrum_union(record[0] for record in records)
     if not verify_unbroken(sp):
         fail(f"spectrum {sp.mult} is broken")
     if not verify_symmetric(sp):
@@ -276,15 +280,16 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     if sp.total() != seaweed_dimension(s):
         fail(f"spectrum size {sp.total()} != dimension {seaweed_dimension(s)}")
     pad_total = 0
-    for comp_spectrum in spectra:
-        c, cs = comp_spectrum.component, comp_spectrum.values
-        values = x.side_normalized(c)
+    # a record is shared by every component of its (shape, values), so each
+    # failure names the component at hand
+    for c, values, (cs, unbroken, symmetric) in zip(comps, normalized,
+                                                    records):
         pad_total += zero_padding(c.shape)
         if not eigenvalue_bounds_ok(c.shape, values):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
-        if not verify_unbroken(cs):
+        if not unbroken:
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
-        if not verify_symmetric(cs):
+        if not symmetric:
             fail(f"component {c.roots} spectrum {cs.mult} is asymmetric")
         if c.shape.family == "A":
             _check_centered_runs(s.rank, c.order, values, fail)

@@ -7,12 +7,12 @@ A-chains, a prong swap on odd D-components, the diagram flip on E6, the
 identity elsewhere).  One rule per component shape, `_orbit_rows`, gives
 both that involution and the constraint row of each of its orbits, and an
 `Involution` carries both: its perm and each vertex's row value.  They
-depend on the side's subset alone; only the sign of the rows, negated on
-the bottom, says which side they sit on.  The cycles of the composed
-involution v -> i2(i1(v)) are the orbits, and the seaweed is Frobenius
-exactly when each meets the complement of pi1 & pi2 once.  `_walk`
-alternates the sides along one piece, a path or a closed cycle, for the
-U-turns and the eigenvalue solve.
+depend on the side's subset alone (the rows' sign, negated on the bottom,
+says which side they sit on), so the cached unit is a side's record,
+`_side_record`.  The cycles of the composed involution v -> i2(i1(v))
+are the orbits, and the seaweed is Frobenius exactly when each meets the
+complement of pi1 & pi2 once.  `_walk` alternates the sides along one
+piece, a path or a closed cycle, for the U-turns and the eigenvalue solve.
 """
 from __future__ import annotations
 
@@ -72,8 +72,14 @@ class UTurnReport(NamedTuple):
     rows: tuple[OrbitUTurns, ...]
 
 
-def _side_components(rs: RootSystem, subset, side: Side) -> tuple[Component, ...]:
-    """Maximally connected components of one side's subset, leftmost first."""
+@lru_cache(maxsize=2048)
+def _side_record(rs: RootSystem, subset: frozenset[int], side: Side
+                 ) -> tuple[tuple[Component, ...], Involution]:
+    """One side's components, leftmost first, and its involution, which the
+    seaweed-keyed caches read: a census builds each (subset, side) of its
+    entries once, and a scan each connected piece.  2048 records hold every
+    side of a catalog census up to rank 12 (D12 has 1,689); a rank-512 side
+    holds 40-90 KB."""
     cols = rs.columns
     comps = []
     for comp in connected_components(subset, rs.neighbors):
@@ -81,15 +87,17 @@ def _side_components(rs: RootSystem, subset, side: Side) -> tuple[Component, ...
         comps.append(Component(side, tuple(sorted(comp, reverse=True)),
                                shape, order))
     comps.sort(key=lambda c: (min(cols[v] for v in c.roots), c.roots))
-    return tuple(comps)
+    return tuple(comps), _side_table(rs.rank, comps)
 
 
-@lru_cache(maxsize=65536)
+# Seaweed-keyed caches serve one seaweed's repeated reads; the side records
+# are shared across seaweeds.
+@lru_cache(maxsize=64)
 def components(s: Seaweed) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
     """Maximally connected components of each side, leftmost first."""
     rs = s.root_system
-    return (_side_components(rs, s.pi1, Side.TOP),
-            _side_components(rs, s.pi2, Side.BOTTOM))
+    return (_side_record(rs, s.pi1, Side.TOP)[0],
+            _side_record(rs, s.pi2, Side.BOTTOM)[0])
 
 
 # Values of the exceptional shapes whose involution fixes every index.
@@ -149,20 +157,13 @@ def _side_table(n: int, comps) -> Involution:
     return Involution(tuple(perm), tuple(values))
 
 
-def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
-    """The side involution of a subset on either side, as Involution.perm;
-    it depends on the subset alone, and a catalog scan computes it once per
-    connected piece (see side_permutations)."""
-    return _side_table(rs.rank, _side_components(rs, subset, Side.TOP)).perm
-
-
 def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
-    """side_permutation of every subset, indexed by its subset_mask.
+    """The involution perm of every subset, indexed by its subset_mask.
 
     A subset's involution is the union of its connected pieces' ones.  So
     mask m grows the piece holding its lowest bit inside m, takes the
     table of m ^ piece, the identity on the piece, and writes in the
-    piece's entries, which side_permutation gives on the piece's first
+    piece's entries, read off the piece's side record on its first
     appearance.
     """
     n = rs.rank
@@ -180,7 +181,7 @@ def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
         entries = pieces.get(piece)
         if entries is None:
             verts = mask_subset(piece)
-            own = side_permutation(rs, verts)
+            own = _side_record(rs, verts, Side.TOP)[1].perm
             entries = pieces[piece] = [(v, own[v]) for v in verts]
         perm = list(perms[m ^ piece])
         for v, w in entries:
@@ -189,14 +190,15 @@ def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
     return perms
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=64)
 def involution(s: Seaweed, side: Side) -> Involution:
     """The side involution: componentwise negated longest element, identity
     away from the side's subset, with its orbit-row values."""
-    return _side_table(s.rank, components(s)[side is Side.BOTTOM])
+    subset = s.pi2 if side is Side.BOTTOM else s.pi1
+    return _side_record(s.root_system, subset, side)[1]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=64)
 def orbits(s: Seaweed) -> OrbitMeander:
     """Cycles of the composed involutions, each listed from its smallest index."""
     i1 = involution(s, Side.TOP)

@@ -9,15 +9,17 @@ bottom side.  Each variable lies in at most one row per side, so the rows
 form the meander's paths, pinned at their ends; the values are carried
 along each path from a pin by `meander._walk`.  The per-component
 eigenvalue multisets (each root evaluated on the solution, plus one zero
-per orbit) then partition the full spectrum.  A classical component's
-roots are evaluated from the epsilon coordinates of its values, running
-sums along its order (`rootsys.twice_epsilon_values`), never as root
-tuples; an exceptional component's roots are those of the standalone
-system of its shape.
+per orbit) then partition the full spectrum.  A component's multiset
+depends on its shape and side-normalized values alone: `shape_spectrum`
+caches it by that pair.  A classical component's roots are evaluated from
+the epsilon coordinates of its values, running sums along its order
+(`rootsys.twice_epsilon_values`), never as root tuples; an exceptional
+component's roots are those of the standalone system of its shape.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
@@ -51,9 +53,6 @@ class Spectrum(NamedTuple):
     @staticmethod
     def from_counter(c: Counter) -> "Spectrum":
         return Spectrum(tuple(sorted((k, m) for k, m in c.items() if m)))
-
-    def as_counter(self) -> Counter:
-        return Counter(dict(self.mult))
 
     def total(self) -> int:
         return sum(m for _, m in self.mult)
@@ -125,21 +124,40 @@ def _solve_eigenvalues(s: Seaweed, top: Involution, bottom: Involution
     return SimpleEigenvalueVector(tuple(x[1:]))
 
 
-def component_spectrum(c: Component,
-                       x: SimpleEigenvalueVector) -> ComponentSpectrum:
-    """Eigenvalue multiset of one component: every root of its shape
-    evaluated on the solved values (negated on the bottom), plus the zero
-    padding."""
-    vals = x.side_normalized(c)
-    family = c.shape.family
+@lru_cache(maxsize=1024)
+def shape_spectrum(shape: LieType, values: tuple[int, ...]
+                   ) -> tuple[Spectrum, bool, bool]:
+    """The spectrum of a component of this shape and side-normalized
+    values, every root evaluated on them plus the zero padding, with its
+    unbroken and symmetric verdicts.  No A-D catalog census up to rank 12
+    meets more than 399 keys; a rank-512 record holds some 7 KB."""
+    family = shape.family
     if family in "ABCD":
         counts = Counter(epsilon_root_values(
-            family, twice_epsilon_values(family, vals)))
+            family, twice_epsilon_values(family, values)))
     else:
-        counts = Counter(sum(map(mul, beta, vals))
-                         for beta in build_root_system(c.shape).positive_roots)
-    counts[0] += zero_padding(c.shape)
-    return ComponentSpectrum(c, Spectrum.from_counter(counts))
+        counts = Counter(sum(map(mul, beta, values))
+                         for beta in build_root_system(shape).positive_roots)
+    counts[0] += zero_padding(shape)
+    sp = Spectrum.from_counter(counts)
+    return sp, verify_unbroken(sp), verify_symmetric(sp)
+
+
+def component_spectrum(c: Component,
+                       x: SimpleEigenvalueVector) -> ComponentSpectrum:
+    """Eigenvalue multiset of one component under the solved values (see
+    shape_spectrum)."""
+    values = x.side_normalized(c)
+    return ComponentSpectrum(c, shape_spectrum(c.shape, values)[0])
+
+
+def spectrum_union(parts) -> Spectrum:
+    """The multiset union of the given spectra."""
+    total: Counter = Counter()
+    for sp in parts:
+        for k, m in sp.mult:
+            total[k] += m
+    return Spectrum.from_counter(total)
 
 
 def component_spectra(sides: tuple[tuple[Component, ...],
@@ -151,20 +169,13 @@ def component_spectra(sides: tuple[tuple[Component, ...],
     bottoms) components."""
     tops, bottoms = sides
     spectra = [component_spectrum(c, x) for c in tops + bottoms]
-    total: Counter = Counter()
-    for cs in spectra:
-        for k, m in cs.values.mult:
-            total[k] += m
-    return spectra, Spectrum.from_counter(total)
+    return spectra, spectrum_union(cs.values for cs in spectra)
 
 
 def full_spectrum(s: Seaweed) -> Spectrum:
     """Union of all component spectra; direct sums are split and merged."""
     if not s.has_full_union():
-        total: Counter = Counter()
-        for part in decompose_direct_sum(s):
-            total.update(full_spectrum(part).as_counter())
-        return Spectrum.from_counter(total)
+        return spectrum_union(map(full_spectrum, decompose_direct_sum(s)))
     return component_spectra(components(s), simple_eigenvalues(s))[1]
 
 

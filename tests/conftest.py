@@ -17,7 +17,8 @@ def record_acceptance(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture
 def side_table_calls(monkeypatch):
     """One entry per `meander._side_table` call through any module of the
-    package that binds it; the involution cache starts empty."""
+    package that binds it; the involution and side-record caches start
+    empty."""
     from seaweeds import meander
     side_table = meander._side_table
     calls: list[int] = []
@@ -31,6 +32,7 @@ def side_table_calls(monkeypatch):
                 and getattr(module, "_side_table", None) is side_table):
             monkeypatch.setattr(module, "_side_table", spy)
     meander.involution.cache_clear()
+    meander._side_record.cache_clear()
     return calls
 
 

@@ -10,7 +10,9 @@ Cartan matrix and its root-string closure for the adjacency and arrow a
 for the closed-form component spectra, the two-scan subdiagram classifier
 with its own shape record for the one-scan `rootsys.classify_component`,
 per-shape involutions and constraint rows for the one rule
-`meander._orbit_rows` states for both, a per-orbit U-turn count and a
+`meander._orbit_rows` states for both, a side involution built whole for
+the scan's table assembled piece by piece, a component spectrum computed
+afresh for the records the package caches, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
 the dense slot blocks and their r x r capacitance steps for the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,14 +35,16 @@ from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
                           cmd_spectrum)
 from seaweeds.enumerate import _run_root
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
-                              UTurnReport, _orbit_rows)
+                              UTurnReport, _orbit_rows, _side_record)
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
                               rank_mod_p)
 from seaweeds.oracle import (FUNCTIONAL_DRAWS, Functional, MatrixSeaweed,
                              kirillov_matrix)
-from seaweeds.rootsys import LieType, PositiveRoot, RootSystem
+from seaweeds.rootsys import (LieType, PositiveRoot, RootSystem,
+                              build_root_system, epsilon_root_values,
+                              twice_epsilon_values)
 from seaweeds.seaweed import Seaweed, subset_mask
-from seaweeds.spectrum import SimpleEigenvalueVector
+from seaweeds.spectrum import SimpleEigenvalueVector, Spectrum, zero_padding
 
 
 def rank_exact(matrix: list[list[Fraction | int]]) -> int:
@@ -608,6 +613,30 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
                 break
         rows.append(OrbitUTurns(cyc, right, left))
     return UTurnReport(tuple(rows))
+
+
+def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
+    """The involution perm of a subset, built from the whole subset with no
+    cache, for the table `meander.side_permutations` assembles from the
+    side records of its connected pieces."""
+    return _side_record.__wrapped__(rs, frozenset(subset), Side.TOP)[1].perm
+
+
+def component_spectrum(c: Component, x: SimpleEigenvalueVector) -> Spectrum:
+    """A component's spectrum computed afresh from c and x, with no record
+    shared by (shape, values) as `spectrum.shape_spectrum` keeps: every
+    root of the shape evaluated on the side-normalized values, plus the
+    zero padding."""
+    vals = x.side_normalized(c)
+    family = c.shape.family
+    if family in "ABCD":
+        counts = Counter(epsilon_root_values(
+            family, twice_epsilon_values(family, vals)))
+    else:
+        counts = Counter(sum(b * v for b, v in zip(beta, vals))
+                         for beta in build_root_system(c.shape).positive_roots)
+    counts[0] += zero_padding(c.shape)
+    return Spectrum.from_counter(counts)
 
 
 def solve_eigenvalues(s: Seaweed, sides: tuple[tuple[Component, ...],

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import seaweeds.enumerate as enumerate_module
 import seaweeds.meander as meander_module
+import seaweeds.spectrum as spectrum_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
                               make_seaweed, mask_subset)
 from seaweeds.cli import main
-from seaweeds.meander import (Side, _meets_once, components, involution,
-                              is_frobenius, orbits, side_permutation,
-                              side_permutations)
+from seaweeds.meander import (CompositionPair, Move, Side, _meets_once,
+                              components, generate_frobenius, involution,
+                              is_frobenius, orbits, side_permutations,
+                              winding_bases, winding_move)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
                                 _frobenius_pairs, _mask_pairs, _run_root,
                                 check_appendix_a, enumerate_frobenius,
@@ -24,7 +26,7 @@ from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
-                            symmetric_root)
+                            side_permutation, symmetric_root)
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -152,17 +154,19 @@ def test_side_permutation_table_matches_each_subset(t):
     ("A9", 45, 570)])
 def test_catalog_scan_builds_one_involution_per_connected_piece(
         monkeypatch, name, pieces, count):
-    """The scan calls side_permutation once per connected piece of the
-    diagram, not once per subset (64 to 512 of them here)."""
+    """The scan builds one side record per connected piece of the diagram,
+    not one per subset (64 to 512 of them here)."""
     t = LieType.parse(name)
     rs = build_root_system(t)
     seen = []
+    side_table = meander_module._side_table
 
-    def spy(rs_, subset):
-        seen.append(frozenset(subset))
-        return side_permutation(rs_, subset)
+    def spy(n, comps):
+        seen.append(frozenset(v for c in comps for v in c.roots))
+        return side_table(n, comps)
 
-    monkeypatch.setattr(meander_module, "side_permutation", spy)
+    monkeypatch.setattr(meander_module, "_side_table", spy)
+    meander_module._side_record.cache_clear()
     assert enumerate_frobenius(t).count == count
     assert len(seen) == len(set(seen)) == pieces
     assert all(len(connected_components(sub, rs.neighbors)) == 1
@@ -439,6 +443,51 @@ def test_census_builds_each_side_table_once(side_table_calls):
     assert len(side_table_calls) == 2
 
 
+def test_catalog_census_builds_each_side_table_once(side_table_calls):
+    """A census shares one side record among all the entries with that
+    (subset, side): the D6 catalog's entries have fewer distinct sides
+    than twice their count, and each side's table is built once."""
+    cat = enumerate_frobenius(LieType("D", 6))
+    meander_module._side_record.cache_clear()   # drop the scan's pieces
+    side_table_calls.clear()
+    report = spectrum_census(cat)
+    assert report.ok() and report.checked == cat.count
+    sides = ({(s.pi1, Side.TOP) for s in cat.entries}
+             | {(s.pi2, Side.BOTTOM) for s in cat.entries})
+    assert len(side_table_calls) == len(sides) < 2 * cat.count
+
+
+@pytest.fixture
+def fresh_spectrum_records():
+    """shape_spectrum starts and ends empty, so that records built under a
+    patched check reach no other test."""
+    spectrum_module.shape_spectrum.cache_clear()
+    yield
+    spectrum_module.shape_spectrum.cache_clear()
+
+
+@pytest.mark.parametrize("module,check,message", [
+    (enumerate_module, "eigenvalue_bounds_ok", "of shape A1 breaks value bounds"),
+    (spectrum_module, "verify_unbroken", "spectrum ((0, 1), (1, 1)) is broken"),
+    (spectrum_module, "verify_symmetric",
+     "spectrum ((0, 1), (1, 1)) is asymmetric"),
+], ids=["bounds", "unbroken", "symmetric"])
+def test_shared_records_fail_with_each_components_roots(
+        monkeypatch, fresh_spectrum_records, module, check, message):
+    """The three A1 components of p^A3(2|3,1) have the same shape and
+    side-normalized values, hence one spectrum record; a check forced to
+    fail names each component by its own roots."""
+    s = make_seaweed(LieType("A", 3), {2}, {3, 1})
+    x = simple_eigenvalues(s)
+    tops, bottoms = components(s)
+    assert len({(c.shape, x.side_normalized(c)) for c in tops + bottoms}) == 1
+    monkeypatch.setattr(module, check, lambda *_: False)
+    report = CensusReport()
+    verify_entry(s, report)
+    assert report.failures == [f"p^A3(2|3,1): component {roots} {message}"
+                               for roots in ((2,), (3,), (1,))]
+
+
 def test_census_runs_the_side_swap_frobenius_test(monkeypatch):
     s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
     monkeypatch.setattr(enumerate_module, "_meets_once", lambda *_: False)
@@ -496,6 +545,64 @@ def test_closed_form_families_up_to_rank_512(blocks):
         report = CensusReport()
         verify_entry(s, report)
         assert report.checked == 1 and report.ok(), report.failures[:5]
+
+
+@st.composite
+def _winding_words(draw) -> tuple[CompositionPair, list[Move]]:
+    """A declared winding base of any A-D family and a word of moves."""
+    family = draw(st.sampled_from("ABCD"))
+    q = 1 if family == "A" else draw(
+        st.integers(2 if family in "BC" else 3, 512))
+    base = draw(st.sampled_from(winding_bases(family, q)))
+    return base, draw(st.lists(st.sampled_from(list(Move)), max_size=24))
+
+
+# One word per A-D family that doubles the first part up to rank 512.
+RANK_512_WORDS = [
+    (CompositionPair("A", 1, (1,), ()), [Move.BLOCK_CREATION] * 9),
+    (CompositionPair("B", 257, (1,) * 257, ()), [Move.BLOCK_CREATION] * 8),
+    (CompositionPair("C", 257, (1,) * 257, ()), [Move.BLOCK_CREATION] * 8),
+    (CompositionPair("D", 257, (1,) * 255 + (2,), ()),
+     [Move.BLOCK_CREATION] * 8),
+]
+
+
+def _kept_moves(base: CompositionPair, word: list[Move]) -> list[Move]:
+    """The moves of word that apply in turn, skipping each one refused on
+    the pair reached or taking the rank above 512."""
+    pair, kept = base, []
+    for move in word:
+        try:
+            grown = winding_move(pair, move)
+        except ValueError:
+            continue
+        if grown.n <= 512:
+            pair = grown
+            kept.append(move)
+    return kept
+
+
+def test_pinned_winding_words_reach_rank_512():
+    for base, word in RANK_512_WORDS:
+        assert _kept_moves(base, word) == word
+        assert generate_frobenius(base, word).rank == 512
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=RANK_512_WORDS[0])
+@example(case=RANK_512_WORDS[1])
+@example(case=RANK_512_WORDS[2])
+@example(case=RANK_512_WORDS[3])
+@given(case=_winding_words())
+def test_winding_words_up_to_rank_512_pass_the_census(case):
+    """The paper's induction: the winding moves from a declared base give a
+    Frobenius seaweed, and it passes every census check, at any rank up to
+    512 in every classical family."""
+    base, word = case
+    s = generate_frobenius(base, _kept_moves(base, word))
+    report = CensusReport()
+    verify_entry(s, report)
+    assert report.checked == 1 and report.ok(), report.failures[:5]
 
 
 def test_census_detects_corrupted_values():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from operator import mul
@@ -23,6 +25,7 @@ from seaweeds.spectrum import (Spectrum, component_spectra,
 from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
 from reference_impl import (component_constraints, component_involution,
+                            component_spectrum as fresh_component_spectrum,
                             solve_unique, sub_positive_roots, symmetric_root,
                             twice_epsilon)
 
@@ -371,3 +374,67 @@ def test_rank_512_spectrum(t, top, bottom, dimension):
     assert verify_unbroken(sp) and verify_symmetric(sp)
     assert sp.total() == seaweed_dimension(s) == dimension
     assert "positive_roots" not in vars(s.root_system)
+
+
+def test_spectrum_records_match_a_fresh_computation():
+    """Every component of the E6, E7, E8, D8 and A9 censuses reads its
+    spectrum and verdicts off the record of its (shape, side-normalized
+    values), which equals the spectrum computed afresh: 6,895 components
+    share 160 records."""
+    spectrum.shape_spectrum.cache_clear()
+    count = 0
+    for name in ("E6", "E7", "E8", "D8", "A9"):
+        for s in enumerate_frobenius(LieType.parse(name)).entries:
+            x = simple_eigenvalues(s)
+            tops, bottoms = components(s)
+            for c in tops + bottoms:
+                sp, unbroken, symmetric = spectrum.shape_spectrum(
+                    c.shape, x.side_normalized(c))
+                assert sp == fresh_component_spectrum(c, x), (s, c)
+                assert component_spectrum(c, x).values == sp
+                assert (unbroken, symmetric) == (verify_unbroken(sp),
+                                                 verify_symmetric(sp))
+                count += 1
+    assert (count, spectrum.shape_spectrum.cache_info().misses) == (6895, 160)
+
+
+def _clear_seaweed_caches():
+    for cached in (meander.components, meander.involution, meander.orbits,
+                   meander._side_record, spectrum.shape_spectrum):
+        cached.cache_clear()
+
+
+def test_rank_512_loop_holds_bounded_memory():
+    """124 distinct B512 seaweeds, each a zigzag over the top 128 roots with
+    one defect (top v, bottom v - 1 or v + 1) above the B384 tail, hold
+    under 8 MB once checked and solved: about 47 KB each, mostly their new
+    side record, since neighbouring seaweeds share a side, the B384 tail
+    shares one spectrum record and at most 64 seaweeds stay in the
+    seaweed-keyed caches.  Caching each seaweed's own components and
+    involutions held about 82 KB each (10 MB).  About 2 s under tracemalloc
+    on a 2-core VM."""
+    n, k = 512, 384
+    rs = build_root_system(LieType("B", n))
+    top = frozenset(range(n - 1, k, -2))
+    bottom = frozenset(range(n, k, -2)) | frozenset(range(1, k + 1))
+    _clear_seaweed_caches()
+    full_spectrum(Seaweed(rs, top, bottom))     # the shared B384 record
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        seen = 0
+        for v in range(k + 4, n - 1, 2):
+            for w in (v - 1, v + 1):
+                s = Seaweed(rs, top | {v}, bottom | {w})
+                assert is_frobenius(s), s
+                full_spectrum(s)
+                seen += 1
+        del s
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        _clear_seaweed_caches()
+    assert seen == 124
+    assert held < 8 * 2**20, held
