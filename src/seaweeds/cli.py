@@ -15,7 +15,8 @@ import sys
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
-                      make_seaweed, parse_composition, parse_subset)
+                      make_seaweed, parse_composition, parse_subset,
+                      subset_mask)
 from .meander import Side, components, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, spectrum_union,
@@ -180,14 +181,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumerate import check_appendix_a, enumerate_frobenius
+    from .enumerate import (catalog_keys, check_appendix_a,
+                            enumerate_frobenius)
     t = _lie_type(args)
     if args.check_appendix_a and str(t) != "E6":
         raise UsageError("--check-appendix-a applies to --type E6 only")
-    cat = enumerate_frobenius(t)
-    payload = cat.to_json_dict()
+    payload = {"type": str(t)}
     match = True
     if args.check_appendix_a:
+        # the diff reads Seaweeds; other runs write the keys straight out
+        cat = enumerate_frobenius(t)
+        keys = [(subset_mask(s.pi1), subset_mask(s.pi2)) for s in cat.entries]
         diff = check_appendix_a(cat)
         match = diff.empty
         payload["appendix_a"] = {
@@ -197,31 +201,34 @@ def cmd_enumerate(args) -> int:
             "extra": [[sorted(a, reverse=True), sorted(b, reverse=True)]
                       for a, b in diff.extra],
         }
-    _emit(_catalog_json(payload), args)
+    else:
+        keys = catalog_keys(t)
+    payload["count"] = len(keys)
+    _emit(_catalog_json(payload, t.rank, keys), args)
     # a scan that disagrees with Appendix A is an internal inconsistency
     return EXIT_OK if match else 1
 
 
-def _catalog_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, for a
-    catalog (which always has entries).
+def _catalog_json(payload: dict, n: int, keys) -> str:
+    """json.dumps, byte for byte, with indent=2 and sorted keys, of payload
+    plus "entries": the keys' rank-n masks as descending pi1, pi2 lists.
 
     Under indent the stdlib encodes in pure Python, so the entries, nearly
-    all of a catalog's bytes, are written here: each pi1 and pi2 one value
-    per line, [] for an empty side.  The head still goes through json.dumps.
+    all of a catalog's bytes, are written here, each distinct mask once:
+    one value per line, [] if empty.  The head still goes through json.dumps.
     """
-    def values(side: list[int]) -> str:
-        if not side:
-            return "[]"
-        return "[\n        " + ",\n        ".join(map(str, side)) + "\n      ]"
-
+    sides = {}
+    for m in {m for key in keys for m in key}:
+        values = [str(i) for i in range(n, 0, -1) if m >> (i - 1) & 1]
+        sides[m] = ("[\n        " + ",\n        ".join(values) + "\n      ]"
+                    if values else "[]")
     fields = []
-    for key in sorted(payload):
+    for key in sorted([*payload, "entries"]):
         if key == "entries":
             text = "[\n" + ",\n".join(
-                f'    {{\n      "pi1": {values(e["pi1"])},\n'
-                f'      "pi2": {values(e["pi2"])}\n    }}'
-                for e in payload[key]) + "\n  ]"
+                f'    {{\n      "pi1": {sides[m1]},\n'
+                f'      "pi2": {sides[m2]}\n    }}'
+                for m1, m2 in keys) + "\n  ]"
         else:
             text = json.dumps(payload[key], indent=2, sort_keys=True)
             text = text.replace("\n", "\n  ")

@@ -1,13 +1,15 @@
 """Exhaustive catalogs of Frobenius seaweeds, with verification sweeps.
 
 For a rank-n type there are 3^n subset pairs covering the whole diagram
-(each vertex is top-only, bottom-only, or shared).  The scan walks them as
-bitmask pairs against a table of the 2^n side involutions, built from one
-involution per connected piece of the diagram.  It walks the cycles of
-the pairs whose permutation signs allow a Frobenius pair, keeps the
-Frobenius ones, normalizes each pair under the swap (and, on the
-self-dual diagrams F4/G2/B2/C2, under the arrow-reversing relabeling),
-and sorts by bitmask for reproducible output.
+(each vertex is top-only, bottom-only, or shared); the Frobenius test is
+symmetric under the swap, so the scan visits the (3^n - 1)/2 bitmask pairs
+with m1 < m2 against a table of the 2^n side involutions, built from one
+per connected piece of the diagram.  It walks the cycles of the pairs
+whose permutation signs allow a Frobenius pair and keeps the Frobenius
+ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
+arrow-reversing relabeling).  The sorted mask pairs are the catalog's keys,
+which `seaweed enumerate` writes as JSON; `enumerate_frobenius` builds
+their Seaweeds.
 """
 from __future__ import annotations
 
@@ -33,38 +35,17 @@ class Catalog(NamedTuple):
     def count(self) -> int:
         return len(self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": str(self.lie_type),
-            "count": self.count,
-            "entries": [
-                {"pi1": sorted(s.pi1, reverse=True),
-                 "pi2": sorted(s.pi2, reverse=True)}
-                for s in self.entries
-            ],
-        }
-
-
-def _mask_pairs(n: int):
-    """Yield every (m1, m2) pair of n-bit subset masks with m1 | m2 full,
-    3^n in all: for each m1, m2 is the complement of m1 joined with each
-    subset of m1 in turn."""
-    full = (1 << n) - 1
-    for m1 in range(full + 1):
-        rest = full ^ m1
-        sub = m1
-        while True:
-            yield m1, rest | sub
-            if not sub:
-                break
-            sub = (sub - 1) & m1
-
 
 def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
-    """The (m1, m2) masks of every Frobenius pair with full union, before
-    any normalization.  A side's involution depends on its subset alone, so
-    the table of all 2^n is built first, from the diagram's connected
-    pieces.
+    """The (m1, m2) masks, m1 < m2, of every Frobenius pair with full
+    union.  A side's involution depends on its subset alone, so the table
+    of all 2^n is built first, from the diagram's connected pieces.
+
+    (m1, m2) is Frobenius exactly when (m2, m1) is (p1.p2 inverts p2.p1,
+    and the target is symmetric), and (full, full), of empty target, never
+    is.  So only m1 < m2 is visited: bit k, the top one where the masks
+    differ, is m2's and every bit above it is in both, so m1 is those bits
+    with any a below bit k, and m2 = full ^ d for each subset d of a.
 
     A pair reaches the cycle walk only if it passes a sign test.  A
     permutation of n points with c cycles has sign (-1)^(n - c), and a
@@ -80,38 +61,50 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     # t counts v < perm[v], one v per transposition
     odd = [(sum(map(int.__lt__, range(n + 1), perm)) + m.bit_count()) & 1
            for m, perm in enumerate(perms)]
-    parity = n & 1
-    return [(m1, m2) for m1, m2 in _mask_pairs(n)
-            if odd[m1] ^ odd[m2] == parity
-            and _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))]
+    pairs = []
+    for k in range(n):
+        span = (2 << k) - 1             # bits 0..k
+        for a in range(1 << k):
+            m1 = (full ^ span) | a
+            p1, want, rest = perms[m1], odd[m1] ^ (n & 1), span ^ a
+            d = a                       # target: full ^ (m1 & m2) = rest ^ d
+            while True:
+                m2 = full ^ d
+                if odd[m2] == want and _meets_once(p1, perms[m2], rest ^ d):
+                    pairs.append((m1, m2))
+                if not d:
+                    break
+                d = (d - 1) & a
+    return pairs
 
 
-def enumerate_frobenius(t: LieType) -> Catalog:
-    """All Frobenius seaweeds of one type, deduplicated under the swap
-    (plus the arrow-reversing relabeling for the self-dual diagrams).
-
-    Each pair is keyed by the least (m1, m2) of its orbit.  On F4, G2 and
-    the rank-2 B/C system the undirected diagram has the relabeling
-    i -> n+1-i, which reverses the arrow; pairs related by it present the
-    same subalgebra up to the identifications the reference catalogs use,
-    so the orbit includes the n-bit reversals of both masks.  The E-types'
-    diagram automorphisms are kept as distinct entries.
+def catalog_keys(t: LieType) -> list[tuple[int, int]]:
+    """The sorted (m1, m2) subset masks, m1 < m2, of every Frobenius
+    seaweed of one type up to the swap.  On F4, G2 and the rank-2 B/C
+    system the relabeling i -> n+1-i of the undirected diagram reverses the
+    arrow; pairs related by it present the same subalgebra up to the
+    identifications the reference catalogs use, so the lesser of the two
+    (both Frobenius, as the relabeling maps side involutions to each other)
+    is kept.  The E-types' diagram automorphisms stay distinct entries.
     """
     n = t.rank
     if n > ENUM_RANK_GUARD:
         raise ValueError(f"rank {n} exceeds the exhaustive-scan guard "
                          f"({ENUM_RANK_GUARD})")
+    pairs = _frobenius_pairs(build_root_system(t))
+    if t.family in "FG" or (t.family in "BC" and n == 2):
+        flip = [int(f"{m:0{n}b}"[::-1], 2) for m in range(1 << n)]
+        pairs = [(m1, m2) for m1, m2 in pairs
+                 if (m1, m2) <= tuple(sorted((flip[m1], flip[m2])))]
+    return sorted(pairs)
+
+
+def enumerate_frobenius(t: LieType) -> Catalog:
+    """All Frobenius seaweeds of one type, deduplicated as `catalog_keys`
+    says, in key order."""
     rs = build_root_system(t)
-    reverse = t.family in "FG" or (t.family in "BC" and n == 2)
-    keys = set()
-    for m1, m2 in _frobenius_pairs(rs):
-        key = min((m1, m2), (m2, m1))
-        if reverse:
-            r1, r2 = (int(f"{m:0{n}b}"[::-1], 2) for m in (m1, m2))
-            key = min(key, (r1, r2), (r2, r1))
-        keys.add(key)
     return Catalog(t, tuple(Seaweed(rs, mask_subset(m1), mask_subset(m2))
-                            for m1, m2 in sorted(keys)))
+                            for m1, m2 in catalog_keys(t)))
 
 
 # The 74 Frobenius seaweeds of E6, as unordered subset pairs.
@@ -279,12 +272,11 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
         fail(f"spectrum {sp.mult} is not symmetric about one half")
     if sp.total() != seaweed_dimension(s):
         fail(f"spectrum size {sp.total()} != dimension {seaweed_dimension(s)}")
-    pad_total = 0
+    pad_total = sum(zero_padding(c.shape) for c in comps)
     # a record is shared by every component of its (shape, values), so each
     # failure names the component at hand
     for c, values, (cs, unbroken, symmetric) in zip(comps, normalized,
                                                     records):
-        pad_total += zero_padding(c.shape)
         if not eigenvalue_bounds_ok(c.shape, values):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not unbroken:

@@ -74,9 +74,10 @@ class ComponentSpectrum(NamedTuple):
     values: Spectrum
 
 
+@lru_cache(maxsize=256)
 def zero_padding(shape: LieType) -> int:
     """Zero multiplicity a component adds on top of its root values: one
-    per orbit of its involution."""
+    per orbit of its involution; the census sums it for every component."""
     return sum(j <= p for j, p in enumerate(_orbit_rows(shape)[0]))
 
 

@@ -16,8 +16,10 @@ afresh for the records the package caches, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
 the dense slot blocks and their r x r capacitance steps for the
-functional search on each slot's low-rank factor), or a fixture the oracle
-tests share.
+functional search on each slot's low-rank factor, all 3^n full-union
+mask pairs for the scan that visits half of them, the catalog payload
+built from Seaweeds for the JSON the CLI writes from mask keys), or a
+fixture the oracle tests share.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
                           cmd_spectrum)
-from seaweeds.enumerate import _run_root
+from seaweeds.enumerate import Catalog, _run_root
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows, _side_record)
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
@@ -499,6 +501,35 @@ def full_union_pairs(n: int):
     for places in itertools.product((1, 2, 3), repeat=n):
         yield ([i for i, p in enumerate(places, 1) if p & 1],
                [i for i, p in enumerate(places, 1) if p & 2])
+
+
+def mask_pairs(n: int):
+    """Yield every (m1, m2) pair of n-bit subset masks with m1 | m2 full,
+    3^n in all: for each m1, m2 is the complement of m1 joined with each
+    subset of m1 in turn."""
+    full = (1 << n) - 1
+    for m1 in range(full + 1):
+        rest = full ^ m1
+        sub = m1
+        while True:
+            yield m1, rest | sub
+            if not sub:
+                break
+            sub = (sub - 1) & m1
+
+
+def catalog_json_dict(cat: Catalog) -> dict:
+    """The catalog payload `seaweed enumerate` prints, built from the
+    catalog's Seaweeds (the CLI writes it from the mask keys)."""
+    return {
+        "type": str(cat.lie_type),
+        "count": cat.count,
+        "entries": [
+            {"pi1": sorted(s.pi1, reverse=True),
+             "pi2": sorted(s.pi2, reverse=True)}
+            for s in cat.entries
+        ],
+    }
 
 
 def poset_algebra_sl4() -> MatrixSeaweed:

@@ -23,7 +23,7 @@ from seaweeds._linalg import rank_int_rows
 from seaweeds.oracle import (ad_spectrum, frobenius_functional, index,
                              kirillov_matrix, principal_element,
                              realize_type_a)
-from seaweeds.enumerate import (CensusReport, _mask_pairs, check_appendix_a,
+from seaweeds.enumerate import (CensusReport, check_appendix_a,
                                 enumerate_frobenius, verify_entry)
 
 from conftest import record_acceptance
@@ -31,7 +31,7 @@ from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             E6_BOTTOM_CONFIGURATION, E6_COMPONENT_BY_HEIGHT,
                             EXCEPTIONAL_COMPONENT_SPECTRA, FROBENIUS_COUNTS,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
-from reference_impl import canonical_form, poset_algebra_sl4
+from reference_impl import canonical_form, mask_pairs, poset_algebra_sl4
 
 
 def _seaweed(ref):
@@ -145,7 +145,7 @@ def test_a6_matrix_oracle_equivalence():
     for n in range(1, 7):
         rs = build_root_system(LieType("A", n))
         seen = set()
-        for m1, m2 in _mask_pairs(n):
+        for m1, m2 in mask_pairs(n):
             s = canonical_form(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
             key = (subset_mask(s.pi1), subset_mask(s.pi2))
             if key in seen:

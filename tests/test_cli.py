@@ -293,7 +293,7 @@ def test_catalog_writer_matches_stdlib_json(capsys, monkeypatch, name,
         monkeypatch.setattr(seaweeds.enumerate, "APPENDIX_A_E6",
                             seaweeds.enumerate.APPENDIX_A_E6[1:] + (bogus,))
     cat = seaweeds.enumerate.enumerate_frobenius(t)
-    payload = cat.to_json_dict()
+    payload = reference_impl.catalog_json_dict(cat)
     if appendix:
         argv.append("--check-appendix-a")
         payload["appendix_a"] = _appendix_a(
@@ -321,6 +321,7 @@ def test_enumerate_appendix_flag_is_refused_before_the_scan(capsys,
     def no_scan(t):
         raise AssertionError(f"scanned {t}")
     monkeypatch.setattr(seaweeds.enumerate, "enumerate_frobenius", no_scan)
+    monkeypatch.setattr(seaweeds.enumerate, "catalog_keys", no_scan)
     code, out, err = run(capsys, "enumerate", "--type", "A", "--rank", "16",
                          "--check-appendix-a")
     assert code == 2

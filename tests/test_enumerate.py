@@ -12,21 +12,22 @@ import seaweeds.meander as meander_module
 import seaweeds.spectrum as spectrum_module
 from seaweeds.rootsys import LieType, build_root_system, connected_components
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
-                              make_seaweed, mask_subset)
+                              make_seaweed, mask_subset, subset_mask)
 from seaweeds.cli import main
 from seaweeds.meander import (CompositionPair, Move, Side, _meets_once,
                               components, generate_frobenius, involution,
                               is_frobenius, orbits, side_permutations,
                               winding_bases, winding_move)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
-                                _frobenius_pairs, _mask_pairs, _run_root,
+                                _frobenius_pairs, _run_root, catalog_keys,
                                 check_appendix_a, enumerate_frobenius,
                                 spectrum_census, verify_entry, CensusReport)
 from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
-                            side_permutation, symmetric_root)
+                            catalog_json_dict, mask_pairs, side_permutation,
+                            symmetric_root)
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -64,7 +65,7 @@ RANK_8_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2), ("C", 2),
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mask_pairs_are_the_full_union_pairs(n):
-    pairs = list(_mask_pairs(n))
+    pairs = list(mask_pairs(n))
     states = itertools.product(((1, 0), (0, 1), (1, 1)), repeat=n)
     expected = {(sum(a << i for i, (a, _) in enumerate(st)),
                  sum(b << i for i, (_, b) in enumerate(st))) for st in states}
@@ -74,21 +75,64 @@ def test_mask_pairs_are_the_full_union_pairs(n):
 
 @pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
 def test_scan_pairs_match_the_per_pair_test(t):
-    """The raw mask scan keeps exactly the pairs is_frobenius accepts, and
-    those are the pairs whose orbits each meet pi1 & pi2's complement once."""
+    """The raw mask scan keeps exactly the m1 < m2 pairs is_frobenius
+    accepts, and those are the pairs whose orbits each meet pi1 & pi2's
+    complement once."""
     rs = build_root_system(t)
     expected = set()
-    for m1, m2 in _mask_pairs(t.rank):
+    for m1, m2 in mask_pairs(t.rank):
         s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
         target = s.pi_union_complement
         counted = all(sum(v in target for v in cyc) == 1
                       for cyc in orbits(s).orbits)
         assert is_frobenius(s) == counted, s
-        if counted:
+        if counted and m1 < m2:
             expected.add((m1, m2))
     scanned = _frobenius_pairs(rs)
     assert len(scanned) == len(set(scanned))
     assert set(scanned) == expected
+
+
+@pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
+def test_frobenius_pairs_are_closed_under_the_swap(t):
+    """Over all 3^n ordered pairs, (m1, m2) is Frobenius exactly when
+    (m2, m1) is, and (full, full) never is: the scan's m1 < m2 half loses
+    no catalog entry."""
+    n = t.rank
+    full = (1 << n) - 1
+    rs = build_root_system(t)
+    perms = side_permutations(rs)
+    frobenius = {(m1, m2) for m1, m2 in mask_pairs(n)
+                 if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))}
+    assert frobenius == {(m2, m1) for m1, m2 in frobenius}
+    assert (full, full) not in frobenius
+    assert len(frobenius) == 2 * len(_frobenius_pairs(rs))
+
+
+@pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
+def test_catalog_keys_are_the_least_pair_of_each_orbit(t):
+    """catalog_keys lists, sorted, the least of each orbit of the ordered
+    Frobenius pairs under the swap and, on F4, G2, B2 and C2, the n-bit
+    reversal of both masks; enumerate_frobenius holds their Seaweeds in
+    that order."""
+    n = t.rank
+    full = (1 << n) - 1
+    perms = side_permutations(build_root_system(t))
+    reverse = t.family in "FG" or (t.family in "BC" and n == 2)
+
+    def flip(m):
+        return int(f"{m:0{n}b}"[::-1], 2)
+
+    keys = set()
+    for m1, m2 in mask_pairs(n):
+        if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2)):
+            orbit = [(m1, m2), (m2, m1)]
+            if reverse:
+                orbit += [(flip(m1), flip(m2)), (flip(m2), flip(m1))]
+            keys.add(min(orbit))
+    assert catalog_keys(t) == sorted(keys)
+    assert [(subset_mask(s.pi1), subset_mask(s.pi2))
+            for s in enumerate_frobenius(t).entries] == sorted(keys)
 
 
 def _negated_longest_element(rs, piece) -> dict[int, int]:
@@ -200,20 +244,21 @@ def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
     swaps = [sum(v < w for v, w in enumerate(perm)) for perm in perms]
     odd = [(k + bin(m).count("1")) & 1 for m, k in enumerate(swaps)]
     accepted = 0
-    for m1, m2 in _mask_pairs(n):
+    for m1, m2 in mask_pairs(n):
         p1, p2 = perms[m1], perms[m2]
         sigma = [p2[p1[v]] - 1 for v in range(1, n + 1)]
         assert (n - _cycle_count(sigma)) % 2 == (swaps[m1] + swaps[m2]) % 2
         if _meets_once(p1, p2, full ^ (m1 & m2)):
-            accepted += 1
+            accepted += m1 < m2
             assert _cycle_count(sigma) == n - bin(m1 & m2).count("1")
             assert odd[m1] ^ odd[m2] == n & 1, (m1, m2)
     assert accepted == len(_frobenius_pairs(rs))
 
 
 def test_sign_prefilter_skips_about_half_the_walks(monkeypatch):
-    """An A9 scan walks at most 0.55 * 3^9 pairs: the prefilter cannot
-    have been reduced to True."""
+    """An A9 scan walks at most 0.3 * 3^9 pairs: it visits only the
+    (3^9 - 1)/2 pairs with m1 < m2, and the prefilter, which cannot have
+    been reduced to True, skips about half of those."""
     calls = []
 
     def spy(p1, p2, target):
@@ -222,7 +267,7 @@ def test_sign_prefilter_skips_about_half_the_walks(monkeypatch):
 
     monkeypatch.setattr(enumerate_module, "_meets_once", spy)
     assert enumerate_frobenius(LieType("A", 9)).count == 570
-    assert len(calls) <= 0.55 * 3 ** 9
+    assert len(calls) <= 0.3 * 3 ** 9
 
 
 def test_rank_guard():
@@ -622,7 +667,7 @@ def test_catalog_json_shape(capsys):
     """`seaweed enumerate` prints the catalog as json.dumps writes it with
     indent=2 and sorted keys, byte for byte."""
     cat = enumerate_frobenius(LieType("G", 2))
-    payload = cat.to_json_dict()
+    payload = catalog_json_dict(cat)
     assert payload["type"] == "G2" and payload["count"] == 2
     assert main(["enumerate", "--type", "G2"]) == 0
     assert capsys.readouterr().out == \

@@ -6,9 +6,10 @@ diagram, 3^n pairs in a fixed order, run through `cli.main`.  It freezes
 the orbit order and the U-turn rows of non-Frobenius seaweeds too, which
 no other test pins.  For each type of CATALOG_TYPES one sha256 covers the
 exit code and the stdout of `seaweed enumerate`, the catalog JSON byte for
-byte; SLOW_CATALOG_TYPES, the A-D catalogs of ranks 11 and 12, run under
-`-m slow`.  `python tests/test_golden.py` prints the digests of the current
-code as JSON, in the form tests/golden_stdout.json keeps.
+byte; SLOW_CATALOG_TYPES, the A-D catalogs of ranks 11 and 12 and the A13
+catalog, run under `-m slow`.  `python tests/test_golden.py` prints the
+digests of the current code as JSON, in the form tests/golden_stdout.json
+keeps.
 """
 from __future__ import annotations
 
@@ -37,8 +38,10 @@ CATALOG_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
                  for n in range(lo, 11)] + [
     LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
 
-# About 6 s in all, most of it the 3^12-pair scans.
-SLOW_CATALOG_TYPES = [LieType(fam, n) for fam in "ABCD" for n in (11, 12)]
+# About 3 s in all, most of it the 3^12- and 3^13-pair scans; A13 pins
+# the catalog bytes above rank 12.
+SLOW_CATALOG_TYPES = [LieType(fam, n) for fam in "ABCD"
+                      for n in (11, 12)] + [LieType("A", 13)]
 
 COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg"),
             ("render", "tikz")]

@@ -9,7 +9,6 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from seaweeds.enumerate import _mask_pairs
 from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
@@ -22,7 +21,7 @@ from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              kirillov_matrix, principal_element,
                              realize_type_a)
 
-from reference_impl import (frobenius_functional_by_blocks,
+from reference_impl import (frobenius_functional_by_blocks, mask_pairs,
                             poset_algebra_sl4, slot_block)
 
 
@@ -109,7 +108,7 @@ def _full_union_algebras(max_rank: int) -> list[MatrixSeaweed]:
     for n in range(1, max_rank + 1):
         rs = build_root_system(LieType("A", n))
         mats += [realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
-                 for m1, m2 in _mask_pairs(n)]
+                 for m1, m2 in mask_pairs(n)]
     return mats + [poset_algebra_sl4()]
 
 
@@ -317,7 +316,7 @@ def _index_by_sequential_ranks(m: MatrixSeaweed, seed: int,
 @pytest.mark.parametrize("rank", range(1, 6))
 def test_index_matches_the_sequential_loop(rank):
     rs = build_root_system(LieType("A", rank))
-    for m1, m2 in _mask_pairs(rank):
+    for m1, m2 in mask_pairs(rank):
         mat = realize_type_a(Seaweed(rs, mask_subset(m1), mask_subset(m2)))
         for seed in (1729, 5):
             for samples in (0, 1, 2, 20):
@@ -490,7 +489,7 @@ def test_frobenius_functional_refuses_non_frobenius_algebras(rank):
     # every full-union pair of the rank, with the meander as the reference
     rs = build_root_system(LieType("A", rank))
     verdicts = Counter()
-    for m1, m2 in _mask_pairs(rank):
+    for m1, m2 in mask_pairs(rank):
         s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
         mat = realize_type_a(s)
         frobenius = is_frobenius(s)
