@@ -22,7 +22,7 @@ _EXPORTS = {
     "oracle": "Functional IndexCertificate MatrixSeaweed ad_spectrum "
               "frobenius_functional index principal_element realize_type_a",
     "enumerate": "APPENDIX_A_E6 Catalog CatalogDiff CensusReport "
-                 "check_appendix_a enumerate_frobenius spectrum_census",
+                 "check_appendix_a spectrum_census",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

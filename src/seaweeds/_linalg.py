@@ -1,18 +1,20 @@
 """Linear algebra over the integers and rationals, exact or mod a prime.
 
 Only the type-A oracle uses this module; the spectrum path solves its
-constraint rows by walking the meander.  Matrices are lists of integer
-rows; one kernel serves each arithmetic.  The fraction-free
-`_forward_eliminate` gives exact ranks (`rank_int_rows`) and
-`solve_nonsingular`'s exact fallback.
-Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`) serves `rank_mod_p`,
-`ModularInverse` and `solve_nonsingular`; `ranks_mod_p` ranks a stack of
-matrices in one pass.  `ModularInverse` steps its inverse through the
-small capacitance matrix of each low-rank term (Woodbury) and certifies
-the final matrix by the product W K = I mod p (`_mul_mod_p`), not by a
-fresh rank.  Rows reach numpy int64 arrays through `_residues`, which
-reduces entries mod p in Python, so entries past int64 stay exact; the
-product of two residues fits in int64.
+constraint rows by walking the meander.  One kernel serves each
+arithmetic.  The fraction-free `_forward_eliminate`, on lists of integer
+rows, gives exact ranks (`rank_int_rows`) and `solve_nonsingular`'s exact
+fallback.  Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`), on
+numpy int64 arrays, serves `rank_mod_p`, `ModularInverse` and
+`solve_nonsingular`; `ranks_mod_p` ranks a stack of matrices in one pass.
+`ModularInverse` steps its inverse through the small capacitance matrix
+of each low-rank term (Woodbury) and certifies the final matrix by the
+product W K = I mod p (`_mul_mod_p`), not by a fresh rank.  `rank_mod_p`,
+`ranks_mod_p` and `ModularInverse` take int64 arrays, as the oracle
+builds its Kirillov matrices; rows whose entries can pass int64 (the
+scaled adjoint, `solve_nonsingular`'s system) reach int64 through
+`_residues`, which reduces them mod p in Python.  The product of two
+residues fits in int64.
 """
 from __future__ import annotations
 
@@ -29,12 +31,11 @@ def _residues(rows):
     return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
 
 
-def rank_mod_p(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix reduced mod p = PRIME (a lower bound on the
-    rational rank, with equality away from a measure-zero set of primes)."""
-    if not matrix:
-        return 0
-    m = _residues(matrix)
+def rank_mod_p(matrix) -> int:
+    """Rank of an integer matrix, a 2-D int64 array, reduced mod p = PRIME
+    (a lower bound on the rational rank, with equality away from a
+    measure-zero set of primes)."""
+    m = matrix % PRIME
     return _eliminate_mod_p(m, m.shape[1])
 
 
@@ -113,11 +114,12 @@ class ModularInverse:
     So a step eliminates s columns where a fresh rank would eliminate all.
     """
 
-    def __init__(self, matrix: list[list[int]]):
-        """Raises ValueError when matrix is singular mod p."""
+    def __init__(self, matrix):
+        """K is matrix, a square int64 array.  Raises ValueError when K is
+        singular mod p."""
         import numpy as np  # deferred, as in _residues
         d = len(matrix)
-        aug = np.hstack((_residues(matrix), np.eye(d, dtype=np.int64)))
+        aug = np.hstack((matrix % PRIME, np.eye(d, dtype=np.int64)))
         if _eliminate_mod_p(aug, d) < d:
             raise ValueError("matrix is singular mod p")
         self.w = aug[:, d:]
@@ -140,11 +142,11 @@ class ModularInverse:
         self.w = (w - _mul_mod_p(w[:, rows] @ z % p, aug[:, s:])) % p
         return True
 
-    def inverts(self, matrix: list[list[int]]) -> bool:
-        """Whether W K = I mod p for the integer matrix K: a certificate
+    def inverts(self, matrix) -> bool:
+        """Whether W K = I mod p for K = matrix, an int64 array: a certificate
         that K has full rank mod p, hence over the rationals."""
         import numpy as np
-        k = _residues(matrix)
+        k = matrix % PRIME
         return np.array_equal(_mul_mod_p(self.w, k),
                               np.eye(len(k), dtype=np.int64))
 

@@ -15,8 +15,7 @@ import sys
 
 from .rootsys import LieType
 from .seaweed import (Seaweed, composition_marks, decompose_direct_sum,
-                      make_seaweed, parse_composition, parse_subset,
-                      subset_mask)
+                      make_seaweed, parse_composition, parse_subset)
 from .meander import Side, components, is_frobenius, orbits, u_turn_report
 from .spectrum import (Spectrum, component_spectra, full_spectrum,
                        seaweed_dimension, simple_eigenvalues, spectrum_union,
@@ -128,7 +127,7 @@ def _spectrum_payload(s: Seaweed, x, spectra, total: Spectrum) -> dict:
     payload = total.to_json_dict()
     payload["seaweed"] = repr(s)
     payload["simple_eigenvalues"] = [
-        {"i": i, "value": v} for i, v in sorted(x.as_dict().items())]
+        {"i": i, "value": v} for i, v in enumerate(x.values, 1)]
     payload["components"] = comps
     return payload
 
@@ -164,7 +163,7 @@ def cmd_spectrum(args) -> int:
             part, x = solved[0][:2]
             lines = [f"seaweed   {part!r}   dimension {seaweed_dimension(part)}",
                      "simple eigenvalues  " + " ".join(
-                         f"a{i}={v}" for i, v in sorted(x.as_dict().items()))]
+                         f"a{i}={v}" for i, v in enumerate(x.values, 1))]
         else:
             lines = [f"seaweed   {s!r}   (direct sum of {len(parts)})"]
         ks = [str(k) for k, _ in total.mult]
@@ -181,18 +180,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumerate import (catalog_keys, check_appendix_a,
-                            enumerate_frobenius)
+    from .enumerate import catalog_keys, check_appendix_a
     t = _lie_type(args)
     if args.check_appendix_a and str(t) != "E6":
         raise UsageError("--check-appendix-a applies to --type E6 only")
-    payload = {"type": str(t)}
+    keys = catalog_keys(t)
+    payload = {"type": str(t), "count": len(keys)}
     match = True
     if args.check_appendix_a:
-        # the diff reads Seaweeds; other runs write the keys straight out
-        cat = enumerate_frobenius(t)
-        keys = [(subset_mask(s.pi1), subset_mask(s.pi2)) for s in cat.entries]
-        diff = check_appendix_a(cat)
+        diff = check_appendix_a(keys)
         match = diff.empty
         payload["appendix_a"] = {
             "match": match,
@@ -201,9 +197,6 @@ def cmd_enumerate(args) -> int:
             "extra": [[sorted(a, reverse=True), sorted(b, reverse=True)]
                       for a, b in diff.extra],
         }
-    else:
-        keys = catalog_keys(t)
-    payload["count"] = len(keys)
     _emit(_catalog_json(payload, t.rank, keys), args)
     # a scan that disagrees with Appendix A is an internal inconsistency
     return EXIT_OK if match else 1

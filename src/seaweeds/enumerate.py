@@ -8,8 +8,7 @@ per connected piece of the diagram.  It walks the cycles of the pairs
 whose permutation signs allow a Frobenius pair and keeps the Frobenius
 ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
 arrow-reversing relabeling).  The sorted mask pairs are the catalog's keys,
-which `seaweed enumerate` writes as JSON; `enumerate_frobenius` builds
-their Seaweeds.
+which `seaweed enumerate` writes as JSON and diffs against Appendix A.
 """
 from __future__ import annotations
 
@@ -97,14 +96,6 @@ def catalog_keys(t: LieType) -> list[tuple[int, int]]:
         pairs = [(m1, m2) for m1, m2 in pairs
                  if (m1, m2) <= tuple(sorted((flip[m1], flip[m2])))]
     return sorted(pairs)
-
-
-def enumerate_frobenius(t: LieType) -> Catalog:
-    """All Frobenius seaweeds of one type, deduplicated as `catalog_keys`
-    says, in key order."""
-    rs = build_root_system(t)
-    return Catalog(t, tuple(Seaweed(rs, mask_subset(m1), mask_subset(m2))
-                            for m1, m2 in catalog_keys(t)))
 
 
 # The 74 Frobenius seaweeds of E6, as unordered subset pairs.
@@ -211,14 +202,16 @@ class CatalogDiff(NamedTuple):
         return not self.missing and not self.extra
 
 
-def check_appendix_a(cat: Catalog) -> CatalogDiff:
-    """Diff a catalog against the embedded 74-row E6 reference list."""
+def check_appendix_a(keys) -> CatalogDiff:
+    """Diff the (m1, m2) mask keys of a catalog (`catalog_keys`) against
+    the embedded 74-row E6 reference list."""
     def norm(a: frozenset[int], b: frozenset[int]):
         return (min((tuple(sorted(a)), tuple(sorted(b))),
                     (tuple(sorted(b)), tuple(sorted(a)))))
 
+    pairs = [(mask_subset(m1), mask_subset(m2)) for m1, m2 in keys]
     reference = {norm(a, b): (a, b) for a, b in APPENDIX_A_E6}
-    got = {norm(s.pi1, s.pi2): (s.pi1, s.pi2) for s in cat.entries}
+    got = {norm(a, b): (a, b) for a, b in pairs}
     missing = tuple(reference[k] for k in sorted(reference.keys() - got.keys()))
     extra = tuple(got[k] for k in sorted(got.keys() - reference.keys()))
     return CatalogDiff(missing, extra)

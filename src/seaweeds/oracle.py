@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from typing import NamedTuple
 
@@ -144,35 +144,22 @@ def _draws(m: MatrixSeaweed, seed: int):
                     for _ in range(m.dim))
 
 
-def kirillov_matrix(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
-    """The antisymmetric form f([b_p, b_q]) on the basis."""
-    mat = [[0] * m.dim for _ in range(m.dim)]
-    for c, terms in zip(f, m._slot_terms):
-        if c:
-            for p, q, v in terms:
-                mat[p][q] += c * v
-                mat[q][p] -= c * v
-    return mat
-
-
-def _kirillov_stack(m: MatrixSeaweed, fs: list[Functional]):
-    """The Kirillov matrices of the functionals fs as one int64 array of
-    shape (len(fs), dim, dim), built without a Python list per matrix.
-    Exact for coefficients within COEFF_BOUND: an entry is a sum of fewer
-    than n terms c * v with |v| <= 2."""
+def kirillov_matrix(m: MatrixSeaweed, fs: list[Functional]):
+    """The antisymmetric forms f([b_p, b_q]) of the functionals fs on the
+    basis, as one int64 array of shape (len(fs), dim, dim): the upper
+    triangle U gathers the terms (p < q) of every slot and the form is
+    U - U^T.  Exact for coefficients below 2^31: an entry is a sum of
+    fewer than n terms c * v with |v| <= 2."""
     import numpy as np  # deferred, as in _slot_factor
     d, count = m.dim, len(fs)
-    # every term of a slot, at (p, q) with v and at (q, p) with -v
-    slots, entries, values = np.array(
-        [(k, e, w) for k, terms in enumerate(m._slot_terms)
-         for p, q, v in terms
-         for e, w in ((p * d + q, v), (q * d + p, -v))],
-        dtype=np.int64).reshape(-1, 3).T
+    p, q, v = np.fromiter(chain.from_iterable(chain.from_iterable(
+        m._slot_terms)), dtype=np.int64).reshape(-1, 3).T
+    slots = np.repeat(np.arange(d), [len(terms) for terms in m._slot_terms])
     coeffs = np.array(fs, dtype=np.int64).reshape(count, d)
-    out = np.zeros((count, d, d), dtype=np.int64)
-    at = np.arange(count)[:, None] * (d * d) + entries
-    np.add.at(out.reshape(-1), at.ravel(), (coeffs[:, slots] * values).ravel())
-    return out
+    upper = np.zeros((count, d, d), dtype=np.int64)
+    at = np.arange(count)[:, None] * (d * d) + p * d + q
+    np.add.at(upper.reshape(-1), at.ravel(), (coeffs[:, slots] * v).ravel())
+    return upper - upper.transpose(0, 2, 1)
 
 
 class IndexCertificate(NamedTuple):
@@ -202,16 +189,16 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     cap = d - d % 2
     draws = islice(_draws(m, seed), samples)
     fs = list(islice(draws, 1))
-    ranks = [rank_mod_p(kirillov_matrix(m, f)) for f in fs]
+    ranks = [rank_mod_p(k) for k in kirillov_matrix(m, fs)]
     if ranks and ranks[0] < cap:
         fs += draws
-        ranks += ranks_mod_p(_kirillov_stack(m, fs[1:]))
+        ranks += ranks_mod_p(kirillov_matrix(m, fs[1:]))
     best_rank = max(ranks, default=0)
     if not best_rank:
         return IndexCertificate(d, None, samples)
     best = fs[ranks.index(best_rank)]
     if best_rank < cap:
-        best_rank = rank_int_rows(kirillov_matrix(m, best))
+        best_rank = rank_int_rows(kirillov_matrix(m, [best])[0].tolist())
     return IndexCertificate(d - best_rank, best, samples)
 
 
@@ -244,7 +231,7 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     for _ in range(FUNCTIONAL_DRAWS):
         coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
         try:
-            inverse = ModularInverse(kirillov_matrix(m, coeffs))
+            inverse = ModularInverse(kirillov_matrix(m, [coeffs])[0])
             break
         except ValueError:
             continue
@@ -265,7 +252,7 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
                     coeffs[k], changed = v, True
                     break
     f = tuple(coeffs)
-    if not inverse.inverts(kirillov_matrix(m, f)):
+    if not inverse.inverts(kirillov_matrix(m, [f])[0]):
         raise AssertionError("the functional search lost the full rank")
     return f
 
@@ -309,7 +296,7 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
     only when that certificate fails.  Raises ValueError when f is not
     regular.
     """
-    rows = list(zip(*kirillov_matrix(m, f)))
+    rows = kirillov_matrix(m, [f])[0].T.tolist()
     try:
         return solve_nonsingular(rows, list(f))
     except ValueError as exc:

@@ -41,9 +41,6 @@ class SimpleEigenvalueVector(NamedTuple):
         sign, values = c.side.sign, self.values
         return tuple(sign * values[i - 1] for i in c.order)
 
-    def as_dict(self) -> dict[int, int]:
-        return {i + 1: v for i, v in enumerate(self.values)}
-
 
 class Spectrum(NamedTuple):
     """An integer -> multiplicity multiset."""

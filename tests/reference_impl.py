@@ -17,9 +17,10 @@ per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
 the dense slot blocks and their r x r capacitance steps for the
 functional search on each slot's low-rank factor, all 3^n full-union
-mask pairs for the scan that visits half of them, the catalog payload
-built from Seaweeds for the JSON the CLI writes from mask keys), or a
-fixture the oracle tests share.
+mask pairs for the scan that visits half of them, the catalog of
+Seaweeds and its payload for the mask keys the CLI diffs and writes, the
+Kirillov matrix as a list of integer rows for the int64 stack the oracle
+builds), or a fixture the oracle tests share.
 """
 from __future__ import annotations
 
@@ -35,17 +36,16 @@ import numpy as np
 
 from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
                           cmd_spectrum)
-from seaweeds.enumerate import Catalog, _run_root
+from seaweeds.enumerate import Catalog, _run_root, catalog_keys
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows, _side_record)
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
                               rank_mod_p)
-from seaweeds.oracle import (FUNCTIONAL_DRAWS, Functional, MatrixSeaweed,
-                             kirillov_matrix)
+from seaweeds.oracle import FUNCTIONAL_DRAWS, Functional, MatrixSeaweed
 from seaweeds.rootsys import (LieType, PositiveRoot, RootSystem,
                               build_root_system, epsilon_root_values,
                               twice_epsilon_values)
-from seaweeds.seaweed import Seaweed, subset_mask
+from seaweeds.seaweed import Seaweed, mask_subset, subset_mask
 from seaweeds.spectrum import SimpleEigenvalueVector, Spectrum, zero_padding
 
 
@@ -518,6 +518,14 @@ def mask_pairs(n: int):
             sub = (sub - 1) & m1
 
 
+def enumerate_frobenius(t: LieType) -> Catalog:
+    """All Frobenius seaweeds of one type, deduplicated as `catalog_keys`
+    says, in key order."""
+    rs = build_root_system(t)
+    return Catalog(t, tuple(Seaweed(rs, mask_subset(m1), mask_subset(m2))
+                            for m1, m2 in catalog_keys(t)))
+
+
 def catalog_json_dict(cat: Catalog) -> dict:
     """The catalog payload `seaweed enumerate` prints, built from the
     catalog's Seaweeds (the CLI writes it from the mask keys)."""
@@ -535,6 +543,18 @@ def catalog_json_dict(cat: Catalog) -> dict:
 def poset_algebra_sl4() -> MatrixSeaweed:
     """The 8-dimensional incidence algebra of the poset 1,2 < 3 < 4 in sl(4)."""
     return MatrixSeaweed(4, ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
+
+
+def kirillov_rows(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
+    """The antisymmetric form f([b_p, b_q]) on the basis, in Python
+    integers."""
+    mat = [[0] * m.dim for _ in range(m.dim)]
+    for c, terms in zip(f, m._slot_terms):
+        if c:
+            for p, q, v in terms:
+                mat[p][q] += c * v
+                mat[q][p] -= c * v
+    return mat
 
 
 def slot_block(terms: list[tuple[int, int, int]]):
@@ -575,7 +595,8 @@ def frobenius_functional_by_blocks(m: MatrixSeaweed, seed: int) -> Functional:
     for _ in range(FUNCTIONAL_DRAWS):
         coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
         try:
-            inverse = ModularInverse(kirillov_matrix(m, coeffs))
+            inverse = ModularInverse(
+                np.array(kirillov_rows(m, coeffs), dtype=np.int64))
             break
         except ValueError:
             continue
@@ -594,7 +615,7 @@ def frobenius_functional_by_blocks(m: MatrixSeaweed, seed: int) -> Functional:
                     coeffs[k], changed = v, True
                     break
     f = tuple(coeffs)
-    assert rank_mod_p(kirillov_matrix(m, f)) == d
+    assert rank_mod_p(np.array(kirillov_rows(m, f), dtype=np.int64)) == d
     return f
 
 

@@ -19,6 +19,7 @@ import seaweeds
 from seaweeds import cli, oracle, spectrum
 from seaweeds.cli import main
 from seaweeds.rootsys import LieType, build_root_system
+from seaweeds.seaweed import Seaweed
 
 
 def run(capsys, *argv):
@@ -292,12 +293,12 @@ def test_catalog_writer_matches_stdlib_json(capsys, monkeypatch, name,
         bogus = (frozenset({1}), frozenset({2}))
         monkeypatch.setattr(seaweeds.enumerate, "APPENDIX_A_E6",
                             seaweeds.enumerate.APPENDIX_A_E6[1:] + (bogus,))
-    cat = seaweeds.enumerate.enumerate_frobenius(t)
-    payload = reference_impl.catalog_json_dict(cat)
+    payload = reference_impl.catalog_json_dict(
+        reference_impl.enumerate_frobenius(t))
     if appendix:
         argv.append("--check-appendix-a")
-        payload["appendix_a"] = _appendix_a(
-            seaweeds.enumerate.check_appendix_a(cat))
+        payload["appendix_a"] = _appendix_a(seaweeds.enumerate.check_appendix_a(
+            seaweeds.enumerate.catalog_keys(t)))
     if appendix == "mismatch":
         assert payload["appendix_a"]["missing"]
         assert payload["appendix_a"]["extra"]
@@ -306,6 +307,24 @@ def test_catalog_writer_matches_stdlib_json(capsys, monkeypatch, name,
     code, out, _ = run(capsys, *argv)
     assert code == (1 if appendix == "mismatch" else 0)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_enumerate_appendix_check_builds_no_seaweed(capsys, monkeypatch):
+    """The E6 Appendix A diff reads the mask keys: no Seaweed is built
+    between the scan and the JSON."""
+    built = []
+    new = Seaweed.__new__
+
+    def counted(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Seaweed, "__new__", counted)
+    code, out, _ = run(capsys, "enumerate", "--type", "E6",
+                       "--check-appendix-a")
+    assert code == 0
+    assert json.loads(out)["appendix_a"]["match"] is True
+    assert not built
 
 
 def test_enumerate_appendix_flag_is_e6_only(capsys):
@@ -320,7 +339,6 @@ def test_enumerate_appendix_flag_is_refused_before_the_scan(capsys,
     A16 exits 2 at once instead of after a 3^16-pair scan."""
     def no_scan(t):
         raise AssertionError(f"scanned {t}")
-    monkeypatch.setattr(seaweeds.enumerate, "enumerate_frobenius", no_scan)
     monkeypatch.setattr(seaweeds.enumerate, "catalog_keys", no_scan)
     code, out, err = run(capsys, "enumerate", "--type", "A", "--rank", "16",
                          "--check-appendix-a")

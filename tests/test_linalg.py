@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,7 +33,7 @@ def test_rank_paths_agree(seed):
     exact = rank_exact(m)
     assert exact <= inner
     assert rank_int_rows(m) == exact
-    assert rank_mod_p(m) == exact
+    assert rank_mod_p(np.array(m, dtype=np.int64)) == exact
 
 
 def test_rank_of_fraction_rows():
@@ -63,8 +64,8 @@ def test_solve_unique_rejects_underdetermined():
 def test_rank_empty():
     assert rank_exact([]) == 0
     assert rank_int_rows([]) == 0
-    assert rank_mod_p([]) == 0
-    import numpy as np
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert rank_mod_p(np.zeros(shape, dtype=np.int64)) == 0
     for shape, want in (((0, 0, 0), []), ((2, 0, 0), [0, 0]),
                         ((2, 3, 0), [0, 0]), ((2, 0, 3), [0, 0])):
         assert ranks_mod_p(np.zeros(shape, dtype=np.int64)) == want
@@ -118,8 +119,7 @@ _PAST_INT64 = [[[0, 0, 0, 1, 1], [0, 0, 2**63, 1, 2**63 + 1],
 @example(_PAST_INT64)
 @settings(max_examples=80, deadline=None)
 def test_ranks_mod_p_matches_rank_mod_p_on_each_matrix(stack):
-    import numpy as np
-    want = [rank_mod_p(m) for m in stack]
+    want = [rank_mod_p(_residues(m)) for m in stack]
     assert ranks_mod_p(np.array([_residues(m) for m in stack])) == want
     if all(abs(x) < 2**63 for m in stack for row in m for x in row):
         assert ranks_mod_p(np.array(stack, dtype=np.int64)) == want
@@ -224,10 +224,12 @@ def test_solve_nonsingular_rejects_singular_systems():
 
 
 def _mod_inverse_check(w, k, p):
+    """W K = I mod p, checked in Python integers."""
+    w, k = w.tolist(), k.tolist()
     d = len(k)
     for i in range(d):
         for j in range(d):
-            assert sum(int(w[i][t]) * k[t][j] for t in range(d)) % p == (i == j)
+            assert sum(w[i][t] * k[t][j] for t in range(d)) % p == (i == j)
 
 
 def _star_plus_matching(rng, d):
@@ -245,11 +247,11 @@ def _star_plus_matching(rng, d):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_modular_inverse_follows_block_updates(data):
-    import numpy as np
     p = PRIME
     d = data.draw(st.integers(2, 7))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    k = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    k = np.array([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)],
+                 dtype=np.int64)
     if rank_mod_p(k) < d:
         with pytest.raises(ValueError, match="singular"):
             ModularInverse(k)
@@ -260,10 +262,8 @@ def test_modular_inverse_follows_block_updates(data):
     def step(rows, z, j, c):
         nonlocal k
         block = z @ j @ z.T
-        new = [row[:] for row in k]
-        for a, i in enumerate(rows):
-            for b, t in enumerate(rows):
-                new[i][t] += c * int(block[a][b])
+        new = k.copy()
+        new[np.ix_(rows, rows)] += c * block
         ref = ModularInverse(k)
         kept = inv.try_add(rows, z, j, c)
         assert kept == (rank_mod_p(new) == d)
@@ -291,7 +291,8 @@ def test_inverse_product_certificate_rejects_a_changed_entry():
     rng = random.Random(4)
     d = 6
     while True:
-        k = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        k = np.array([[rng.randint(-2, 2) for _ in range(d)]
+                      for _ in range(d)], dtype=np.int64)
         if rank_mod_p(k) == d:
             break
     inv = ModularInverse(k)

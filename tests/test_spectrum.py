@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seaweeds import meander, spectrum
-from seaweeds.enumerate import enumerate_frobenius
 from seaweeds.rootsys import LieType, build_root_system, epsilon_root_values
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
                               make_seaweed)
@@ -26,7 +25,7 @@ from reference_data import (A9, B8, C8, COMPONENT_SPECTRA, D11, D14, E6X,
                             FULL_SPECTRA, SIMPLE_EIGENVALUES)
 from reference_impl import (component_constraints, component_involution,
                             component_spectrum as fresh_component_spectrum,
-                            solve_unique, sub_positive_roots, symmetric_root,
+                            enumerate_frobenius, solve_unique, sub_positive_roots, symmetric_root,
                             twice_epsilon)
 
 REFS = {"A9": A9, "B8": B8, "C8": C8, "D14": D14, "D11": D11, "E6": E6X}
