@@ -3,10 +3,10 @@
 For a rank-n type there are 3^n subset pairs covering the whole diagram
 (each vertex is top-only, bottom-only, or shared); the Frobenius test is
 symmetric under the swap, so the scan visits the (3^n - 1)/2 bitmask pairs
-with m1 < m2 against a table of the 2^n side involutions, built from one
-per connected piece of the diagram.  It walks the cycles of the pairs
-whose permutation signs allow a Frobenius pair and keeps the Frobenius
-ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
+with m1 < m2 against one table of the 2^n side involutions and their sign
+parities, built from each connected piece's shape rule.  It walks the
+cycles of the pairs whose parities allow a Frobenius pair and keeps the
+Frobenius ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
 arrow-reversing relabeling).  The sorted mask pairs are the catalog's keys,
 which `seaweed enumerate` writes as JSON and diffs against Appendix A.
 """
@@ -38,7 +38,7 @@ class Catalog(NamedTuple):
 def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     """The (m1, m2) masks, m1 < m2, of every Frobenius pair with full
     union.  A side's involution depends on its subset alone, so the table
-    of all 2^n is built first, from the diagram's connected pieces.
+    of all 2^n, with their sign parities, is built first, in one pass.
 
     (m1, m2) is Frobenius exactly when (m2, m1) is (p1.p2 inverts p2.p1,
     and the target is symmetric), and (full, full), of empty target, never
@@ -51,15 +51,12 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     Frobenius pair's p2.p1 has one cycle per vertex outside m1 & m2, so its
     sign, (-1)^(t1 + t2) for t_i transpositions in side i, is
     (-1)^|m1 & m2|.  As |m1 & m2| = |m1| + |m2| - n, that reads
-    odd[m1] ^ odd[m2] == n & 1, with odd[m] the parity of t + |m|.  About
-    half the pairs fail it.
+    odd[m1] ^ odd[m2] == n & 1, with odd[m] the table's parity of t + |m|.
+    About half the pairs fail it.
     """
     n = rs.rank
     full = (1 << n) - 1
-    perms = side_permutations(rs)
-    # t counts v < perm[v], one v per transposition
-    odd = [(sum(map(int.__lt__, range(n + 1), perm)) + m.bit_count()) & 1
-           for m, perm in enumerate(perms)]
+    perms, odd = side_permutations(rs)
     pairs = []
     for k in range(n):
         span = (2 << k) - 1             # bits 0..k

@@ -77,9 +77,8 @@ def _side_record(rs: RootSystem, subset: frozenset[int], side: Side
                  ) -> tuple[tuple[Component, ...], Involution]:
     """One side's components, leftmost first, and its involution, which the
     seaweed-keyed caches read: a census builds each (subset, side) of its
-    entries once, and a scan each connected piece.  2048 records hold every
-    side of a catalog census up to rank 12 (D12 has 1,689); a rank-512 side
-    holds 40-90 KB."""
+    entries once.  2048 records hold every side of a catalog census up to
+    rank 12 (D12 has 1,689); a rank-512 side holds 40-90 KB."""
     cols = rs.columns
     comps = []
     for comp in connected_components(subset, rs.neighbors):
@@ -142,6 +141,12 @@ def _orbit_rows(shape: LieType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partner, values
 
 
+def _piece_rows(shape: LieType, order: tuple[int, ...]):
+    """(a, perm[a], unsigned row value) of each a in a piece's order."""
+    partner, value = _orbit_rows(shape)
+    return zip(order, [order[j] for j in partner], value)
+
+
 def _side_table(n: int, comps) -> Involution:
     """One side's involution from its components: perm is the identity
     away from them, and each vertex of the side's subset takes the
@@ -149,28 +154,25 @@ def _side_table(n: int, comps) -> Involution:
     perm = list(range(n + 1))
     values = [None] * (n + 1)
     for c in comps:
-        partner, value = _orbit_rows(c.shape)
-        order = c.order
-        for a, j, v in zip(order, partner, value):
-            perm[a] = order[j]
-            values[a] = v
+        for a, b, v in _piece_rows(c.shape, c.order):
+            perm[a], values[a] = b, v
     return Involution(tuple(perm), tuple(values))
 
 
-def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
-    """The involution perm of every subset, indexed by its subset_mask.
+def side_permutations(rs: RootSystem) -> tuple[list[tuple], list[int]]:
+    """The involution perm of every subset, indexed by its subset_mask,
+    and its sign parity: of its transpositions (v < perm[v]) plus |subset|.
 
     A subset's involution is the union of its connected pieces' ones.  So
-    mask m grows the piece holding its lowest bit inside m, takes the
-    table of m ^ piece, the identity on the piece, and writes in the
-    piece's entries, read off the piece's side record on its first
-    appearance.
+    mask m grows the piece holding its lowest bit inside m and writes the
+    piece's entries, read off its shape's rule, into the table of m ^ piece;
+    the piece's own parity flips that of m ^ piece.
     """
     n = rs.rank
     # near[v]: the mask of v's neighbours, v being bit v - 1
     near = [0] + [subset_mask(rs.neighbors(v)) for v in range(1, n + 1)]
-    perms = [tuple(range(n + 1))]
-    pieces: dict[int, list[tuple[int, int]]] = {}
+    perms, odd = [tuple(range(n + 1))], [0]
+    pieces: dict[int, tuple[list[tuple[int, int]], int]] = {}
     for m in range(1, 1 << n):
         piece = frontier = m & -m
         while frontier:
@@ -178,16 +180,17 @@ def side_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
             grown = near[bit.bit_length()] & m & ~piece
             piece |= grown
             frontier = (frontier ^ bit) | grown
-        entries = pieces.get(piece)
-        if entries is None:
-            verts = mask_subset(piece)
-            own = _side_record(rs, verts, Side.TOP)[1].perm
-            entries = pieces[piece] = [(v, own[v]) for v in verts]
+        if piece not in pieces:
+            shape, order = classify_component(rs, mask_subset(piece))
+            rows = [(a, b) for a, b, _ in _piece_rows(shape, order)]
+            pieces[piece] = rows, (sum(a < b for a, b in rows) + len(rows)) & 1
+        rows, flip = pieces[piece]
         perm = list(perms[m ^ piece])
-        for v, w in entries:
+        for v, w in rows:
             perm[v] = w
         perms.append(tuple(perm))
-    return perms
+        odd.append(odd[m ^ piece] ^ flip)
+    return perms, odd
 
 
 @lru_cache(maxsize=64)

@@ -668,10 +668,19 @@ def u_turn_report(m: OrbitMeander) -> UTurnReport:
 
 
 def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
-    """The involution perm of a subset, built from the whole subset with no
-    cache, for the table `meander.side_permutations` assembles from the
-    side records of its connected pieces."""
+    """The involution perm of a subset, built from the whole subset's side
+    record with no cache, for the table `meander.side_permutations`
+    assembles from its connected pieces' shape rules."""
     return _side_record.__wrapped__(rs, frozenset(subset), Side.TOP)[1].perm
+
+
+def sign_parities(perms) -> list[int]:
+    """The parity of each perm's transpositions (one v < perm[v] each) plus
+    its mask's size, counted afresh per mask, for the parities
+    `meander.side_permutations` carries piece by piece."""
+    n = len(perms[0]) - 1
+    return [(sum(map(int.__lt__, range(n + 1), perm)) + m.bit_count()) & 1
+            for m, perm in enumerate(perms)]
 
 
 def component_spectrum(c: Component, x: SimpleEigenvalueVector) -> Spectrum:

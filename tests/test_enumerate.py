@@ -27,7 +27,8 @@ from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
                             catalog_json_dict, enumerate_frobenius,
-                            mask_pairs, side_permutation, symmetric_root)
+                            mask_pairs, side_permutation, sign_parities,
+                            symmetric_root)
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -101,7 +102,7 @@ def test_frobenius_pairs_are_closed_under_the_swap(t):
     n = t.rank
     full = (1 << n) - 1
     rs = build_root_system(t)
-    perms = side_permutations(rs)
+    perms, _ = side_permutations(rs)
     frobenius = {(m1, m2) for m1, m2 in mask_pairs(n)
                  if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))}
     assert frobenius == {(m2, m1) for m1, m2 in frobenius}
@@ -116,7 +117,7 @@ def test_catalog_keys_are_the_least_pair_of_each_orbit(t):
     reversal of both masks."""
     n = t.rank
     full = (1 << n) - 1
-    perms = side_permutations(build_root_system(t))
+    perms, _ = side_permutations(build_root_system(t))
     reverse = t.family in "FG" or (t.family in "BC" and n == 2)
 
     def flip(m):
@@ -183,11 +184,15 @@ RANK_10_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
 
 @pytest.mark.parametrize("t", RANK_10_TYPES, ids=str)
 def test_side_permutation_table_matches_each_subset(t):
+    """Each mask's perm is its whole subset's, and the parity carried with
+    it, from its pieces' own, is its transposition count plus |m|, counted
+    per mask."""
     rs = build_root_system(t)
-    table = side_permutations(rs)
+    table, odd = side_permutations(rs)
     assert len(table) == 1 << t.rank
     for mask, perm in enumerate(table):
         assert perm == side_permutation(rs, mask_subset(mask)), mask
+    assert odd == sign_parities(table)
 
 
 @pytest.mark.parametrize("name,pieces,count", [
@@ -195,20 +200,22 @@ def test_side_permutation_table_matches_each_subset(t):
     ("A9", 45, 570)])
 def test_catalog_scan_builds_one_involution_per_connected_piece(
         monkeypatch, name, pieces, count):
-    """The scan builds one side record per connected piece of the diagram,
-    not one per subset (64 to 512 of them here)."""
+    """The scan classifies each connected piece of the diagram once, not
+    each subset (64 to 512 of them here), and builds no side record: only
+    a census reads those."""
     t = LieType.parse(name)
     rs = build_root_system(t)
     seen = []
-    side_table = meander_module._side_table
+    classify = meander_module.classify_component
 
-    def spy(n, comps):
-        seen.append(frozenset(v for c in comps for v in c.roots))
-        return side_table(n, comps)
+    def spy(rs, piece):
+        seen.append(frozenset(piece))
+        return classify(rs, piece)
 
-    monkeypatch.setattr(meander_module, "_side_table", spy)
+    monkeypatch.setattr(meander_module, "classify_component", spy)
     meander_module._side_record.cache_clear()
-    assert enumerate_frobenius(t).count == count
+    assert len(catalog_keys(t)) == count
+    assert meander_module._side_record.cache_info().misses == 0
     assert len(seen) == len(set(seen)) == pieces
     assert all(len(connected_components(sub, rs.neighbors)) == 1
                for sub in seen)
@@ -232,14 +239,13 @@ def _cycle_count(perm: list[int]) -> int:
 def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
     """The scan's sign test is a necessary condition: every pair that
     _meets_once accepts has odd[m1] ^ odd[m2] == n & 1, odd[m] being the
-    parity of perms[m]'s transpositions plus |m|.  The sign of p2.p1 is read
-    off its cycles here, not off the transposition counts."""
+    parity the table carries for perms[m].  The sign of p2.p1 is read off
+    its cycles here, not off the transposition counts."""
     n = t.rank
     full = (1 << n) - 1
     rs = build_root_system(t)
-    perms = side_permutations(rs)
+    perms, odd = side_permutations(rs)
     swaps = [sum(v < w for v, w in enumerate(perm)) for perm in perms]
-    odd = [(k + bin(m).count("1")) & 1 for m, k in enumerate(swaps)]
     accepted = 0
     for m1, m2 in mask_pairs(n):
         p1, p2 = perms[m1], perms[m2]
@@ -487,7 +493,7 @@ def test_catalog_census_builds_each_side_table_once(side_table_calls):
     (subset, side): the D6 catalog's entries have fewer distinct sides
     than twice their count, and each side's table is built once."""
     cat = enumerate_frobenius(LieType("D", 6))
-    meander_module._side_record.cache_clear()   # drop the scan's pieces
+    meander_module._side_record.cache_clear()   # start from no side records
     side_table_calls.clear()
     report = spectrum_census(cat)
     assert report.ok() and report.checked == cat.count
