@@ -3,22 +3,28 @@
 Only the type-A oracle uses this module; the spectrum path solves its
 constraint rows by walking the meander.  One kernel serves each
 arithmetic.  The fraction-free `_forward_eliminate`, on lists of integer
-rows, gives exact ranks (`rank_int_rows`) and `solve_nonsingular`'s exact
-fallback.  Gauss-Jordan mod the 31-bit PRIME (`_eliminate_mod_p`), on
-numpy int64 arrays, serves `rank_mod_p`, `ModularInverse` and
-`solve_nonsingular`; `ranks_mod_p` ranks a stack of matrices in one pass.
+rows, gives exact ranks (`rank_int_rows`) and the exact fallback of
+`rational_solution`.  Gauss-Jordan mod the 31-bit PRIME
+(`_eliminate_mod_p`), on numpy int64 arrays, serves `rank_mod_p` and
+`ModularInverse`; `ranks_mod_p` ranks a stack of matrices in one pass.
 `ModularInverse` steps its inverse through the small capacitance matrix
 of each low-rank term (Woodbury) and certifies the final matrix by the
-product W K = I mod p (`_mul_mod_p`), not by a fresh rank.  `rank_mod_p`,
-`ranks_mod_p` and `ModularInverse` take int64 arrays, as the oracle
-builds its Kirillov matrices; rows whose entries can pass int64 (the
-scaled adjoint, `solve_nonsingular`'s system) reach int64 through
-`_residues`, which reduces them mod p in Python.  The product of two
-residues fits in int64.
+product W K = I mod p (`_mul_mod_p`), not by a fresh rank.
+`rational_solution` solves a system of that matrix mod p by one product
+with W and rebuilds the exact rational solution from it, or else solves
+exactly.  `rank_mod_p`, `ranks_mod_p` and `ModularInverse` take int64
+arrays, as the oracle builds its Kirillov matrices; rows whose entries
+can pass int64 (the scaled adjoint, a right-hand side) reach int64
+through `_residues`, which reduces them mod p in Python.  The product of
+two residues fits in int64.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PRIME = 2**31 - 1
 
@@ -172,32 +178,33 @@ def _rational(x: int, p: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve a square integer system that must have a unique solution.
+def rational_solution(matrix: list[list[int]], rhs: list[int],
+                      inverse: ModularInverse | None) -> list[Fraction]:
+    """Solve a square integer system that must have a unique solution,
+    given the modular inverse of its matrix, or None when the matrix is
+    singular mod p = PRIME.
 
-    The system is solved mod p = PRIME; each coordinate is rebuilt
-    as the fraction with numerator and denominator up to sqrt(p/2) that it
-    represents, and the result is checked exactly over the integers after
-    clearing denominators.  A full modular rank proves the rational matrix
-    nonsingular, so a solution that passes the check is the unique one: the
-    certificate of Dixon's p-adic solver, without its lifting, which suits
-    solutions with small denominators.  When the modular rank falls short,
-    a coordinate has no such fraction or the check fails, fraction-free
-    integer elimination decides (`_solve_exact`), and raises its
-    ValueErrors on a singular system.
+    The solution mod p is one product, W rhs.  Each of its residues is
+    rebuilt as the fraction with numerator and denominator up to sqrt(p/2)
+    that it represents, and the result is checked exactly over the integers
+    after clearing denominators.  A full modular rank proves the rational
+    matrix nonsingular, so a solution that passes the check is the unique
+    one: the certificate of Dixon's p-adic solver, without its lifting,
+    which suits solutions with small denominators.  When there is no
+    inverse, a coordinate has no such fraction or the check fails,
+    fraction-free integer elimination decides (`_solve_exact`), and raises
+    its ValueErrors on a singular system.
     """
-    d = len(matrix)
-    if d:
-        aug = _residues([*row, b] for row, b in zip(matrix, rhs))
-        if _eliminate_mod_p(aug, d) == d:
-            bound = isqrt(PRIME // 2)
-            sol = [_rational(int(x), PRIME, bound) for x in aug[:, d]]
-            if None not in sol:
-                scale = lcm(*(x.denominator for x in sol))
-                ints = [int(x * scale) for x in sol]
-                if all(sum(a * x for a, x in zip(row, ints) if a) == b * scale
-                       for row, b in zip(matrix, rhs)):
-                    return sol
+    if inverse is not None:
+        residues = _mul_mod_p(inverse.w, _residues([rhs]).T)[:, 0].tolist()
+        bound = isqrt(PRIME // 2)
+        sol = [_rational(x, PRIME, bound) for x in residues]
+        if None not in sol:
+            scale = lcm(*(x.denominator for x in sol))
+            ints = [int(x * scale) for x in sol]
+            if all(sum(a * x for a, x in zip(row, ints) if a) == b * scale
+                   for row, b in zip(matrix, rhs)):
+                return sol
     return _solve_exact(matrix, rhs)
 
 

@@ -8,6 +8,13 @@ antisymmetric form of an integer functional is an integer matrix, and its
 rank, the principal element and the eigenspace dimensions of its adjoint
 action are computed over the integers and rationals (with a modular
 shortcut that is only trusted when it certifies itself).
+
+On a Frobenius algebra one full-width modular elimination serves three
+results.  The functional search inverts the Kirillov matrix of its
+regular draw mod p and steps that inverse W through each coefficient
+change.  Its product W K = I with the final Kirillov matrix proves the
+functional regular, hence the index 0, and the principal element is read
+off the same W (`principal_element`), so neither is eliminated again.
 """
 from __future__ import annotations
 
@@ -16,13 +23,16 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain, islice
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._linalg import (PRIME, ModularInverse, _residues, rank_int_rows,
-                      rank_mod_p, ranks_mod_p, solve_nonsingular)
+                      rank_mod_p, ranks_mod_p, rational_solution)
 from .rootsys import _frozen, connected_components
 from .seaweed import Seaweed
 from .spectrum import Spectrum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A linear form on the algebra, one integer coefficient per basis slot.
 Functional = tuple[int, ...]
@@ -103,6 +113,12 @@ class MatrixSeaweed:
                 elif e == a:
                     unit_terms(c, b, p, q).append((p, q, -1))
         return terms
+
+    @cached_property
+    def _inverses(self) -> dict:
+        """The modular inverse of the Kirillov matrix that
+        frobenius_functional last certified, keyed by its functional."""
+        return {}
 
 
 def realize_type_a(s: Seaweed) -> MatrixSeaweed:
@@ -219,7 +235,15 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     surviving coefficient is needed, and one outside {-1, 0, 1} survives
     only where none of the three keeps the rank, which no Frobenius type-A
     seaweed up to rank 8 showed (seeds 1 and 2).  The product W K = I mod p
-    with the final integer Kirillov matrix K proves the result regular.
+    with the final integer Kirillov matrix K proves the result regular; W
+    is kept on m for `principal_element`.
+
+    A unit slot's factor has a nonzero entry in every row it touches, and
+    no two unit slots meet in one entry, so a row of K is zero exactly when
+    no slot with a nonzero coefficient touches it.  The search counts those
+    slots per row and does not try 0 on a slot that is the last one of
+    some row: K would have a zero row, singular over every field, so
+    try_add would refuse it anyway.
 
     All regular functionals of a Frobenius algebra give conjugate principal
     elements, hence one spectrum; a sparse one keeps the principal
@@ -238,8 +262,12 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     else:
         raise ValueError(f"no regular functional in {FUNCTIONAL_DRAWS} "
                          "draws: the algebra is not Frobenius")
+    import numpy as np  # deferred, as in _slot_factor
     factors = [_slot_factor(terms, k)
                for k, terms in enumerate(m._slot_terms[h:], h)]
+    touches = np.zeros(m.dim, dtype=np.intp)   # nonzero slots touching a row
+    for k, (rows, _, _) in enumerate(factors, h):
+        touches[rows] += coeffs[k] != 0
     changed = True
     while changed:
         changed = False
@@ -247,13 +275,20 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
             c = coeffs[k]
             if c == 0:
                 continue
-            for v in (0,) if c in (1, -1) else (0, 1, -1):
+            values = (0,) if c in (1, -1) else (0, 1, -1)
+            if (touches[rows] == 1).any():
+                values = values[1:]         # 0 would leave a zero row
+            for v in values:
                 if inverse.try_add(rows, z, j, v - c):
                     coeffs[k], changed = v, True
+                    if not v:
+                        touches[rows] -= 1
                     break
     f = tuple(coeffs)
     if not inverse.inverts(kirillov_matrix(m, [f])[0]):
         raise AssertionError("the functional search lost the full rank")
+    m._inverses.clear()
+    m._inverses[f] = inverse
     return f
 
 
@@ -289,16 +324,22 @@ def _slot_factor(terms: list[tuple[int, int, int]], slot: int):
 def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
     """Basis coordinates of the unique element whose coadjoint action fixes
     the functional f: row p of the system is f([b_q, b_p]) over q, the
-    transposed form.
+    transposed Kirillov matrix K^T = -K, so the system is K x = -f.
 
-    The system is solved mod a prime, rebuilt rationally and checked
-    exactly (`solve_nonsingular`); fraction-free integer elimination runs
-    only when that certificate fails.  Raises ValueError when f is not
-    regular.
+    It is solved through the modular inverse W of K: the one
+    frobenius_functional certified when f is its result, else a fresh
+    ModularInverse.  The solution mod p, -W f, is rebuilt rationally and
+    checked exactly (`rational_solution`); fraction-free integer
+    elimination runs only when K is singular mod p or that check fails.
+    Raises ValueError when f is not regular.
     """
-    rows = kirillov_matrix(m, [f])[0].T.tolist()
+    kmat = kirillov_matrix(m, [f])[0]
     try:
-        return solve_nonsingular(rows, list(f))
+        inverse = m._inverses.get(tuple(f)) or ModularInverse(kmat)
+    except ValueError:          # singular mod p: the exact solve decides
+        inverse = None
+    try:
+        return rational_solution(kmat.tolist(), [-c for c in f], inverse)
     except ValueError as exc:
         raise ValueError(f"functional is not Frobenius: {exc}") from exc
 

@@ -2,7 +2,9 @@
 
 The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
-the integer and modular ranks and for the exact solve, root tuples and the
+the integer and modular ranks and for the exact solve, a modular
+elimination of the whole system for the principal element read off the
+functional search's inverse, root tuples and the
 per-pair mirror check for the census's centered chain runs, the dense
 Cartan matrix and its root-string closure for the adjacency and arrow a
 `rootsys.RootSystem` keeps, the dense 2*eps table for the running sums of
@@ -30,6 +32,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +42,9 @@ from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
 from seaweeds.enumerate import Catalog, _run_root, catalog_keys
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows, _side_record)
+import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
-                              rank_mod_p)
+                              _residues, rank_mod_p)
 from seaweeds.oracle import FUNCTIONAL_DRAWS, Functional, MatrixSeaweed
 from seaweeds.rootsys import (LieType, PositiveRoot, RootSystem,
                               build_root_system, epsilon_root_values,
@@ -81,7 +85,8 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
     """Solve an (over)determined linear system that must have a unique solution.
 
     Raises ValueError if the system is inconsistent or underdetermined.  The
-    reference for `solve_nonsingular` and its fraction-free exact fallback.
+    reference for `_linalg.rational_solution` and its fraction-free exact
+    fallback.
     """
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     rows = len(m)
@@ -108,6 +113,28 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
     for i, c in enumerate(piv_cols):
         sol[c] = m[i][nvars]
     return sol
+
+
+def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Solve a square integer system that must have a unique solution by
+    Gauss-Jordan elimination of [matrix | rhs] mod p, rational
+    reconstruction of each coordinate and an exact check, with the exact
+    solve as the fallback: the solve the principal element made before it
+    read the solution off the search's inverse (`_linalg.rational_solution`).
+    """
+    d = len(matrix)
+    if d:
+        aug = _residues([*row, b] for row, b in zip(matrix, rhs))
+        if _eliminate_mod_p(aug, d) == d:
+            bound = isqrt(PRIME // 2)
+            sol = [linalg._rational(int(x), PRIME, bound) for x in aug[:, d]]
+            if None not in sol:
+                scale = lcm(*(x.denominator for x in sol))
+                ints = [int(x * scale) for x in sol]
+                if all(sum(a * x for a, x in zip(row, ints)) == b * scale
+                       for row, b in zip(matrix, rhs)):
+                    return sol
+    return linalg._solve_exact(matrix, rhs)
 
 
 def root_support(beta: PositiveRoot) -> frozenset[int]:

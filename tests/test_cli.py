@@ -395,22 +395,68 @@ def test_oracle_type_a(capsys):
         {"-1": 1, "0": 3, "1": 3, "2": 1}
 
 
+ORACLE_FROBENIUS = ["oracle", "--type", "A", "--rank", "3", "--top", "3,1",
+                    "--bottom", "3,2"]
+ORACLE_FULL_SL3 = ["oracle", "--type", "A", "--rank", "2", "--top", "2,1",
+                   "--bottom", "2,1"]
+
+
 def test_oracle_seed_defaults_to_the_oracle_constant(capsys, monkeypatch):
-    argv = ["oracle", "--type", "A", "--rank", "3", "--top", "3,1",
-            "--bottom", "3,2"]
-    seeds = []
-    real = oracle.index
+    # a Frobenius run seeds the functional search, whose certificate is its
+    # index; any other run seeds the sampled index
+    for argv, step in ((ORACLE_FROBENIUS, "frobenius_functional"),
+                       (ORACLE_FULL_SL3, "index")):
+        seeds = []
+        real = getattr(oracle, step)
 
-    def spy(m, seed, **kwargs):
-        seeds.append(seed)
-        return real(m, seed, **kwargs)
+        def spy(m, seed, **kwargs):
+            seeds.append(seed)
+            return real(m, seed, **kwargs)
 
-    # cmd_oracle imports from seaweeds.oracle when it runs, so it finds the spy
-    monkeypatch.setattr(oracle, "index", spy)
-    default = run(capsys, *argv)
-    assert run(capsys, *argv, "--seed", "1729") == default
-    assert default[0] == 0
-    assert seeds == [oracle.DEFAULT_SEED, 1729] == [1729, 1729]
+        # cmd_oracle imports from seaweeds.oracle when it runs, so it finds
+        # the spy
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, step, spy)
+            default = run(capsys, *argv)
+            assert run(capsys, *argv, "--seed", "1729") == default
+        assert default[0] == 0
+        assert seeds == [oracle.DEFAULT_SEED, 1729] == [1729, 1729]
+
+
+def test_oracle_samples_the_index_when_the_meander_says_frobenius_wrongly(
+        capsys, monkeypatch):
+    # the search refuses full sl(3), so the index is sampled and the wrong
+    # verdict shows as a disagreement, not as a usage error
+    monkeypatch.setattr(cli, "is_frobenius", lambda s: True)
+    code, out, err = run(capsys, *ORACLE_FULL_SL3)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["index"] == 2
+    assert payload["samples"] == oracle.SAMPLE_COUNT
+    assert payload["index_matches_meander"] is False
+    assert "Traceback" not in err
+
+
+def test_oracle_samples_the_index_when_the_meander_says_not_frobenius(
+        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_frobenius", lambda s: False)
+    code, out, _ = run(capsys, *ORACLE_FROBENIUS)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["index"] == 0
+    assert payload["index_matches_meander"] is False
+    assert "oracle_spectrum" not in payload
+
+
+def test_oracle_failed_search_with_sampled_index_zero_exits_two(capsys,
+                                                                monkeypatch):
+    def refuse(m, seed):
+        raise ValueError("no regular functional")
+
+    monkeypatch.setattr(oracle, "frobenius_functional", refuse)
+    code, out, err = run(capsys, *ORACLE_FROBENIUS)
+    assert (code, out) == (2, "")
+    assert err == "error: no regular functional\n"
 
 
 def test_oracle_rejects_non_type_a(capsys):

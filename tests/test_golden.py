@@ -1,4 +1,4 @@
-"""Golden stdout digests of `check`, `render` and `enumerate`.
+"""Golden stdout digests of `check`, `render`, `enumerate` and `oracle`.
 
 For each (command, format, type) of `check` and `render` one sha256 covers
 the exit code and the stdout of every subset pair whose union is the whole
@@ -7,7 +7,10 @@ the orbit order and the U-turn rows of non-Frobenius seaweeds too, which
 no other test pins.  For each type of CATALOG_TYPES one sha256 covers the
 exit code and the stdout of `seaweed enumerate`, the catalog JSON byte for
 byte; SLOW_CATALOG_TYPES, the A-D catalogs of ranks 11 and 12 and the A13
-catalog, run under `-m slow`.  `python tests/test_golden.py` prints the
+catalog, run under `-m slow`.  For each rank of ORACLE_TYPES one sha256
+covers the exit code and the stdout of `seaweed oracle` on every
+full-union pair, at the default seed; A6 (729 pairs) runs under `-m slow`.
+`python tests/test_golden.py` prints the
 digests of the current code as JSON, in the form tests/golden_stdout.json
 keeps.
 """
@@ -43,6 +46,10 @@ CATALOG_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
 SLOW_CATALOG_TYPES = [LieType(fam, n) for fam in "ABCD"
                       for n in (11, 12)] + [LieType("A", 13)]
 
+# 363 pairs, about 1.5 s; A6 adds 729 more, about 3.6 s
+ORACLE_TYPES = [LieType("A", n) for n in range(1, 6)]
+SLOW_ORACLE_TYPES = [LieType("A", 6)]
+
 COMMANDS = [("check", "table"), ("check", "json"), ("render", "svg"),
             ("render", "tikz")]
 
@@ -53,13 +60,13 @@ def _type_args(t: LieType) -> list[str]:
     return ["--type", str(t)]
 
 
-def _digest(command: str, fmt: str, t: LieType) -> str:
+def _digest(command: str, t: LieType, options: list[str]) -> str:
     h = hashlib.sha256()
     for top, bottom in full_union_pairs(t.rank):
         h.update(_run([command, *_type_args(t),
                        "--top=" + ",".join(map(str, top)),
                        "--bottom=" + ",".join(map(str, bottom)),
-                       "--format", fmt]).encode("utf-8"))
+                       *options]).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -84,7 +91,20 @@ def _key(command: str, fmt: str, t: LieType) -> str:
 @pytest.mark.parametrize("t", TYPES, ids=str)
 def test_stdout_matches_golden_digest(command, fmt, t):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _digest(command, fmt, t) == want[_key(command, fmt, t)]
+    assert (_digest(command, t, ["--format", fmt])
+            == want[_key(command, fmt, t)])
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
+def test_oracle_stdout_matches_golden_digest(t):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _digest("oracle", t, []) == want[_key("oracle", "json", t)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t", SLOW_ORACLE_TYPES, ids=str)
+def test_rank_six_oracle_stdout_matches_golden_digest(t):
+    test_oracle_stdout_matches_golden_digest(t)
 
 
 @pytest.mark.parametrize("t", CATALOG_TYPES, ids=str)
@@ -100,8 +120,10 @@ def test_high_rank_catalog_matches_golden_digest(t):
 
 
 if __name__ == "__main__":
-    digests = {_key(c, f, t): _digest(c, f, t)
+    digests = {_key(c, f, t): _digest(c, t, ["--format", f])
                for t in TYPES for c, f in COMMANDS}
+    digests.update((_key("oracle", "json", t), _digest("oracle", t, []))
+                   for t in ORACLE_TYPES + SLOW_ORACLE_TYPES)
     digests.update((_key("enumerate", "json", t), _catalog_digest(t))
                    for t in CATALOG_TYPES + SLOW_CATALOG_TYPES)
     print(json.dumps(digests, indent=1, sort_keys=True))

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, _residues,
                               rank_int_rows, rank_mod_p, ranks_mod_p,
-                              solve_nonsingular)
+                              rational_solution)
 from seaweeds.oracle import _slot_factor
 
-from reference_impl import rank_exact, solve_unique, try_add_block
+from reference_impl import (rank_exact, solve_nonsingular, solve_unique,
+                            try_add_block)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -145,6 +146,21 @@ def test_solve_unique_recovers_solution(data):
     assert sol == x
 
 
+def _solve_by_inverse(rows, rhs):
+    """`rational_solution` with a fresh modular inverse of the rows, or
+    none when they are singular mod p, as `principal_element` solves for a
+    functional that the search did not certify."""
+    try:
+        inverse = ModularInverse(_residues(rows))
+    except ValueError:
+        inverse = None
+    return rational_solution(rows, rhs, inverse)
+
+
+# the package's solve and the whole-system modular solve it replaced
+SOLVERS = [_solve_by_inverse, solve_nonsingular]
+
+
 def _outcome(solver, rows, nvars):
     try:
         return solver(rows, nvars)
@@ -163,7 +179,8 @@ def test_solve_nonsingular_matches_solve_unique(data):
         if rank_exact(rows) == n:
             break
     rhs = [rng.randint(-bound, bound) for _ in range(n)]
-    assert solve_nonsingular(rows, rhs) == solve_unique(rows, rhs, n)
+    for solve in SOLVERS:
+        assert solve(rows, rhs) == solve_unique(rows, rhs, n)
 
 
 def _count_exact_solves(monkeypatch) -> list:
@@ -179,8 +196,9 @@ def _count_exact_solves(monkeypatch) -> list:
 
 def test_solve_nonsingular_reconstructs_small_denominators(monkeypatch):
     calls = _count_exact_solves(monkeypatch)
-    assert solve_nonsingular([[7, 0], [1, 2]], [3, -1]) == [Fraction(3, 7),
-                                                          Fraction(-5, 7)]
+    for solve in SOLVERS:
+        assert solve([[7, 0], [1, 2]], [3, -1]) == [Fraction(3, 7),
+                                                   Fraction(-5, 7)]
     assert calls == []
 
 
@@ -188,9 +206,10 @@ def test_solve_nonsingular_falls_back_above_the_reconstruction_bound(monkeypatch
     # 1/100003 has a denominator above sqrt(p/2) = 32767, so no fraction
     # within the bound represents it mod p and the exact solver decides
     calls = _count_exact_solves(monkeypatch)
-    assert solve_nonsingular([[100003, 1], [0, 1]], [1, 0]) == [
-        Fraction(1, 100003), Fraction(0)]
-    assert len(calls) == 1
+    for solve in SOLVERS:
+        assert solve([[100003, 1], [0, 1]], [1, 0]) == [
+            Fraction(1, 100003), Fraction(0)]
+    assert len(calls) == len(SOLVERS)
 
 
 @given(st.data())
@@ -217,10 +236,11 @@ def test_exact_solve_matches_solve_unique_at_every_rank(data):
 
 
 def test_solve_nonsingular_rejects_singular_systems():
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_nonsingular([[1, 2], [2, 4]], [1, 1])
-    with pytest.raises(ValueError, match="underdetermined"):
-        solve_nonsingular([[1, 2], [2, 4]], [1, 2])
+    for solve in SOLVERS:
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve([[1, 2], [2, 4]], [1, 1])
+        with pytest.raises(ValueError, match="underdetermined"):
+            solve([[1, 2], [2, 4]], [1, 2])
 
 
 def _mod_inverse_check(w, k, p):

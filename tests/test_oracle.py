@@ -14,7 +14,9 @@ from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
 from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
+import seaweeds._linalg as linalg
 import seaweeds.oracle as oracle
+from seaweeds.cli import main
 from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
                              IndexCertificate, MatrixSeaweed, ad_matrix,
                              ad_spectrum, frobenius_functional, index,
@@ -23,7 +25,8 @@ from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
 
 from reference_impl import (enumerate_frobenius,
                             frobenius_functional_by_blocks, kirillov_rows,
-                            mask_pairs, poset_algebra_sl4, slot_block)
+                            mask_pairs, poset_algebra_sl4, slot_block,
+                            solve_nonsingular, solve_unique)
 
 
 def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
@@ -493,6 +496,67 @@ def test_frobenius_functional_matches_the_search_by_fresh_ranks():
     assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
 
 
+@pytest.fixture
+def zero_row_trials(monkeypatch):
+    """A spy on ModularInverse.try_add: the number of calls, and the rows
+    of every call whose term would leave the Kirillov matrix K with a zero
+    row.  K is recovered mod p as the inverse of the kept inverse."""
+    real = oracle.ModularInverse.try_add
+    seen = {"calls": 0, "zero_rows": []}
+
+    def spy(self, rows, z, j, c):
+        seen["calls"] += 1
+        touched = oracle.ModularInverse(self.w).w[rows]
+        touched[:, rows] += c % PRIME * (z @ j @ z.T) % PRIME
+        if not (touched % PRIME).any(axis=1).all():
+            seen["zero_rows"].append(rows.tolist())
+        return real(self, rows, z, j, c)
+
+    monkeypatch.setattr(oracle.ModularInverse, "try_add", spy)
+    return seen
+
+
+def test_frobenius_functional_tries_no_zero_row(zero_row_trials):
+    """A zeroing that would leave a row of K without a nonzero slot is
+    refused without a capacitance elimination: K would be singular over
+    every field."""
+    for n in range(1, 6):
+        for s in enumerate_frobenius(LieType("A", n)).entries:
+            frobenius_functional(realize_type_a(s))
+    assert zero_row_trials["calls"] > 0
+    assert zero_row_trials["zero_rows"] == []
+
+
+class _ZeroAt(random.Random):
+    """random.Random whose randrange call number `at` returns 0."""
+    at = 0
+
+    def __init__(self, seed) -> None:
+        super().__init__(seed)
+        self.count = 0
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.count += 1
+        return 0 if self.count - 1 == self.at else value
+
+
+def test_a_zero_residue_in_the_draw_touches_no_row(monkeypatch,
+                                                   zero_row_trials):
+    """A drawn residue of 0 puts no slot on a row: the search still makes
+    the decisions of the search by fresh ranks, and still tries no
+    zeroing that leaves a zero row."""
+    mat = realize_type_a(make_seaweed(LieType("A", 5), {5, 4, 2, 1},
+                                      {5, 3, 2, 1}))
+    monkeypatch.setattr(random, "Random", _ZeroAt)
+    for at in range(len(mat.units)):
+        _ZeroAt.at = at
+        f = frobenius_functional(mat, 5)
+        assert f == _greedy_by_fresh_ranks(mat, 5)
+    assert zero_row_trials["calls"] > 0
+    assert zero_row_trials["zero_rows"] == []
+
+
 # Frobenius full-union pairs by rank: 56 of the 3 + 9 + 27 + 81 = 120
 FROBENIUS_FULL_UNION_PAIRS = {1: 2, 2: 6, 3: 14, 4: 34}
 
@@ -532,3 +596,76 @@ def test_oracle_spectrum_of_the_staircase_seaweed(rank):
     fhat = principal_element(mat, frobenius_functional(mat))
     assert ad_spectrum(mat, fhat) == full_spectrum(s)
     assert time.perf_counter() - start < 60
+
+
+def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
+                                                               capsys):
+    """`seaweed oracle` on the A8 staircase inverts its Kirillov matrix
+    once: the search's inverse certifies the index and gives the principal
+    element.  Every other modular elimination is a capacitance step."""
+    dim = realize_type_a(_staircase(8)).dim
+    widths = []
+    real = linalg._eliminate_mod_p
+
+    def spy(m, ncols):
+        widths.append(ncols)
+        return real(m, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", spy)
+    argv = ["oracle", "--type", "A", "--rank", "8", "--top", "8,7,6,5,4,3,2,1",
+            "--bottom", "8,7,6,5,4,3,2"]
+    assert main(argv) == 0
+    assert '"spectra_agree": true' in capsys.readouterr().out
+    assert widths.count(dim) == 1
+    assert max(widths) == dim
+
+
+def _frobenius_entries(max_rank: int) -> list[MatrixSeaweed]:
+    return [realize_type_a(s) for n in range(1, max_rank + 1)
+            for s in enumerate_frobenius(LieType("A", n)).entries]
+
+
+def test_principal_element_reads_the_search_inverse(monkeypatch):
+    """The principal element of the search's functional is read off the
+    inverse the search kept, with no new inverse built, and it equals the
+    whole-system modular solve and the Fraction solve; once the kept
+    inverse is gone, a fresh inverse gives the same result."""
+    built = []
+    real = oracle.ModularInverse.__init__
+
+    def counted(self, matrix):
+        built.append(len(matrix))
+        real(self, matrix)
+
+    for mat in _frobenius_entries(4):
+        f = frobenius_functional(mat)
+        rows = [list(col) for col in zip(*kirillov_rows(mat, f))]
+        want = solve_nonsingular(rows, list(f))
+        assert want == solve_unique(rows, list(f), mat.dim)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle.ModularInverse, "__init__", counted)
+            assert principal_element(mat, f) == want
+            assert built == []
+            assert principal_element(mat, list(f)) == want
+            assert built == []
+            mat._inverses.clear()
+            assert principal_element(mat, f) == want
+            assert built == [mat.dim]
+        built.clear()
+
+
+def test_principal_element_falls_back_when_the_kept_inverse_is_wrong(
+        monkeypatch):
+    """A kept inverse that does not invert K gives residues that fail the
+    exact check, and the exact solve gives the principal element."""
+    mat = realize_type_a(_staircase(5))
+    f = frobenius_functional(mat)
+    want = principal_element(mat, f)
+    exact = []
+    real = linalg._solve_exact
+    monkeypatch.setattr(linalg, "_solve_exact",
+                        lambda *args: exact.append(1) or real(*args))
+    kept = mat._inverses[f]
+    kept.w = (kept.w + 1) % PRIME
+    assert principal_element(mat, f) == want
+    assert exact == [1]

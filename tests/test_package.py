@@ -7,6 +7,12 @@ first access, and `from seaweeds import *` still binds all of them.
 """
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
+import typing
+from pathlib import Path
+
 import pytest
 
 import seaweeds
@@ -131,3 +137,52 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[n] is getattr(seaweeds, n) for n in PUBLIC_NAMES)
     with pytest.raises(AttributeError):
         seaweeds.no_such_name
+
+
+def _type_checking_names(module) -> dict:
+    """The names a module imports under `if TYPE_CHECKING:`, which its
+    annotations may use although the module never loads them."""
+    names = {"__name__": module.__name__, "__package__": module.__package__}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"),
+                 names)
+    return names
+
+
+def _annotated(module):
+    """(dotted name, object) of every function, class and method defined
+    in module; properties, cached properties, static and class methods by
+    the functions they wrap."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                fn = member
+                for key in ("fget", "func", "__func__"):
+                    fn = getattr(fn, key, fn)
+                if (inspect.isfunction(fn)
+                        and fn.__module__ == module.__name__):
+                    yield f"{name}.{attr}", fn
+
+
+def test_every_type_hint_resolves():
+    """typing.get_type_hints succeeds on every function, class and method
+    of the package, given the names each module imports for type checking
+    only."""
+    package = Path(seaweeds.__file__).parent
+    failures = []
+    for path in sorted(package.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"seaweeds{stem}")
+        names = _type_checking_names(module)
+        for name, obj in _annotated(module):
+            try:
+                typing.get_type_hints(obj, localns=names)
+            except Exception as exc:
+                failures.append(f"{module.__name__}.{name}: {exc!r}")
+    assert not failures, failures
