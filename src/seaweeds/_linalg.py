@@ -118,6 +118,8 @@ class ModularInverse:
     T = I + c J Z^T W Z is nonsingular mod p (the determinant lemma), and
     the new inverse is then W - W Z T^-1 c J Z^T W (Woodbury's identity).
     So a step eliminates s columns where a fresh rank would eliminate all.
+    `matrix` is K while W is known to invert it: the K given, or the one
+    `inverts` last certified; None once a step has changed K.
     """
 
     def __init__(self, matrix):
@@ -129,6 +131,7 @@ class ModularInverse:
         if _eliminate_mod_p(aug, d) < d:
             raise ValueError("matrix is singular mod p")
         self.w = aug[:, d:]
+        self.matrix = matrix
 
     def try_add(self, rows, z, j, c: int) -> bool:
         """Add c * Z J Z^T to K if K stays nonsingular mod p; report whether
@@ -146,15 +149,20 @@ class ModularInverse:
             return False
         # aug[:, s:] is now T^-1 y
         self.w = (w - _mul_mod_p(w[:, rows] @ z % p, aug[:, s:])) % p
+        self.matrix = None
         return True
 
     def inverts(self, matrix) -> bool:
         """Whether W K = I mod p for K = matrix, an int64 array: a certificate
-        that K has full rank mod p, hence over the rationals."""
+        that K has full rank mod p, hence over the rationals.  A K it
+        certifies becomes `matrix`."""
         import numpy as np
         k = matrix % PRIME
-        return np.array_equal(_mul_mod_p(self.w, k),
-                              np.eye(len(k), dtype=np.int64))
+        if not np.array_equal(_mul_mod_p(self.w, k),
+                              np.eye(len(k), dtype=np.int64)):
+            return False
+        self.matrix = matrix
+        return True
 
 
 def _mul_mod_p(a, b):

@@ -16,12 +16,11 @@ from typing import NamedTuple
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
-from .meander import (_meets_once, components, orbits, side_permutations,
-                      u_turn_report)
-from .spectrum import (_solve_eigenvalues, eigenvalue_bounds_ok,
-                       seaweed_dimension, shape_spectrum, simple_eigenvalues,
-                       spectrum_union, verify_symmetric, verify_unbroken,
-                       zero_padding)
+from .meander import (Side, _meets_once, components, involution,
+                      is_frobenius, orbits, side_permutations, u_turn_report)
+from .spectrum import (_pin_walk, _solve_eigenvalues, eigenvalue_bounds_ok,
+                       seaweed_dimension, shape_spectrum, spectrum_union,
+                       verify_symmetric, verify_unbroken, zero_padding)
 
 ENUM_RANK_GUARD = 16
 
@@ -241,16 +240,23 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     statements about the classical drawings, so inside the exceptional
     algebras they relax to the pinned exceptional ranges and a total of at
     most two U-turns per orbit (chains there can reach value 3 in both
-    signs, and a two-turn orbit need not split by direction).
+    signs, and a two-turn orbit need not split by direction).  Both U-turn
+    checks read the counts of the solve's own walk, one path per orbit;
+    they are symmetric in right and left, so the direction a path is
+    walked in does not matter.  The label, and the orbit rows of
+    `seaweed check` that the U-turn messages name, are built only for a
+    failure.
     """
     rs = s.root_system
     classical = rs.lie_type.family in "ABCD"
-    label = repr(s)
 
     def fail(msg: str) -> None:
-        report.failures.append(f"{label}: {msg}")
+        report.failures.append(f"{s!r}: {msg}")
 
-    x = simple_eigenvalues(s)
+    if not is_frobenius(s):
+        raise ValueError(f"{s} is not Frobenius; its spectrum is undefined")
+    top, bottom = involution(s, Side.TOP), involution(s, Side.BOTTOM)
+    x, turns = _pin_walk(s, top, bottom)
     tops, bottoms = components(s)
     comps = tops + bottoms
     normalized = [x.side_normalized(c) for c in comps]
@@ -283,23 +289,24 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
                 fail(f"unlisted full-E6 value pattern {values}")
     if pad_total != s.rank:
         fail(f"zero padding totals {pad_total}, expected the rank {s.rank}")
-    meander = orbits(s)
-    for row in u_turn_report(meander).rows:
-        if classical and (row.right > 1 or row.left > 1):
-            fail(f"orbit {row.orbit} has {row.right} right / {row.left} left "
-                 "U-turns")
-        if row.right + row.left > 2:
-            fail(f"orbit {row.orbit} has more than two U-turns")
+    if any(classical and (right > 1 or left > 1) or right + left > 2
+           for right, left in turns):
+        for row in u_turn_report(orbits(s)).rows:
+            if classical and (row.right > 1 or row.left > 1):
+                fail(f"orbit {row.orbit} has {row.right} right / "
+                     f"{row.left} left U-turns")
+            if row.right + row.left > 2:
+                fail(f"orbit {row.orbit} has more than two U-turns")
     # The swapped seaweed's involutions are s's with the sides exchanged;
     # its Frobenius test and solve still run.  Its values must be s's
     # negated: every component then has the same side-normalized values,
     # hence the same spectrum, so the full spectrum is unchanged.
     flipped = Seaweed(rs, s.pi2, s.pi1)
-    if not _meets_once(meander.i2.perm, meander.i1.perm,
+    if not _meets_once(bottom.perm, top.perm,
                        subset_mask(s.pi_union_complement)):
         raise ValueError(f"{flipped} is not Frobenius; its spectrum is "
                          "undefined")
-    x_swapped = _solve_eigenvalues(flipped, meander.i2, meander.i1)
+    x_swapped = _solve_eigenvalues(flipped, bottom, top)
     if x_swapped.values != tuple(-v for v in x.values):
         fail("spectrum changed under the side swap")
     report.checked += 1

@@ -14,7 +14,8 @@ results.  The functional search inverts the Kirillov matrix of its
 regular draw mod p and steps that inverse W through each coefficient
 change.  Its product W K = I with the final Kirillov matrix proves the
 functional regular, hence the index 0, and the principal element is read
-off the same W (`principal_element`), so neither is eliminated again.
+off the same W and K (`principal_element`), so neither is eliminated or
+built again.
 """
 from __future__ import annotations
 
@@ -117,7 +118,8 @@ class MatrixSeaweed:
     @cached_property
     def _inverses(self) -> dict:
         """The modular inverse of the Kirillov matrix that
-        frobenius_functional last certified, keyed by its functional."""
+        frobenius_functional last certified, keyed by its functional; the
+        inverse holds that matrix too."""
         return {}
 
 
@@ -236,7 +238,7 @@ def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Function
     only where none of the three keeps the rank, which no Frobenius type-A
     seaweed up to rank 8 showed (seeds 1 and 2).  The product W K = I mod p
     with the final integer Kirillov matrix K proves the result regular; W
-    is kept on m for `principal_element`.
+    is kept on m, with that K, for `principal_element`.
 
     A unit slot's factor has a nonzero entry in every row it touches, and
     no two unit slots meet in one entry, so a row of K is zero exactly when
@@ -327,17 +329,22 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
     transposed Kirillov matrix K^T = -K, so the system is K x = -f.
 
     It is solved through the modular inverse W of K: the one
-    frobenius_functional certified when f is its result, else a fresh
-    ModularInverse.  The solution mod p, -W f, is rebuilt rationally and
-    checked exactly (`rational_solution`); fraction-free integer
-    elimination runs only when K is singular mod p or that check fails.
+    frobenius_functional certified when f is its result, which holds the
+    K it certified, else a fresh ModularInverse of a new K.  The solution
+    mod p, -W f, is rebuilt rationally and checked exactly
+    (`rational_solution`); fraction-free integer elimination runs only when
+    K is singular mod p or that check fails.
     Raises ValueError when f is not regular.
     """
-    kmat = kirillov_matrix(m, [f])[0]
-    try:
-        inverse = m._inverses.get(tuple(f)) or ModularInverse(kmat)
-    except ValueError:          # singular mod p: the exact solve decides
-        inverse = None
+    inverse = m._inverses.get(tuple(f))
+    if inverse is not None:
+        kmat = inverse.matrix
+    else:
+        kmat = kirillov_matrix(m, [f])[0]
+        try:
+            inverse = ModularInverse(kmat)
+        except ValueError:      # singular mod p: the exact solve decides
+            pass
     try:
         return rational_solution(kmat.tolist(), [-c for c in f], inverse)
     except ValueError as exc:

@@ -88,38 +88,56 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
 
 def _solve_eigenvalues(s: Seaweed, top: Involution, bottom: Involution
                        ) -> SimpleEigenvalueVector:
+    """The simple eigenvalues that s's top and bottom involutions
+    constrain (`_pin_walk`)."""
+    return _pin_walk(s, top, bottom)[0]
+
+
+def _pin_walk(s: Seaweed, top: Involution, bottom: Involution
+              ) -> tuple[SimpleEigenvalueVector, list[tuple[int, int]]]:
     """Solve the constraints of s's top and bottom involutions by walking
     the meander from each pin, a vertex its own row fixes; the bottom
-    rows' values are negated.
+    rows' values are negated.  Also returns the (right, left) U-turn
+    counts of each path walked, by `u_turn_report`'s step rule.
 
     A pin starts a path, and each pair row on it sets x_w = total - x_v.
     The path's other end is a second pin, checked against the value
     reached, or a vertex with no row on that side.  A piece no pin reaches,
     such as an even cycle off the Frobenius case, is left without values.
+    So on a Frobenius seaweed each path, one orbit, is walked once, end to
+    end: its counts are its `u_turn_report` row's, right and left swapped
+    where the walk runs the other way.
     """
     n = s.rank
+    rs = s.root_system
+    neighbors, cols = rs.neighbors, rs.columns
     perms = top.perm, bottom.perm
     totals = top.values, tuple(v if v is None else -v for v in bottom.values)
     x: list[int | None] = [None] * (n + 1)
+    turns = []
     inconsistent = False
     for side in (0, 1):
         for start, (mate, pin) in enumerate(zip(perms[side], totals[side])):
             if mate != start or pin is None or x[start] is not None:
                 continue
             x[start] = pin
+            path = [0, 0]               # [left, right]
             for v, w, t in _walk(perms, start, 1 - side):
                 value = totals[t][v]
                 if w == v:              # the path's other end
                     inconsistent |= value is not None and value != x[v]
                 else:
                     x[w] = value - x[v]
+                    if w in neighbors(v):
+                        path[(cols[w] > cols[v]) == (t == 1)] += 1
+            turns.append((path[1], path[0]))
     problem = ("inconsistent" if inconsistent
                else "underdetermined" if None in x[1:] else None)
     if problem:
         raise AssertionError(
             f"constraint system for {s} is {problem} linear system; this "
             "indicates a component-classification bug")
-    return SimpleEigenvalueVector(tuple(x[1:]))
+    return SimpleEigenvalueVector(tuple(x[1:])), turns
 
 
 @lru_cache(maxsize=1024)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -17,12 +18,13 @@ from seaweeds.cli import main
 from seaweeds.meander import (CompositionPair, Move, Side, _meets_once,
                               components, generate_frobenius, involution,
                               is_frobenius, orbits, side_permutations,
-                              winding_bases, winding_move)
+                              u_turn_report, winding_bases, winding_move)
 from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
                                 _frobenius_pairs, _run_root, catalog_keys,
                                 check_appendix_a, spectrum_census,
                                 verify_entry, CensusReport)
-from seaweeds.spectrum import SimpleEigenvalueVector, simple_eigenvalues
+from seaweeds.spectrum import (SimpleEigenvalueVector, _pin_walk,
+                               simple_eigenvalues)
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
@@ -450,8 +452,9 @@ def test_census_reports_a_corrupted_chain_value(monkeypatch):
     s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
     x = simple_eigenvalues(s)
     bad = SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
-    monkeypatch.setattr(enumerate_module, "simple_eigenvalues",
-                        lambda _: bad)
+    pin_walk = enumerate_module._pin_walk
+    monkeypatch.setattr(enumerate_module, "_pin_walk",
+                        lambda *args: (bad, pin_walk(*args)[1]))
     report = CensusReport()
     verify_entry(s, report)
     mirror_messages = [f for f in report.failures
@@ -541,6 +544,52 @@ def test_census_runs_the_side_swap_frobenius_test(monkeypatch):
         verify_entry(s, CensusReport())
 
 
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_census_u_turn_counts_are_the_check_rows(t):
+    """The census reads each orbit's U-turns off the solve's pin walk; per
+    seaweed they are the rows `seaweed check` prints, as a multiset of
+    unordered (right, left) pairs, since a path may be walked either way."""
+    for m1, m2 in catalog_keys(t):
+        s = Seaweed(build_root_system(t), mask_subset(m1), mask_subset(m2))
+        turns = _pin_walk(s, involution(s, Side.TOP),
+                          involution(s, Side.BOTTOM))[1]
+        rows = u_turn_report(orbits(s)).rows
+        assert (Counter(tuple(sorted(pair)) for pair in turns)
+                == Counter(tuple(sorted((r.right, r.left))) for r in rows)), s
+
+
+@pytest.mark.parametrize("name,pi1,pi2,failures", [
+    ("A4", (3, 2, 1), (4, 2, 1),
+     ["orbit (1, 3, 2) has 2 right / 0 left U-turns"]),
+    ("A4", (4, 3, 1), (4, 3, 2, 1),
+     ["orbit (1, 4, 2, 3) has 1 right / 2 left U-turns",
+      "orbit (1, 4, 2, 3) has more than two U-turns"]),
+    ("A6", (5, 4, 3, 2, 1), (6, 5, 4, 3, 2),
+     ["orbit (1, 3, 5) has 0 right / 2 left U-turns",
+      "orbit (2, 4, 6) has 0 right / 2 left U-turns"]),
+    ("E6", (4, 3, 2, 1), (6, 5, 4, 3, 2),
+     ["orbit (1, 3, 4, 2) has more than two U-turns"]),
+], ids=["A4-right", "A4-both", "A6-two-orbits", "E6-total"])
+def test_census_reports_forced_u_turn_failures(monkeypatch, name, pi1, pi2,
+                                               failures):
+    """With every other vertex a diagram neighbour, every swapped pair of
+    an involution is a U-turn step.  The census then fails the right/left
+    dichotomy on A-D and the two-turn total everywhere (on E6 only the
+    total is checked), naming each orbit as `seaweed check` lists it."""
+    # a fresh root system, so that the patch reaches no cached one
+    rs = build_root_system.__wrapped__(LieType.parse(name))
+    s = Seaweed(rs, frozenset(pi1), frozenset(pi2))
+    report = CensusReport()
+    verify_entry(s, report)         # side records built on the true diagram
+    assert report.ok(), report.failures
+    n = rs.rank
+    monkeypatch.setitem(vars(rs), "neighbors",
+                        lambda i: tuple(j for j in range(1, n + 1) if j != i))
+    verify_entry(s, report)
+    assert report.failures == [f"{s!r}: {f}" for f in failures]
+    assert report.failures[0].startswith(f"p^{name}(")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("fam,n", [(fam, n) for fam in "ABCD"
                                    for n in range(9, 13)], ids=str)
@@ -552,6 +601,22 @@ def test_census_sweep_ranks_9_to_12(fam, n):
     assert cat.count == CLASSICAL_FROBENIUS_COUNTS[(fam, n)]
     report = spectrum_census(cat)
     assert report.checked == cat.count
+    assert report.ok(), report.failures[:10]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fam", "ABCD")
+def test_census_sweep_rank_13(fam):
+    """The same census on every rank-13 A-D catalog entry, each seaweed
+    built from its catalog key as it is censused, so no list of them is
+    held.  No rank-13 count is frozen: only the scan has counted them."""
+    t = LieType(fam, 13)
+    rs = build_root_system(t)
+    keys = catalog_keys(t)
+    report = CensusReport()
+    for m1, m2 in keys:
+        verify_entry(Seaweed(rs, mask_subset(m1), mask_subset(m2)), report)
+    assert report.checked == len(keys)
     assert report.ok(), report.failures[:10]
 
 

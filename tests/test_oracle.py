@@ -620,6 +620,26 @@ def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
     assert max(widths) == dim
 
 
+def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_twice(
+        monkeypatch, capsys):
+    """`seaweed oracle` on the A8 staircase builds K for the search's draw
+    and for its certificate; the principal element reads the certified K
+    kept with the search's inverse."""
+    built = []
+    real = oracle.kirillov_matrix
+
+    def spy(m, fs):
+        built.append(len(fs))
+        return real(m, fs)
+
+    monkeypatch.setattr(oracle, "kirillov_matrix", spy)
+    argv = ["oracle", "--type", "A", "--rank", "8", "--top", "8,7,6,5,4,3,2,1",
+            "--bottom", "8,7,6,5,4,3,2"]
+    assert main(argv) == 0
+    assert '"spectra_agree": true' in capsys.readouterr().out
+    assert built == [1, 1]
+
+
 def _frobenius_entries(max_rank: int) -> list[MatrixSeaweed]:
     return [realize_type_a(s) for n in range(1, max_rank + 1)
             for s in enumerate_frobenius(LieType("A", n)).entries]
