@@ -3,9 +3,9 @@
 For a rank-n type there are 3^n subset pairs covering the whole diagram
 (each vertex is top-only, bottom-only, or shared); the Frobenius test is
 symmetric under the swap, so the scan visits the (3^n - 1)/2 bitmask pairs
-with m1 < m2 against one table of the 2^n side involutions and their sign
-parities, built from each connected piece's shape rule.  It walks the
-cycles of the pairs whose parities allow a Frobenius pair and keeps the
+with m1 < m2 against one table of the 2^n side involutions and their orbit
+counts, built from each connected piece's shape rule.  It walks the
+cycles of the pairs whose orbit counts sum to the rank and keeps the
 Frobenius ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
 arrow-reversing relabeling).  The sorted mask pairs are the catalog's keys,
 which `seaweed enumerate` writes as JSON and diffs against Appendix A.
@@ -37,7 +37,7 @@ class Catalog(NamedTuple):
 def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     """The (m1, m2) masks, m1 < m2, of every Frobenius pair with full
     union.  A side's involution depends on its subset alone, so the table
-    of all 2^n, with their sign parities, is built first, in one pass.
+    of all 2^n, with their orbit counts, is built first, in one pass.
 
     (m1, m2) is Frobenius exactly when (m2, m1) is (p1.p2 inverts p2.p1,
     and the target is symmetric), and (full, full), of empty target, never
@@ -45,27 +45,27 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     differ, is m2's and every bit above it is in both, so m1 is those bits
     with any a below bit k, and m2 = full ^ d for each subset d of a.
 
-    A pair reaches the cycle walk only if it passes a sign test.  A
-    permutation of n points with c cycles has sign (-1)^(n - c), and a
-    Frobenius pair's p2.p1 has one cycle per vertex outside m1 & m2, so its
-    sign, (-1)^(t1 + t2) for t_i transpositions in side i, is
-    (-1)^|m1 & m2|.  As |m1 & m2| = |m1| + |m2| - n, that reads
-    odd[m1] ^ odd[m2] == n & 1, with odd[m] the table's parity of t + |m|.
-    About half the pairs fail it.
+    A pair reaches the cycle walk only if its orbit counts sum to n.  The
+    meander, edges {v, p1 v} and {v, p2 v}, has P paths and C closed cycles;
+    each path end is fixed by one side (a lone vertex by both), no cycle
+    vertex by any, so the sides' n - 2 t_i fixed points (t_i transpositions)
+    number 2P.  A Frobenius pair has C = 0 and one path per vertex outside
+    m1 & m2, so n - t1 - t2 = P = 2n - |m1| - |m2|: with counts[m] = |m| - t,
+    counts[m1] + counts[m2] == n.
     """
     n = rs.rank
     full = (1 << n) - 1
-    perms, odd = side_permutations(rs)
+    perms, counts = side_permutations(rs)
     pairs = []
     for k in range(n):
         span = (2 << k) - 1             # bits 0..k
         for a in range(1 << k):
             m1 = (full ^ span) | a
-            p1, want, rest = perms[m1], odd[m1] ^ (n & 1), span ^ a
+            p1, want, rest = perms[m1], n - counts[m1], span ^ a
             d = a                       # target: full ^ (m1 & m2) = rest ^ d
             while True:
                 m2 = full ^ d
-                if odd[m2] == want and _meets_once(p1, perms[m2], rest ^ d):
+                if counts[m2] == want and _meets_once(p1, perms[m2], rest ^ d):
                     pairs.append((m1, m2))
                 if not d:
                     break

@@ -701,12 +701,12 @@ def side_permutation(rs: RootSystem, subset) -> tuple[int, ...]:
     return _side_record.__wrapped__(rs, frozenset(subset), Side.TOP)[1].perm
 
 
-def sign_parities(perms) -> list[int]:
-    """The parity of each perm's transpositions (one v < perm[v] each) plus
-    its mask's size, counted afresh per mask, for the parities
-    `meander.side_permutations` carries piece by piece."""
+def orbit_counts(perms) -> list[int]:
+    """The orbits of each perm on its mask's subset, its size less its
+    transpositions (one v < perm[v] each), counted afresh per mask, for the
+    counts `meander.side_permutations` carries piece by piece."""
     n = len(perms[0]) - 1
-    return [(sum(map(int.__lt__, range(n + 1), perm)) + m.bit_count()) & 1
+    return [m.bit_count() - sum(map(int.__lt__, range(n + 1), perm))
             for m, perm in enumerate(perms)]
 
 

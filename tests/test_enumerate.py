@@ -29,7 +29,7 @@ from seaweeds.spectrum import (SimpleEigenvalueVector, _pin_walk,
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
                             catalog_json_dict, enumerate_frobenius,
-                            mask_pairs, side_permutation, sign_parities,
+                            mask_pairs, orbit_counts, side_permutation,
                             symmetric_root)
 
 
@@ -186,15 +186,15 @@ RANK_10_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
 
 @pytest.mark.parametrize("t", RANK_10_TYPES, ids=str)
 def test_side_permutation_table_matches_each_subset(t):
-    """Each mask's perm is its whole subset's, and the parity carried with
-    it, from its pieces' own, is its transposition count plus |m|, counted
+    """Each mask's perm is its whole subset's, and the orbit count carried
+    with it, from its pieces' own, is |m| less its transpositions, counted
     per mask."""
     rs = build_root_system(t)
-    table, odd = side_permutations(rs)
+    table, counts = side_permutations(rs)
     assert len(table) == 1 << t.rank
     for mask, perm in enumerate(table):
         assert perm == side_permutation(rs, mask_subset(mask)), mask
-    assert odd == sign_parities(table)
+    assert counts == orbit_counts(table)
 
 
 @pytest.mark.parametrize("name,pieces,count", [
@@ -237,33 +237,62 @@ def _cycle_count(perm: list[int]) -> int:
     return cycles
 
 
+def _meander_pieces(p1, p2) -> tuple[int, int]:
+    """The (paths, closed cycles) of the meander on 1..n with edges
+    {v, p1[v]} and {v, p2[v]}: each piece is grown from an unseen vertex,
+    and it is a path when some side fixes one of its vertices."""
+    n = len(p1) - 1
+    seen = [False] * (n + 1)
+    paths = closed = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, is_path = [start], False
+        while stack:
+            v = stack.pop()
+            is_path |= p1[v] == v or p2[v] == v
+            for w in (p1[v], p2[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        paths += is_path
+        closed += not is_path
+    return paths, closed
+
+
 @pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
 def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
-    """The scan's sign test is a necessary condition: every pair that
-    _meets_once accepts has odd[m1] ^ odd[m2] == n & 1, odd[m] being the
-    parity the table carries for perms[m].  The sign of p2.p1 is read off
-    its cycles here, not off the transposition counts."""
+    """The scan's orbit-count test is a necessary condition: every pair
+    that _meets_once accepts has counts[m1] + counts[m2] == n, counts[m]
+    being the orbit count the table carries for perms[m] (mod 2 this is
+    the sign of p2.p1).  On every pair the meander's pieces, grown here,
+    hold P = n - t1 - t2 paths, and p2.p1 has one cycle per path and two
+    per closed cycle, read off its cycles, not off t1 and t2."""
     n = t.rank
     full = (1 << n) - 1
     rs = build_root_system(t)
-    perms, odd = side_permutations(rs)
+    perms, counts = side_permutations(rs)
     swaps = [sum(v < w for v, w in enumerate(perm)) for perm in perms]
     accepted = 0
     for m1, m2 in mask_pairs(n):
         p1, p2 = perms[m1], perms[m2]
+        paths, closed = _meander_pieces(p1, p2)
+        assert paths == n - swaps[m1] - swaps[m2], (m1, m2)
         sigma = [p2[p1[v]] - 1 for v in range(1, n + 1)]
-        assert (n - _cycle_count(sigma)) % 2 == (swaps[m1] + swaps[m2]) % 2
+        assert _cycle_count(sigma) == paths + 2 * closed, (m1, m2)
         if _meets_once(p1, p2, full ^ (m1 & m2)):
             accepted += m1 < m2
-            assert _cycle_count(sigma) == n - bin(m1 & m2).count("1")
-            assert odd[m1] ^ odd[m2] == n & 1, (m1, m2)
+            assert closed == 0, (m1, m2)
+            assert paths == n - bin(m1 & m2).count("1"), (m1, m2)
+            assert counts[m1] + counts[m2] == n, (m1, m2)
     assert accepted == len(_frobenius_pairs(rs))
 
 
-def test_sign_prefilter_skips_about_half_the_walks(monkeypatch):
-    """An A9 scan walks at most 0.3 * 3^9 pairs: it visits only the
-    (3^9 - 1)/2 pairs with m1 < m2, and the prefilter, which cannot have
-    been reduced to True, skips about half of those."""
+def test_orbit_count_prefilter_walks_at_most_1200_a9_pairs(monkeypatch):
+    """An A9 scan walks at most 1,200 pairs (it walks 1,157): it visits
+    only the (3^9 - 1)/2 pairs with m1 < m2, and the orbit-count test,
+    which cannot have been reduced to True, skips most of those."""
     calls = []
 
     def spy(p1, p2, target):
@@ -272,7 +301,7 @@ def test_sign_prefilter_skips_about_half_the_walks(monkeypatch):
 
     monkeypatch.setattr(enumerate_module, "_meets_once", spy)
     assert enumerate_frobenius(LieType("A", 9)).count == 570
-    assert len(calls) <= 0.3 * 3 ** 9
+    assert len(calls) <= 1200
 
 
 def test_rank_guard():
