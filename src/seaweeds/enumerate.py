@@ -3,24 +3,26 @@
 For a rank-n type there are 3^n subset pairs covering the whole diagram
 (each vertex is top-only, bottom-only, or shared); the Frobenius test is
 symmetric under the swap, so the scan visits the (3^n - 1)/2 bitmask pairs
-with m1 < m2 against one table of the 2^n side involutions and their orbit
-counts, built from each connected piece's shape rule.  It walks the
-cycles of the pairs whose orbit counts sum to the rank and keeps the
-Frobenius ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
+with m1 < m2 against one table of the 2^n side involutions, their orbit
+counts and fixed vertices, built from each connected piece's shape rule.
+It walks the cycles of the pairs whose orbit counts sum to the rank and
+that share no vertex both sides fix, and keeps the Frobenius ones (on the self-dual F4/G2/B2/C2, the lesser of a pair and its
 arrow-reversing relabeling).  The sorted mask pairs are the catalog's keys,
 which `seaweed enumerate` writes as JSON and diffs against Appendix A.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
 from .meander import (Side, _meets_once, components, involution,
                       is_frobenius, orbits, side_permutations, u_turn_report)
-from .spectrum import (_pin_walk, _solve_eigenvalues, eigenvalue_bounds_ok,
-                       seaweed_dimension, shape_spectrum, spectrum_union,
-                       verify_symmetric, verify_unbroken, zero_padding)
+from .spectrum import (Spectrum, _pin_walk, _solve_eigenvalues,
+                       eigenvalue_bounds_ok, seaweed_dimension, shape_spectrum,
+                       spectrum_union, verify_symmetric, verify_unbroken,
+                       zero_padding)
 
 ENUM_RANK_GUARD = 16
 
@@ -51,21 +53,25 @@ def _frobenius_pairs(rs: RootSystem) -> list[tuple[int, int]]:
     vertex by any, so the sides' n - 2 t_i fixed points (t_i transpositions)
     number 2P.  A Frobenius pair has C = 0 and one path per vertex outside
     m1 & m2, so n - t1 - t2 = P = 2n - |m1| - |m2|: with counts[m] = |m| - t,
-    counts[m1] + counts[m2] == n.
+    counts[m1] + counts[m2] == n.  Nor may a vertex of m1 & m2 be fixed by
+    both sides: it would be a one-vertex path holding no vertex outside
+    m1 & m2, which the count cannot see.
     """
     n = rs.rank
     full = (1 << n) - 1
-    perms, counts = side_permutations(rs)
+    perms, counts, fixed = side_permutations(rs)
     pairs = []
     for k in range(n):
         span = (2 << k) - 1             # bits 0..k
         for a in range(1 << k):
             m1 = (full ^ span) | a
             p1, want, rest = perms[m1], n - counts[m1], span ^ a
+            fixed1 = fixed[m1]
             d = a                       # target: full ^ (m1 & m2) = rest ^ d
             while True:
                 m2 = full ^ d
-                if counts[m2] == want and _meets_once(p1, perms[m2], rest ^ d):
+                if (counts[m2] == want and not fixed1 & fixed[m2]
+                        and _meets_once(p1, perms[m2], rest ^ d)):
                     pairs.append((m1, m2))
                 if not d:
                     break
@@ -245,7 +251,10 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     they are symmetric in right and left, so the direction a path is
     walked in does not matter.  The label, and the orbit rows of
     `seaweed check` that the U-turn messages name, are built only for a
-    failure.
+    failure.  The per-component checks read the side-normalized values
+    alone, so `_component_verdict` runs them once per (shape, values); only
+    a component whose verdict is not clean runs them again, to word its
+    failures with its own roots.
     """
     rs = s.root_system
     classical = rs.lie_type.family in "ABCD"
@@ -260,8 +269,9 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     tops, bottoms = components(s)
     comps = tops + bottoms
     normalized = [x.side_normalized(c) for c in comps]
-    records = list(map(shape_spectrum, (c.shape for c in comps), normalized))
-    sp = spectrum_union(record[0] for record in records)
+    verdicts = list(map(_component_verdict, (c.shape for c in comps),
+                        normalized))
+    sp = spectrum_union(record[0] for record, _ in verdicts)
     if not verify_unbroken(sp):
         fail(f"spectrum {sp.mult} is broken")
     if not verify_symmetric(sp):
@@ -271,8 +281,10 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     pad_total = sum(zero_padding(c.shape) for c in comps)
     # a record is shared by every component of its (shape, values), so each
     # failure names the component at hand
-    for c, values, (cs, unbroken, symmetric) in zip(comps, normalized,
-                                                    records):
+    for c, values, ((cs, unbroken, symmetric), clean) in zip(
+            comps, normalized, verdicts):
+        if clean:
+            continue
         if not eigenvalue_bounds_ok(c.shape, values):
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not unbroken:
@@ -281,12 +293,8 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
             fail(f"component {c.roots} spectrum {cs.mult} is asymmetric")
         if c.shape.family == "A":
             _check_centered_runs(s.rank, c.order, values, fail)
-        if c.shape == ("E", 6):
-            flip = (values[5], values[1], values[4], values[3],
-                    values[2], values[0])
-            if values not in E6_COMPONENT_CONFIGURATIONS \
-                    and flip not in E6_COMPONENT_CONFIGURATIONS:
-                fail(f"unlisted full-E6 value pattern {values}")
+        if c.shape == ("E", 6) and not _e6_pattern_listed(values):
+            fail(f"unlisted full-E6 value pattern {values}")
     if pad_total != s.rank:
         fail(f"zero padding totals {pad_total}, expected the rank {s.rank}")
     if any(classical and (right > 1 or left > 1) or right + left > 2
@@ -312,19 +320,51 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     report.checked += 1
 
 
+@lru_cache(maxsize=1024)
+def _component_verdict(shape: LieType, values: tuple[int, ...]
+                       ) -> tuple[tuple[Spectrum, bool, bool], bool]:
+    """The `shape_spectrum` record of a component of this shape and
+    side-normalized values, and whether it is clean: whether it passes
+    every check `verify_entry` makes of one component (value bounds,
+    unbroken and symmetric spectrum, chain pairing, E6 pattern).  Those
+    read the values alone, never the component's roots, so the census
+    checks each key once and words failures per component.  Bounded as
+    `shape_spectrum` is."""
+    record = shape_spectrum(shape, values)
+    clean = (eigenvalue_bounds_ok(shape, values) and record[1] and record[2]
+             and (shape.family != "A"
+                  or next(_broken_centered_runs(values), None) is None)
+             and (shape != ("E", 6) or _e6_pattern_listed(values)))
+    return record, clean
+
+
+def _e6_pattern_listed(values: tuple[int, ...]) -> bool:
+    """Whether full-E6 values, or their diagram flip, are listed."""
+    flip = (values[5], values[1], values[4], values[3], values[2], values[0])
+    return (values in E6_COMPONENT_CONFIGURATIONS
+            or flip in E6_COMPONENT_CONFIGURATIONS)
+
+
 def _check_centered_runs(rank: int, path: tuple[int, ...],
                          values: tuple[int, ...], fail) -> None:
     """Fail each centered run i..k+1-i of a chain whose side-normalized
     values do not sum to one (`verify_entry` says why that is the mirror
-    pairing).  One running total, walked in from both ends, gives the runs
-    in O(k); root tuples are built only for a failure message.
+    pairing); root tuples are built only for a failure message.
     """
+    for lo, hi in _broken_centered_runs(values):
+        fail(f"self-paired root {_run_root(rank, path, lo, hi)} "
+             "does not evaluate to one")
+
+
+def _broken_centered_runs(values: tuple[int, ...]):
+    """Yield the positions (i, k+1-i), from 1, of each centered run whose
+    values do not sum to one: one running total, walked in from both ends,
+    gives the runs in O(k)."""
     total = sum(values)
     lo, hi = 0, len(values) - 1
     while lo <= hi:
         if total != 1:
-            fail(f"self-paired root {_run_root(rank, path, lo + 1, hi + 1)} "
-                 "does not evaluate to one")
+            yield lo + 1, hi + 1
         total -= values[lo] + values[hi]
         lo += 1
         hi -= 1

@@ -159,20 +159,23 @@ def _side_table(n: int, comps) -> Involution:
     return Involution(tuple(perm), tuple(values))
 
 
-def side_permutations(rs: RootSystem) -> tuple[list[tuple], list[int]]:
+def side_permutations(rs: RootSystem
+                      ) -> tuple[list[tuple], list[int], list[int]]:
     """The involution perm of every subset, indexed by its subset_mask,
-    and its orbit count on the subset: |subset| less its transpositions.
+    its orbit count on the subset (|subset| less its transpositions) and
+    the mask of the subset's vertices it fixes.
 
     A subset's involution is the union of its connected pieces' ones.  So
     mask m grows the piece holding its lowest bit inside m and writes the
     piece's entries, read off its shape's rule, into the table of m ^ piece;
-    the piece's own orbits add to those of m ^ piece.
+    the piece's own orbits add to those of m ^ piece, and its own fixed
+    vertices join those of m ^ piece.
     """
     n = rs.rank
     # near[v]: the mask of v's neighbours, v being bit v - 1
     near = [0] + [subset_mask(rs.neighbors(v)) for v in range(1, n + 1)]
-    perms, counts = [tuple(range(n + 1))], [0]
-    pieces: dict[int, tuple[list[tuple[int, int]], int]] = {}
+    perms, counts, fixed = [tuple(range(n + 1))], [0], [0]
+    pieces: dict[int, tuple[list[tuple[int, int]], int, int]] = {}
     for m in range(1, 1 << n):
         piece = frontier = m & -m
         while frontier:
@@ -183,14 +186,16 @@ def side_permutations(rs: RootSystem) -> tuple[list[tuple], list[int]]:
         if piece not in pieces:
             shape, order = classify_component(rs, mask_subset(piece))
             rows = [(a, b) for a, b, _ in _piece_rows(shape, order)]
-            pieces[piece] = rows, sum(a >= b for a, b in rows)
-        rows, own = pieces[piece]
+            pieces[piece] = (rows, sum(a >= b for a, b in rows),
+                             subset_mask(a for a, b in rows if a == b))
+        rows, own, own_fixed = pieces[piece]
         perm = list(perms[m ^ piece])
         for v, w in rows:
             perm[v] = w
         perms.append(tuple(perm))
         counts.append(counts[m ^ piece] + own)
-    return perms, counts
+        fixed.append(fixed[m ^ piece] | own_fixed)
+    return perms, counts, fixed
 
 
 @lru_cache(maxsize=64)

@@ -710,6 +710,14 @@ def orbit_counts(perms) -> list[int]:
             for m, perm in enumerate(perms)]
 
 
+def fixed_vertices(perms) -> list[int]:
+    """The mask of the vertices of each mask's subset that its perm fixes,
+    read off the perm afresh per mask, for the fixed masks
+    `meander.side_permutations` carries piece by piece."""
+    return [subset_mask(v for v in mask_subset(m) if perm[v] == v)
+            for m, perm in enumerate(perms)]
+
+
 def component_spectrum(c: Component, x: SimpleEigenvalueVector) -> Spectrum:
     """A component's spectrum computed afresh from c and x, with no record
     shared by (shape, values) as `spectrum.shape_spectrum` keeps: every

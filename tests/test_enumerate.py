@@ -29,8 +29,8 @@ from seaweeds.spectrum import (SimpleEigenvalueVector, _pin_walk,
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
                             catalog_json_dict, enumerate_frobenius,
-                            mask_pairs, orbit_counts, side_permutation,
-                            symmetric_root)
+                            fixed_vertices, mask_pairs, orbit_counts,
+                            side_permutation, symmetric_root)
 
 
 @pytest.mark.parametrize("name", list(FROBENIUS_COUNTS), ids=str)
@@ -104,7 +104,7 @@ def test_frobenius_pairs_are_closed_under_the_swap(t):
     n = t.rank
     full = (1 << n) - 1
     rs = build_root_system(t)
-    perms, _ = side_permutations(rs)
+    perms = side_permutations(rs)[0]
     frobenius = {(m1, m2) for m1, m2 in mask_pairs(n)
                  if _meets_once(perms[m1], perms[m2], full ^ (m1 & m2))}
     assert frobenius == {(m2, m1) for m1, m2 in frobenius}
@@ -119,7 +119,7 @@ def test_catalog_keys_are_the_least_pair_of_each_orbit(t):
     reversal of both masks."""
     n = t.rank
     full = (1 << n) - 1
-    perms, _ = side_permutations(build_root_system(t))
+    perms = side_permutations(build_root_system(t))[0]
     reverse = t.family in "FG" or (t.family in "BC" and n == 2)
 
     def flip(m):
@@ -186,15 +186,16 @@ RANK_10_TYPES = [LieType(fam, n) for fam, lo in (("A", 1), ("B", 2),
 
 @pytest.mark.parametrize("t", RANK_10_TYPES, ids=str)
 def test_side_permutation_table_matches_each_subset(t):
-    """Each mask's perm is its whole subset's, and the orbit count carried
-    with it, from its pieces' own, is |m| less its transpositions, counted
-    per mask."""
+    """Each mask's perm is its whole subset's, and the orbit count and
+    fixed mask carried with it, from its pieces' own, are |m| less its
+    transpositions and the vertices of m it fixes, read per mask."""
     rs = build_root_system(t)
-    table, counts = side_permutations(rs)
+    table, counts, fixed = side_permutations(rs)
     assert len(table) == 1 << t.rank
     for mask, perm in enumerate(table):
         assert perm == side_permutation(rs, mask_subset(mask)), mask
     assert counts == orbit_counts(table)
+    assert fixed == fixed_vertices(table)
 
 
 @pytest.mark.parametrize("name,pieces,count", [
@@ -263,16 +264,17 @@ def _meander_pieces(p1, p2) -> tuple[int, int]:
 
 @pytest.mark.parametrize("t", SCAN_TYPES, ids=str)
 def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
-    """The scan's orbit-count test is a necessary condition: every pair
-    that _meets_once accepts has counts[m1] + counts[m2] == n, counts[m]
-    being the orbit count the table carries for perms[m] (mod 2 this is
-    the sign of p2.p1).  On every pair the meander's pieces, grown here,
+    """The scan's orbit-count and fixed-vertex tests are necessary
+    conditions: every pair that _meets_once accepts has counts[m1] +
+    counts[m2] == n, counts[m] being the orbit count the table carries for
+    perms[m] (mod 2 this is the sign of p2.p1), and no vertex that both
+    sides fix.  On every pair the meander's pieces, grown here,
     hold P = n - t1 - t2 paths, and p2.p1 has one cycle per path and two
     per closed cycle, read off its cycles, not off t1 and t2."""
     n = t.rank
     full = (1 << n) - 1
     rs = build_root_system(t)
-    perms, counts = side_permutations(rs)
+    perms, counts, fixed = side_permutations(rs)
     swaps = [sum(v < w for v, w in enumerate(perm)) for perm in perms]
     accepted = 0
     for m1, m2 in mask_pairs(n):
@@ -286,13 +288,19 @@ def test_sign_prefilter_only_drops_pairs_the_walk_rejects(t):
             assert closed == 0, (m1, m2)
             assert paths == n - bin(m1 & m2).count("1"), (m1, m2)
             assert counts[m1] + counts[m2] == n, (m1, m2)
+            assert not fixed[m1] & fixed[m2], (m1, m2)
     assert accepted == len(_frobenius_pairs(rs))
 
 
-def test_orbit_count_prefilter_walks_at_most_1200_a9_pairs(monkeypatch):
-    """An A9 scan walks at most 1,200 pairs (it walks 1,157): it visits
-    only the (3^9 - 1)/2 pairs with m1 < m2, and the orbit-count test,
-    which cannot have been reduced to True, skips most of those."""
+@pytest.mark.parametrize("name,count,walks", [
+    ("A9", 570, 809), ("B10", 1082, 1971), ("C10", 1082, 1971),
+    ("D10", 1257, 2791)], ids=["A9", "B10", "C10", "D10"])
+def test_scan_walk_bounds(monkeypatch, name, count, walks):
+    """A scan walks at most the pairs it walks today: it visits only the
+    (3^n - 1)/2 pairs with m1 < m2, and the orbit-count and fixed-vertex
+    tests, neither of which can have been reduced to True, skip most of
+    those.  With the orbit count alone it walked 1,157 A9 pairs, 6,454 B10
+    and C10 pairs and 5,206 D10 pairs."""
     calls = []
 
     def spy(p1, p2, target):
@@ -300,8 +308,8 @@ def test_orbit_count_prefilter_walks_at_most_1200_a9_pairs(monkeypatch):
         return _meets_once(p1, p2, target)
 
     monkeypatch.setattr(enumerate_module, "_meets_once", spy)
-    assert enumerate_frobenius(LieType("A", 9)).count == 570
-    assert len(calls) <= 1200
+    assert len(catalog_keys(LieType.parse(name))) == count
+    assert len(calls) <= walks
 
 
 def test_rank_guard():
@@ -536,11 +544,15 @@ def test_catalog_census_builds_each_side_table_once(side_table_calls):
 
 @pytest.fixture
 def fresh_spectrum_records():
-    """shape_spectrum starts and ends empty, so that records built under a
-    patched check reach no other test."""
-    spectrum_module.shape_spectrum.cache_clear()
+    """shape_spectrum and the census verdicts start and end empty, so that
+    records built under a patched check reach no other test."""
+    caches = (spectrum_module.shape_spectrum,
+              enumerate_module._component_verdict)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    spectrum_module.shape_spectrum.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("module,check,message", [
@@ -563,6 +575,54 @@ def test_shared_records_fail_with_each_components_roots(
     verify_entry(s, report)
     assert report.failures == [f"p^A3(2|3,1): component {roots} {message}"
                                for roots in ((2,), (3,), (1,))]
+
+
+def test_census_checks_each_shape_and_values_once(monkeypatch,
+                                                 fresh_spectrum_records):
+    """The census of the E6, E7, E8, D8 and A9 catalogs meets 6,895
+    components but only 160 distinct (shape, side-normalized values): it
+    runs the per-component checks, the value bounds first, once per key."""
+    calls = []
+    bounds_ok = enumerate_module.eigenvalue_bounds_ok
+
+    def spy(shape, values):
+        calls.append((shape, values))
+        return bounds_ok(shape, values)
+
+    monkeypatch.setattr(enumerate_module, "eigenvalue_bounds_ok", spy)
+    keys, count = set(), 0
+    for name in ("E6", "E7", "E8", "D8", "A9"):
+        cat = enumerate_frobenius(LieType.parse(name))
+        report = spectrum_census(cat)
+        assert report.ok() and report.checked == cat.count, report.failures
+        for s in cat.entries:
+            x = simple_eigenvalues(s)
+            for c in itertools.chain(*components(s)):
+                keys.add((c.shape, x.side_normalized(c)))
+                count += 1
+    assert (count, len(keys)) == (6895, 160)
+    assert sorted(calls) == sorted(keys)
+
+
+def test_shared_chain_record_fails_with_each_components_root(
+        monkeypatch, fresh_spectrum_records):
+    """The bottom A1 chains {3} and {1} of p^A3(2|3,1), given the value
+    zero, share one record whose chain pairing fails; each failure line
+    names its own component's self-paired root."""
+    s = make_seaweed(LieType("A", 3), {2}, {3, 1})
+    x = simple_eigenvalues(s)
+    bad = SimpleEigenvalueVector((0, x.values[1], 0))
+    bottoms = components(s)[1]
+    assert {(c.shape, bad.side_normalized(c)) for c in bottoms} == {
+        (LieType("A", 1), (0,))}
+    pin_walk = enumerate_module._pin_walk
+    monkeypatch.setattr(enumerate_module, "_pin_walk",
+                        lambda *args: (bad, pin_walk(*args)[1]))
+    report = CensusReport()
+    verify_entry(s, report)
+    assert [f for f in report.failures if "self-paired" in f] == [
+        f"p^A3(2|3,1): self-paired root {root} does not evaluate to one"
+        for root in ((0, 0, 1), (1, 0, 0))]
 
 
 def test_census_runs_the_side_swap_frobenius_test(monkeypatch):

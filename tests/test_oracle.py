@@ -11,6 +11,7 @@ import pytest
 
 from seaweeds.rootsys import LieType, build_root_system
 from seaweeds.seaweed import Seaweed, make_seaweed, mask_subset
+from seaweeds.enumerate import catalog_keys
 from seaweeds.meander import is_frobenius
 from seaweeds.spectrum import full_spectrum, seaweed_dimension
 from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
@@ -612,6 +613,27 @@ def test_oracle_spectrum_of_the_staircase_seaweed(rank):
     fhat = principal_element(mat, frobenius_functional(mat))
     assert ad_spectrum(mat, fhat) == full_spectrum(s)
     assert time.perf_counter() - start < 60
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rank,sample", [(8, None), (9, 20), (10, 20),
+                                         (11, 20), (12, 20)],
+                         ids=["A8-all", "A9", "A10", "A11", "A12"])
+def test_oracle_spectra_of_catalog_entries(rank, sample):
+    """The paper's theorem through the matrix oracle: the ad-spectrum of
+    the principal element of the search's functional is the combinatorial
+    spectrum on every Frobenius entry of A8 (293) and on `sample` seeded
+    catalog keys of each rank A9-A12."""
+    t = LieType("A", rank)
+    rs = build_root_system(t)
+    keys = catalog_keys(t)
+    if sample is not None:
+        keys = random.Random(f"oracle-spectra/{rank}").sample(keys, sample)
+    for m1, m2 in keys:
+        s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
+        mat = realize_type_a(s)
+        fhat = principal_element(mat, frobenius_functional(mat))
+        assert ad_spectrum(mat, fhat) == full_spectrum(s), s
 
 
 def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,

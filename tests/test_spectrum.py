@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seaweeds import meander, spectrum
+from seaweeds import enumerate as enumerate_module, meander, spectrum
 from seaweeds.rootsys import LieType, build_root_system, epsilon_root_values
 from seaweeds.seaweed import (Composition, Seaweed, from_compositions,
                               make_seaweed)
@@ -399,17 +399,18 @@ def test_spectrum_records_match_a_fresh_computation():
 
 def _clear_seaweed_caches():
     for cached in (meander.components, meander.involution, meander.orbits,
-                   meander._side_record, spectrum.shape_spectrum):
+                   meander._side_record, spectrum.shape_spectrum,
+                   enumerate_module._component_verdict):
         cached.cache_clear()
 
 
 def test_rank_512_loop_holds_bounded_memory():
     """124 distinct B512 seaweeds, each a zigzag over the top 128 roots with
     one defect (top v, bottom v - 1 or v + 1) above the B384 tail, hold
-    under 8 MB once checked and solved: about 47 KB each, mostly their new
-    side record, since neighbouring seaweeds share a side, the B384 tail
-    shares one spectrum record and at most 64 seaweeds stay in the
-    seaweed-keyed caches.  Caching each seaweed's own components and
+    under 8 MB once checked, solved and censused: about 47 KB each, mostly
+    their new side record, since neighbouring seaweeds share a side, the
+    B384 tail shares one spectrum record and one census verdict, and at
+    most 64 seaweeds stay in the seaweed-keyed caches.  Caching each seaweed's own components and
     involutions held about 82 KB each (10 MB).  About 2 s under tracemalloc
     on a 2-core VM."""
     n, k = 512, 384
@@ -417,6 +418,8 @@ def test_rank_512_loop_holds_bounded_memory():
     top = frozenset(range(n - 1, k, -2))
     bottom = frozenset(range(n, k, -2)) | frozenset(range(1, k + 1))
     _clear_seaweed_caches()
+    report = enumerate_module.CensusReport()
+    enumerate_module.verify_entry(Seaweed(rs, top, bottom), report)
     full_spectrum(Seaweed(rs, top, bottom))     # the shared B384 record
     gc.collect()
     tracemalloc.start()
@@ -428,6 +431,7 @@ def test_rank_512_loop_holds_bounded_memory():
                 s = Seaweed(rs, top | {v}, bottom | {w})
                 assert is_frobenius(s), s
                 full_spectrum(s)
+                enumerate_module.verify_entry(s, report)
                 seen += 1
         del s
         gc.collect()
@@ -435,5 +439,5 @@ def test_rank_512_loop_holds_bounded_memory():
     finally:
         tracemalloc.stop()
         _clear_seaweed_caches()
-    assert seen == 124
+    assert seen == report.checked - 1 == 124 and report.ok()
     assert held < 8 * 2**20, held
