@@ -12,15 +12,13 @@ which `seaweed enumerate` writes as JSON and diffs against Appendix A.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .rootsys import LieType, RootSystem, build_root_system
 from .seaweed import Seaweed, mask_subset, subset_mask
 from .meander import (Side, _meets_once, components, involution,
                       is_frobenius, orbits, side_permutations, u_turn_report)
-from .spectrum import (Spectrum, _pin_walk, _solve_eigenvalues,
-                       eigenvalue_bounds_ok, seaweed_dimension, shape_spectrum,
+from .spectrum import (_pin_walk, seaweed_dimension, shape_spectrum,
                        spectrum_union, verify_symmetric, verify_unbroken,
                        zero_padding)
 
@@ -180,21 +178,6 @@ APPENDIX_A_E6: tuple[tuple[frozenset[int], frozenset[int]], ...] = tuple(
     ]
 )
 
-# The nine value patterns a full E6 component can realize, side-normalized
-# and listed by simple-root index.
-E6_COMPONENT_CONFIGURATIONS = (
-    (-2, -1, -2, 1, 2, 2),
-    (-2, -1, 1, 1, -1, 2),
-    (-1, -1, 2, 1, -2, 1),
-    (1, -1, -2, 1, 2, -1),
-    (1, -1, -1, 1, 1, -1),
-    (2, -1, -1, 1, 1, -2),
-    (-1, -1, -1, 1, 1, 1),
-    (-1, -1, 1, 1, -1, 1),
-    (1, -1, 1, 1, -1, -1),
-)
-
-
 class CatalogDiff(NamedTuple):
     missing: tuple[tuple[frozenset[int], frozenset[int]], ...]
     extra: tuple[tuple[frozenset[int], frozenset[int]], ...]
@@ -240,7 +223,7 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     are adjacent runs whose union is a centered run i..k+1-i, and the
     self-paired roots are the centered runs, so the pairing holds exactly
     when each of the ceil(k/2) centered runs, the whole chain among them,
-    evaluates to one; that is what `_check_centered_runs` checks.
+    evaluates to one; the record lists the centered runs that do not.
 
     The per-value range table and the right/left U-turn dichotomy are
     statements about the classical drawings, so inside the exceptional
@@ -252,9 +235,9 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     walked in does not matter.  The label, and the orbit rows of
     `seaweed check` that the U-turn messages name, are built only for a
     failure.  The per-component checks read the side-normalized values
-    alone, so `_component_verdict` runs them once per (shape, values); only
-    a component whose verdict is not clean runs them again, to word its
-    failures with its own roots.
+    alone, so they are made once per (shape, values), in the
+    `shape_spectrum` record that every component of that key reads; each
+    failing verdict is worded with the component's own roots.
     """
     rs = s.root_system
     classical = rs.lie_type.family in "ABCD"
@@ -269,9 +252,8 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     tops, bottoms = components(s)
     comps = tops + bottoms
     normalized = [x.side_normalized(c) for c in comps]
-    verdicts = list(map(_component_verdict, (c.shape for c in comps),
-                        normalized))
-    sp = spectrum_union(record[0] for record, _ in verdicts)
+    records = list(map(shape_spectrum, (c.shape for c in comps), normalized))
+    sp = spectrum_union(record[0] for record in records)
     if not verify_unbroken(sp):
         fail(f"spectrum {sp.mult} is broken")
     if not verify_symmetric(sp):
@@ -281,19 +263,18 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
     pad_total = sum(zero_padding(c.shape) for c in comps)
     # a record is shared by every component of its (shape, values), so each
     # failure names the component at hand
-    for c, values, ((cs, unbroken, symmetric), clean) in zip(
-            comps, normalized, verdicts):
-        if clean:
-            continue
-        if not eigenvalue_bounds_ok(c.shape, values):
+    for c, values, record in zip(comps, normalized, records):
+        cs, unbroken, symmetric, bounds_ok, runs, e6_listed = record
+        if not bounds_ok:
             fail(f"component {c.roots} of shape {c.shape} breaks value bounds")
         if not unbroken:
             fail(f"component {c.roots} spectrum {cs.mult} is broken")
         if not symmetric:
             fail(f"component {c.roots} spectrum {cs.mult} is asymmetric")
-        if c.shape.family == "A":
-            _check_centered_runs(s.rank, c.order, values, fail)
-        if c.shape == ("E", 6) and not _e6_pattern_listed(values):
+        for lo, hi in runs:
+            fail(f"self-paired root {_run_root(s.rank, c.order, lo, hi)} "
+                 "does not evaluate to one")
+        if not e6_listed:
             fail(f"unlisted full-E6 value pattern {values}")
     if pad_total != s.rank:
         fail(f"zero padding totals {pad_total}, expected the rank {s.rank}")
@@ -314,60 +295,10 @@ def verify_entry(s: Seaweed, report: CensusReport) -> None:
                        subset_mask(s.pi_union_complement)):
         raise ValueError(f"{flipped} is not Frobenius; its spectrum is "
                          "undefined")
-    x_swapped = _solve_eigenvalues(flipped, bottom, top)
+    x_swapped = _pin_walk(flipped, bottom, top)[0]
     if x_swapped.values != tuple(-v for v in x.values):
         fail("spectrum changed under the side swap")
     report.checked += 1
-
-
-@lru_cache(maxsize=1024)
-def _component_verdict(shape: LieType, values: tuple[int, ...]
-                       ) -> tuple[tuple[Spectrum, bool, bool], bool]:
-    """The `shape_spectrum` record of a component of this shape and
-    side-normalized values, and whether it is clean: whether it passes
-    every check `verify_entry` makes of one component (value bounds,
-    unbroken and symmetric spectrum, chain pairing, E6 pattern).  Those
-    read the values alone, never the component's roots, so the census
-    checks each key once and words failures per component.  Bounded as
-    `shape_spectrum` is."""
-    record = shape_spectrum(shape, values)
-    clean = (eigenvalue_bounds_ok(shape, values) and record[1] and record[2]
-             and (shape.family != "A"
-                  or next(_broken_centered_runs(values), None) is None)
-             and (shape != ("E", 6) or _e6_pattern_listed(values)))
-    return record, clean
-
-
-def _e6_pattern_listed(values: tuple[int, ...]) -> bool:
-    """Whether full-E6 values, or their diagram flip, are listed."""
-    flip = (values[5], values[1], values[4], values[3], values[2], values[0])
-    return (values in E6_COMPONENT_CONFIGURATIONS
-            or flip in E6_COMPONENT_CONFIGURATIONS)
-
-
-def _check_centered_runs(rank: int, path: tuple[int, ...],
-                         values: tuple[int, ...], fail) -> None:
-    """Fail each centered run i..k+1-i of a chain whose side-normalized
-    values do not sum to one (`verify_entry` says why that is the mirror
-    pairing); root tuples are built only for a failure message.
-    """
-    for lo, hi in _broken_centered_runs(values):
-        fail(f"self-paired root {_run_root(rank, path, lo, hi)} "
-             "does not evaluate to one")
-
-
-def _broken_centered_runs(values: tuple[int, ...]):
-    """Yield the positions (i, k+1-i), from 1, of each centered run whose
-    values do not sum to one: one running total, walked in from both ends,
-    gives the runs in O(k)."""
-    total = sum(values)
-    lo, hi = 0, len(values) - 1
-    while lo <= hi:
-        if total != 1:
-            yield lo + 1, hi + 1
-        total -= values[lo] + values[hi]
-        lo += 1
-        hi -= 1
 
 
 def _run_root(rank: int, path: tuple[int, ...], lo: int, hi: int

@@ -10,8 +10,9 @@ form the meander's paths, pinned at their ends; the values are carried
 along each path from a pin by `meander._walk`.  The per-component
 eigenvalue multisets (each root evaluated on the solution, plus one zero
 per orbit) then partition the full spectrum.  A component's multiset
-depends on its shape and side-normalized values alone: `shape_spectrum`
-caches it by that pair.  A classical component's roots are evaluated from
+depends on its shape and side-normalized values alone, and so does every
+verdict the census makes of one component: `shape_spectrum` caches them
+together by that pair.  A classical component's roots are evaluated from
 the epsilon coordinates of its values, running sums along its order
 (`rootsys.twice_epsilon_values`), never as root tuples; an exceptional
 component's roots are those of the standalone system of its shape.
@@ -82,15 +83,8 @@ def simple_eigenvalues(s: Seaweed) -> SimpleEigenvalueVector:
     """Solve the constraint system; the seaweed must be Frobenius."""
     if not is_frobenius(s):
         raise ValueError(f"{s} is not Frobenius; its spectrum is undefined")
-    return _solve_eigenvalues(s, involution(s, Side.TOP),
-                              involution(s, Side.BOTTOM))
-
-
-def _solve_eigenvalues(s: Seaweed, top: Involution, bottom: Involution
-                       ) -> SimpleEigenvalueVector:
-    """The simple eigenvalues that s's top and bottom involutions
-    constrain (`_pin_walk`)."""
-    return _pin_walk(s, top, bottom)[0]
+    return _pin_walk(s, involution(s, Side.TOP),
+                     involution(s, Side.BOTTOM))[0]
 
 
 def _pin_walk(s: Seaweed, top: Involution, bottom: Involution
@@ -142,10 +136,14 @@ def _pin_walk(s: Seaweed, top: Involution, bottom: Involution
 
 @lru_cache(maxsize=1024)
 def shape_spectrum(shape: LieType, values: tuple[int, ...]
-                   ) -> tuple[Spectrum, bool, bool]:
-    """The spectrum of a component of this shape and side-normalized
-    values, every root evaluated on them plus the zero padding, with its
-    unbroken and symmetric verdicts.  No A-D catalog census up to rank 12
+                   ) -> tuple[Spectrum, bool, bool, bool, tuple, bool]:
+    """The record of a component of this shape and side-normalized values:
+    its spectrum, every root evaluated on them plus the zero padding, and
+    every verdict the census makes of one component, which read the shape
+    and values alone, never the component's roots.  The record is the
+    tuple (spectrum, unbroken, symmetric, value bounds hold, the (lo, hi)
+    positions of a chain's broken centered runs, empty off type A, E6
+    pattern listed or not full E6).  No A-D catalog census up to rank 12
     meets more than 399 keys; a rank-512 record holds some 7 KB."""
     family = shape.family
     if family in "ABCD":
@@ -156,7 +154,10 @@ def shape_spectrum(shape: LieType, values: tuple[int, ...]
                          for beta in build_root_system(shape).positive_roots)
     counts[0] += zero_padding(shape)
     sp = Spectrum.from_counter(counts)
-    return sp, verify_unbroken(sp), verify_symmetric(sp)
+    runs = tuple(_broken_centered_runs(values)) if family == "A" else ()
+    return (sp, verify_unbroken(sp), verify_symmetric(sp),
+            eigenvalue_bounds_ok(shape, values), runs,
+            shape != ("E", 6) or _e6_pattern_listed(values))
 
 
 def component_spectrum(c: Component,
@@ -228,6 +229,43 @@ def eigenvalue_bounds_ok(shape: LieType, values: tuple[int, ...]) -> bool:
     else:
         allowed = range(-2, 3)
     return all(v in allowed for v in values)
+
+
+def _broken_centered_runs(values: tuple[int, ...]):
+    """Yield the positions (i, k+1-i), from 1, of each centered run of a
+    chain whose values do not sum to one (`enumerate.verify_entry` says why
+    that is the mirror pairing): one running total, walked in from both
+    ends, gives the runs in O(k)."""
+    total = sum(values)
+    lo, hi = 0, len(values) - 1
+    while lo <= hi:
+        if total != 1:
+            yield lo + 1, hi + 1
+        total -= values[lo] + values[hi]
+        lo += 1
+        hi -= 1
+
+
+# The nine value patterns a full E6 component can realize, side-normalized
+# and listed by simple-root index.
+E6_COMPONENT_CONFIGURATIONS = (
+    (-2, -1, -2, 1, 2, 2),
+    (-2, -1, 1, 1, -1, 2),
+    (-1, -1, 2, 1, -2, 1),
+    (1, -1, -2, 1, 2, -1),
+    (1, -1, -1, 1, 1, -1),
+    (2, -1, -1, 1, 1, -2),
+    (-1, -1, -1, 1, 1, 1),
+    (-1, -1, 1, 1, -1, 1),
+    (1, -1, 1, 1, -1, -1),
+)
+
+
+def _e6_pattern_listed(values: tuple[int, ...]) -> bool:
+    """Whether full-E6 values, or their diagram flip, are listed."""
+    flip = (values[5], values[1], values[4], values[3], values[2], values[0])
+    return (values in E6_COMPONENT_CONFIGURATIONS
+            or flip in E6_COMPONENT_CONFIGURATIONS)
 
 
 def seaweed_dimension(s: Seaweed) -> int:

@@ -93,9 +93,9 @@ def test_spectrum_table_format(capsys):
 
 def test_spectrum_table_solves_once(capsys, monkeypatch):
     solved = []
-    solve = spectrum._solve_eigenvalues
-    monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s, *sides: solved.append(s) or solve(s, *sides))
+    pin_walk = spectrum._pin_walk
+    monkeypatch.setattr(spectrum, "_pin_walk", lambda s, *sides:
+                        solved.append(s) or pin_walk(s, *sides))
     code, _, _ = run(capsys, "spectrum", "--type", "B", "--rank", "8",
                      "--top", "8,7,6,3,2,1", "--bottom", "8,7,5,4,3,2",
                      "--format", "table")
@@ -171,9 +171,9 @@ def test_spectrum_decompose_multi_summand(capsys, monkeypatch, typ, rank,
                                           top, bottom):
     # two summands, each solved once per request; the total is their sum
     solved = []
-    solve = spectrum._solve_eigenvalues
-    monkeypatch.setattr(spectrum, "_solve_eigenvalues",
-                        lambda s, *sides: solved.append(s) or solve(s, *sides))
+    pin_walk = spectrum._pin_walk
+    monkeypatch.setattr(spectrum, "_pin_walk", lambda s, *sides:
+                        solved.append(s) or pin_walk(s, *sides))
     argv = ("spectrum", "--type", typ, "--rank", rank, "--top", top,
             "--bottom", bottom, "--decompose")
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -19,12 +19,11 @@ from seaweeds.meander import (CompositionPair, Move, Side, _meets_once,
                               components, generate_frobenius, involution,
                               is_frobenius, orbits, side_permutations,
                               u_turn_report, winding_bases, winding_move)
-from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _check_centered_runs,
-                                _frobenius_pairs, _run_root, catalog_keys,
-                                check_appendix_a, spectrum_census,
-                                verify_entry, CensusReport)
-from seaweeds.spectrum import (SimpleEigenvalueVector, _pin_walk,
-                               simple_eigenvalues)
+from seaweeds.enumerate import (APPENDIX_A_E6, Catalog, _frobenius_pairs,
+                                _run_root, catalog_keys, check_appendix_a,
+                                spectrum_census, verify_entry, CensusReport)
+from seaweeds.spectrum import (SimpleEigenvalueVector, _broken_centered_runs,
+                               _pin_walk, simple_eigenvalues)
 
 from reference_data import CLASSICAL_FROBENIUS_COUNTS, FROBENIUS_COUNTS
 from reference_impl import (_check_symmetric_roots, _mirror_run, cartan_matrix,
@@ -417,8 +416,9 @@ def _chain_checks_agree(values: tuple[int, ...]) -> bool:
     reference: list[str] = []
     _check_symmetric_roots(s, c, SimpleEigenvalueVector(tuple(x)),
                            reference.append)
-    got: list[str] = []
-    _check_centered_runs(s.rank, c.order, values, got.append)
+    got = [f"self-paired root {_run_root(s.rank, c.order, lo, hi)} "
+           "does not evaluate to one"
+           for lo, hi in _broken_centered_runs(values)]
     return (bool(got) == bool(reference)
             and got == [f for f in reference if f.startswith("self-paired")])
 
@@ -504,16 +504,19 @@ def test_census_reports_a_corrupted_chain_value(monkeypatch):
 
 def test_census_reports_a_perturbed_side_swap_solve(monkeypatch):
     s = make_seaweed(LieType("A", 4), {4, 3, 2, 1}, {4, 3, 1})
-    solve = enumerate_module._solve_eigenvalues
+    pin_walk = enumerate_module._pin_walk
 
     def perturbed(seaweed, top, bottom):
-        x = solve(seaweed, top, bottom)
-        return SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:])
+        x, turns = pin_walk(seaweed, top, bottom)
+        if seaweed.pi1 == s.pi1:        # s itself, not the swapped seaweed
+            return x, turns
+        return (SimpleEigenvalueVector((x.values[0] + 1,) + x.values[1:]),
+                turns)
 
     report = CensusReport()
     verify_entry(s, report)
     assert report.ok(), report.failures
-    monkeypatch.setattr(enumerate_module, "_solve_eigenvalues", perturbed)
+    monkeypatch.setattr(enumerate_module, "_pin_walk", perturbed)
     verify_entry(s, report)
     assert report.failures == [
         "p^A4(4,3,2,1|4,3,1): spectrum changed under the side swap"]
@@ -544,19 +547,16 @@ def test_catalog_census_builds_each_side_table_once(side_table_calls):
 
 @pytest.fixture
 def fresh_spectrum_records():
-    """shape_spectrum and the census verdicts start and end empty, so that
-    records built under a patched check reach no other test."""
-    caches = (spectrum_module.shape_spectrum,
-              enumerate_module._component_verdict)
-    for cached in caches:
-        cached.cache_clear()
+    """shape_spectrum, which holds the census verdicts, starts and ends
+    empty, so that records built under a patched check reach no other
+    test."""
+    spectrum_module.shape_spectrum.cache_clear()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    spectrum_module.shape_spectrum.cache_clear()
 
 
 @pytest.mark.parametrize("module,check,message", [
-    (enumerate_module, "eigenvalue_bounds_ok", "of shape A1 breaks value bounds"),
+    (spectrum_module, "eigenvalue_bounds_ok", "of shape A1 breaks value bounds"),
     (spectrum_module, "verify_unbroken", "spectrum ((0, 1), (1, 1)) is broken"),
     (spectrum_module, "verify_symmetric",
      "spectrum ((0, 1), (1, 1)) is asymmetric"),
@@ -581,15 +581,16 @@ def test_census_checks_each_shape_and_values_once(monkeypatch,
                                                  fresh_spectrum_records):
     """The census of the E6, E7, E8, D8 and A9 catalogs meets 6,895
     components but only 160 distinct (shape, side-normalized values): it
-    runs the per-component checks, the value bounds first, once per key."""
+    runs the per-component checks, the value bounds first, once per key,
+    and every other component reads the key's record from the cache."""
     calls = []
-    bounds_ok = enumerate_module.eigenvalue_bounds_ok
+    bounds_ok = spectrum_module.eigenvalue_bounds_ok
 
     def spy(shape, values):
         calls.append((shape, values))
         return bounds_ok(shape, values)
 
-    monkeypatch.setattr(enumerate_module, "eigenvalue_bounds_ok", spy)
+    monkeypatch.setattr(spectrum_module, "eigenvalue_bounds_ok", spy)
     keys, count = set(), 0
     for name in ("E6", "E7", "E8", "D8", "A9"):
         cat = enumerate_frobenius(LieType.parse(name))
@@ -602,6 +603,8 @@ def test_census_checks_each_shape_and_values_once(monkeypatch,
                 count += 1
     assert (count, len(keys)) == (6895, 160)
     assert sorted(calls) == sorted(keys)
+    info = spectrum_module.shape_spectrum.cache_info()
+    assert (info.misses, info.hits) == (160, 6735)
 
 
 def test_shared_chain_record_fails_with_each_components_root(
@@ -623,6 +626,25 @@ def test_shared_chain_record_fails_with_each_components_root(
     assert [f for f in report.failures if "self-paired" in f] == [
         f"p^A3(2|3,1): self-paired root {root} does not evaluate to one"
         for root in ((0, 0, 1), (1, 0, 0))]
+
+
+def test_census_reports_an_unlisted_e6_pattern(monkeypatch):
+    """Values moved on the full top E6 component of p^E6(6,5,4,3,2,1|6,3)
+    to a pattern that is neither listed nor a listed one's flip, though
+    its spectrum stays unbroken and symmetric and the two bottom A1 chains
+    keep theirs: the E6 pattern check alone fails that component."""
+    s = make_seaweed(LieType("E", 6), {6, 5, 4, 3, 2, 1}, {6, 3})
+    assert simple_eigenvalues(s).values == (1, -1, -1, 1, 1, -1)
+    bad = SimpleEigenvalueVector((2, 1, -1, 1, -1, -1))
+    pin_walk = enumerate_module._pin_walk
+    monkeypatch.setattr(enumerate_module, "_pin_walk",
+                        lambda *args: (bad, pin_walk(*args)[1]))
+    report = CensusReport()
+    verify_entry(s, report)
+    assert report.failures == [
+        "p^E6(6,5,4,3,2,1|6,3): unlisted full-E6 value pattern "
+        "(2, 1, -1, 1, -1, -1)",
+        "p^E6(6,5,4,3,2,1|6,3): spectrum changed under the side swap"]
 
 
 def test_census_runs_the_side_swap_frobenius_test(monkeypatch):

@@ -339,7 +339,7 @@ def test_broken_constraint_systems_raise(monkeypatch, top, bottom, message):
     top, bottom = (meander._side_table(s.rank, comps)
                    for comps in components(s))
     with pytest.raises(AssertionError, match=message):
-        spectrum._solve_eigenvalues(s, top, bottom)
+        spectrum._pin_walk(s, top, bottom)
 
 
 def _table_component_spectrum(c, x):
@@ -379,7 +379,8 @@ def test_spectrum_records_match_a_fresh_computation():
     """Every component of the E6, E7, E8, D8 and A9 censuses reads its
     spectrum and verdicts off the record of its (shape, side-normalized
     values), which equals the spectrum computed afresh: 6,895 components
-    share 160 records."""
+    share 160 records, each holding in-bounds values, no broken centered
+    run and a listed E6 pattern."""
     spectrum.shape_spectrum.cache_clear()
     count = 0
     for name in ("E6", "E7", "E8", "D8", "A9"):
@@ -387,20 +388,20 @@ def test_spectrum_records_match_a_fresh_computation():
             x = simple_eigenvalues(s)
             tops, bottoms = components(s)
             for c in tops + bottoms:
-                sp, unbroken, symmetric = spectrum.shape_spectrum(
-                    c.shape, x.side_normalized(c))
+                record = spectrum.shape_spectrum(c.shape, x.side_normalized(c))
+                sp, unbroken, symmetric = record[:3]
                 assert sp == fresh_component_spectrum(c, x), (s, c)
                 assert component_spectrum(c, x).values == sp
                 assert (unbroken, symmetric) == (verify_unbroken(sp),
                                                  verify_symmetric(sp))
+                assert record[3:] == (True, (), True), (s, c)
                 count += 1
     assert (count, spectrum.shape_spectrum.cache_info().misses) == (6895, 160)
 
 
 def _clear_seaweed_caches():
     for cached in (meander.components, meander.involution, meander.orbits,
-                   meander._side_record, spectrum.shape_spectrum,
-                   enumerate_module._component_verdict):
+                   meander._side_record, spectrum.shape_spectrum):
         cached.cache_clear()
 
 
@@ -409,10 +410,10 @@ def test_rank_512_loop_holds_bounded_memory():
     one defect (top v, bottom v - 1 or v + 1) above the B384 tail, hold
     under 8 MB once checked, solved and censused: about 47 KB each, mostly
     their new side record, since neighbouring seaweeds share a side, the
-    B384 tail shares one spectrum record and one census verdict, and at
-    most 64 seaweeds stay in the seaweed-keyed caches.  Caching each seaweed's own components and
-    involutions held about 82 KB each (10 MB).  About 2 s under tracemalloc
-    on a 2-core VM."""
+    B384 tail shares one spectrum record, its census verdicts included,
+    and at most 64 seaweeds stay in the seaweed-keyed caches.  Caching
+    each seaweed's own components and involutions held about 82 KB each
+    (10 MB).  About 2 s under tracemalloc on a 2-core VM."""
     n, k = 512, 384
     rs = build_root_system(LieType("B", n))
     top = frozenset(range(n - 1, k, -2))

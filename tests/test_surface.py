@@ -5,7 +5,8 @@ its name loaded, read as an attribute or imported somewhere in
 src/seaweeds or perfbench/, outside its own definition; a re-export in
 `__init__.py` does not count.  Code that only tests need lives under
 tests/ (see reference_impl.py).  The check reads names, not bindings, so
-a caller of any same-named definition counts.
+a caller of any same-named definition counts.  Every name a module of
+src/seaweeds imports must also be loaded in that module.
 """
 from __future__ import annotations
 
@@ -84,6 +85,25 @@ def test_every_package_definition_has_a_caller():
     uncalled = _uncalled()
     assert not uncalled, ("defined in src/seaweeds but never used by the "
                           f"package or perfbench/: {', '.join(uncalled)}")
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """An import that a refactor leaves without a reader fails here: each
+    name an import binds (its alias, else the imported name, else a dotted
+    module's first part) is loaded somewhere in the importing module."""
+    unused = []
+    for path in sorted((ROOT / "src" / "seaweeds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}: {bound}" for bound in (
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names) if bound not in loaded]
+    assert not unused, f"imported but never used: {', '.join(unused)}"
 
 
 
