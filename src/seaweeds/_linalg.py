@@ -6,17 +6,15 @@ arithmetic.  The fraction-free `_forward_eliminate`, on lists of integer
 rows, gives exact ranks (`rank_int_rows`) and the exact fallback of
 `rational_solution`.  Gauss-Jordan mod the 31-bit PRIME
 (`_eliminate_mod_p`), on numpy int64 arrays, serves `rank_mod_p` and
-`ModularInverse`; `ranks_mod_p` ranks a stack of matrices in one pass.
-`ModularInverse` steps its inverse through the small capacitance matrix
-of each low-rank term (Woodbury) and certifies the final matrix by the
-product W K = I mod p (`_mul_mod_p`), not by a fresh rank.
+`ModularInverse`, whose full rank mod p proves its matrix nonsingular;
+`ranks_mod_p` ranks a stack of matrices in one pass.
 `rational_solution` solves a system of that matrix mod p by one product
-with W and rebuilds the exact rational solution from it, or else solves
-exactly.  `rank_mod_p`, `ranks_mod_p` and `ModularInverse` take int64
-arrays, as the oracle builds its Kirillov matrices; rows whose entries
-can pass int64 (the scaled adjoint, a right-hand side) reach int64
-through `_residues`, which reduces them mod p in Python.  The product of
-two residues fits in int64.
+with W (`_mul_mod_p`) and rebuilds the exact rational solution from it,
+or else solves exactly.  `rank_mod_p`, `ranks_mod_p` and
+`ModularInverse` take int64 arrays, as the oracle builds its Kirillov
+matrices; rows whose entries can pass int64 (the scaled adjoint, a
+right-hand side) reach int64 through `_residues`, which reduces them mod
+p in Python.  The product of two residues fits in int64.
 """
 from __future__ import annotations
 
@@ -110,17 +108,8 @@ def _eliminate_mod_p(m, ncols: int) -> int:
 
 
 class ModularInverse:
-    """The inverse W mod p = PRIME of a nonsingular integer matrix K, kept
-    current while low-rank terms are added to K.
-
-    A term c Z J Z^T, with Z nonzero only on the rows `rows` and s columns,
-    keeps K nonsingular mod p exactly when the s x s capacitance matrix
-    T = I + c J Z^T W Z is nonsingular mod p (the determinant lemma), and
-    the new inverse is then W - W Z T^-1 c J Z^T W (Woodbury's identity).
-    So a step eliminates s columns where a fresh rank would eliminate all.
-    `matrix` is K while W is known to invert it: the K given, or the one
-    `inverts` last certified; None once a step has changed K.
-    """
+    """The inverse W mod p = PRIME of a nonsingular integer matrix K, which
+    it keeps as `matrix`."""
 
     def __init__(self, matrix):
         """K is matrix, a square int64 array.  Raises ValueError when K is
@@ -132,37 +121,6 @@ class ModularInverse:
             raise ValueError("matrix is singular mod p")
         self.w = aug[:, d:]
         self.matrix = matrix
-
-    def try_add(self, rows, z, j, c: int) -> bool:
-        """Add c * Z J Z^T to K if K stays nonsingular mod p; report whether
-        it did.  rows is an index array, z the rows of Z there (len(rows) x
-        s) and j the s x s middle factor; their entries are small integers
-        (|x| * len(rows) below 2^32)."""
-        import numpy as np
-        p, w = PRIME, self.w
-        s = len(j)
-        y = j @ (z.T @ w[rows] % p) % p * (c % p) % p      # c J Z^T W
-        aug = np.concatenate((y[:, rows] @ z, y), axis=1)
-        aug[:, :s] += np.eye(s, dtype=np.int64)
-        aug %= p
-        if _eliminate_mod_p(aug, s) < s:
-            return False
-        # aug[:, s:] is now T^-1 y
-        self.w = (w - _mul_mod_p(w[:, rows] @ z % p, aug[:, s:])) % p
-        self.matrix = None
-        return True
-
-    def inverts(self, matrix) -> bool:
-        """Whether W K = I mod p for K = matrix, an int64 array: a certificate
-        that K has full rank mod p, hence over the rationals.  A K it
-        certifies becomes `matrix`."""
-        import numpy as np
-        k = matrix % PRIME
-        if not np.array_equal(_mul_mod_p(self.w, k),
-                              np.eye(len(k), dtype=np.int64)):
-            return False
-        self.matrix = matrix
-        return True
 
 
 def _mul_mod_p(a, b):

@@ -245,9 +245,9 @@ def cmd_oracle(args) -> int:
     frob = is_frobenius(s)
     f = failure = None
     if frob:
-        # the search's certificate W K = I proves index 0 without sampling
+        # the functional's certified inverse proves index 0 without sampling
         try:
-            f = frobenius_functional(mat, seed)
+            f = frobenius_functional(mat)
         except ValueError as exc:
             failure = exc
     ind = index(mat, seed=seed).index if f is None else 0

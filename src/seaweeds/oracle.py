@@ -10,12 +10,11 @@ action are computed over the integers and rationals (with a modular
 shortcut that is only trusted when it certifies itself).
 
 On a Frobenius algebra one full-width modular elimination serves three
-results.  The functional search inverts the Kirillov matrix of its
-regular draw mod p and steps that inverse W through each coefficient
-change.  Its product W K = I with the final Kirillov matrix proves the
-functional regular, hence the index 0, and the principal element is read
-off the same W and K (`principal_element`), so neither is eliminated or
-built again.
+results.  `frobenius_functional` reads a regular functional off the
+meander's arcs and inverts its Kirillov matrix K mod p.  That inverse W
+proves the functional regular, hence the index 0, and the principal
+element is read off the same W and K (`principal_element`), so neither
+is eliminated or built again.
 """
 from __future__ import annotations
 
@@ -41,10 +40,6 @@ Functional = tuple[int, ...]
 DEFAULT_SEED = 1729
 SAMPLE_COUNT = 20
 COEFF_BOUND = 100
-# Draws of frobenius_functional before it gives up.  On a Frobenius algebra
-# a draw fails with probability at most dim / (2p), so only a non-Frobenius
-# algebra uses them up.
-FUNCTIONAL_DRAWS = 4
 # The dense eliminations grow steeply with the rank: `seaweed oracle` on full
 # sl(17) (A16), which is not Frobenius, took 27.2 s in a cold process on a
 # 2-core VM with Python 3.11, nearly all of it in the exact confirmation of
@@ -168,7 +163,7 @@ def kirillov_matrix(m: MatrixSeaweed, fs: list[Functional]):
     triangle U gathers the terms (p < q) of every slot and the form is
     U - U^T.  Exact for coefficients below 2^31: an entry is a sum of
     fewer than n terms c * v with |v| <= 2."""
-    import numpy as np  # deferred, as in _slot_factor
+    import numpy as np  # deferred: check and spectrum runs never load numpy
     d, count = m.dim, len(fs)
     p, q, v = np.fromiter(chain.from_iterable(chain.from_iterable(
         m._slot_terms)), dtype=np.int64).reshape(-1, 3).T
@@ -220,107 +215,46 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     return IndexCertificate(d - best_rank, best, samples)
 
 
-def frobenius_functional(m: MatrixSeaweed, seed: int = DEFAULT_SEED) -> Functional:
-    """A sparse regular functional, certified by a full modular rank.
+def frobenius_functional(m: MatrixSeaweed) -> Functional:
+    """The meander functional, certified regular by a full modular rank.
 
-    A draw puts uniform residues mod p = PRIME on the unit slots and
-    0 on the Cartan slots.  The Pfaffian of the Kirillov matrix is a
-    polynomial of degree dim/2 in them, so a draw is singular mod p with
-    probability at most dim / (2p) (Schwartz-Zippel) unless every regular
-    functional is nonzero on the Cartan slots; after FUNCTIONAL_DRAWS
-    singular draws, ValueError is raised.  Passes over the unit slots then
-    replace each coefficient by 0, or else a residue by 1 or -1, keeping the
-    first value under which the Kirillov matrix stays of full rank mod p,
-    until a pass changes nothing.  Each step updates the modular inverse W
-    through the slot's factor of rank 2 + 2m (`_slot_factor`,
-    ModularInverse.try_add), not through a fresh elimination.  So every
-    surviving coefficient is needed, and one outside {-1, 0, 1} survives
-    only where none of the three keeps the rank, which no Frobenius type-A
-    seaweed up to rank 8 showed (seeds 1 and 2).  The product W K = I mod p
-    with the final integer Kirillov matrix K proves the result regular; W
-    is kept on m, with that K, for `principal_element`.
+    The top blocks are the maximal runs of positions joined by the upper
+    units (k, k+1), the bottom blocks those joined by the lower units
+    (k+1, k).  A block [a, e] puts 1 on its units (a+t, e-t) on top, or
+    (e-t, a+t) at the bottom, for t < (e-a+1) // 2: the arcs of the
+    type-A meander, taken as unit slots.  Every other slot, the Cartan
+    slots included, gets 0.  On a Frobenius seaweed this functional is
+    regular (Coll-Hyatt-Magnant-Wang, "Meander graphs and Frobenius
+    seaweed Lie algebras II", 2015); all regular functionals of a Frobenius
+    algebra give conjugate principal elements (Gerstenhaber-Giaquinto),
+    hence one spectrum.
 
-    A unit slot's factor has a nonzero entry in every row it touches, and
-    no two unit slots meet in one entry, so a row of K is zero exactly when
-    no slot with a nonzero coefficient touches it.  The search counts those
-    slots per row and does not try 0 on a slot that is the last one of
-    some row: K would have a zero row, singular over every field, so
-    try_add would refuse it anyway.
-
-    All regular functionals of a Frobenius algebra give conjugate principal
-    elements, hence one spectrum; a sparse one keeps the principal
-    element's denominators small.  Uniform {-1, 0, 1} draws are regular
-    too rarely to start from: 6% of the time on p^A8(8,6,4,1|8,7,5,3,2,1).
+    One ModularInverse of its Kirillov matrix K proves K nonsingular mod
+    p = PRIME, hence over the rationals: the functional is regular and the
+    index is 0.  On every Frobenius entry of A1-A6, |det K| = (rank+1)^2,
+    far below p, so the prime does not refuse a regular one there.  The
+    inverse is kept on m, with that K, for `principal_element`.  Raises
+    ValueError when K is singular mod p.
     """
-    h = m.n - 1
-    rng = random.Random(seed)
-    for _ in range(FUNCTIONAL_DRAWS):
-        coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
-        try:
-            inverse = ModularInverse(kirillov_matrix(m, [coeffs])[0])
-            break
-        except ValueError:
-            continue
-    else:
-        raise ValueError(f"no regular functional in {FUNCTIONAL_DRAWS} "
-                         "draws: the algebra is not Frobenius")
-    import numpy as np  # deferred, as in _slot_factor
-    factors = [_slot_factor(terms, k)
-               for k, terms in enumerate(m._slot_terms[h:], h)]
-    touches = np.zeros(m.dim, dtype=np.intp)   # nonzero slots touching a row
-    for k, (rows, _, _) in enumerate(factors, h):
-        touches[rows] += coeffs[k] != 0
-    changed = True
-    while changed:
-        changed = False
-        for k, (rows, z, j) in enumerate(factors, h):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            values = (0,) if c in (1, -1) else (0, 1, -1)
-            if (touches[rows] == 1).any():
-                values = values[1:]         # 0 would leave a zero row
-            for v in values:
-                if inverse.try_add(rows, z, j, v - c):
-                    coeffs[k], changed = v, True
-                    if not v:
-                        touches[rows] -= 1
-                    break
+    slot = {unit: k for k, unit in enumerate(m.units, m.n - 1)}
+    coeffs = [0] * m.dim
+    for upper in (True, False):
+        a = 0
+        for e in range(m.n):
+            if ((e, e + 1) if upper else (e + 1, e)) in slot:
+                continue            # the block goes on past e
+            for t in range((e - a + 1) // 2):
+                coeffs[slot[(a + t, e - t) if upper else (e - t, a + t)]] = 1
+            a = e + 1
     f = tuple(coeffs)
-    if not inverse.inverts(kirillov_matrix(m, [f])[0]):
-        raise AssertionError("the functional search lost the full rank")
+    try:
+        inverse = ModularInverse(kirillov_matrix(m, [f])[0])
+    except ValueError:
+        raise ValueError("the meander functional is singular mod p: the "
+                         "algebra is not Frobenius") from None
     m._inverses.clear()
     m._inverses[f] = inverse
     return f
-
-
-def _slot_factor(terms: list[tuple[int, int, int]], slot: int):
-    """The antisymmetric block that the terms of a unit slot form, as
-    Z J Z^T with Z of 2 + 2m columns.
-
-    By the sl(n) rules the terms are a star [h_i, b_slot] = w_i b_slot,
-    which gives the columns u = sum w_i e_(h_i) and e_slot with the J block
-    [[0, 1], [-1, 0]], plus a matching of m unit pairs
-    [b_a, b_b] = v b_slot, each giving the columns e_a, e_b with the J block
-    [[0, v], [-v, 0]].  Returns the touched rows as an index array, Z on
-    those rows and J.  Raises AssertionError on terms of any other shape.
-    """
-    import numpy as np  # deferred: check and spectrum runs never load numpy
-    star = [(a, v) for a, b, v in terms if b == slot]
-    pairs = [(a, b, v) for a, b, v in terms if b != slot]
-    rows = [a for a, _ in star] + [slot] + [x for a, b, _ in pairs
-                                            for x in (a, b)]
-    if len(set(rows)) != len(rows):
-        raise AssertionError(f"the terms of slot {slot} are not a star at "
-                             "the slot plus a matching")
-    r, s = len(rows), 2 + 2 * len(pairs)
-    z = np.zeros((r, s), dtype=np.int64)
-    z[:len(star), 0] = [v for _, v in star]
-    z[len(star):, 1:] = np.eye(r - len(star), s - 1, dtype=np.int64)
-    j = np.zeros((s, s), dtype=np.int64)
-    for t, v in enumerate([1] + [v for _, _, v in pairs]):
-        j[2 * t, 2 * t + 1], j[2 * t + 1, 2 * t] = v, -v
-    return np.array(rows, dtype=np.intp), z, j
 
 
 def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
@@ -381,7 +315,7 @@ def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
     one stack (`ranks_mod_p`), and exact elimination settles every shift
     whose modular rank falls short.
     """
-    import numpy as np  # deferred, as in _slot_factor
+    import numpy as np  # deferred, as in kirillov_matrix
     scale = lcm(*(x.denominator for x in coords))
     scaled = ad_matrix(m, [int(x * scale) for x in coords])
     d = m.dim

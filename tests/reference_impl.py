@@ -17,8 +17,10 @@ the scan's table assembled piece by piece, a component spectrum computed
 afresh for the records the package caches, a per-orbit U-turn count and a
 per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
-the dense slot blocks and their r x r capacitance steps for the
-functional search on each slot's low-rank factor, all 3^n full-union
+a searched regular functional for the meander functional the oracle
+reads off its units, the dense slot blocks and their r x r capacitance
+steps for that search's steps on each slot's low-rank factor, all 3^n
+full-union
 mask pairs for the scan that visits half of them, the catalog of
 Seaweeds and its payload for the mask keys the CLI diffs and writes, the
 Kirillov matrix as a list of integer rows for the int64 stack the oracle
@@ -44,12 +46,13 @@ from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows, _side_record)
 import seaweeds._linalg as linalg
 from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
-                              _residues, rank_mod_p)
-from seaweeds.oracle import FUNCTIONAL_DRAWS, Functional, MatrixSeaweed
+                              _mul_mod_p, _residues, rank_mod_p)
+from seaweeds.oracle import Functional, MatrixSeaweed, kirillov_matrix
 from seaweeds.rootsys import (LieType, PositiveRoot, RootSystem,
                               build_root_system, epsilon_root_values,
                               twice_epsilon_values)
-from seaweeds.seaweed import Seaweed, mask_subset, subset_mask
+from seaweeds.seaweed import (Composition, Seaweed, composition_marks,
+                              mask_subset, subset_mask)
 from seaweeds.spectrum import SimpleEigenvalueVector, Spectrum, zero_padding
 
 
@@ -596,8 +599,198 @@ def slot_block(terms: list[tuple[int, int, int]]):
     return np.array(rows, dtype=np.intp), block
 
 
+def meander_arcs(s: Seaweed) -> set[tuple[int, int]]:
+    """The arcs of the type-A meander of s as the matrix units of
+    `oracle.realize_type_a`: top arcs as upper units, bottom arcs as lower
+    ones.
+
+    A side's composition is the one whose marks (`composition_marks`) are
+    the simple roots the side leaves out.  Its parts, then what remains of
+    n = rank + 1, are the sizes of the blocks of matrix positions 0, 1,
+    ..., n - 1 in order, and a block of positions a..e has the arcs that
+    join a + t and e - t.
+    """
+    n = s.rank + 1
+    arcs = set()
+    for side, upper in ((s.pi1, True), (s.pi2, False)):
+        marks = frozenset(range(1, n)) - side
+        totals = sorted(n - mark for mark in marks)
+        parts = [b - a for a, b in zip([0] + totals, totals)]
+        assert composition_marks(Composition(tuple(parts), n - 1)) == marks
+        a = 0
+        for size in parts + [n - sum(parts)]:
+            e = a + size - 1
+            for t in range(size // 2):
+                arcs.add((a + t, e - t) if upper else (e - t, a + t))
+            a = e + 1
+    return arcs
+
+
+def determinant(matrix: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    m = [row[:] for row in matrix]
+    d, sign, prev = len(m), 1, 1
+    for k in range(d - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, d) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if d else 1
+
+
+# Draws of searched_functional before it gives up.  On a Frobenius algebra
+# a draw fails with probability at most dim / (2p), so only a non-Frobenius
+# algebra uses them up.
+FUNCTIONAL_DRAWS = 4
+
+
+def try_add(inverse: ModularInverse, rows, z, j, c: int) -> bool:
+    """Add c * Z J Z^T to the K that inverse.w inverts mod p = PRIME if K
+    stays nonsingular mod p; report whether it did.  rows is an index
+    array, z the rows of Z there (len(rows) x s) and j the s x s middle
+    factor; their entries are small integers (|x| * len(rows) below 2^32).
+
+    The term keeps K nonsingular mod p exactly when the s x s capacitance
+    matrix T = I + c J Z^T W Z is nonsingular mod p (the determinant
+    lemma), and the new inverse is then W - W Z T^-1 c J Z^T W (Woodbury's
+    identity).  So a step eliminates s columns where a fresh rank would
+    eliminate all.  inverse.matrix becomes None: W no longer inverts it.
+    """
+    p, w = PRIME, inverse.w
+    s = len(j)
+    y = j @ (z.T @ w[rows] % p) % p * (c % p) % p      # c J Z^T W
+    aug = np.concatenate((y[:, rows] @ z, y), axis=1)
+    aug[:, :s] += np.eye(s, dtype=np.int64)
+    aug %= p
+    if _eliminate_mod_p(aug, s) < s:
+        return False
+    # aug[:, s:] is now T^-1 y
+    inverse.w = (w - _mul_mod_p(w[:, rows] @ z % p, aug[:, s:])) % p
+    inverse.matrix = None
+    return True
+
+
+def inverts(inverse: ModularInverse, matrix) -> bool:
+    """Whether W K = I mod p for K = matrix, an int64 array: a certificate
+    that K has full rank mod p, hence over the rationals.  A K it
+    certifies becomes inverse.matrix."""
+    k = matrix % PRIME
+    if not np.array_equal(_mul_mod_p(inverse.w, k),
+                          np.eye(len(k), dtype=np.int64)):
+        return False
+    inverse.matrix = matrix
+    return True
+
+
+def slot_factor(terms: list[tuple[int, int, int]], slot: int):
+    """The antisymmetric block that the terms of a unit slot form, as
+    Z J Z^T with Z of 2 + 2m columns.
+
+    By the sl(n) rules the terms are a star [h_i, b_slot] = w_i b_slot,
+    which gives the columns u = sum w_i e_(h_i) and e_slot with the J block
+    [[0, 1], [-1, 0]], plus a matching of m unit pairs
+    [b_a, b_b] = v b_slot, each giving the columns e_a, e_b with the J block
+    [[0, v], [-v, 0]].  Returns the touched rows as an index array, Z on
+    those rows and J.  Raises AssertionError on terms of any other shape.
+    """
+    star = [(a, v) for a, b, v in terms if b == slot]
+    pairs = [(a, b, v) for a, b, v in terms if b != slot]
+    rows = [a for a, _ in star] + [slot] + [x for a, b, _ in pairs
+                                            for x in (a, b)]
+    if len(set(rows)) != len(rows):
+        raise AssertionError(f"the terms of slot {slot} are not a star at "
+                             "the slot plus a matching")
+    r, s = len(rows), 2 + 2 * len(pairs)
+    z = np.zeros((r, s), dtype=np.int64)
+    z[:len(star), 0] = [v for _, v in star]
+    z[len(star):, 1:] = np.eye(r - len(star), s - 1, dtype=np.int64)
+    j = np.zeros((s, s), dtype=np.int64)
+    for t, v in enumerate([1] + [v for _, _, v in pairs]):
+        j[2 * t, 2 * t + 1], j[2 * t + 1, 2 * t] = v, -v
+    return np.array(rows, dtype=np.intp), z, j
+
+
+def searched_functional(m: MatrixSeaweed, seed: int) -> Functional:
+    """A sparse regular functional found by search, certified by a full
+    modular rank: the other regular functional the oracle's spectra are
+    compared through.
+
+    A draw puts uniform residues mod p = PRIME on the unit slots and
+    0 on the Cartan slots.  The Pfaffian of the Kirillov matrix is a
+    polynomial of degree dim/2 in them, so a draw is singular mod p with
+    probability at most dim / (2p) (Schwartz-Zippel) unless every regular
+    functional is nonzero on the Cartan slots; after FUNCTIONAL_DRAWS
+    singular draws, ValueError is raised.  Passes over the unit slots then
+    replace each coefficient by 0, or else a residue by 1 or -1, keeping the
+    first value under which the Kirillov matrix stays of full rank mod p,
+    until a pass changes nothing.  Each step updates the modular inverse W
+    through the slot's factor of rank 2 + 2m (`slot_factor`, `try_add`),
+    not through a fresh elimination.  So every surviving coefficient is
+    needed, and one outside {-1, 0, 1} survives only where none of the
+    three keeps the rank, which no Frobenius type-A seaweed up to rank 8
+    showed (seeds 1 and 2).  The product W K = I mod p with the final
+    integer Kirillov matrix K proves the result regular; W is kept on m,
+    with that K, for `principal_element`.
+
+    A unit slot's factor has a nonzero entry in every row it touches, and
+    no two unit slots meet in one entry, so a row of K is zero exactly when
+    no slot with a nonzero coefficient touches it.  The search counts those
+    slots per row and does not try 0 on a slot that is the last one of
+    some row: K would have a zero row, singular over every field, so
+    try_add would refuse it anyway.  Uniform {-1, 0, 1} draws are regular
+    too rarely to start from: 6% of the time on
+    p^A8(8,6,4,1|8,7,5,3,2,1).
+    """
+    h = m.n - 1
+    rng = random.Random(seed)
+    for _ in range(FUNCTIONAL_DRAWS):
+        coeffs = [0] * h + [rng.randrange(PRIME) for _ in m.units]
+        try:
+            inverse = ModularInverse(kirillov_matrix(m, [coeffs])[0])
+            break
+        except ValueError:
+            continue
+    else:
+        raise ValueError(f"no regular functional in {FUNCTIONAL_DRAWS} "
+                         "draws: the algebra is not Frobenius")
+    factors = [slot_factor(terms, k)
+               for k, terms in enumerate(m._slot_terms[h:], h)]
+    touches = np.zeros(m.dim, dtype=np.intp)   # nonzero slots touching a row
+    for k, (rows, _, _) in enumerate(factors, h):
+        touches[rows] += coeffs[k] != 0
+    changed = True
+    while changed:
+        changed = False
+        for k, (rows, z, j) in enumerate(factors, h):
+            c = coeffs[k]
+            if c == 0:
+                continue
+            values = (0,) if c in (1, -1) else (0, 1, -1)
+            if (touches[rows] == 1).any():
+                values = values[1:]         # 0 would leave a zero row
+            for v in values:
+                if try_add(inverse, rows, z, j, v - c):
+                    coeffs[k], changed = v, True
+                    if not v:
+                        touches[rows] -= 1
+                    break
+    f = tuple(coeffs)
+    if not inverts(inverse, kirillov_matrix(m, [f])[0]):
+        raise AssertionError("the functional search lost the full rank")
+    m._inverses.clear()
+    m._inverses[f] = inverse
+    return f
+
+
 def try_add_block(inverse: ModularInverse, rows, block, c: int) -> bool:
-    """ModularInverse.try_add for a dense block: add c * block on rows x
+    """`try_add` for a dense block: add c * block on rows x
     rows if K stays nonsingular mod p, through the r x r capacitance
     matrix I + c B W[rows, rows]."""
     p, w, r = PRIME, inverse.w, len(rows)
@@ -613,8 +806,8 @@ def try_add_block(inverse: ModularInverse, rows, block, c: int) -> bool:
     return True
 
 
-def frobenius_functional_by_blocks(m: MatrixSeaweed, seed: int) -> Functional:
-    """The search of oracle.frobenius_functional with every step through
+def searched_functional_by_blocks(m: MatrixSeaweed, seed: int) -> Functional:
+    """`searched_functional` with every step through
     the slot's dense block (`try_add_block`) and a fresh modular rank of
     the result in place of the inverse-product certificate."""
     h, d = m.n - 1, m.dim

@@ -402,31 +402,33 @@ ORACLE_FULL_SL3 = ["oracle", "--type", "A", "--rank", "2", "--top", "2,1",
 
 
 def test_oracle_seed_defaults_to_the_oracle_constant(capsys, monkeypatch):
-    # a Frobenius run seeds the functional search, whose certificate is its
-    # index; any other run seeds the sampled index
-    for argv, step in ((ORACLE_FROBENIUS, "frobenius_functional"),
-                       (ORACLE_FULL_SL3, "index")):
-        seeds = []
-        real = getattr(oracle, step)
+    # a Frobenius run takes the meander functional, whose certificate is its
+    # index, so no seed reaches it; any other run seeds the sampled index
+    seeds = []
+    real = oracle.index
 
-        def spy(m, seed, **kwargs):
-            seeds.append(seed)
-            return real(m, seed, **kwargs)
+    def spy(m, seed, **kwargs):
+        seeds.append(seed)
+        return real(m, seed, **kwargs)
 
-        # cmd_oracle imports from seaweeds.oracle when it runs, so it finds
-        # the spy
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, step, spy)
-            default = run(capsys, *argv)
-            assert run(capsys, *argv, "--seed", "1729") == default
-        assert default[0] == 0
-        assert seeds == [oracle.DEFAULT_SEED, 1729] == [1729, 1729]
+    # cmd_oracle imports from seaweeds.oracle when it runs, so it finds the
+    # spy
+    monkeypatch.setattr(oracle, "index", spy)
+    frobenius = run(capsys, *ORACLE_FROBENIUS)
+    assert frobenius[0] == 0
+    for seed in ("1", "1729"):
+        assert run(capsys, *ORACLE_FROBENIUS, "--seed", seed) == frobenius
+    assert seeds == []
+    default = run(capsys, *ORACLE_FULL_SL3)
+    assert run(capsys, *ORACLE_FULL_SL3, "--seed", "1729") == default
+    assert default[0] == 0
+    assert seeds == [oracle.DEFAULT_SEED, 1729] == [1729, 1729]
 
 
 def test_oracle_samples_the_index_when_the_meander_says_frobenius_wrongly(
         capsys, monkeypatch):
-    # the search refuses full sl(3), so the index is sampled and the wrong
-    # verdict shows as a disagreement, not as a usage error
+    # frobenius_functional refuses full sl(3), so the index is sampled and
+    # the wrong verdict shows as a disagreement, not as a usage error
     monkeypatch.setattr(cli, "is_frobenius", lambda s: True)
     code, out, err = run(capsys, *ORACLE_FULL_SL3)
     assert code == 1
@@ -450,7 +452,7 @@ def test_oracle_samples_the_index_when_the_meander_says_not_frobenius(
 
 def test_oracle_failed_search_with_sampled_index_zero_exits_two(capsys,
                                                                 monkeypatch):
-    def refuse(m, seed):
+    def refuse(m):
         raise ValueError("no regular functional")
 
     monkeypatch.setattr(oracle, "frobenius_functional", refuse)

@@ -18,16 +18,19 @@ from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
 import seaweeds._linalg as linalg
 import seaweeds.oracle as oracle
 from seaweeds.cli import main
-from seaweeds.oracle import (FUNCTIONAL_DRAWS, ORACLE_RANK_GUARD, Functional,
+from seaweeds.oracle import (DEFAULT_SEED, ORACLE_RANK_GUARD, Functional,
                              IndexCertificate, MatrixSeaweed, ad_matrix,
                              ad_spectrum, frobenius_functional, index,
                              kirillov_matrix, principal_element,
                              realize_type_a)
 
-from reference_impl import (enumerate_frobenius,
-                            frobenius_functional_by_blocks, kirillov_rows,
-                            mask_pairs, poset_algebra_sl4, slot_block,
-                            solve_nonsingular, solve_unique)
+import reference_impl
+from reference_impl import (FUNCTIONAL_DRAWS, determinant,
+                            enumerate_frobenius, inverts, kirillov_rows,
+                            mask_pairs, meander_arcs, poset_algebra_sl4,
+                            searched_functional, searched_functional_by_blocks,
+                            slot_block, slot_factor, solve_nonsingular,
+                            solve_unique)
 
 
 def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
@@ -224,7 +227,9 @@ def test_ad_spectrum_settles_or_refuses_a_wrong_modular_probe(monkeypatch):
     instead of shrinking the spectrum."""
     s = make_seaweed(LieType("A", 5), {4, 3, 2, 1}, {5, 3, 1})
     mat = realize_type_a(s)
-    coords = principal_element(mat, frobenius_functional(mat))
+    # the meander functional's principal element is diagonal; the dense
+    # witness's is not
+    coords = principal_element(mat, index(mat).witness)
     adjoint = ad_matrix(mat, coords)
     # the adjoint has pieces of two or more basis vectors to probe
     assert any(adjoint[i][j] for i in range(mat.dim) for j in range(mat.dim)
@@ -295,15 +300,19 @@ def test_spectrum_functional_independent():
 def test_dense_and_sparse_functionals_give_one_spectrum(rank):
     """Principal elements of any two regular functionals are conjugate
     (Gerstenhaber-Giaquinto), so on every Frobenius entry the dense +-100
-    draw that `index` names as its witness and the sparse functional of
-    the search give one ad-spectrum.  Two seeds of the search would test
-    nothing: seeds 1 and 2 give the same functional on every A1-A7 entry."""
+    draw that `index` names as its witness, the sparse functional of the
+    search and the meander functional give one ad-spectrum.  Two seeds of
+    the search would test nothing: seeds 1 and 2 give the same functional
+    on every A1-A7 entry."""
     for s in enumerate_frobenius(LieType("A", rank)).entries:
         mat = realize_type_a(s)
-        dense, sparse = index(mat).witness, frobenius_functional(mat)
-        assert dense != sparse, s
-        assert (ad_spectrum(mat, principal_element(mat, dense))
-                == ad_spectrum(mat, principal_element(mat, sparse))), s
+        dense = index(mat).witness
+        sparse = searched_functional(mat, DEFAULT_SEED)
+        meander = frobenius_functional(mat)
+        assert dense != sparse and dense != meander, s
+        spectra = [ad_spectrum(mat, principal_element(mat, f))
+                   for f in (dense, sparse, meander)]
+        assert spectra[0] == spectra[1] == spectra[2], s
 
 
 def test_index_seed_reproducible():
@@ -409,21 +418,24 @@ FROBENIUS_SEAWEEDS = [
 
 @pytest.mark.parametrize("rank, top, bottom", FROBENIUS_SEAWEEDS)
 def test_frobenius_functional_is_sparse_certified_and_minimal(rank, top, bottom):
+    """The searched functional and the meander functional alike."""
     mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
-    f = frobenius_functional(mat, seed=3)
-    assert set(f) <= {-1, 0, 1}
-    assert not any(f[:mat.n - 1])                       # the Cartan slots
-    assert rank_int_rows(kirillov_rows(mat, f)) == mat.dim
-    assert frobenius_functional(mat, seed=3) == f
-    for k, c in enumerate(f):
-        if c:
-            dropped = f[:k] + (0,) + f[k + 1:]
-            assert rank_mod_p(kirillov_matrix(mat, [dropped])[0]) < mat.dim
+    searched = searched_functional(mat, seed=3)
+    assert searched_functional(mat, seed=3) == searched
+    for f in (searched, frobenius_functional(mat)):
+        assert set(f) <= {-1, 0, 1}
+        assert not any(f[:mat.n - 1])                   # the Cartan slots
+        assert rank_int_rows(kirillov_rows(mat, f)) == mat.dim
+        for k, c in enumerate(f):
+            if c:
+                dropped = f[:k] + (0,) + f[k + 1:]
+                assert (rank_mod_p(kirillov_matrix(mat, [dropped])[0])
+                        < mat.dim)
 
 
 def _greedy_by_fresh_ranks(m: MatrixSeaweed, seed: int) -> Functional:
-    """The search of frobenius_functional with a fresh modular rank for
-    every decision in place of the updated inverse."""
+    """`searched_functional` with a fresh modular rank for every decision
+    in place of the updated inverse."""
     h, d = m.n - 1, m.dim
 
     def regular(coeffs):
@@ -466,7 +478,7 @@ def test_slot_factor_is_the_dense_block_of_a_star_plus_matching():
             assert star and all(a < h for a in star)
             assert all(a >= h and b >= h for a, b in pairs)
             assert len(set(touched)) == len(touched)
-            rows, z, j = oracle._slot_factor(terms, k)
+            rows, z, j = slot_factor(terms, k)
             assert z.shape[1] == j.shape[0] == 2 + 2 * len(pairs)
             assert np.array_equal(_embedded(d, rows, z @ j @ z.T),
                                   _embedded(d, *slot_block(terms)))
@@ -480,18 +492,18 @@ def test_slot_factor_is_the_dense_block_of_a_star_plus_matching():
 ])
 def test_slot_factor_refuses_other_shapes(terms, slot):
     with pytest.raises(AssertionError, match="not a star at the slot"):
-        oracle._slot_factor(terms, slot)
+        slot_factor(terms, slot)
 
 
 def test_frobenius_functional_certifies_the_inverse_it_kept(monkeypatch):
     # a step that accepts without updating W leaves an inverse of the draw,
     # which the product with the final Kirillov matrix exposes
     mat = realize_type_a(_staircase(4))
-    monkeypatch.setattr(oracle.ModularInverse, "try_add",
-                        lambda self, rows, z, j, c: True)
+    monkeypatch.setattr(reference_impl, "try_add",
+                        lambda inverse, rows, z, j, c: True)
     with pytest.raises(AssertionError,
                        match="the functional search lost the full rank"):
-        frobenius_functional(mat)
+        searched_functional(mat, DEFAULT_SEED)
 
 
 @pytest.mark.slow
@@ -500,36 +512,37 @@ def test_frobenius_functional_matches_the_dense_block_search(rank):
     for s in enumerate_frobenius(LieType("A", rank)).entries:
         mat = realize_type_a(s)
         for seed in (5, 1729):
-            assert (frobenius_functional(mat, seed)
-                    == frobenius_functional_by_blocks(mat, seed))
+            assert (searched_functional(mat, seed)
+                    == searched_functional_by_blocks(mat, seed))
 
 
 def test_frobenius_functional_matches_the_search_by_fresh_ranks():
     for n in range(1, 6):
         for s in enumerate_frobenius(LieType("A", n)).entries:
             mat = realize_type_a(s)
-            assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
+            assert (searched_functional(mat, 5)
+                    == _greedy_by_fresh_ranks(mat, 5))
     mat = poset_algebra_sl4()
-    assert frobenius_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
+    assert searched_functional(mat, 5) == _greedy_by_fresh_ranks(mat, 5)
 
 
 @pytest.fixture
 def zero_row_trials(monkeypatch):
-    """A spy on ModularInverse.try_add: the number of calls, and the rows
-    of every call whose term would leave the Kirillov matrix K with a zero
+    """A spy on the search's try_add: the number of calls, and the rows of
+    every call whose term would leave the Kirillov matrix K with a zero
     row.  K is recovered mod p as the inverse of the kept inverse."""
-    real = oracle.ModularInverse.try_add
+    real = reference_impl.try_add
     seen = {"calls": 0, "zero_rows": []}
 
-    def spy(self, rows, z, j, c):
+    def spy(inverse, rows, z, j, c):
         seen["calls"] += 1
-        touched = oracle.ModularInverse(self.w).w[rows]
+        touched = oracle.ModularInverse(inverse.w).w[rows]
         touched[:, rows] += c % PRIME * (z @ j @ z.T) % PRIME
         if not (touched % PRIME).any(axis=1).all():
             seen["zero_rows"].append(rows.tolist())
-        return real(self, rows, z, j, c)
+        return real(inverse, rows, z, j, c)
 
-    monkeypatch.setattr(oracle.ModularInverse, "try_add", spy)
+    monkeypatch.setattr(reference_impl, "try_add", spy)
     return seen
 
 
@@ -539,7 +552,7 @@ def test_frobenius_functional_tries_no_zero_row(zero_row_trials):
     every field."""
     for n in range(1, 6):
         for s in enumerate_frobenius(LieType("A", n)).entries:
-            frobenius_functional(realize_type_a(s))
+            searched_functional(realize_type_a(s), DEFAULT_SEED)
     assert zero_row_trials["calls"] > 0
     assert zero_row_trials["zero_rows"] == []
 
@@ -568,7 +581,7 @@ def test_a_zero_residue_in_the_draw_touches_no_row(monkeypatch,
     monkeypatch.setattr(random, "Random", _ZeroAt)
     for at in range(len(mat.units)):
         _ZeroAt.at = at
-        f = frobenius_functional(mat, 5)
+        f = searched_functional(mat, 5)
         assert f == _greedy_by_fresh_ranks(mat, 5)
     assert zero_row_trials["calls"] > 0
     assert zero_row_trials["zero_rows"] == []
@@ -588,15 +601,44 @@ def test_frobenius_functional_refuses_non_frobenius_algebras(rank):
         mat = realize_type_a(s)
         frobenius = is_frobenius(s)
         verdicts[frobenius] += 1
-        if frobenius:
-            frobenius_functional(mat)
-            continue
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="not Frobenius"):
-            frobenius_functional(mat)
-        assert time.perf_counter() - start < 1
+        for find in (frobenius_functional,
+                     lambda mat: searched_functional(mat, DEFAULT_SEED)):
+            if frobenius:
+                find(mat)
+                continue
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not Frobenius"):
+                find(mat)
+            assert time.perf_counter() - start < 1
     frob = FROBENIUS_FULL_UNION_PAIRS[rank]
     assert verdicts == {True: frob, False: 3 ** rank - frob}
+
+
+def test_meander_functional_on_every_frobenius_entry_to_a7():
+    """On the 285 Frobenius entries of A1-A7 the meander functional is
+    certified regular (the inverse kept on the algebra inverts its K mod
+    p), its nonzero slots are the meander's arcs, each with coefficient 1,
+    and its principal element has no unit coordinate.  On A1-A6 exact
+    elimination gives |det K| = (rank + 1)^2, so the Pfaffian is
+    +-(rank + 1), below p at every rank the guard accepts."""
+    checked = 0
+    for rank in range(1, 8):
+        for s in enumerate_frobenius(LieType("A", rank)).entries:
+            mat = realize_type_a(s)
+            h = mat.n - 1
+            f = frobenius_functional(mat)
+            kmat = kirillov_matrix(mat, [f])[0]
+            kept = mat._inverses[f]
+            assert np.array_equal(kept.matrix, kmat), s
+            assert inverts(kept, kmat), s
+            assert not any(f[:h]) and set(f) <= {0, 1}, s
+            assert ({mat.units[k - h] for k, c in enumerate(f) if c}
+                    == meander_arcs(s)), s
+            assert not any(principal_element(mat, f)[h:]), s
+            if rank <= 6:
+                assert abs(determinant(kmat.tolist())) == (rank + 1) ** 2, s
+            checked += 1
+    assert checked == 285
 
 
 def _staircase(rank: int) -> Seaweed:
@@ -616,14 +658,16 @@ def test_oracle_spectrum_of_the_staircase_seaweed(rank):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("rank,sample", [(8, None), (9, 20), (10, 20),
-                                         (11, 20), (12, 20)],
-                         ids=["A8-all", "A9", "A10", "A11", "A12"])
+@pytest.mark.parametrize("rank,sample",
+                         [(8, None), (9, None), (10, None)]
+                         + [(rank, 10) for rank in range(11, 17)],
+                         ids=["A8-all", "A9-all", "A10-all"]
+                         + [f"A{rank}" for rank in range(11, 17)])
 def test_oracle_spectra_of_catalog_entries(rank, sample):
     """The paper's theorem through the matrix oracle: the ad-spectrum of
-    the principal element of the search's functional is the combinatorial
-    spectrum on every Frobenius entry of A8 (293) and on `sample` seeded
-    catalog keys of each rank A9-A12."""
+    the principal element of the meander functional is the combinatorial
+    spectrum on every Frobenius entry of A8, A9 and A10 (293, 570 and
+    1,091) and on `sample` seeded catalog keys of each rank A11-A16."""
     t = LieType("A", rank)
     rs = build_root_system(t)
     keys = catalog_keys(t)
@@ -639,8 +683,9 @@ def test_oracle_spectra_of_catalog_entries(rank, sample):
 def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
                                                                capsys):
     """`seaweed oracle` on the A8 staircase inverts its Kirillov matrix
-    once: the search's inverse certifies the index and gives the principal
-    element.  Every other modular elimination is a capacitance step."""
+    once, and that is its only modular elimination: the inverse certifies
+    the index and gives the principal element, which lies in the Cartan
+    subalgebra, so `ad_spectrum` ranks no stack."""
     dim = realize_type_a(_staircase(8)).dim
     widths = []
     real = linalg._eliminate_mod_p
@@ -654,15 +699,14 @@ def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
             "--bottom", "8,7,6,5,4,3,2"]
     assert main(argv) == 0
     assert '"spectra_agree": true' in capsys.readouterr().out
-    assert widths.count(dim) == 1
-    assert max(widths) == dim
+    assert widths == [dim]
 
 
-def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_twice(
+def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_once(
         monkeypatch, capsys):
-    """`seaweed oracle` on the A8 staircase builds K for the search's draw
-    and for its certificate; the principal element reads the certified K
-    kept with the search's inverse."""
+    """`seaweed oracle` on the A8 staircase builds K for the meander
+    functional's certificate; the principal element reads the certified K
+    kept with its inverse."""
     built = []
     real = oracle.kirillov_matrix
 
@@ -675,7 +719,7 @@ def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_twice(
             "--bottom", "8,7,6,5,4,3,2"]
     assert main(argv) == 0
     assert '"spectra_agree": true' in capsys.readouterr().out
-    assert built == [1, 1]
+    assert built == [1]
 
 
 def _frobenius_entries(max_rank: int) -> list[MatrixSeaweed]:
@@ -684,10 +728,10 @@ def _frobenius_entries(max_rank: int) -> list[MatrixSeaweed]:
 
 
 def test_principal_element_reads_the_search_inverse(monkeypatch):
-    """The principal element of the search's functional is read off the
-    inverse the search kept, with no new inverse built, and it equals the
-    whole-system modular solve and the Fraction solve; once the kept
-    inverse is gone, a fresh inverse gives the same result."""
+    """The principal element of the meander functional is read off the
+    inverse that frobenius_functional kept, with no new inverse built, and
+    it equals the whole-system modular solve and the Fraction solve; once
+    the kept inverse is gone, a fresh inverse gives the same result."""
     built = []
     real = oracle.ModularInverse.__init__
 
