@@ -245,7 +245,7 @@ def cmd_oracle(args) -> int:
     frob = is_frobenius(s)
     f = failure = None
     if frob:
-        # the functional's certified inverse proves index 0 without sampling
+        # the functional's certified rank proves index 0 without sampling
         try:
             f = frobenius_functional(mat)
         except ValueError as exc:

@@ -5,34 +5,31 @@ differences together with one matrix unit per defining root: upper
 triangular units for the top subset, lower for the bottom.  Brackets come
 in closed form from the sl(n) rules.  Everything here is exact: the
 antisymmetric form of an integer functional is an integer matrix, and its
-rank, the principal element and the eigenspace dimensions of its adjoint
-action are computed over the integers and rationals (with a modular
-shortcut that is only trusted when it certifies itself).
+rank is computed over the integers (with a modular shortcut that is only
+trusted when it certifies itself).
 
-On a Frobenius algebra one full-width modular elimination serves three
-results.  `frobenius_functional` reads a regular functional off the
-meander's arcs and inverts its Kirillov matrix K mod p.  That inverse W
-proves the functional regular, hence the index 0, and the principal
-element is read off the same W and K (`principal_element`), so neither
-is eliminated or built again.
+On a Frobenius algebra one full-width modular elimination is the whole
+certificate.  `frobenius_functional` reads a functional f off the
+meander's arcs, and a full rank mod p of its Kirillov matrix K proves f
+regular, hence the index 0.  The principal element is then the diagonal
+element h with h_r - h_c = 1 on every arc (r, c), found by a walk over the
+arcs (`principal_element`); K nonsingular makes it the unique one.  Every
+unit is an eigenvector of ad h, so the spectrum is read off h's diagonal
+(`ad_spectrum`).
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
-from math import lcm
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate, chain, islice
+from typing import NamedTuple
 
-from ._linalg import (PRIME, ModularInverse, _residues, rank_int_rows,
-                      rank_mod_p, ranks_mod_p, rational_solution)
-from .rootsys import _frozen, connected_components
+from ._linalg import rank_int_rows, rank_mod_p, ranks_mod_p
+from .rootsys import _frozen
 from .seaweed import Seaweed
 from .spectrum import Spectrum
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # A linear form on the algebra, one integer coefficient per basis slot.
 Functional = tuple[int, ...]
@@ -41,9 +38,9 @@ DEFAULT_SEED = 1729
 SAMPLE_COUNT = 20
 COEFF_BOUND = 100
 # The dense eliminations grow steeply with the rank: `seaweed oracle` on full
-# sl(17) (A16), which is not Frobenius, took 27.2 s in a cold process on a
-# 2-core VM with Python 3.11, nearly all of it in the exact confirmation of
-# its index.
+# sl(17) (A16), which is not Frobenius, took 23.2 s in a cold process on a
+# 2-core VM with Python 3.11.7 and numpy 2.4.6, nearly all of it in the
+# exact confirmation of its index.
 ORACLE_RANK_GUARD = 16
 
 
@@ -109,13 +106,6 @@ class MatrixSeaweed:
                 elif e == a:
                     unit_terms(c, b, p, q).append((p, q, -1))
         return terms
-
-    @cached_property
-    def _inverses(self) -> dict:
-        """The modular inverse of the Kirillov matrix that
-        frobenius_functional last certified, keyed by its functional; the
-        inverse holds that matrix too."""
-        return {}
 
 
 def realize_type_a(s: Seaweed) -> MatrixSeaweed:
@@ -229,12 +219,11 @@ def frobenius_functional(m: MatrixSeaweed) -> Functional:
     algebra give conjugate principal elements (Gerstenhaber-Giaquinto),
     hence one spectrum.
 
-    One ModularInverse of its Kirillov matrix K proves K nonsingular mod
-    p = PRIME, hence over the rationals: the functional is regular and the
+    A full rank mod p = PRIME of its Kirillov matrix K proves K
+    nonsingular over the rationals: the functional is regular and the
     index is 0.  On every Frobenius entry of A1-A6, |det K| = (rank+1)^2,
-    far below p, so the prime does not refuse a regular one there.  The
-    inverse is kept on m, with that K, for `principal_element`.  Raises
-    ValueError when K is singular mod p.
+    far below p, so the prime does not refuse a regular one there.
+    Raises ValueError when K is singular mod p.
     """
     slot = {unit: k for k, unit in enumerate(m.units, m.n - 1)}
     coeffs = [0] * m.dim
@@ -247,108 +236,82 @@ def frobenius_functional(m: MatrixSeaweed) -> Functional:
                 coeffs[slot[(a + t, e - t) if upper else (e - t, a + t)]] = 1
             a = e + 1
     f = tuple(coeffs)
-    try:
-        inverse = ModularInverse(kirillov_matrix(m, [f])[0])
-    except ValueError:
+    if rank_mod_p(kirillov_matrix(m, [f])[0]) < m.dim:
         raise ValueError("the meander functional is singular mod p: the "
-                         "algebra is not Frobenius") from None
-    m._inverses.clear()
-    m._inverses[f] = inverse
+                         "algebra is not Frobenius")
     return f
 
 
 def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
-    """Basis coordinates of the unique element whose coadjoint action fixes
-    the functional f: row p of the system is f([b_q, b_p]) over q, the
-    transposed Kirillov matrix K^T = -K, so the system is K x = -f.
+    """Basis coordinates of the diagonal element h whose coadjoint action
+    fixes the functional f, walked off the units where f is nonzero.
 
-    It is solved through the modular inverse W of K: the one
-    frobenius_functional certified when f is its result, which holds the
-    K it certified, else a fresh ModularInverse of a new K.  The solution
-    mod p, -W f, is rebuilt rationally and checked exactly
-    (`rational_solution`); fraction-free integer elimination runs only when
-    K is singular mod p or that check fails.
-    Raises ValueError when f is not regular.
+    A unit E_rc is an eigenvector of ad h with eigenvalue h_r - h_c, and h
+    commutes with the Cartan slots, so f([h, x]) = f(x) for every basis
+    vector x exactly when f is 0 on the Cartan slots and h_r - h_c = 1 on
+    every unit (r, c) of f's support: its arcs.  The walk sets the
+    heights h_r from position 0 along the arcs, and trace zero fixes the
+    constant.  On the meander functional of a Frobenius seaweed the arcs
+    form one path through all n positions (Dergachev-Kirillov:
+    ind = 2C + P - 1 = 0), so every position is reached once.  When f is
+    regular, as `frobenius_functional` certifies, its Kirillov matrix is
+    nonsingular and h is the unique principal element.
+
+    The coordinates are h_i first, each the diagonal of h summed down to
+    entry i, then 0 on every unit.  Raises ValueError when f is nonzero on
+    a Cartan slot, when the arcs do not reach every position, or when they
+    close inconsistently: no diagonal element then fixes f.
     """
-    inverse = m._inverses.get(tuple(f))
-    if inverse is not None:
-        kmat = inverse.matrix
-    else:
-        kmat = kirillov_matrix(m, [f])[0]
-        try:
-            inverse = ModularInverse(kmat)
-        except ValueError:      # singular mod p: the exact solve decides
-            pass
-    try:
-        return rational_solution(kmat.tolist(), [-c for c in f], inverse)
-    except ValueError as exc:
-        raise ValueError(f"functional is not Frobenius: {exc}") from exc
-
-
-def ad_matrix(m: MatrixSeaweed, coords) -> list:
-    """The matrix of the adjoint action of sum coords[p] b_p on the
-    algebra, in basis coordinates; integer coordinates give an integer
-    matrix.  A term v = [b_p, b_q]_k feeds coords[p] * v into column q
-    and, as [b_q, b_p]_k = -v, -coords[q] * v into column p."""
-    mat = [[0] * m.dim for _ in range(m.dim)]
-    for k, terms in enumerate(m._slot_terms):
-        row = mat[k]
-        for p, q, v in terms:
-            row[q] += coords[p] * v
-            row[p] -= coords[q] * v
-    return mat
+    n, h = m.n, m.n - 1
+    if any(f[:h]):
+        raise ValueError("no diagonal principal element: the functional is "
+                         "nonzero on a Cartan slot")
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (r, c), coeff in zip(m.units, f[h:]):
+        if coeff:
+            steps[r].append((c, -1))
+            steps[c].append((r, 1))
+    height = {0: 0}
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        for b, step in steps[a]:
+            if b not in height:
+                height[b] = height[a] + step
+                todo.append(b)
+            elif height[b] != height[a] + step:
+                raise ValueError("no diagonal principal element: the arcs "
+                                 "close inconsistently")
+    if len(height) < n:
+        raise ValueError("no diagonal principal element: the arcs reach "
+                         f"{len(height)} of {n} positions")
+    mean = Fraction(sum(height.values()), n)
+    return [*accumulate(height[i] - mean for i in range(h)),
+            *[Fraction(0)] * len(m.units)]
 
 
 def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
-    """Eigenvalue multiplicities of the adjoint action of the element with
-    basis coordinates coords, over the scan window.
+    """Eigenvalue multiplicities of the adjoint action of the diagonal
+    element with basis coordinates coords, as `principal_element` gives
+    them.
 
-    Multiplicities are kernel co-ranks at every integer shift in
-    [-(n+1), n+1]; they must sum to the algebra dimension, which certifies
-    that the adjoint is diagonalizable with spectrum inside the window.
-    The coordinates are scaled once by the lcm of their denominators, so
-    the adjoint and every shifted matrix are integer ones.  The adjoint is
-    block diagonal on the pieces of the graph of its off-diagonal entries,
-    so each piece is scanned on its own; a piece of one basis vector (every
-    piece when the element lies in the Cartan subalgebra) holds its own
-    eigenvalue.  The shifted copies of a larger piece are ranked mod p as
-    one stack (`ranks_mod_p`), and exact elimination settles every shift
-    whose modular rank falls short.
+    The diagonal entries are the differences of consecutive h_i
+    coordinates.  Each unit E_rc is an eigenvector of eigenvalue
+    h_r - h_c, and each of the n - 1 Cartan slots one of eigenvalue 0.
+    Raises ValueError when a unit coordinate is nonzero (the element is
+    not diagonal) or an eigenvalue is not an integer.
     """
-    import numpy as np  # deferred, as in kirillov_matrix
-    scale = lcm(*(x.denominator for x in coords))
-    scaled = ad_matrix(m, [int(x * scale) for x in coords])
-    d = m.dim
-
-    def neighbors(i: int) -> list[int]:
-        return [j for j in range(d) if scaled[i][j] or scaled[j][i]]
-
-    window = range(-(m.n + 1), m.n + 2)
-    counts: Counter = Counter()
-    for piece in connected_components(range(d), neighbors):
-        if len(piece) == 1:
-            i, = piece
-            k, rest = divmod(scaled[i][i], scale)
-            if not rest and k in window:
-                counts[k] += 1
-            continue
-        block = sorted(piece)
-        b = len(block)
-        sub = [[scaled[i][j] for j in block] for i in block]
-        residues = _residues(sub)
-        shifts = np.array([-k * scale % PRIME for k in window], dtype=np.int64)
-        stack = residues + shifts[:, None, None] * np.eye(b, dtype=np.int64)
-        for k, rank in zip(window, ranks_mod_p(stack)):
-            if rank < b:
-                # the modular probe lost rank or the kernel is real; settle it exactly
-                shifted = [row[:] for row in sub]
-                for i in range(b):
-                    shifted[i][i] -= k * scale
-                mult = b - rank_int_rows(shifted)
-                if mult:
-                    counts[k] += mult
-    if sum(counts.values()) != d:
-        raise ValueError(
-            "non-integer spectrum: eigenspace dimensions sum to "
-            f"{sum(counts.values())} over the integer window, expected {d}")
+    h = m.n - 1
+    if any(coords[h:]):
+        raise ValueError("not a diagonal element: a unit coordinate is "
+                         "nonzero")
+    x = [0, *coords[:h], 0]
+    diagonal = [b - a for a, b in zip(x, x[1:])]
+    counts = Counter({0: h})
+    for r, c in m.units:
+        k = diagonal[r] - diagonal[c]
+        if k != int(k):
+            raise ValueError(f"non-integer spectrum: eigenvalue {k} on the "
+                             f"unit e{r + 1},{c + 1}")
+        counts[int(k)] += 1
     return Spectrum.from_counter(counts)

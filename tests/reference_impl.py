@@ -2,10 +2,12 @@
 
 The package does not run any of these: each is the slow, direct version
 of something the package computes another way (fraction elimination for
-the integer and modular ranks and for the exact solve, a modular
-elimination of the whole system for the principal element read off the
-functional search's inverse, root tuples and the
-per-pair mirror check for the census's centered chain runs, the dense
+the integer and modular ranks, the Kirillov solve K x = -f for the
+principal element the oracle walks off the meander's arcs: one modular
+elimination of the whole system, rational reconstruction and a Fraction
+fallback, and the dense adjoint scanned at every integer shift for the
+spectrum the oracle reads off that element's diagonal, root tuples and
+the per-pair mirror check for the census's centered chain runs, the dense
 Cartan matrix and its root-string closure for the adjacency and arrow a
 `rootsys.RootSystem` keeps, the dense 2*eps table for the running sums of
 `rootsys.twice_epsilon_values`, a subset filter over all positive roots
@@ -19,12 +21,12 @@ per-call mate-table solve for the one meander walker, the whole
 command-line parser for the one `cli.build_parser` builds per subcommand,
 a searched regular functional for the meander functional the oracle
 reads off its units, the dense slot blocks and their r x r capacitance
-steps for that search's steps on each slot's low-rank factor, all 3^n
-full-union
-mask pairs for the scan that visits half of them, the catalog of
-Seaweeds and its payload for the mask keys the CLI diffs and writes, the
-Kirillov matrix as a list of integer rows for the int64 stack the oracle
-builds), or a fixture the oracle tests share.
+steps for that search's steps on each slot's low-rank factor, with the
+modular inverse they update, all 3^n full-union mask pairs for the scan
+that visits half of them, the catalog of Seaweeds and its payload for
+the mask keys the CLI diffs and writes, the Kirillov matrix as a list of
+integer rows for the int64 stack the oracle builds), or a fixture the
+oracle tests share.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -44,13 +46,12 @@ from seaweeds.cli import (cmd_check, cmd_enumerate, cmd_oracle, cmd_render,
 from seaweeds.enumerate import Catalog, _run_root, catalog_keys
 from seaweeds.meander import (Component, OrbitMeander, OrbitUTurns, Side,
                               UTurnReport, _orbit_rows, _side_record)
-import seaweeds._linalg as linalg
-from seaweeds._linalg import (PRIME, ModularInverse, _eliminate_mod_p,
-                              _mul_mod_p, _residues, rank_mod_p)
+from seaweeds._linalg import (PRIME, _eliminate_mod_p, rank_int_rows,
+                              rank_mod_p, ranks_mod_p)
 from seaweeds.oracle import Functional, MatrixSeaweed, kirillov_matrix
 from seaweeds.rootsys import (LieType, PositiveRoot, RootSystem,
-                              build_root_system, epsilon_root_values,
-                              twice_epsilon_values)
+                              build_root_system, connected_components,
+                              epsilon_root_values, twice_epsilon_values)
 from seaweeds.seaweed import (Composition, Seaweed, composition_marks,
                               mask_subset, subset_mask)
 from seaweeds.spectrum import SimpleEigenvalueVector, Spectrum, zero_padding
@@ -87,9 +88,7 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
                  nvars: int) -> list[Fraction]:
     """Solve an (over)determined linear system that must have a unique solution.
 
-    Raises ValueError if the system is inconsistent or underdetermined.  The
-    reference for `_linalg.rational_solution` and its fraction-free exact
-    fallback.
+    Raises ValueError if the system is inconsistent or underdetermined.
     """
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     rows = len(m)
@@ -118,26 +117,147 @@ def solve_unique(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
     return sol
 
 
+def _residues(rows):
+    """The integer rows reduced mod p = PRIME as an int64 array; np.array
+    alone would round entries of 2^63 or more through float64."""
+    p = PRIME
+    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+
+
+class ModularInverse:
+    """The inverse W mod p = PRIME of a nonsingular integer matrix K, which
+    it keeps as `matrix`."""
+
+    def __init__(self, matrix):
+        """K is matrix, a square int64 array.  Raises ValueError when K is
+        singular mod p."""
+        d = len(matrix)
+        aug = np.hstack((matrix % PRIME, np.eye(d, dtype=np.int64)))
+        if _eliminate_mod_p(aug, d) < d:
+            raise ValueError("matrix is singular mod p")
+        self.w = aug[:, d:]
+        self.matrix = matrix
+
+
+def _mul_mod_p(a, b):
+    """a b mod p for int64 arrays with entries in [0, p) and fewer than 2^15
+    inner terms: b is split into 16-bit halves so that no int64 dot product
+    overflows."""
+    p = PRIME
+    return ((a @ (b >> 16)) % p * 65536 + a @ (b & 0xFFFF)) % p
+
+
+def _rational(x: int, p: int, bound: int) -> Fraction | None:
+    """The fraction a/b with |a|, b <= bound and a = b x mod p, if any:
+    half of the extended Euclidean algorithm on (p, x)."""
+    r0, r1, s0, s1 = p, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
 def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Solve a square integer system that must have a unique solution by
     Gauss-Jordan elimination of [matrix | rhs] mod p, rational
-    reconstruction of each coordinate and an exact check, with the exact
-    solve as the fallback: the solve the principal element made before it
-    read the solution off the search's inverse (`_linalg.rational_solution`).
+    reconstruction of each coordinate and an exact check, with the
+    Fraction solve `solve_unique` as the fallback: the solve the principal
+    element made before it was walked off the functional's arcs.
     """
     d = len(matrix)
     if d:
         aug = _residues([*row, b] for row, b in zip(matrix, rhs))
         if _eliminate_mod_p(aug, d) == d:
             bound = isqrt(PRIME // 2)
-            sol = [linalg._rational(int(x), PRIME, bound) for x in aug[:, d]]
+            sol = [_rational(int(x), PRIME, bound) for x in aug[:, d]]
             if None not in sol:
                 scale = lcm(*(x.denominator for x in sol))
                 ints = [int(x * scale) for x in sol]
                 if all(sum(a * x for a, x in zip(row, ints)) == b * scale
                        for row, b in zip(matrix, rhs)):
                     return sol
-    return linalg._solve_exact(matrix, rhs)
+    return solve_unique(matrix, rhs, d)
+
+
+def solved_principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
+    """Basis coordinates of the unique element whose coadjoint action
+    fixes the regular functional f, by solving K x = -f for its Kirillov
+    matrix K (row p of the defining system is f([b_q, b_p]) over q, and
+    K^T = -K).  Any regular functional, the sampled witness of `index`
+    included, whose principal element need not be diagonal.  Raises
+    ValueError when f is not regular."""
+    return solve_nonsingular(kirillov_rows(m, f), [-c for c in f])
+
+
+def ad_matrix(m: MatrixSeaweed, coords) -> list:
+    """The matrix of the adjoint action of sum coords[p] b_p on the
+    algebra, in basis coordinates; integer coordinates give an integer
+    matrix.  A term v = [b_p, b_q]_k feeds coords[p] * v into column q
+    and, as [b_q, b_p]_k = -v, -coords[q] * v into column p."""
+    mat = [[0] * m.dim for _ in range(m.dim)]
+    for k, terms in enumerate(m._slot_terms):
+        row = mat[k]
+        for p, q, v in terms:
+            row[q] += coords[p] * v
+            row[p] -= coords[q] * v
+    return mat
+
+
+def ad_spectrum(m: MatrixSeaweed, coords) -> Spectrum:
+    """Eigenvalue multiplicities of the adjoint action of any element with
+    basis coordinates coords, over the scan window: the general version
+    of the package's diagonal `oracle.ad_spectrum`.
+
+    Multiplicities are kernel co-ranks at every integer shift in
+    [-(n+1), n+1]; they must sum to the algebra dimension, which certifies
+    that the adjoint is diagonalizable with spectrum inside the window.
+    The coordinates are scaled once by the lcm of their denominators, so
+    the adjoint and every shifted matrix are integer ones.  The adjoint is
+    block diagonal on the pieces of the graph of its off-diagonal entries,
+    so each piece is scanned on its own; a piece of one basis vector (every
+    piece when the element lies in the Cartan subalgebra) holds its own
+    eigenvalue.  The shifted copies of a larger piece are ranked mod p as
+    one stack (`ranks_mod_p`), and exact elimination settles every shift
+    whose modular rank falls short.
+    """
+    scale = lcm(*(x.denominator for x in coords))
+    scaled = ad_matrix(m, [int(x * scale) for x in coords])
+    d = m.dim
+
+    def neighbors(i: int) -> list[int]:
+        return [j for j in range(d) if scaled[i][j] or scaled[j][i]]
+
+    window = range(-(m.n + 1), m.n + 2)
+    counts: Counter = Counter()
+    for piece in connected_components(range(d), neighbors):
+        if len(piece) == 1:
+            i, = piece
+            k, rest = divmod(scaled[i][i], scale)
+            if not rest and k in window:
+                counts[k] += 1
+            continue
+        block = sorted(piece)
+        b = len(block)
+        sub = [[scaled[i][j] for j in block] for i in block]
+        residues = _residues(sub)
+        shifts = np.array([-k * scale % PRIME for k in window], dtype=np.int64)
+        stack = residues + shifts[:, None, None] * np.eye(b, dtype=np.int64)
+        for k, rank in zip(window, ranks_mod_p(stack)):
+            if rank < b:
+                # the modular probe lost rank or the kernel is real; settle it exactly
+                shifted = [row[:] for row in sub]
+                for i in range(b):
+                    shifted[i][i] -= k * scale
+                mult = b - rank_int_rows(shifted)
+                if mult:
+                    counts[k] += mult
+    if sum(counts.values()) != d:
+        raise ValueError(
+            "non-integer spectrum: eigenspace dimensions sum to "
+            f"{sum(counts.values())} over the integer window, expected {d}")
+    return Spectrum.from_counter(counts)
 
 
 def root_support(beta: PositiveRoot) -> frozenset[int]:
@@ -736,8 +856,7 @@ def searched_functional(m: MatrixSeaweed, seed: int) -> Functional:
     needed, and one outside {-1, 0, 1} survives only where none of the
     three keeps the rank, which no Frobenius type-A seaweed up to rank 8
     showed (seeds 1 and 2).  The product W K = I mod p with the final
-    integer Kirillov matrix K proves the result regular; W is kept on m,
-    with that K, for `principal_element`.
+    integer Kirillov matrix K proves the result regular.
 
     A unit slot's factor has a nonzero entry in every row it touches, and
     no two unit slots meet in one entry, so a row of K is zero exactly when
@@ -784,8 +903,6 @@ def searched_functional(m: MatrixSeaweed, seed: int) -> Functional:
     f = tuple(coeffs)
     if not inverts(inverse, kirillov_matrix(m, [f])[0]):
         raise AssertionError("the functional search lost the full rank")
-    m._inverses.clear()
-    m._inverses[f] = inverse
     return f
 
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import seaweeds._linalg as linalg
-from seaweeds._linalg import (PRIME, ModularInverse, _residues,
-                              rank_int_rows, rank_mod_p, ranks_mod_p,
-                              rational_solution)
+from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p, ranks_mod_p
 
-from reference_impl import (inverts, rank_exact, slot_factor,
-                            solve_nonsingular, solve_unique, try_add,
-                            try_add_block)
+import reference_impl
+from reference_impl import (ModularInverse, _residues, inverts, rank_exact,
+                            slot_factor, solve_nonsingular, solve_unique,
+                            try_add, try_add_block)
 
 
 def _random_matrix(rng, rows, cols, rank):
@@ -146,21 +144,6 @@ def test_solve_unique_recovers_solution(data):
     assert sol == x
 
 
-def _solve_by_inverse(rows, rhs):
-    """`rational_solution` with a fresh modular inverse of the rows, or
-    none when they are singular mod p, as `principal_element` solves for a
-    functional that the search did not certify."""
-    try:
-        inverse = ModularInverse(_residues(rows))
-    except ValueError:
-        inverse = None
-    return rational_solution(rows, rhs, inverse)
-
-
-# the package's solve and the whole-system modular solve it replaced
-SOLVERS = [_solve_by_inverse, solve_nonsingular]
-
-
 def _outcome(solver, rows, nvars):
     try:
         return solver(rows, nvars)
@@ -179,44 +162,42 @@ def test_solve_nonsingular_matches_solve_unique(data):
         if rank_exact(rows) == n:
             break
     rhs = [rng.randint(-bound, bound) for _ in range(n)]
-    for solve in SOLVERS:
-        assert solve(rows, rhs) == solve_unique(rows, rhs, n)
+    assert solve_nonsingular(rows, rhs) == solve_unique(rows, rhs, n)
 
 
 def _count_exact_solves(monkeypatch) -> list:
     calls = []
-    exact = linalg._solve_exact
+    exact = reference_impl.solve_unique
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
-    monkeypatch.setattr(linalg, "_solve_exact", counted)
+    monkeypatch.setattr(reference_impl, "solve_unique", counted)
     return calls
 
 
 def test_solve_nonsingular_reconstructs_small_denominators(monkeypatch):
     calls = _count_exact_solves(monkeypatch)
-    for solve in SOLVERS:
-        assert solve([[7, 0], [1, 2]], [3, -1]) == [Fraction(3, 7),
-                                                   Fraction(-5, 7)]
+    assert solve_nonsingular([[7, 0], [1, 2]], [3, -1]) == [
+        Fraction(3, 7), Fraction(-5, 7)]
     assert calls == []
 
 
 def test_solve_nonsingular_falls_back_above_the_reconstruction_bound(monkeypatch):
     # 1/100003 has a denominator above sqrt(p/2) = 32767, so no fraction
-    # within the bound represents it mod p and the exact solver decides
+    # within the bound represents it mod p and the Fraction solve decides
     calls = _count_exact_solves(monkeypatch)
-    for solve in SOLVERS:
-        assert solve([[100003, 1], [0, 1]], [1, 0]) == [
-            Fraction(1, 100003), Fraction(0)]
-    assert len(calls) == len(SOLVERS)
+    assert solve_nonsingular([[100003, 1], [0, 1]], [1, 0]) == [
+        Fraction(1, 100003), Fraction(0)]
+    assert len(calls) == 1
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_exact_solve_matches_solve_unique_at_every_rank(data):
     # A = C B through an inner space of dimension k, so every rank 0..n
-    # occurs; the rhs is either A x (consistent) or drawn freely
+    # occurs; the rhs is either A x (consistent) or drawn freely.  The
+    # modular path must accept no system that the Fraction solve refuses.
     n = data.draw(st.integers(1, 6))
     k = data.draw(st.integers(0, n))
     entries = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64))
@@ -229,18 +210,17 @@ def test_exact_solve_matches_solve_unique_at_every_rank(data):
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
     else:
         rhs = [data.draw(entries) for _ in range(n)]
-    got = _outcome(lambda rows, _: linalg._solve_exact(rows, rhs), rows, n)
+    got = _outcome(lambda rows, _: solve_nonsingular(rows, rhs), rows, n)
     assert got == _outcome(lambda rows, n: solve_unique(rows, rhs, n), rows, n)
     if isinstance(got, list):
         assert all(type(v) is Fraction for v in got)
 
 
 def test_solve_nonsingular_rejects_singular_systems():
-    for solve in SOLVERS:
-        with pytest.raises(ValueError, match="inconsistent"):
-            solve([[1, 2], [2, 4]], [1, 1])
-        with pytest.raises(ValueError, match="underdetermined"):
-            solve([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_nonsingular([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(ValueError, match="underdetermined"):
+        solve_nonsingular([[1, 2], [2, 4]], [1, 2])
 
 
 def _mod_inverse_check(w, k, p):

@@ -19,18 +19,19 @@ import seaweeds._linalg as linalg
 import seaweeds.oracle as oracle
 from seaweeds.cli import main
 from seaweeds.oracle import (DEFAULT_SEED, ORACLE_RANK_GUARD, Functional,
-                             IndexCertificate, MatrixSeaweed, ad_matrix,
-                             ad_spectrum, frobenius_functional, index,
-                             kirillov_matrix, principal_element,
-                             realize_type_a)
+                             IndexCertificate, MatrixSeaweed, ad_spectrum,
+                             frobenius_functional, index, kirillov_matrix,
+                             principal_element, realize_type_a)
 
 import reference_impl
-from reference_impl import (FUNCTIONAL_DRAWS, determinant,
-                            enumerate_frobenius, inverts, kirillov_rows,
-                            mask_pairs, meander_arcs, poset_algebra_sl4,
+from reference_impl import (FUNCTIONAL_DRAWS, ad_matrix, determinant,
+                            enumerate_frobenius, kirillov_rows, mask_pairs,
+                            meander_arcs, poset_algebra_sl4,
                             searched_functional, searched_functional_by_blocks,
                             slot_block, slot_factor, solve_nonsingular,
-                            solve_unique)
+                            solved_principal_element)
+# the general adjoint spectrum, for elements that need not be diagonal
+from reference_impl import ad_spectrum as general_ad_spectrum
 
 
 def _by_label(m: MatrixSeaweed, coeffs: dict[str, int]) -> Functional:
@@ -43,8 +44,8 @@ def test_sl2_borel():
     assert mat.dim == 2
     cert = index(mat)
     assert cert.index == 0
-    fhat = principal_element(mat, cert.witness)
-    assert dict(ad_spectrum(mat, fhat).mult) == {0: 1, 1: 1}
+    fhat = solved_principal_element(mat, cert.witness)
+    assert dict(general_ad_spectrum(mat, fhat).mult) == {0: 1, 1: 1}
 
 
 def test_sl2_full_has_index_one():
@@ -182,8 +183,8 @@ def test_rank_three_dimension_eight_seaweed():
     mat = realize_type_a(s)
     cert = index(mat)
     assert cert.index == 0
-    fhat = principal_element(mat, cert.witness)
-    sp = ad_spectrum(mat, fhat)
+    fhat = solved_principal_element(mat, cert.witness)
+    sp = general_ad_spectrum(mat, fhat)
     assert dict(sp.mult) == {-1: 1, 0: 3, 1: 3, 2: 1}
     assert sp == full_spectrum(s)
 
@@ -193,12 +194,10 @@ def test_principal_element_fixes_functional():
     mat = realize_type_a(s)
     cert = index(mat)
     assert cert.index == 0
-    for f in (cert.witness, frobenius_functional(mat)):
-        admat = ad_matrix(mat, principal_element(mat, f))
-        # F([fhat, b_q]) must equal F(b_q) on every basis vector
-        for q in range(mat.dim):
-            lhs = sum(f[k] * admat[k][q] for k in range(mat.dim))
-            assert lhs == f[q]
+    meander = frobenius_functional(mat)
+    assert _fixes(mat, cert.witness,
+                  solved_principal_element(mat, cert.witness))
+    assert _fixes(mat, meander, principal_element(mat, meander))
 
 
 def test_principal_element_rejects_degenerate_functional():
@@ -207,6 +206,8 @@ def test_principal_element_rejects_degenerate_functional():
     f = (1,) * mat.dim
     with pytest.raises(ValueError):
         principal_element(mat, f)
+    with pytest.raises(ValueError):
+        solved_principal_element(mat, f)
 
 
 @pytest.mark.parametrize("entries", [
@@ -218,7 +219,19 @@ def test_ad_spectrum_refuses_what_is_not_an_integer_diagonal_spectrum(entries):
     # entries are basis coordinates: h1, then e1,2
     mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
     with pytest.raises(ValueError, match="non-integer spectrum"):
-        ad_spectrum(mat, entries)
+        general_ad_spectrum(mat, entries)
+
+
+def test_diagonal_ad_spectrum_refuses_a_unit_or_a_fraction():
+    """The package's `ad_spectrum` reads a diagonal element only: a unit
+    coordinate or a non-integer h_r - h_c is refused, and an integer
+    eigenvalue has no window to leave."""
+    mat = realize_type_a(make_seaweed(LieType("A", 1), {1}, set()))
+    with pytest.raises(ValueError, match="not a diagonal element"):
+        ad_spectrum(mat, [0, 1])
+    with pytest.raises(ValueError, match="non-integer spectrum"):
+        ad_spectrum(mat, [Q(1, 4), 0])
+    assert dict(ad_spectrum(mat, [5, 0]).mult) == {0: 1, 10: 1}
 
 
 def test_ad_spectrum_settles_or_refuses_a_wrong_modular_probe(monkeypatch):
@@ -229,22 +242,22 @@ def test_ad_spectrum_settles_or_refuses_a_wrong_modular_probe(monkeypatch):
     mat = realize_type_a(s)
     # the meander functional's principal element is diagonal; the dense
     # witness's is not
-    coords = principal_element(mat, index(mat).witness)
+    coords = solved_principal_element(mat, index(mat).witness)
     adjoint = ad_matrix(mat, coords)
     # the adjoint has pieces of two or more basis vectors to probe
     assert any(adjoint[i][j] for i in range(mat.dim) for j in range(mat.dim)
                if i != j)
-    expected = ad_spectrum(mat, coords)
+    expected = general_ad_spectrum(mat, coords)
     assert expected == full_spectrum(s)
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "ranks_mod_p",
+        patch.setattr(reference_impl, "ranks_mod_p",
                       lambda stack: [len(matrix) - 1 for matrix in stack])
-        assert ad_spectrum(mat, coords) == expected
+        assert general_ad_spectrum(mat, coords) == expected
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "ranks_mod_p",
+        patch.setattr(reference_impl, "ranks_mod_p",
                       lambda stack: [len(matrix) for matrix in stack])
         with pytest.raises(ValueError, match="non-integer spectrum"):
-            ad_spectrum(mat, coords)
+            general_ad_spectrum(mat, coords)
 
 
 def _jacobi_sum(table, p: int, q: int, r: int) -> dict[int, int]:
@@ -286,7 +299,8 @@ def test_spectrum_functional_independent():
     found = 0
     for f in itertools.islice(oracle._draws(mat, 7), 40):
         if rank_int_rows(kirillov_rows(mat, f)) == mat.dim:
-            spectra.add(ad_spectrum(mat, principal_element(mat, f)).mult)
+            spectra.add(general_ad_spectrum(
+                mat, solved_principal_element(mat, f)).mult)
             found += 1
             if found == 3:
                 break
@@ -301,18 +315,21 @@ def test_dense_and_sparse_functionals_give_one_spectrum(rank):
     """Principal elements of any two regular functionals are conjugate
     (Gerstenhaber-Giaquinto), so on every Frobenius entry the dense +-100
     draw that `index` names as its witness, the sparse functional of the
-    search and the meander functional give one ad-spectrum.  Two seeds of
-    the search would test nothing: seeds 1 and 2 give the same functional
-    on every A1-A7 entry."""
+    search and the meander functional give one ad-spectrum, through the
+    Kirillov solve and the general adjoint scan; the arc walk's spectrum
+    of the meander functional is that one too.  Two seeds of the search
+    would test nothing: seeds 1 and 2 give the same functional on every
+    A1-A7 entry."""
     for s in enumerate_frobenius(LieType("A", rank)).entries:
         mat = realize_type_a(s)
         dense = index(mat).witness
         sparse = searched_functional(mat, DEFAULT_SEED)
         meander = frobenius_functional(mat)
         assert dense != sparse and dense != meander, s
-        spectra = [ad_spectrum(mat, principal_element(mat, f))
+        spectra = [general_ad_spectrum(mat, solved_principal_element(mat, f))
                    for f in (dense, sparse, meander)]
         assert spectra[0] == spectra[1] == spectra[2], s
+        assert ad_spectrum(mat, principal_element(mat, meander)) == spectra[0]
 
 
 def test_index_seed_reproducible():
@@ -536,7 +553,7 @@ def zero_row_trials(monkeypatch):
 
     def spy(inverse, rows, z, j, c):
         seen["calls"] += 1
-        touched = oracle.ModularInverse(inverse.w).w[rows]
+        touched = reference_impl.ModularInverse(inverse.w).w[rows]
         touched[:, rows] += c % PRIME * (z @ j @ z.T) % PRIME
         if not (touched % PRIME).any(axis=1).all():
             seen["zero_rows"].append(rows.tolist())
@@ -614,31 +631,93 @@ def test_frobenius_functional_refuses_non_frobenius_algebras(rank):
     assert verdicts == {True: frob, False: 3 ** rank - frob}
 
 
+def _both_orientations(max_rank: int) -> list[Seaweed]:
+    """Every Frobenius catalog entry of A1 up to A(max_rank), then each
+    with its sides swapped."""
+    entries = [s for rank in range(1, max_rank + 1)
+               for s in enumerate_frobenius(LieType("A", rank)).entries]
+    return entries + [Seaweed(s.root_system, s.pi2, s.pi1) for s in entries]
+
+
 def test_meander_functional_on_every_frobenius_entry_to_a7():
-    """On the 285 Frobenius entries of A1-A7 the meander functional is
-    certified regular (the inverse kept on the algebra inverts its K mod
-    p), its nonzero slots are the meander's arcs, each with coefficient 1,
-    and its principal element has no unit coordinate.  On A1-A6 exact
+    """On the 285 Frobenius entries of A1-A7, in both orientations, the
+    meander functional is certified regular, its nonzero slots are the
+    meander's arcs, each with coefficient 1, and the arc walk agrees with
+    the Kirillov route: the principal element is the solution of
+    K x = -f (`solve_nonsingular`), which has no unit coordinate, and its
+    diagonal spectrum is the general adjoint scan's.  On A1-A6 exact
     elimination gives |det K| = (rank + 1)^2, so the Pfaffian is
     +-(rank + 1), below p at every rank the guard accepts."""
     checked = 0
-    for rank in range(1, 8):
-        for s in enumerate_frobenius(LieType("A", rank)).entries:
-            mat = realize_type_a(s)
-            h = mat.n - 1
-            f = frobenius_functional(mat)
-            kmat = kirillov_matrix(mat, [f])[0]
-            kept = mat._inverses[f]
-            assert np.array_equal(kept.matrix, kmat), s
-            assert inverts(kept, kmat), s
-            assert not any(f[:h]) and set(f) <= {0, 1}, s
-            assert ({mat.units[k - h] for k, c in enumerate(f) if c}
-                    == meander_arcs(s)), s
-            assert not any(principal_element(mat, f)[h:]), s
-            if rank <= 6:
-                assert abs(determinant(kmat.tolist())) == (rank + 1) ** 2, s
-            checked += 1
-    assert checked == 285
+    for s in _both_orientations(7):
+        mat = realize_type_a(s)
+        h = mat.n - 1
+        f = frobenius_functional(mat)
+        kmat = kirillov_rows(mat, f)
+        assert rank_mod_p(np.array(kmat, dtype=np.int64)) == mat.dim, s
+        assert not any(f[:h]) and set(f) <= {0, 1}, s
+        assert ({mat.units[k - h] for k, c in enumerate(f) if c}
+                == meander_arcs(s)), s
+        fhat = principal_element(mat, f)
+        assert all(type(x) is Q for x in fhat), s
+        assert fhat == solve_nonsingular(kmat, [-c for c in f]), s
+        assert not any(fhat[h:]), s
+        assert ad_spectrum(mat, fhat) == general_ad_spectrum(mat, fhat), s
+        if s.rank <= 6:
+            assert abs(determinant(kmat)) == (s.rank + 1) ** 2, s
+        checked += 1
+    assert checked == 2 * 285
+
+
+def _fixes(m: MatrixSeaweed, f: Functional, coords) -> bool:
+    """Whether f([x, b_q]) = f(b_q) on every basis vector b_q, for x with
+    basis coordinates coords, through the reference adjoint matrix."""
+    ad = ad_matrix(m, coords)
+    return all(sum(f[k] * ad[k][q] for k in range(m.dim)) == f[q]
+               for q in range(m.dim))
+
+
+def test_the_arc_walk_refuses_what_is_not_a_spanning_path_of_arcs():
+    """On every Frobenius entry of A1-A5, in both orientations: dropping
+    any one arc leaves a position unreached; adding a non-arc unit (r, c)
+    closes a cycle, which the walk refuses unless the walked heights
+    already give h_r - h_c = 1; a Cartan coefficient is refused; and
+    raising one walked height by 1 (then re-centring the trace) breaks
+    f([h, x]) = f(x)."""
+    cycles = 0
+    for s in _both_orientations(5):
+        mat = realize_type_a(s)
+        h, n = mat.n - 1, mat.n
+        f = frobenius_functional(mat)
+        fhat = principal_element(mat, f)
+        assert _fixes(mat, f, fhat), s
+        x = [0, *fhat[:h], 0]
+        heights = [b - a for a, b in zip(x, x[1:])]
+        for k in range(h, mat.dim):
+            changed = list(f)
+            if f[k]:
+                changed[k] = 0
+                with pytest.raises(ValueError, match="arcs reach"):
+                    principal_element(mat, changed)
+                continue
+            changed[k] = 1
+            r, c = mat.units[k - h]
+            if heights[r] - heights[c] == 1:
+                assert principal_element(mat, changed) == fhat, s
+                continue
+            with pytest.raises(ValueError, match="close inconsistently"):
+                principal_element(mat, changed)
+            cycles += 1
+        for i in range(h):
+            cartan = list(f)
+            cartan[i] = 1
+            with pytest.raises(ValueError, match="Cartan slot"):
+                principal_element(mat, cartan)
+        for i in range(n):
+            raised = [y + (j == i) - Q(1, n) for j, y in enumerate(heights)]
+            coords = [*itertools.accumulate(raised[:h]), *fhat[h:]]
+            assert not _fixes(mat, f, coords), (s, i)
+    assert cycles > 0
 
 
 def _staircase(rank: int) -> Seaweed:
@@ -682,10 +761,11 @@ def test_oracle_spectra_of_catalog_entries(rank, sample):
 
 def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
                                                                capsys):
-    """`seaweed oracle` on the A8 staircase inverts its Kirillov matrix
-    once, and that is its only modular elimination: the inverse certifies
-    the index and gives the principal element, which lies in the Cartan
-    subalgebra, so `ad_spectrum` ranks no stack."""
+    """`seaweed oracle` on the A8 staircase ranks its Kirillov matrix
+    once mod p, and that is its only elimination: the full rank certifies
+    the index, the principal element is walked off the arcs and its
+    spectrum read off its diagonal, so no stack is ranked and nothing is
+    eliminated exactly."""
     dim = realize_type_a(_staircase(8)).dim
     widths = []
     real = linalg._eliminate_mod_p
@@ -694,7 +774,14 @@ def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
         widths.append(ncols)
         return real(m, ncols)
 
+    def refuse(*args):
+        raise AssertionError("a Frobenius oracle run ranked a stack or "
+                             "eliminated exactly")
+
     monkeypatch.setattr(linalg, "_eliminate_mod_p", spy)
+    for name in ("ranks_mod_p", "rank_int_rows"):
+        monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(linalg, name, refuse)
     argv = ["oracle", "--type", "A", "--rank", "8", "--top", "8,7,6,5,4,3,2,1",
             "--bottom", "8,7,6,5,4,3,2"]
     assert main(argv) == 0
@@ -705,8 +792,8 @@ def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
 def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_once(
         monkeypatch, capsys):
     """`seaweed oracle` on the A8 staircase builds K for the meander
-    functional's certificate; the principal element reads the certified K
-    kept with its inverse."""
+    functional's certificate and for nothing else: the principal element
+    and its spectrum read the arcs, not K."""
     built = []
     real = oracle.kirillov_matrix
 
@@ -720,54 +807,3 @@ def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_once(
     assert main(argv) == 0
     assert '"spectra_agree": true' in capsys.readouterr().out
     assert built == [1]
-
-
-def _frobenius_entries(max_rank: int) -> list[MatrixSeaweed]:
-    return [realize_type_a(s) for n in range(1, max_rank + 1)
-            for s in enumerate_frobenius(LieType("A", n)).entries]
-
-
-def test_principal_element_reads_the_search_inverse(monkeypatch):
-    """The principal element of the meander functional is read off the
-    inverse that frobenius_functional kept, with no new inverse built, and
-    it equals the whole-system modular solve and the Fraction solve; once
-    the kept inverse is gone, a fresh inverse gives the same result."""
-    built = []
-    real = oracle.ModularInverse.__init__
-
-    def counted(self, matrix):
-        built.append(len(matrix))
-        real(self, matrix)
-
-    for mat in _frobenius_entries(4):
-        f = frobenius_functional(mat)
-        rows = [list(col) for col in zip(*kirillov_rows(mat, f))]
-        want = solve_nonsingular(rows, list(f))
-        assert want == solve_unique(rows, list(f), mat.dim)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle.ModularInverse, "__init__", counted)
-            assert principal_element(mat, f) == want
-            assert built == []
-            assert principal_element(mat, list(f)) == want
-            assert built == []
-            mat._inverses.clear()
-            assert principal_element(mat, f) == want
-            assert built == [mat.dim]
-        built.clear()
-
-
-def test_principal_element_falls_back_when_the_kept_inverse_is_wrong(
-        monkeypatch):
-    """A kept inverse that does not invert K gives residues that fail the
-    exact check, and the exact solve gives the principal element."""
-    mat = realize_type_a(_staircase(5))
-    f = frobenius_functional(mat)
-    want = principal_element(mat, f)
-    exact = []
-    real = linalg._solve_exact
-    monkeypatch.setattr(linalg, "_solve_exact",
-                        lambda *args: exact.append(1) or real(*args))
-    kept = mat._inverses[f]
-    kept.w = (kept.w + 1) % PRIME
-    assert principal_element(mat, f) == want
-    assert exact == [1]

@@ -199,7 +199,8 @@ def test_connected_components_partition_the_subset(data):
         subset = frozenset(data.draw(st.sets(st.integers(1, t.rank))))
         neighbors = rs.neighbors
     else:
-        # the off-diagonal pattern of a matrix, searched as ad_spectrum does
+        # the off-diagonal pattern of a matrix, searched as the reference
+        # ad_spectrum does
         d = data.draw(st.integers(0, 12))
         pattern = [[0] * d for _ in range(d)]
         for i in range(d):
