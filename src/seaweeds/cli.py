@@ -245,7 +245,8 @@ def cmd_oracle(args) -> int:
     frob = is_frobenius(s)
     f = failure = None
     if frob:
-        # the functional's certified rank proves index 0 without sampling
+        # the functional's blocks, each of full rank mod p, prove index 0
+        # without sampling; only this path runs past index's smaller guard
         try:
             f = frobenius_functional(mat)
         except ValueError as exc:

@@ -8,14 +8,17 @@ antisymmetric form of an integer functional is an integer matrix, and its
 rank is computed over the integers (with a modular shortcut that is only
 trusted when it certifies itself).
 
-On a Frobenius algebra one full-width modular elimination is the whole
-certificate.  `frobenius_functional` reads a functional f off the
-meander's arcs, and a full rank mod p of its Kirillov matrix K proves f
-regular, hence the index 0.  The principal element is then the diagonal
-element h with h_r - h_c = 1 on every arc (r, c), found by a walk over the
-arcs (`principal_element`); K nonsingular makes it the unique one.  Every
-unit is an eigenvector of ad h, so the spectrum is read off h's diagonal
-(`ad_spectrum`).
+On a Frobenius algebra the certificate follows the grading.
+`frobenius_functional` reads a functional f off the meander's arcs and
+walks the diagonal element h with h_r - h_c = 1 on every arc (r, c).
+Every basis vector is an eigenvector of ad h and f is 1 on eigenvalue 1
+only, so f's Kirillov matrix K splits into blocks V_lambda x V_(1-lambda)
+over the eigenspaces of ad h.  Each block is filled straight from the
+sl(n) rules and ranked mod p: full rank on every block proves K
+nonsingular, so f is regular, the index is 0 and h is the unique
+principal element (`principal_element`).  The spectrum is read off h's
+diagonal (`ad_spectrum`).  The dense K is built only by `index`, which
+samples the index of an algebra that is not Frobenius.
 """
 from __future__ import annotations
 
@@ -37,11 +40,21 @@ Functional = tuple[int, ...]
 DEFAULT_SEED = 1729
 SAMPLE_COUNT = 20
 COEFF_BOUND = 100
-# The dense eliminations grow steeply with the rank: `seaweed oracle` on full
-# sl(17) (A16), which is not Frobenius, took 23.2 s in a cold process on a
-# 2-core VM with Python 3.11.7 and numpy 2.4.6, nearly all of it in the
-# exact confirmation of its index.
+# The sampled index (`index`) ranks dense dim x dim Kirillov matrices, which
+# grow steeply with the rank: `seaweed oracle` on full sl(17) (A16), which
+# is not Frobenius, took 19.9 s in a cold process on a 2-core VM with
+# Python 3.11.7 and numpy 2.4.6, nearly all of it in the exact
+# confirmation of its index.  `index` refuses ranks above this guard.
 ORACLE_RANK_GUARD = 16
+# The Frobenius path ranks one block per pair of eigenvalues of the
+# principal element instead (`frobenius_functional`), so `realize_type_a`
+# accepts ranks up to this larger guard.  On the same host the worst of 90
+# Frobenius seaweeds drawn by winding moves at ranks 25-32 (dim up to 812,
+# blocks up to 196 wide) took 0.035 s in `frobenius_functional`; the worst
+# of 10 at ranks 57-64 took 1.4 s and one at rank 123, with a block 2,080
+# wide, took 57 s.  The block eliminations are nearly all of that: the
+# fill took under 0.01 s at ranks 57-64.
+FROBENIUS_RANK_GUARD = 32
 
 
 class MatrixSeaweed:
@@ -67,6 +80,11 @@ class MatrixSeaweed:
                 + tuple(f"e{r + 1},{c + 1}" for r, c in self.units))
 
     @cached_property
+    def slot(self) -> dict[tuple[int, int], int]:
+        """The slot of each unit (r, c)."""
+        return {unit: k for k, unit in enumerate(self.units, self.n - 1)}
+
+    @cached_property
     def _slot_terms(self) -> list[list[tuple[int, int, int]]]:
         """The structure constants, by slot: for each slot k, every
         (p, q, v) with p < q such that [b_p, b_q] has coefficient v at slot
@@ -74,8 +92,7 @@ class MatrixSeaweed:
         [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
         [h_i, E_rc] = (<i,r> - <i,c>) E_rc, where <i,a> is the coefficient
         of E_aa in h_i; E_aa - E_bb telescopes into h_a + ... + h_(b-1)."""
-        n = self.n
-        slot = {unit: k for k, unit in enumerate(self.units, n - 1)}
+        n, slot = self.n, self.slot
         terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
 
         def unit_terms(r: int, c: int, p: int,
@@ -86,12 +103,9 @@ class MatrixSeaweed:
                     f"({r},{c}) from [{self.labels[p]},{self.labels[q]}]")
             return terms[slot[(r, c)]]
 
-        def weight(i: int, a: int) -> int:
-            return (i == a) - (i + 1 == a)
-
         for (r, c), q in slot.items():
             for i in range(n - 1):
-                w = weight(i, r) - weight(i, c)
+                w = _weight(i, r) - _weight(i, c)
                 if w:
                     terms[q].append((i, q, w))
         units = list(slot.items())
@@ -108,24 +122,34 @@ class MatrixSeaweed:
         return terms
 
 
+def _weight(i: int, a: int) -> int:
+    """<i,a>, the coefficient of E_aa in h_i."""
+    return (i == a) - (i + 1 == a)
+
+
 def realize_type_a(s: Seaweed) -> MatrixSeaweed:
     """Matrix model of a type-A seaweed: diagonals plus one unit per root.
 
     The roots of a side are its runs alpha_i..alpha_j of consecutive simple
     roots, in the ambient positive-root order; each gives the upper unit
     E_(n-j-1, n-i) on top and its transpose on the bottom.  Ranks above
-    ORACLE_RANK_GUARD are refused.
+    FROBENIUS_RANK_GUARD are refused; `index` refuses ranks above the
+    smaller ORACLE_RANK_GUARD.
     """
     t = s.root_system.lie_type
     if t.family != "A":
         raise ValueError("matrix realizations are available for type A only")
-    if t.rank > ORACLE_RANK_GUARD:
-        raise ValueError(f"rank {t.rank} exceeds the matrix-oracle guard "
-                         f"({ORACLE_RANK_GUARD})")
+    _guard(t.rank, FROBENIUS_RANK_GUARD)
     n = t.rank + 1
     units = [(n - j - 1, n - i) for i, j in _runs(s.pi1)]
     units += [(n - i, n - j - 1) for i, j in _runs(s.pi2)]
     return MatrixSeaweed(n, tuple(units))
+
+
+def _guard(rank: int, bound: int) -> None:
+    if rank > bound:
+        raise ValueError(f"rank {rank} exceeds the matrix-oracle guard "
+                         f"({bound})")
 
 
 def _runs(sigma) -> list[tuple[int, int]]:
@@ -186,8 +210,10 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     ranked mod p together as one stack (`ranks_mod_p`), the witness is the
     first sample of the largest modular rank, and exact elimination
     confirms that rank unless it reaches the cap.  No witness is named
-    when every sample has rank 0.
+    when every sample has rank 0.  Ranks above ORACLE_RANK_GUARD are
+    refused.
     """
+    _guard(m.n - 1, ORACLE_RANK_GUARD)
     d = m.dim
     cap = d - d % 2
     draws = islice(_draws(m, seed), samples)
@@ -206,7 +232,7 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
 
 
 def frobenius_functional(m: MatrixSeaweed) -> Functional:
-    """The meander functional, certified regular by a full modular rank.
+    """The meander functional, certified regular block by block.
 
     The top blocks are the maximal runs of positions joined by the upper
     units (k, k+1), the bottom blocks those joined by the lower units
@@ -219,13 +245,17 @@ def frobenius_functional(m: MatrixSeaweed) -> Functional:
     algebra give conjugate principal elements (Gerstenhaber-Giaquinto),
     hence one spectrum.
 
-    A full rank mod p = PRIME of its Kirillov matrix K proves K
-    nonsingular over the rationals: the functional is regular and the
-    index is 0.  On every Frobenius entry of A1-A6, |det K| = (rank+1)^2,
-    far below p, so the prime does not refuse a regular one there.
-    Raises ValueError when K is singular mod p.
+    The certificate is `_graded_blocks`: a full rank mod p = PRIME of
+    every block of its Kirillov matrix K proves K nonsingular over the
+    rationals, so the functional is regular and the index is 0.
+    |det K| is the product of the squared block determinants, and on
+    every Frobenius entry of A1-A6 the product of the |det B| is
+    rank + 1, far below p, so the prime does not refuse a regular one
+    there.  Raises ValueError when the arcs do not walk to one height
+    per position, when an eigenvalue lacks its partner, or when a block
+    is singular mod p.
     """
-    slot = {unit: k for k, unit in enumerate(m.units, m.n - 1)}
+    slot = m.slot
     coeffs = [0] * m.dim
     for upper in (True, False):
         a = 0
@@ -236,36 +266,80 @@ def frobenius_functional(m: MatrixSeaweed) -> Functional:
                 coeffs[slot[(a + t, e - t) if upper else (e - t, a + t)]] = 1
             a = e + 1
     f = tuple(coeffs)
-    if rank_mod_p(kirillov_matrix(m, [f])[0]) < m.dim:
+    try:
+        blocks = _graded_blocks(m, f)
+    except ValueError as exc:
+        raise ValueError(f"the meander functional is singular ({exc}): the "
+                         "algebra is not Frobenius") from None
+    if any(rank_mod_p(block) < len(block) for block in blocks):
         raise ValueError("the meander functional is singular mod p: the "
                          "algebra is not Frobenius")
     return f
 
 
-def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
-    """Basis coordinates of the diagonal element h whose coadjoint action
-    fixes the functional f, walked off the units where f is nonzero.
+def _graded_blocks(m: MatrixSeaweed, f: Functional) -> list:
+    """The Kirillov matrix K_pq = f([b_p, b_q]) of a functional f that is
+    1 on its arcs and 0 elsewhere, as its blocks over the grading by
+    the walked heights x (`_arc_heights`), one int64 array per
+    eigenvalue lambda <= 0, in increasing order.
 
-    A unit E_rc is an eigenvector of ad h with eigenvalue h_r - h_c, and h
-    commutes with the Cartan slots, so f([h, x]) = f(x) for every basis
-    vector x exactly when f is 0 on the Cartan slots and h_r - h_c = 1 on
-    every unit (r, c) of f's support: its arcs.  The walk sets the
-    heights h_r from position 0 along the arcs, and trace zero fixes the
-    constant.  On the meander functional of a Frobenius seaweed the arcs
-    form one path through all n positions (Dergachev-Kirillov:
-    ind = 2C + P - 1 = 0), so every position is reached once.  When f is
-    regular, as `frobenius_functional` certifies, its Kirillov matrix is
-    nonsingular and h is the unique principal element.
+    A Cartan slot has grade 0 and a unit (r, c) grade x_r - x_c, its
+    eigenvalue under ad h for the diagonal h = x.  [b_p, b_q] has grade
+    lambda_p + lambda_q and f lives on grade 1, so K_pq is 0 unless
+    lambda_p + lambda_q = 1: K is the direct sum of the blocks
+    V_lambda x V_(1-lambda), and the one with rows V_lambda, lambda <= 0,
+    determines its transpose partner.  K is nonsingular exactly when every
+    block is square and nonsingular.  lambda ranges over every lambda <= 0
+    of V and of 1 - V, with V the grades present: a lambda whose partner
+    is absent is a zero block, which raises ValueError like any other
+    unequal pair.
 
-    The coordinates are h_i first, each the diagonal of h summed down to
-    entry i, then 0 on every unit.  Raises ValueError when f is nonzero on
-    a Cartan slot, when the arcs do not reach every position, or when they
-    close inconsistently: no diagonal element then fixes f.
+    The entries come from the sl(n) rules.  For an arc (r, c),
+    [E_rk, E_kc] = E_rc gives +1 at (E_rk, E_kc) when E_rk has grade
+    <= 0 and -1 at (E_kc, E_rk) otherwise, for every k with both units in
+    the algebra; [h_i, E_rc] = (<i,r> - <i,c>) E_rc gives that weight at
+    (h_i, E_rc).  No other bracket reaches an arc.
     """
+    import numpy as np  # deferred: check and spectrum runs never load numpy
+    x = _arc_heights(m, f)
+    n, h, slot = m.n, m.n - 1, m.slot
+    grade = [0] * h + [x[r] - x[c] for r, c in m.units]
+    size: Counter[int] = Counter()
+    pos = []                        # each slot's place within its grade
+    for g in grade:
+        pos.append(size[g])
+        size[g] += 1
+    lams = sorted({min(g, 1 - g) for g in size})
+    for lam in lams:
+        if size[lam] != size[1 - lam]:
+            raise ValueError(f"grade {lam} has {size[lam]} slots and grade "
+                             f"{1 - lam} has {size[1 - lam]}")
+    block = {lam: np.zeros((size[lam], size[lam]), dtype=np.int64)
+             for lam in lams}
+    for (r, c), coeff in zip(m.units, f[h:]):
+        if not coeff:
+            continue
+        q = slot[r, c]
+        for i in {r - 1, r, c - 1, c}:
+            if 0 <= i < h:
+                block[0][pos[i], pos[q]] = _weight(i, r) - _weight(i, c)
+        for k in range(n):
+            a, b = slot.get((r, k)), slot.get((k, c))
+            if a is None or b is None:
+                continue
+            if grade[a] <= 0:
+                block[grade[a]][pos[a], pos[b]] = 1
+            else:
+                block[grade[b]][pos[b], pos[a]] = -1
+    return [block[lam] for lam in lams]
+
+
+def _arc_heights(m: MatrixSeaweed, f: Functional) -> list[int]:
+    """The heights x_0 = 0, x_1, ..., x_(n-1) with x_r - x_c = 1 on every
+    unit (r, c) where f is nonzero (f's arcs), walked along the arcs from
+    position 0.  Raises ValueError when the arcs do not reach every
+    position or close inconsistently."""
     n, h = m.n, m.n - 1
-    if any(f[:h]):
-        raise ValueError("no diagonal principal element: the functional is "
-                         "nonzero on a Cartan slot")
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (r, c), coeff in zip(m.units, f[h:]):
         if coeff:
@@ -280,13 +354,43 @@ def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
                 height[b] = height[a] + step
                 todo.append(b)
             elif height[b] != height[a] + step:
-                raise ValueError("no diagonal principal element: the arcs "
-                                 "close inconsistently")
+                raise ValueError("the arcs close inconsistently")
     if len(height) < n:
-        raise ValueError("no diagonal principal element: the arcs reach "
-                         f"{len(height)} of {n} positions")
-    mean = Fraction(sum(height.values()), n)
-    return [*accumulate(height[i] - mean for i in range(h)),
+        raise ValueError(f"the arcs reach {len(height)} of {n} positions")
+    return [height[i] for i in range(n)]
+
+
+def principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
+    """Basis coordinates of the diagonal element h whose coadjoint action
+    fixes the functional f, walked off the units where f is nonzero.
+
+    A unit E_rc is an eigenvector of ad h with eigenvalue h_r - h_c, and h
+    commutes with the Cartan slots, so f([h, x]) = f(x) for every basis
+    vector x exactly when f is 0 on the Cartan slots and h_r - h_c = 1 on
+    every unit (r, c) of f's support: its arcs.  The walk
+    (`_arc_heights`) sets the heights h_r from position 0 along the arcs,
+    and trace zero fixes the constant.  On the meander functional of a
+    Frobenius seaweed the arcs form one path through all n positions
+    (Dergachev-Kirillov: ind = 2C + P - 1 = 0), so every position is
+    reached once.  When f is regular, as `frobenius_functional`
+    certifies, its Kirillov matrix is nonsingular and h is the unique
+    principal element.
+
+    The coordinates are h_i first, each the diagonal of h summed down to
+    entry i, then 0 on every unit.  Raises ValueError when f is nonzero on
+    a Cartan slot, when the arcs do not reach every position, or when they
+    close inconsistently: no diagonal element then fixes f.
+    """
+    n, h = m.n, m.n - 1
+    if any(f[:h]):
+        raise ValueError("no diagonal principal element: the functional is "
+                         "nonzero on a Cartan slot")
+    try:
+        x = _arc_heights(m, f)
+    except ValueError as exc:
+        raise ValueError(f"no diagonal principal element: {exc}") from None
+    mean = Fraction(sum(x), n)
+    return [*accumulate(xi - mean for xi in x[:h]),
             *[Fraction(0)] * len(m.units)]
 
 

@@ -163,8 +163,10 @@ def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]
     """Solve a square integer system that must have a unique solution by
     Gauss-Jordan elimination of [matrix | rhs] mod p, rational
     reconstruction of each coordinate and an exact check, with the
-    Fraction solve `solve_unique` as the fallback: the solve the principal
-    element made before it was walked off the functional's arcs.
+    fraction-free solve `solve_fraction_free` as the fallback: the solve
+    the principal element made before it was walked off the functional's
+    arcs.  A singular system goes to the Fraction solve `solve_unique`,
+    which names why it has no unique solution.
     """
     d = len(matrix)
     if d:
@@ -178,7 +180,35 @@ def solve_nonsingular(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]
                 if all(sum(a * x for a, x in zip(row, ints)) == b * scale
                        for row, b in zip(matrix, rhs)):
                     return sol
-    return solve_unique(matrix, rhs, d)
+    sol = solve_fraction_free(matrix, rhs)
+    return solve_unique(matrix, rhs, d) if sol is None else sol
+
+
+def solve_fraction_free(matrix: list[list[int]],
+                        rhs: list[int]) -> list[Fraction] | None:
+    """The solution of a square integer system by fraction-free (Bareiss)
+    Gauss-Jordan elimination of [matrix | rhs], or None when the matrix is
+    singular.  Step k replaces every other row by
+    (pivot * row - row[k] * pivot row) / previous pivot, an exact integer
+    division, so the entries stay minors of [matrix | rhs]; at the end the
+    last pivot is +-det and the last column holds det times the solution.
+    """
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
+    d, prev = len(m), 1
+    for k in range(d):
+        piv = next((i for i in range(k, d) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k]
+        for i, row in enumerate(m):
+            f = row[k]
+            if i != k:
+                for j in range(k + 1, d + 1):
+                    row[j] = (row[j] * pk[k] - f * pk[j]) // prev
+                row[k] = 0
+        prev = pk[k]
+    return [Fraction(row[d], prev) for row in m]
 
 
 def solved_principal_element(m: MatrixSeaweed, f: Functional) -> list[Fraction]:
@@ -705,6 +735,13 @@ def kirillov_rows(m: MatrixSeaweed, f: Functional) -> list[list[int]]:
                 mat[p][q] += c * v
                 mat[q][p] -= c * v
     return mat
+
+
+def dense_certificate(m: MatrixSeaweed, f: Functional) -> bool:
+    """Whether one rank mod p of f's whole dim x dim Kirillov matrix
+    certifies f regular: the certificate `frobenius_functional` made
+    before it ranked the graded blocks."""
+    return rank_mod_p(kirillov_matrix(m, [f])[0]) == m.dim
 
 
 def slot_block(terms: list[tuple[int, int, int]]):

@@ -563,7 +563,36 @@ def test_oracle_refuses_ranks_above_its_guard():
          *RANK_512_BOREL], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert "exceeds the matrix-oracle guard (16)" in done.stderr
+    assert "exceeds the matrix-oracle guard (32)" in done.stderr
+
+
+def _staircase_argv(rank: int) -> list[str]:
+    return ["oracle", "--type", "A", "--rank", str(rank),
+            "--top", ",".join(str(i) for i in range(rank, 0, -1)),
+            "--bottom", ",".join(str(i) for i in range(rank, 1, -1))]
+
+
+def test_oracle_runs_frobenius_inputs_up_to_its_guard(capsys):
+    # the graded certificate takes the Frobenius path past index's guard
+    for rank in (oracle.ORACLE_RANK_GUARD + 1, oracle.FROBENIUS_RANK_GUARD):
+        code, out, err = run(capsys, *_staircase_argv(rank))
+        assert (code, err) == (0, "")
+        assert '"spectra_agree": true' in out
+
+
+def test_oracle_index_refuses_ranks_above_its_guard(capsys, monkeypatch):
+    # full sl(18) is not Frobenius, so its index would be sampled: refused
+    # before any Kirillov matrix is built
+    def refuse(m, fs):
+        raise AssertionError("a Kirillov matrix was built")
+
+    monkeypatch.setattr(oracle, "kirillov_matrix", refuse)
+    rank = oracle.ORACLE_RANK_GUARD + 1
+    full = ",".join(str(i) for i in range(rank, 0, -1))
+    code, out, err = run(capsys, "oracle", "--type", "A", "--rank",
+                         str(rank), "--top", full, "--bottom", full)
+    assert (code, out) == (2, "")
+    assert err == "error: rank 17 exceeds the matrix-oracle guard (16)\n"
 
 
 def test_closed_stdout_exits_two_with_one_error_line():

@@ -11,7 +11,8 @@ from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p, ranks_mod_p
 
 import reference_impl
 from reference_impl import (ModularInverse, _residues, inverts, rank_exact,
-                            slot_factor, solve_nonsingular, solve_unique,
+                            slot_factor, solve_fraction_free,
+                            solve_nonsingular, solve_unique,
                             try_add, try_add_block)
 
 
@@ -165,19 +166,40 @@ def test_solve_nonsingular_matches_solve_unique(data):
     assert solve_nonsingular(rows, rhs) == solve_unique(rows, rhs, n)
 
 
-def _count_exact_solves(monkeypatch) -> list:
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_fraction_free_matches_solve_unique(data):
+    # A = C B through an inner space of dimension k, so singular matrices
+    # occur too; those give None, the others the Fraction solve's solution
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, n))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64))
+    b = [[data.draw(entries) for _ in range(n)] for _ in range(k)]
+    c = [[data.draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)]
+    rows = [[sum(c[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+            for i in range(n)]
+    rhs = [data.draw(entries) for _ in range(n)]
+    got = solve_fraction_free(rows, rhs)
+    if rank_exact(rows) < n:
+        assert got is None
+    else:
+        assert got == solve_unique(rows, rhs, n)
+        assert all(type(v) is Fraction for v in got)
+
+
+def _count_fallback_solves(monkeypatch) -> list:
     calls = []
-    exact = reference_impl.solve_unique
+    exact = reference_impl.solve_fraction_free
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
-    monkeypatch.setattr(reference_impl, "solve_unique", counted)
+    monkeypatch.setattr(reference_impl, "solve_fraction_free", counted)
     return calls
 
 
 def test_solve_nonsingular_reconstructs_small_denominators(monkeypatch):
-    calls = _count_exact_solves(monkeypatch)
+    calls = _count_fallback_solves(monkeypatch)
     assert solve_nonsingular([[7, 0], [1, 2]], [3, -1]) == [
         Fraction(3, 7), Fraction(-5, 7)]
     assert calls == []
@@ -185,8 +207,9 @@ def test_solve_nonsingular_reconstructs_small_denominators(monkeypatch):
 
 def test_solve_nonsingular_falls_back_above_the_reconstruction_bound(monkeypatch):
     # 1/100003 has a denominator above sqrt(p/2) = 32767, so no fraction
-    # within the bound represents it mod p and the Fraction solve decides
-    calls = _count_exact_solves(monkeypatch)
+    # within the bound represents it mod p and the fraction-free solve
+    # decides
+    calls = _count_fallback_solves(monkeypatch)
     assert solve_nonsingular([[100003, 1], [0, 1]], [1, 0]) == [
         Fraction(1, 100003), Fraction(0)]
     assert len(calls) == 1

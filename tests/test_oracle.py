@@ -18,15 +18,16 @@ from seaweeds._linalg import PRIME, rank_int_rows, rank_mod_p
 import seaweeds._linalg as linalg
 import seaweeds.oracle as oracle
 from seaweeds.cli import main
-from seaweeds.oracle import (DEFAULT_SEED, ORACLE_RANK_GUARD, Functional,
+from seaweeds.oracle import (DEFAULT_SEED, FROBENIUS_RANK_GUARD,
+                             ORACLE_RANK_GUARD, Functional,
                              IndexCertificate, MatrixSeaweed, ad_spectrum,
                              frobenius_functional, index, kirillov_matrix,
                              principal_element, realize_type_a)
 
 import reference_impl
-from reference_impl import (FUNCTIONAL_DRAWS, ad_matrix, determinant,
-                            enumerate_frobenius, kirillov_rows, mask_pairs,
-                            meander_arcs, poset_algebra_sl4,
+from reference_impl import (FUNCTIONAL_DRAWS, ad_matrix, dense_certificate,
+                            determinant, enumerate_frobenius, kirillov_rows,
+                            mask_pairs, meander_arcs, poset_algebra_sl4,
                             searched_functional, searched_functional_by_blocks,
                             slot_block, slot_factor, solve_nonsingular,
                             solved_principal_element)
@@ -67,11 +68,11 @@ def test_realization_dimensions():
 
 def test_realization_guards_its_rank_and_builds_no_ambient_roots():
     # fresh root systems: the cached ones may already hold their roots
-    for rank in (ORACLE_RANK_GUARD, ORACLE_RANK_GUARD + 1, 64):
+    for rank in (FROBENIUS_RANK_GUARD, FROBENIUS_RANK_GUARD + 1, 64):
         rs = build_root_system.__wrapped__(LieType("A", rank))
         s = Seaweed(rs, frozenset(range(1, rank + 1)),
                     frozenset(range(2, rank + 1)))
-        if rank > ORACLE_RANK_GUARD:
+        if rank > FROBENIUS_RANK_GUARD:
             with pytest.raises(ValueError, match="matrix-oracle guard"):
                 realize_type_a(s)
         else:
@@ -608,27 +609,57 @@ def test_a_zero_residue_in_the_draw_touches_no_row(monkeypatch,
 FROBENIUS_FULL_UNION_PAIRS = {1: 2, 2: 6, 3: 14, 4: 34}
 
 
+def _spans(n: int, arcs) -> bool:
+    """Whether the arcs join all n positions into one piece."""
+    piece = list(range(n))
+
+    def root(a: int) -> int:
+        while piece[a] != a:
+            a = piece[a]
+        return a
+
+    for r, c in arcs:
+        piece[root(r)] = root(c)
+    return len({root(a) for a in range(n)}) == 1
+
+
 @pytest.mark.parametrize("rank", sorted(FROBENIUS_FULL_UNION_PAIRS))
-def test_frobenius_functional_refuses_non_frobenius_algebras(rank):
-    # every full-union pair of the rank, with the meander as the reference
+def test_frobenius_functional_refuses_non_frobenius_algebras(monkeypatch,
+                                                             rank):
+    """Every full-union pair of the rank, with the meander as the
+    reference.  The meander functional of a pair that is not Frobenius
+    is refused by the walk, before any block is ranked: its arcs miss a
+    position, or they close a cycle, and a cycle of meander arcs changes
+    the walked height by +-2 (a closed curve turns once)."""
     rs = build_root_system(LieType("A", rank))
     verdicts = Counter()
+    ranked = []
+    real = oracle.rank_mod_p
+    monkeypatch.setattr(oracle, "rank_mod_p",
+                        lambda block: ranked.append(block) or real(block))
+    unspanned = 0
     for m1, m2 in mask_pairs(rank):
         s = Seaweed(rs, mask_subset(m1), mask_subset(m2))
         mat = realize_type_a(s)
         frobenius = is_frobenius(s)
         verdicts[frobenius] += 1
-        for find in (frobenius_functional,
-                     lambda mat: searched_functional(mat, DEFAULT_SEED)):
-            if frobenius:
-                find(mat)
-                continue
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match="not Frobenius"):
-                find(mat)
-            assert time.perf_counter() - start < 1
+        if frobenius:
+            frobenius_functional(mat)
+            searched_functional(mat, DEFAULT_SEED)
+            continue
+        unspanned += not _spans(mat.n, meander_arcs(s))
+        ranked.clear()
+        with pytest.raises(ValueError, match="(arcs reach|close "
+                           "inconsistently).*not Frobenius"):
+            frobenius_functional(mat)
+        assert ranked == [], s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not Frobenius"):
+            searched_functional(mat, DEFAULT_SEED)
+        assert time.perf_counter() - start < 1
     frob = FROBENIUS_FULL_UNION_PAIRS[rank]
     assert verdicts == {True: frob, False: 3 ** rank - frob}
+    assert unspanned > 0 or rank == 1
 
 
 def _both_orientations(max_rank: int) -> list[Seaweed]:
@@ -720,6 +751,123 @@ def test_the_arc_walk_refuses_what_is_not_a_spanning_path_of_arcs():
     assert cycles > 0
 
 
+def _no_rank(block):
+    raise AssertionError("a graded block was ranked")
+
+
+def _grades(m: MatrixSeaweed, x: list[int]) -> list[int]:
+    """0 on the Cartan slots and x_r - x_c on each unit (r, c)."""
+    return [0] * (m.n - 1) + [x[r] - x[c] for r, c in m.units]
+
+
+def test_graded_blocks_are_the_dense_blocks_on_every_frobenius_entry_to_a6():
+    """On every Frobenius entry of A1-A6, in both orientations, the
+    Kirillov matrix K of the meander functional (the dense reference) is 0
+    wherever the grades of row and column do not sum to 1, each graded
+    block is K on rows V_lambda and columns V_(1-lambda), and the
+    product of the |det B| is rank + 1: |det K| = (rank + 1)^2 is the
+    product of the squared block determinants."""
+    checked = 0
+    for s in _both_orientations(6):
+        mat = realize_type_a(s)
+        f = frobenius_functional(mat)
+        grade = _grades(mat, oracle._arc_heights(mat, f))
+        kmat = np.array(kirillov_rows(mat, f))
+        paired = np.add.outer(grade, grade) == 1
+        assert not kmat[~paired].any(), s
+        lams = sorted({min(g, 1 - g) for g in grade})
+        blocks = oracle._graded_blocks(mat, f)
+        assert len(blocks) == len(lams), s
+        product = 1
+        for lam, block in zip(lams, blocks):
+            rows = [p for p, g in enumerate(grade) if g == lam]
+            cols = [q for q, g in enumerate(grade) if g == 1 - lam]
+            assert np.array_equal(block, kmat[np.ix_(rows, cols)]), (s, lam)
+            product *= abs(determinant(block.tolist()))
+        assert product == s.rank + 1, s
+        checked += 1
+    assert checked == 2 * 137
+
+
+def test_graded_and_dense_certificates_agree_on_every_frobenius_entry_to_a10():
+    """Every Frobenius catalog entry of A1-A10, in both orientations: the
+    graded certificate accepts the meander functional exactly when one
+    rank mod p of its whole Kirillov matrix does."""
+    checked = 0
+    for rank in range(1, 11):
+        rs = build_root_system(LieType("A", rank))
+        for m1, m2 in catalog_keys(LieType("A", rank)):
+            for pi1, pi2 in ((m1, m2), (m2, m1)):
+                mat = realize_type_a(Seaweed(rs, mask_subset(pi1),
+                                             mask_subset(pi2)))
+                f = frobenius_functional(mat)
+                assert dense_certificate(mat, f), (rank, pi1, pi2)
+                checked += 1
+    assert checked == 2 * 2239
+
+
+def test_a_height_that_unpairs_a_grade_is_refused_before_any_rank(monkeypatch):
+    """A walked height raised or lowered by 1, on every Frobenius entry of
+    A1-A5 in both orientations, where the new grading has some lambda
+    with a different number of slots than 1 - lambda: the certificate
+    refuses before it ranks anything.  Some of these leave a grade
+    mu >= 1 whose partner 1 - mu is absent altogether: a zero block."""
+    walked = []
+    for s in _both_orientations(5):
+        mat = realize_type_a(s)
+        f = frobenius_functional(mat)
+        walked.append((mat, oracle._arc_heights(mat, f)))
+    monkeypatch.setattr(oracle, "rank_mod_p", _no_rank)
+    refused = absent = 0
+    for mat, x in walked:
+        for i in range(mat.n):
+            for step in (1, -1):
+                y = [xi + step * (j == i) for j, xi in enumerate(x)]
+                size = Counter(_grades(mat, y))
+                if all(size[g] == size[1 - g] for g in size):
+                    continue
+                absent += any(g >= 1 and 1 - g not in size for g in size)
+                monkeypatch.setattr(oracle, "_arc_heights",
+                                    lambda m, f, y=y: y)
+                with pytest.raises(ValueError, match="not Frobenius"):
+                    frobenius_functional(mat)
+                refused += 1
+    assert refused > 0 and absent > 0
+
+
+def test_a_dropped_arc_is_refused(monkeypatch):
+    """On every Frobenius entry of A1-A5, in both orientations, the
+    meander functional with one arc dropped is refused.  The walk of its
+    arcs misses a position, so it is refused before any rank; and with
+    the heights of the whole path, which still fix it, a graded block is
+    singular mod p, as the whole Kirillov matrix is."""
+    real_heights, real_blocks = oracle._arc_heights, oracle._graded_blocks
+    walked = ranked = 0
+    for s in _both_orientations(5):
+        mat = realize_type_a(s)
+        f = frobenius_functional(mat)
+        x = real_heights(mat, f)
+        for k in (k for k, c in enumerate(f) if c):
+            dropped = f[:k] + (0,) + f[k + 1:]
+            assert not dense_certificate(mat, dropped), (s, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_graded_blocks",
+                              lambda m, f: real_blocks(m, dropped))
+                patch.setattr(oracle, "rank_mod_p", _no_rank)
+                with pytest.raises(ValueError, match="arcs reach.*not "
+                                   "Frobenius"):
+                    frobenius_functional(mat)
+            walked += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_graded_blocks",
+                              lambda m, f: real_blocks(m, dropped))
+                patch.setattr(oracle, "_arc_heights", lambda m, f: x)
+                with pytest.raises(ValueError, match="singular mod p"):
+                    frobenius_functional(mat)
+            ranked += 1
+    assert walked == ranked > 0
+
+
 def _staircase(rank: int) -> Seaweed:
     """The Frobenius seaweed with top rank..1 and bottom rank..2."""
     return make_seaweed(LieType("A", rank), set(range(1, rank + 1)),
@@ -759,51 +907,66 @@ def test_oracle_spectra_of_catalog_entries(rank, sample):
         assert ad_spectrum(mat, fhat) == full_spectrum(s), s
 
 
-def test_a_frobenius_oracle_run_eliminates_the_whole_form_once(monkeypatch,
-                                                               capsys):
-    """`seaweed oracle` on the A8 staircase ranks its Kirillov matrix
-    once mod p, and that is its only elimination: the full rank certifies
-    the index, the principal element is walked off the arcs and its
-    spectrum read off its diagonal, so no stack is ranked and nothing is
-    eliminated exactly."""
-    dim = realize_type_a(_staircase(8)).dim
-    widths = []
-    real = linalg._eliminate_mod_p
+STAIRCASE_A8_ARGV = ["oracle", "--type", "A", "--rank", "8",
+                      "--top", "8,7,6,5,4,3,2,1", "--bottom", "8,7,6,5,4,3,2"]
 
-    def spy(m, ncols):
-        widths.append(ncols)
-        return real(m, ncols)
+
+def test_a_frobenius_oracle_run_ranks_each_graded_block_once(monkeypatch,
+                                                            capsys):
+    """`seaweed oracle` on the A8 staircase ranks each graded block of the
+    meander functional's Kirillov matrix once mod p, and that is its only
+    elimination: no stack is ranked and nothing is eliminated exactly.
+    The blocks are square, one per eigenvalue lambda <= 0 of the
+    combinatorial spectrum and as wide as its multiplicity, so their
+    widths sum to dim / 2."""
+    s = _staircase(8)
+    dim = realize_type_a(s).dim
+    shapes = []
+    real = oracle.rank_mod_p
+
+    def spy(block):
+        shapes.append(block.shape)
+        return real(block)
 
     def refuse(*args):
         raise AssertionError("a Frobenius oracle run ranked a stack or "
                              "eliminated exactly")
 
-    monkeypatch.setattr(linalg, "_eliminate_mod_p", spy)
+    monkeypatch.setattr(oracle, "rank_mod_p", spy)
     for name in ("ranks_mod_p", "rank_int_rows"):
         monkeypatch.setattr(oracle, name, refuse)
         monkeypatch.setattr(linalg, name, refuse)
-    argv = ["oracle", "--type", "A", "--rank", "8", "--top", "8,7,6,5,4,3,2,1",
-            "--bottom", "8,7,6,5,4,3,2"]
-    assert main(argv) == 0
+    assert main(STAIRCASE_A8_ARGV) == 0
     assert '"spectra_agree": true' in capsys.readouterr().out
-    assert widths == [dim]
+    assert shapes == [(mult, mult) for k, mult in full_spectrum(s).mult
+                      if k <= 0]
+    assert len(shapes) > 1
+    assert sum(width for width, _ in shapes) == dim // 2
 
 
-def test_a_frobenius_oracle_run_builds_the_kirillov_matrix_once(
-        monkeypatch, capsys):
-    """`seaweed oracle` on the A8 staircase builds K for the meander
-    functional's certificate and for nothing else: the principal element
-    and its spectrum read the arcs, not K."""
-    built = []
-    real = oracle.kirillov_matrix
+def test_a_frobenius_oracle_run_builds_no_kirillov_matrix(monkeypatch,
+                                                         capsys):
+    """`seaweed oracle` on the A8 staircase builds no dense Kirillov
+    matrix, reads no structure constants and allocates no dim x dim
+    array: the graded blocks come from the sl(n) rules, the principal
+    element and its spectrum from the arcs."""
+    dim = realize_type_a(_staircase(8)).dim
+    built, shapes = [], []
+    zeros = np.zeros
 
-    def spy(m, fs):
-        built.append(len(fs))
-        return real(m, fs)
+    def spy(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "kirillov_matrix", spy)
-    argv = ["oracle", "--type", "A", "--rank", "8", "--top", "8,7,6,5,4,3,2,1",
-            "--bottom", "8,7,6,5,4,3,2"]
-    assert main(argv) == 0
+    def refuse(*args):
+        raise AssertionError("a Frobenius oracle run read the structure "
+                             "constants")
+
+    monkeypatch.setattr(oracle, "kirillov_matrix",
+                        lambda m, fs: built.append(len(fs)))
+    monkeypatch.setattr(MatrixSeaweed, "_slot_terms", property(refuse))
+    monkeypatch.setattr(np, "zeros", spy)
+    assert main(STAIRCASE_A8_ARGV) == 0
     assert '"spectra_agree": true' in capsys.readouterr().out
-    assert built == [1]
+    assert built == []
+    assert shapes and max(np.prod(shape) for shape in shapes) < dim * dim
