@@ -1,14 +1,15 @@
 """Ranks of integer matrices, exact or mod a prime.
 
 Only the type-A oracle uses this module; the spectrum path solves its
-constraint rows by walking the meander.  One kernel serves each
-arithmetic.  The fraction-free `_forward_eliminate`, on lists of integer
-rows, gives exact ranks (`rank_int_rows`).  Gauss-Jordan mod the 31-bit
-PRIME (`_eliminate_mod_p`), on numpy int64 arrays, serves `rank_mod_p`,
-whose full rank mod p proves a square matrix nonsingular over the
-rationals, and `ranks_mod_p` ranks a stack of matrices in one pass.  Both
-take int64 arrays, as the oracle builds its Kirillov matrices; the
-product of two residues fits in int64.
+constraint rows by walking the meander.  The fraction-free
+`_forward_eliminate`, on lists of integer rows, gives exact ranks
+(`rank_int_rows`).  Mod the 31-bit PRIME, on numpy int64 arrays,
+Gauss-Jordan (`_eliminate_mod_p`) serves `rank_mod_p`, whose full rank
+mod p proves a square matrix nonsingular over the rationals, and
+`ranks_mod_p` ranks a stack of matrices in one pass whose row updates are
+cross-multiplied, v * row - f * pivot row, with no inverse taken.  Both
+take int64 arrays, as the oracle builds its Kirillov matrices; a product
+of two residues is below p^2 < 2^62, so it fits in int64.
 """
 from __future__ import annotations
 
@@ -33,34 +34,37 @@ def ranks_mod_p(stack) -> list[int]:
     One elimination runs over the whole stack: its loop makes one pass per
     column, not one per column of each matrix, and at small sizes the numpy
     calls of those passes are the cost.  In each column every matrix takes
-    its own pivot: the first row nonzero there that no earlier column took.
-    The pivot row, scaled to 1, clears the column from the matrix's other
-    untaken rows, and the rank is the number of pivots.  A single matrix
-    is faster through `rank_mod_p`.
+    its own pivot, found by one argmax over the stack: the first row
+    nonzero there that no earlier column took.  The update is
+    cross-multiplied, so no inverse is taken: each untaken row r of a
+    matrix with pivot row q and pivot v becomes v * r - r[c] * q mod p.
+    Scaling a row by v != 0 keeps the rank, and both products lie below
+    p^2 < 2^62, so the arithmetic stays in int64.  The rank is the number
+    of pivots.  A single matrix is faster through `rank_mod_p`.
     """
     import numpy as np  # deferred: check and spectrum runs never load numpy
     p = PRIME
     a = stack % p
     count, rows, cols = a.shape
+    if not rows:
+        return [0] * count
     free = np.ones((count, rows), dtype=bool)      # rows no pivot took yet
+    at = np.arange(count)
     for c in range(cols):
         col = a[:, :, c]
         nz = (col != 0) & free
-        has = nz.any(axis=1)
+        piv = nz.argmax(axis=1)
+        has = nz[at, piv]
         if not has.any():
             continue
-        i = np.flatnonzero(has)
-        piv = nz[i].argmax(axis=1)
-        free[i, piv] = False
+        free[at, piv] &= ~has
         f = np.where(free, col, 0)
         hit = np.flatnonzero(f.any(axis=0))
         if hit.size:
-            inv = np.array([pow(x, -1, p) for x in col[i, piv].tolist()],
-                           dtype=np.int64)
-            prow = np.zeros((count, 1, cols - c - 1), dtype=np.int64)
-            prow[i, 0] = a[i, piv, c + 1:] * inv[:, None] % p
+            v = np.where(has, col[at, piv], 1)
             rest = a[:, hit, c + 1:]
-            rest -= f[:, hit, None] * prow
+            rest *= v[:, None, None]
+            rest -= f[:, hit, None] * a[at, piv, c + 1:][:, None]
             rest %= p
             a[:, hit, c + 1:] = rest
     return (rows - free.sum(axis=1)).tolist()

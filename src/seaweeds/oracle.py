@@ -164,11 +164,21 @@ def _runs(sigma) -> list[tuple[int, int]]:
 
 def _draws(m: MatrixSeaweed, seed: int):
     """Functionals with coefficients in [-COEFF_BOUND, COEFF_BOUND], drawn
-    one at a time from the seeded stream."""
-    rng = random.Random(seed)
+    one at a time from the seeded stream.
+
+    Each coefficient is a getrandbits draw of the span's bit length,
+    redrawn while it is past the span: the rejection loop of
+    `randint(-COEFF_BOUND, COEFF_BOUND)`, so the stream is the same."""
+    bits = random.Random(seed).getrandbits
+    span = 2 * COEFF_BOUND + 1
+    k, d = span.bit_length(), m.dim
     while True:
-        yield tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND)
-                    for _ in range(m.dim))
+        coeffs: list[int] = []
+        while len(coeffs) < d:
+            r = bits(k)
+            if r < span:
+                coeffs.append(r - COEFF_BOUND)
+        yield tuple(coeffs)
 
 
 def kirillov_matrix(m: MatrixSeaweed, fs: list[Functional]):
@@ -204,31 +214,39 @@ def index(m: MatrixSeaweed, seed: int = DEFAULT_SEED,
     is exact up to a vanishing failure probability.  The Kirillov matrix is
     alternating, so its rank over any field is even and at most
     cap = dim - dim % 2, and its rank mod p is at most its rank over the
-    rationals.  The functionals are drawn one at a time: when the modular
-    rank of the first reaches the cap, it proves the maximum, it is the
-    witness and nothing else is drawn.  Otherwise the other samples are
-    ranked mod p together as one stack (`ranks_mod_p`), the witness is the
-    first sample of the largest modular rank, and exact elimination
-    confirms that rank unless it reaches the cap.  No witness is named
-    when every sample has rank 0.  Ranks above ORACLE_RANK_GUARD are
-    refused.
+    rationals.  When dim is odd the first functional is ranked alone: when
+    its modular rank reaches the cap, it proves index 1, it is the witness
+    and nothing else is drawn.  When dim is even the cap means index 0, and
+    `seaweed oracle` asks `index` only when the meander functional has
+    failed, so no first draw is ranked alone.  Otherwise the samples not
+    yet ranked are built as one stack and ranked mod p together
+    (`ranks_mod_p`), the witness is the first sample of the largest
+    modular rank, and exact elimination of its matrix, taken from the
+    stack, confirms that rank unless it reaches the cap.  No witness is
+    named when every sample has rank 0.  Ranks above ORACLE_RANK_GUARD
+    are refused.
     """
     _guard(m.n - 1, ORACLE_RANK_GUARD)
     d = m.dim
     cap = d - d % 2
     draws = islice(_draws(m, seed), samples)
-    fs = list(islice(draws, 1))
-    ranks = [rank_mod_p(k) for k in kirillov_matrix(m, fs)]
-    if ranks and ranks[0] < cap:
-        fs += draws
-        ranks += ranks_mod_p(kirillov_matrix(m, fs[1:]))
+    fs = list(islice(draws, d % 2))
+    forms = list(kirillov_matrix(m, fs)) if fs else []
+    ranks = [rank_mod_p(k) for k in forms]
+    if not ranks or ranks[0] < cap:
+        rest = list(draws)
+        if rest:
+            stack = kirillov_matrix(m, rest)
+            fs += rest
+            forms += list(stack)
+            ranks += ranks_mod_p(stack)
     best_rank = max(ranks, default=0)
     if not best_rank:
         return IndexCertificate(d, None, samples)
-    best = fs[ranks.index(best_rank)]
+    best = ranks.index(best_rank)
     if best_rank < cap:
-        best_rank = rank_int_rows(kirillov_matrix(m, [best])[0].tolist())
-    return IndexCertificate(d - best_rank, best, samples)
+        best_rank = rank_int_rows(forms[best].tolist())
+    return IndexCertificate(d - best_rank, fs[best], samples)
 
 
 def frobenius_functional(m: MatrixSeaweed) -> Functional:

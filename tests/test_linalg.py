@@ -81,19 +81,36 @@ def test_rank_int_rows_matches_fraction_elimination(data):
     assert rank_int_rows(m) == rank_exact(m)
 
 
-# small entries, entries past int64 either way, and multiples of the prime
+# the residues at the ends of [0, p): the cross-multiplied update of
+# `ranks_mod_p` multiplies two of them, (p - 1)^2 < 2^62 at most
+_RESIDUES = st.sampled_from([0, 1, PRIME - 2, PRIME - 1])
+# small entries, entries past int64 either way, multiples of the prime and
+# the end residues
 _ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
-                     st.sampled_from([PRIME, -2 * PRIME, 2**63, 2**64 + 1]))
+                     st.sampled_from([PRIME, -2 * PRIME, 2**63, 2**64 + 1]),
+                     _RESIDUES)
+
+
+def _product(a, b, cols):
+    """The integer product of the rows a and the inner x cols rows b."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)]
+            for row in a]
 
 
 @st.composite
 def _stacks(draw):
-    """A list of same-shape integer matrices, some zero, some rank-deficient."""
+    """A list of same-shape integer matrices: some zero, some
+    rank-deficient, some of a planted low rank mod p, general or (when
+    square) alternating, with factors of end residues, some arbitrary."""
     count = draw(st.integers(1, 6))
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    kinds = ("zero", "deficient", "planted", "edge", "any")
+    if rows == cols:
+        kinds += ("skew",)
     stack = []
     for _ in range(count):
-        kind = draw(st.sampled_from(("zero", "deficient", "any")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "zero":
             m = [[0] * cols for _ in range(rows)]
         elif kind == "deficient":        # a product through a narrower space
@@ -101,8 +118,21 @@ def _stacks(draw):
             a = [[draw(_ENTRIES) for _ in range(inner)] for _ in range(rows)]
             b = [[draw(st.integers(-9, 9)) for _ in range(cols)]
                  for _ in range(inner)]
-            m = [[sum(a[i][k] * b[k][j] for k in range(inner))
-                  for j in range(cols)] for i in range(rows)]
+            m = _product(a, b, cols)
+        elif kind == "planted":          # A B, rank at most inner
+            inner = draw(st.integers(0, min(rows, cols)))
+            a = [[draw(_RESIDUES) for _ in range(inner)] for _ in range(rows)]
+            b = [[draw(_RESIDUES) for _ in range(cols)] for _ in range(inner)]
+            m = _product(a, b, cols)
+        elif kind == "skew":             # U V^T - V U^T, rank at most 2k
+            k = draw(st.integers(0, rows // 2))
+            u = [[draw(_RESIDUES) for _ in range(k)] for _ in range(rows)]
+            v = [[draw(_RESIDUES) for _ in range(k)] for _ in range(rows)]
+            uv = _product(u, [list(col) for col in zip(*v)], rows)
+            m = [[uv[i][j] - uv[j][i] for j in range(rows)]
+                 for i in range(rows)]
+        elif kind == "edge":
+            m = [[draw(_RESIDUES) for _ in range(cols)] for _ in range(rows)]
         else:
             m = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
         stack.append(m)
@@ -113,16 +143,34 @@ def _stacks(draw):
 # past int64 must be reduced mod p exactly, not rounded through float64.
 _PAST_INT64 = [[[0, 0, 0, 1, 1], [0, 0, 2**63, 1, 2**63 + 1],
                 [0, 0, 1, 0, 1]] + [[0] * 5 for _ in range(3)]]
+# Every pivot and every cleared entry is p - 1 or p - 2, so each product of
+# the update is near (p - 1)^2; the first matrix has rank 2, the second 3.
+_END_RESIDUES = [[[PRIME - 1, PRIME - 1, PRIME - 1],
+                  [PRIME - 1, PRIME - 2, PRIME - 1],
+                  [PRIME - 2, PRIME - 3, PRIME - 2]],
+                 [[PRIME - 1, PRIME - 2, 0],
+                  [PRIME - 2, PRIME - 1, PRIME - 1],
+                  [0, PRIME - 1, PRIME - 2]]]
 
 
 @given(_stacks())
 @example(_PAST_INT64)
-@settings(max_examples=80, deadline=None)
+@example(_END_RESIDUES)
+@settings(max_examples=150, deadline=None)
 def test_ranks_mod_p_matches_rank_mod_p_on_each_matrix(stack):
     want = [rank_mod_p(_residues(m)) for m in stack]
     assert ranks_mod_p(np.array([_residues(m) for m in stack])) == want
     if all(abs(x) < 2**63 for m in stack for row in m for x in row):
         assert ranks_mod_p(np.array(stack, dtype=np.int64)) == want
+
+
+def test_ranks_mod_p_at_the_end_residues():
+    assert ranks_mod_p(np.array(_END_RESIDUES, dtype=np.int64)) == [2, 3]
+    # p - 1 is -1: the alternating [[0, -1], [1, 0]] of rank 2, and the
+    # all-(p - 1) matrix of rank 1
+    edge = np.array([[[0, PRIME - 1], [1, 0]],
+                     [[PRIME - 1, PRIME - 1], [PRIME - 1, PRIME - 1]]])
+    assert ranks_mod_p(edge) == [2, 1]
 
 
 @given(st.data())

@@ -19,7 +19,7 @@ import seaweeds._linalg as linalg
 import seaweeds.oracle as oracle
 from seaweeds.cli import main
 from seaweeds.oracle import (DEFAULT_SEED, FROBENIUS_RANK_GUARD,
-                             ORACLE_RANK_GUARD, Functional,
+                             ORACLE_RANK_GUARD, SAMPLE_COUNT, Functional,
                              IndexCertificate, MatrixSeaweed, ad_spectrum,
                              frobenius_functional, index, kirillov_matrix,
                              principal_element, realize_type_a)
@@ -422,6 +422,85 @@ def test_index_confirms_exactly_only_below_the_cap(monkeypatch, rank, top,
     s = make_seaweed(LieType("A", rank), top, bottom)
     assert index(realize_type_a(s)).index == ind
     assert len(calls) == exact
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, DEFAULT_SEED])
+def test_draws_are_the_randint_stream(seed):
+    """`_draws` yields what `randint(-COEFF_BOUND, COEFF_BOUND)` yields
+    from the same seed, coefficient for coefficient, on algebras of odd
+    and even dimension up to the rank guard: every sampled witness, and
+    so every oracle digest, is the same as with randint."""
+    full = set(range(1, ORACLE_RANK_GUARD + 1))
+    big = realize_type_a(make_seaweed(LieType("A", ORACLE_RANK_GUARD),
+                                      full, full))
+    bound = oracle.COEFF_BOUND
+    for mat in [*_full_union_algebras(2), big]:
+        rng = random.Random(seed)
+        want = [tuple(rng.randint(-bound, bound) for _ in range(mat.dim))
+                for _ in range(SAMPLE_COUNT)]
+        assert list(itertools.islice(oracle._draws(mat, seed),
+                                     SAMPLE_COUNT)) == want
+
+
+def _index_work(monkeypatch) -> dict[str, list]:
+    """Spies on the builds and ranks `index` makes: the shapes it builds
+    and ranks mod p, and the rows it eliminates exactly."""
+    work: dict[str, list] = {name: [] for name in (
+        "kirillov_matrix", "rank_mod_p", "ranks_mod_p", "rank_int_rows")}
+
+    def spy(name, shape):
+        real = getattr(oracle, name)
+
+        def counted(*args):
+            work[name].append(shape(*args))
+            return real(*args)
+        monkeypatch.setattr(oracle, name, counted)
+
+    spy("kirillov_matrix", lambda m, fs: len(fs))
+    spy("rank_mod_p", lambda k: k.shape)
+    spy("ranks_mod_p", lambda stack: stack.shape)
+    spy("rank_int_rows", lambda rows: rows)
+    return work
+
+
+@pytest.mark.parametrize("rank, top, bottom, ind", [
+    (2, {1, 2}, {1, 2}, 2),                 # full sl(3), dim 8
+    (6, {2, 4, 5, 6}, {1, 2, 3, 5}, 4),     # an oracle benchmark job, dim 20
+])
+def test_index_of_even_dimension_ranks_one_stack(monkeypatch, rank, top,
+                                                 bottom, ind):
+    """When dim is even, `index` builds all its samples as one stack and
+    ranks them with one `ranks_mod_p`, and ranks no matrix alone; the
+    exact confirmation eliminates the witness's rows from that stack."""
+    mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
+    assert mat.dim % 2 == 0
+    work = _index_work(monkeypatch)
+    cert = index(mat)
+    assert cert.index == ind
+    d = mat.dim
+    assert work == {"kirillov_matrix": [SAMPLE_COUNT],
+                    "rank_mod_p": [],
+                    "ranks_mod_p": [(SAMPLE_COUNT, d, d)],
+                    "rank_int_rows": [kirillov_rows(mat, cert.witness)]}
+
+
+@pytest.mark.parametrize("rank, top, bottom", [
+    (1, {1}, {1}),                          # full sl(2), dim 3
+    (4, {2, 1}, {4, 3, 2, 1}),
+])
+def test_index_one_of_odd_dimension_ranks_one_draw(monkeypatch, rank, top,
+                                                   bottom):
+    """When dim is odd and the first draw reaches the cap, that draw
+    proves index 1: one build of one matrix, one `rank_mod_p`, nothing
+    more."""
+    mat = realize_type_a(make_seaweed(LieType("A", rank), top, bottom))
+    assert mat.dim % 2 == 1
+    work = _index_work(monkeypatch)
+    assert index(mat).index == 1
+    assert work == {"kirillov_matrix": [1],
+                    "rank_mod_p": [(mat.dim, mat.dim)],
+                    "ranks_mod_p": [],
+                    "rank_int_rows": []}
 
 
 FROBENIUS_SEAWEEDS = [
